@@ -7,6 +7,7 @@ recomputes on every run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -170,7 +171,9 @@ def matrix_family_gamma(CA: ComoduleAlgebra,
     mu is an n x n parameter matrix with entries in B = A^{coH}."""
     H = CA.hopf
     A = CA.algebra
-    n = int(round(H.dim ** 0.5))
+    n = math.isqrt(H.dim)
+    if n * n != H.dim:
+        raise ValueError(f"a comatrix datum has square dimension, got {H.dim}")
     _require_coinvariant_params(
         CA, [frac(mu[r][c]) for r in range(n) for c in range(n)])
 

@@ -114,6 +114,21 @@ def cmd_galois(inst: ParsedInstance) -> Report:
     return rep
 
 
+def _require_regular_coaction(inst: ParsedInstance) -> None:
+    """Corollary 5.8 tests the file's modules against H coacting on itself;
+    refuse them when they live over another comodule algebra."""
+    CA, H = inst.comodule_algebra, inst.hopf
+    regular = (CA.algebra.mult.same_matrix(H.algebra.mult)
+               and CA.algebra.alpha.same_matrix(H.algebra.alpha)
+               and CA.algebra.unit == H.unit
+               and CA.coaction.same_matrix(H.coalgebra.comult))
+    if inst.modules and not regular:
+        raise InstanceFormatError(
+            "corollary 5.8 needs modules over H coacting on itself, but this "
+            "module lives over the file's comodule algebra",
+            f"modules.{min(inst.modules)}")
+
+
 def cmd_theorem(inst: ParsedInstance, which: str) -> Report:
     CA = inst.comodule_algebra
     modules = [inst.modules[k] for k in sorted(inst.modules)]
@@ -131,6 +146,7 @@ def cmd_theorem(inst: ParsedInstance, which: str) -> Report:
         rep = thm57_check(CA, modules or None)
     else:
         from .galois import cor58_check
+        _require_regular_coaction(inst)
         rep = cor58_check(inst.hopf, modules or None)
     _compare_expected(rep, inst.expected)
     return rep

@@ -168,7 +168,7 @@ def _parse_matrix(raw, dom: Space, cod: Space, where: str) -> LinearMap:
                 f"expected a row of {dom.dim} scalars", f"{where} row {i}")
         rows.append(tuple(_parse_scalar(x, f"{where}[{i}][{j}]")
                           for j, x in enumerate(row)))
-    return LinearMap(dom, cod, tuple(rows))
+    return LinearMap.from_rows(dom, cod, rows)
 
 
 def _parse_space(block: dict, where: str, cap: Optional[int]) -> Space:

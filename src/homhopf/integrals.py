@@ -11,7 +11,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import CentralityViolated, EquivalenceViolated, NotIntertwining
 from .linalg import (AffineSolution, Infeasible, LinearMap, Space, Vector,
-                     ZERO, bilinear, frac, tensor_space, tensor_vec, unrank,
+                     ONE, bilinear, tensor_space, tensor_vec, unrank,
                      vec_add, vec_is_zero, vec_scale)
 from .modules import RelHopfModule, induce_G, is_colinear, regular_rel_hopf
 from .report import Report
@@ -82,10 +82,9 @@ def _solve_map_conditions(dom: Space, cod: Space,
     cols = []
     for k in range(n_unk):
         i, j = divmod(k, dom.dim)
-        rows = [[frac(1) if (r == i and c == j) else ZERO
-                 for c in range(dom.dim)] for r in range(cod.dim)]
-        unit = LinearMap.from_rows(dom, cod, rows)
-        col = residual(unit)
+        unit_cols: list = [()] * dom.dim
+        unit_cols[j] = ((i, ONE),)
+        col = residual(LinearMap(dom, cod, tuple(unit_cols)))
         cols.append(tuple(a - b for a, b in zip(col, offset)))
     unknowns = Space(tuple(f"u{k}" for k in range(n_unk)))
     eqspace = Space(tuple(f"eq{r}" for r in range(m))) if m else Space(("eq0",))
@@ -98,9 +97,9 @@ def _solve_map_conditions(dom: Space, cod: Space,
 
 
 def _map_from_flat(dom: Space, cod: Space, flat: Vector) -> LinearMap:
-    rows = tuple(tuple(flat[i * dom.dim + j] for j in range(dom.dim))
-                 for i in range(cod.dim))
-    return LinearMap(dom, cod, rows)
+    n = dom.dim
+    return LinearMap.from_rows(dom, cod,
+                               [flat[i * n:(i + 1) * n] for i in range(cod.dim)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Exact rational linear algebra over finite-dimensional spaces.
 
 Everything downstream (algebra structure maps, coactions, integrals,
-Galois maps) is a matrix of Fractions over a fixed basis.  All
-arithmetic is exact; there is no floating point anywhere.
+Galois maps) is a matrix of Fractions over a fixed basis, stored as sparse
+columns; vectors are dense tuples.  Every zero a helper creates is the shared
+ZERO, so the helpers skip zero entries by identity; any other zero goes
+through the same exact arithmetic as a nonzero entry.  There is no floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -44,7 +47,9 @@ class Space:
         return len(self.labels)
 
     def basis_vector(self, i: int) -> Vector:
-        return tuple(ONE if j == i else ZERO for j in range(self.dim))
+        out = [ZERO] * self.dim
+        out[i] = ONE
+        return tuple(out)
 
     def basis(self) -> Iterator[Vector]:
         for i in range(self.dim):
@@ -77,20 +82,32 @@ def tensor_space(*spaces: Space) -> Space:
 # ---------------------------------------------------------------------------
 
 def vec_add(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
+    return tuple(b if a is ZERO else a if b is ZERO else a + b
+                 for a, b in zip(x, y))
 
 def vec_sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
+    return tuple(a if b is ZERO else -b if a is ZERO else a - b
+                 for a, b in zip(x, y))
 
 def vec_scale(c: Fraction, x: Vector) -> Vector:
-    return tuple(c * a for a in x)
+    if not c:
+        return (ZERO,) * len(x)
+    return tuple(ZERO if a is ZERO else c * a for a in x)
 
 def vec_is_zero(x: Vector) -> bool:
-    return all(a == 0 for a in x)
+    return all(a is ZERO or not a for a in x)
 
 def tensor_vec(x: Vector, y: Vector) -> Vector:
     """Kronecker product with the global row-major convention."""
-    return tuple(a * b for a in x for b in y)
+    n = len(y)
+    nonzero_y = [(j, b) for j, b in enumerate(y) if b is not ZERO]
+    out = [ZERO] * (len(x) * n)
+    for i, a in enumerate(x):
+        if a is not ZERO:
+            base = i * n
+            for j, b in nonzero_y:
+                out[base + j] = a * b
+    return tuple(out)
 
 def unrank(dims: Sequence[int], k: int) -> tuple[int, ...]:
     """Split a composite (row-major) basis index into per-factor indices."""
@@ -111,65 +128,98 @@ def rank_index(dims: Sequence[int], idxs: Sequence[int]) -> int:
 # Linear maps
 # ---------------------------------------------------------------------------
 
+# A sparse column: (row, coeff) pairs, rows ascending, no zero coefficients.
+Column = tuple[tuple[int, Fraction], ...]
+
+
+def _sparse(acc: dict[int, Fraction]) -> Column:
+    """The canonical column of a row -> coefficient accumulator."""
+    return tuple(sorted((i, c) for i, c in acc.items() if c))
+
+
 @dataclass(frozen=True)
 class LinearMap:
-    """A linear map in fixed bases, stored as a codomain.dim x domain.dim matrix."""
+    """A linear map in fixed bases, stored as domain.dim sparse columns.
+
+    Column j holds the nonzero entries of the image of basis vector j.  The
+    form is canonical, so two maps with the same matrix have equal cols.
+    """
 
     domain: Space
     codomain: Space
-    matrix: tuple[Vector, ...]   # rows
+    cols: tuple[Column, ...]
 
     def __post_init__(self):
-        if len(self.matrix) != self.codomain.dim:
-            raise ValueError("matrix row count does not match codomain dim")
-        if any(len(row) != self.domain.dim for row in self.matrix):
-            raise ValueError("matrix column count does not match domain dim")
+        if len(self.cols) != self.domain.dim:
+            raise ValueError("column count does not match domain dim")
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_rows(domain: Space, codomain: Space, rows) -> "LinearMap":
-        return LinearMap(domain, codomain,
-                         tuple(tuple(frac(x) for x in row) for row in rows))
+        rows = [[frac(x) for x in row] for row in rows]
+        if len(rows) != codomain.dim:
+            raise ValueError("matrix row count does not match codomain dim")
+        if any(len(row) != domain.dim for row in rows):
+            raise ValueError("matrix column count does not match domain dim")
+        return LinearMap(domain, codomain, tuple(
+            tuple((i, row[j]) for i, row in enumerate(rows) if row[j])
+            for j in range(domain.dim)))
 
     @staticmethod
-    def from_columns(domain: Space, codomain: Space, cols: Sequence[Vector]) -> "LinearMap":
-        rows = tuple(tuple(cols[j][i] for j in range(domain.dim))
-                     for i in range(codomain.dim))
-        return LinearMap(domain, codomain, rows)
+    def from_columns(domain: Space, codomain: Space, cols: Iterable[Vector]) -> "LinearMap":
+        sparse = []
+        for col in cols:
+            if len(col) != codomain.dim:
+                raise ValueError("column length does not match codomain dim")
+            sparse.append(tuple((i, c) for i, c in enumerate(col)
+                                if c is not ZERO and c))
+        return LinearMap(domain, codomain, tuple(sparse))
 
     @staticmethod
     def from_function(domain: Space, codomain: Space,
                       fn: Callable[[int], Vector]) -> "LinearMap":
-        """Build a map from its values on domain basis vectors."""
+        """Build a map from its values on domain basis vectors, keeping one
+        dense column at a time."""
         return LinearMap.from_columns(domain, codomain,
-                                      [fn(j) for j in range(domain.dim)])
+                                      (fn(j) for j in range(domain.dim)))
 
     @staticmethod
     def identity(sp: Space) -> "LinearMap":
-        return LinearMap(sp, sp, tuple(sp.basis_vector(i) for i in range(sp.dim)))
+        return LinearMap(sp, sp, tuple(((j, ONE),) for j in range(sp.dim)))
 
     @staticmethod
     def zero(domain: Space, codomain: Space) -> "LinearMap":
-        return LinearMap(domain, codomain, tuple((ZERO,) * domain.dim
-                                                 for _ in range(codomain.dim)))
+        return LinearMap(domain, codomain, ((),) * domain.dim)
+
+    @property
+    def matrix(self) -> tuple[Vector, ...]:
+        """Dense rows, rebuilt on every access; for emission and elimination."""
+        rows = [[ZERO] * self.domain.dim for _ in range(self.codomain.dim)]
+        for j, col in enumerate(self.cols):
+            for i, c in col:
+                rows[i][j] = c
+        return tuple(map(tuple, rows))
 
     # -- evaluation ---------------------------------------------------------
 
     def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.matrix)
+        out = [ZERO] * self.codomain.dim
+        for i, c in self.cols[j]:
+            out[i] = c
+        return tuple(out)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.domain.dim:
             raise ValueError("vector length does not match domain dim")
-        out = list(self.codomain.zero())
-        for j, c in enumerate(v):
-            if c == 0:
-                continue
-            for i, row in enumerate(self.matrix):
-                if row[j] != 0:
-                    out[i] += c * row[j]
-        return tuple(out)
+        out: list = [None] * self.codomain.dim
+        for x, col in zip(v, self.cols):
+            if x is not ZERO:
+                for i, c in col:
+                    p = x * c
+                    o = out[i]
+                    out[i] = p if o is None else o + p
+        return tuple(ZERO if o is None else o for o in out)
 
     def __call__(self, v: Vector) -> Vector:
         return self.apply(v)
@@ -180,52 +230,69 @@ class LinearMap:
         """Composition self after other."""
         if other.codomain.dim != self.domain.dim:
             raise ValueError("maps are not composable")
-        cols = [self.apply(other.column(j)) for j in range(other.domain.dim)]
-        return LinearMap.from_columns(other.domain, self.codomain, cols)
+        mine = self.cols
+        cols = []
+        for col in other.cols:
+            acc: dict[int, Fraction] = {}
+            for k, c in col:
+                for i, v in mine[k]:
+                    p = c * v
+                    o = acc.get(i)
+                    acc[i] = p if o is None else o + p
+            cols.append(_sparse(acc))
+        return LinearMap(other.domain, self.codomain, tuple(cols))
 
     def tensor(self, other: "LinearMap") -> "LinearMap":
         """Tensor product f (x) g with row-major basis ordering."""
         dom = tensor_space(self.domain, other.domain)
         cod = tensor_space(self.codomain, other.codomain)
-        rows = tuple(tensor_vec(r1, r2) for r1 in self.matrix for r2 in other.matrix)
-        return LinearMap(dom, cod, rows)
+        n = other.codomain.dim
+        return LinearMap(dom, cod, tuple(
+            tuple((i * n + k, a * b) for i, a in c1 for k, b in c2)
+            for c1 in self.cols for c2 in other.cols))
+
+    def _merge(self, other: "LinearMap", negate: bool) -> "LinearMap":
+        if (self.domain.dim, self.codomain.dim) != \
+           (other.domain.dim, other.codomain.dim):
+            raise ValueError("maps have different shapes")
+        cols = []
+        for a, b in zip(self.cols, other.cols):
+            acc = dict(a)
+            for i, c in b:
+                if negate:
+                    c = -c
+                o = acc.get(i)
+                acc[i] = c if o is None else o + c
+            cols.append(_sparse(acc))
+        return LinearMap(self.domain, self.codomain, tuple(cols))
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
-        return LinearMap(self.domain, self.codomain,
-                         tuple(vec_add(a, b) for a, b in zip(self.matrix, other.matrix)))
+        return self._merge(other, negate=False)
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
-        return LinearMap(self.domain, self.codomain,
-                         tuple(vec_sub(a, b) for a, b in zip(self.matrix, other.matrix)))
-
-    def scale(self, c) -> "LinearMap":
-        c = frac(c)
-        return LinearMap(self.domain, self.codomain,
-                         tuple(vec_scale(c, row) for row in self.matrix))
+        return self._merge(other, negate=True)
 
     def same_matrix(self, other: "LinearMap") -> bool:
-        return self.matrix == other.matrix
+        return (self.codomain.dim == other.codomain.dim
+                and self.cols == other.cols)
 
     def is_identity(self) -> bool:
         if self.domain.dim != self.codomain.dim:
             return False
-        return self.matrix == tuple(self.codomain.basis_vector(i)
-                                    for i in range(self.codomain.dim))
-
-    def is_zero(self) -> bool:
-        return all(vec_is_zero(row) for row in self.matrix)
+        return all(col == ((j, ONE),) for j, col in enumerate(self.cols))
 
     def inverse(self) -> "LinearMap":
         """Exact inverse; raises ValueError if the map is not invertible."""
         n = self.domain.dim
         if self.codomain.dim != n:
             raise ValueError("only square maps can be inverted")
-        aug = [list(self.matrix[i]) + list(self.domain.basis_vector(i)) for i in range(n)]
+        aug = [list(row) + list(self.domain.basis_vector(i))
+               for i, row in enumerate(self.matrix)]
         rows, pivots = _rref(aug, 2 * n)
         if pivots != list(range(n)):
             raise ValueError("map is not invertible")
-        inv_rows = tuple(tuple(rows[i][n:]) for i in range(n))
-        return LinearMap(self.codomain, self.domain, inv_rows)
+        return LinearMap.from_rows(self.codomain, self.domain,
+                                   [rows[i][n:] for i in range(n)])
 
     def transpose_rank_oracle(self) -> int:
         """Rank via an independent elimination order (reversed columns)."""
@@ -319,7 +386,7 @@ def solve_affine(coeff: LinearMap, rhs: Vector) -> AffineSolution | Infeasible:
     m, n = coeff.codomain.dim, coeff.domain.dim
     if len(rhs) != m:
         raise ValueError("rhs length does not match codomain dim")
-    aug = [list(coeff.matrix[i]) + [rhs[i]] for i in range(m)]
+    aug = [list(row) + [b] for row, b in zip(coeff.matrix, rhs)]
     rows, pivots = _rref(aug, n + 1)
     if n in pivots:
         return Infeasible(system_rank=len(pivots) - 1, augmented_rank=len(pivots))
@@ -437,43 +504,32 @@ def quotient_by(ambient: Space, relations: Iterable[Vector]) -> QuotientSpace:
 
 def swap_map(left: Space, right: Space) -> LinearMap:
     """The flip x (x) y -> y (x) x."""
-    dom = tensor_space(left, right)
-    cod = tensor_space(right, left)
-
-    def image(k: int) -> Vector:
-        i, j = unrank((left.dim, right.dim), k)
-        return cod.basis_vector(rank_index((right.dim, left.dim), (j, i)))
-
-    return LinearMap.from_function(dom, cod, image)
+    return LinearMap(tensor_space(left, right), tensor_space(right, left),
+                     tuple(((j * left.dim + i, ONE),)
+                           for i in range(left.dim) for j in range(right.dim)))
 
 
 def bilinear(f: LinearMap, x: Vector, y: Vector) -> Vector:
     """Evaluate f: X (x) Y -> Z on a pair of vectors, skipping zero entries."""
     dy = len(y)
-    out = list(f.codomain.zero())
+    nonzero_y = [(j, b) for j, b in enumerate(y) if b is not ZERO]
+    cols = f.cols
+    out: list = [None] * f.codomain.dim
     for i, a in enumerate(x):
-        if a == 0:
+        if a is ZERO:
             continue
         base = i * dy
-        for j, b in enumerate(y):
-            if b == 0:
-                continue
+        for j, b in nonzero_y:
             c = a * b
-            col = f.column(base + j)
-            for k, v in enumerate(col):
-                if v != 0:
-                    out[k] += c * v
-    return tuple(out)
+            for k, v in cols[base + j]:
+                p = c * v
+                o = out[k]
+                out[k] = p if o is None else o + p
+    return tuple(ZERO if o is None else o for o in out)
 
 
 def components(v: Vector, dims: Sequence[int]):
     """Yield ((i1, ..., ir), coeff) for the nonzero entries of a tensor vector."""
     for k, c in enumerate(v):
-        if c != 0:
+        if c is not ZERO and c:
             yield unrank(dims, k), c
-
-
-def map_equal(f: LinearMap, g: LinearMap) -> bool:
-    """Entry-exact equality of matrices (spaces compared by dimension)."""
-    return (f.domain.dim == g.domain.dim and f.codomain.dim == g.codomain.dim
-            and f.matrix == g.matrix)

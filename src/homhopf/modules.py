@@ -178,7 +178,7 @@ def induce_G(M: HomModule, CA: ComoduleAlgebra) -> RelHopfModule:
     """G(M) = M (x) H with (m (x) h).a = m.a0 (x) h a1 and
     rho(m (x) h) = (mu^{-1}(m) (x) h1) (x) alpha(h2)."""
     H = CA.hopf
-    if M.over is not CA.algebra and M.over.mult.matrix != CA.algebra.mult.matrix:
+    if M.over is not CA.algebra and not M.over.mult.same_matrix(CA.algebra.mult):
         raise ValueError("module must live over the comodule algebra's algebra")
     sp = tensor_space(M.space, H.space)
     dm, dh, da = M.dim, H.dim, CA.dim

@@ -104,7 +104,7 @@ class HomHopfAlgebra:
               antipode: LinearMap) -> "HomHopfAlgebra":
         if algebra.space is not coalgebra.space and algebra.space != coalgebra.space:
             raise ValueError("algebra and coalgebra must share the underlying space")
-        if algebra.alpha.matrix != coalgebra.gamma.matrix:
+        if not algebra.alpha.same_matrix(coalgebra.gamma):
             raise ValueError("Hopf structure needs gamma = alpha")
         try:
             s_inv = antipode.inverse()
@@ -216,9 +216,10 @@ def check_hom_coalgebra(C: HomCoalgebra) -> Report:
     n = sp.dim
 
     rep.record("gamma invertible", (C.gamma @ C.gamma_inv).is_identity())
+    gamma2 = C.gamma.tensor(C.gamma)
     check_identity(rep, "Delta gamma = (gamma x gamma) Delta", [sp], cc,
                    lambda i: C.comult.apply(C.g(e(i))),
-                   lambda i: (C.gamma.tensor(C.gamma)).apply(C.comult.apply(e(i))))
+                   lambda i: gamma2.apply(C.comult.apply(e(i))))
     check_identity(rep, "eps gamma = eps", [sp], SCALAR_SPACE,
                    lambda i: (C.eps(C.g(e(i))),),
                    lambda i: (C.eps(e(i)),))
@@ -361,10 +362,11 @@ def check_comodule_axioms(rep: Report, prefix: str, space: Space,
 
     check_identity(rep, prefix + "counit law: m0 eps(m1) = mu^{-1}(m)", [sp], sp,
                    counit_side, lambda i: mu_inv.apply(e(i)))
+    mu_alpha = mu.tensor(H.algebra.alpha)
     check_identity(rep, prefix + "coaction intertwines: rho mu = (mu x alpha) rho",
                    [sp], mh,
                    lambda i: coaction.apply(mu.apply(e(i))),
-                   lambda i: mu.tensor(H.algebra.alpha).apply(coaction.apply(e(i))))
+                   lambda i: mu_alpha.apply(coaction.apply(e(i))))
 
 
 def check_comodule_algebra(CA: ComoduleAlgebra) -> Report:

@@ -75,3 +75,10 @@ def test_expected_tables_are_regression_checked():
     res2 = find_total_integral(entry("kC3-twisted").comodule_algebra)
     assert isinstance(res2, TotalIntegral)
     assert len(res2.solution_family) == 1
+
+
+@pytest.mark.parametrize("name", ["kG-C2-datum", "kC3"])
+def test_matrix_family_needs_a_square_dimension(name):
+    CA = entry(name).comodule_algebra          # H has dimension 2 or 3
+    with pytest.raises(ValueError, match="square dimension"):
+        matrix_family_gamma(CA, [[Fraction(1)]])

@@ -129,3 +129,13 @@ def test_theorem_needs_bijective_antipode(capsys, tmp_path):
     code, _, err = run(capsys, "theorem", "--id", "5.7", str(path))
     assert code == 2
     assert "antipode" in err
+
+
+def test_theorem_58_refuses_modules_over_another_coaction(capsys, tmp_path):
+    path = tmp_path / "tkc2.json"
+    path.write_text(emit_instance(entry("trivial-k-over-kC2")))
+    code, out, err = run(capsys, "theorem", "--id", "5.8", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: modules.A: ")
+    assert "Traceback" not in err

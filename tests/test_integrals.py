@@ -148,3 +148,11 @@ def test_thm48_generator_epimorphism(name):
     e = entry(name)
     rep = thm48_check(e.comodule_algebra, [e.modules["A"]])
     assert rep.ok, rep.pretty()
+
+
+def test_thm48_on_the_induced_module_of_sweedler_h4():
+    # A (x) H (x) G(A) has dimension 256: the widest module sweep in the
+    # catalog, which needs the sparse kernel to finish in seconds
+    e = entry("sweedler-H4")
+    rep = thm48_check(e.comodule_algebra, [e.modules["G(A)"]])
+    assert rep.ok, rep.pretty()

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homhopf.linalg import (AffineSolution, Infeasible, LinearMap, Space,
-                            kernel_basis, quotient_by, rank, solve_affine,
-                            span, swap_map, tensor_space, tensor_vec, space,
-                            unrank, rank_index, vec_add, vec_is_zero,
-                            vec_scale)
+from homhopf.linalg import (ZERO, AffineSolution, Infeasible, LinearMap,
+                            Space, bilinear, kernel_basis, quotient_by, rank,
+                            solve_affine, span, swap_map, tensor_space,
+                            tensor_vec, space, unrank, rank_index, vec_add,
+                            vec_is_zero, vec_scale, vec_sub)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
@@ -124,3 +124,136 @@ def test_unrank_rank_index_inverse():
 def test_tensor_space_labels():
     sp = tensor_space(_space(2), _space(2))
     assert sp.dim == 4
+
+
+# ---------------------------------------------------------------------------
+# The sparse kernel against a naive dense reference
+# ---------------------------------------------------------------------------
+
+def _ref_apply(rows, v):
+    return [sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in rows]
+
+
+def _ref_compose(f_rows, g_rows):
+    inner = len(g_rows)
+    return [[sum((f_rows[i][k] * g_rows[k][j] for k in range(inner)),
+                 Fraction(0)) for j in range(len(g_rows[0]))]
+            for i in range(len(f_rows))]
+
+
+def _ref_kron(f_rows, g_rows):
+    return [[a * b for a in r1 for b in r2] for r1 in f_rows for r2 in g_rows]
+
+
+def _ref_kron_vec(x, y):
+    return [a * b for a in x for b in y]
+
+
+def _dense(f):
+    return [list(row) for row in f.matrix]
+
+
+def _assert_canonical(f):
+    assert len(f.cols) == f.domain.dim
+    for col in f.cols:
+        rows = [i for i, _ in col]
+        assert rows == sorted(set(rows))
+        assert all(0 <= i < f.codomain.dim for i in rows)
+        assert all(c != 0 for _, c in col)
+
+
+# mostly zeros, both the kernel's shared ZERO, which the helpers skip by
+# identity, and other zero objects, which they must treat exactly
+sparse_entries = st.one_of(st.just(ZERO), st.just(Fraction(0)), rationals)
+
+
+@st.composite
+def sparse_rows(draw, n, m):
+    """n x m rationals, mostly zero, often with a zero row and column."""
+    rows = draw(st.lists(st.lists(sparse_entries, min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [Fraction(0)] * m
+    if draw(st.booleans()):
+        j = draw(st.integers(0, m - 1))
+        for row in rows:
+            row[j] = Fraction(0)
+    return rows
+
+
+def _vector(draw, n):
+    return tuple(draw(st.lists(sparse_entries, min_size=n, max_size=n)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_sparse_kernel_matches_dense_reference(data):
+    draw = data.draw
+    dims = st.integers(1, 3)
+    p, q, r, s = draw(dims), draw(dims), draw(dims), draw(dims)
+    f_rows = draw(sparse_rows(q, p))            # f: P -> Q
+    g_rows = draw(sparse_rows(r, q))            # g: Q -> R
+    h_rows = draw(sparse_rows(q, p))            # h: P -> Q
+    k_rows = draw(sparse_rows(s, r))            # k: R -> S
+    P, Q, R, S = _space(p), _space(q), _space(r), _space(s)
+    f = LinearMap.from_rows(P, Q, f_rows)
+    g = LinearMap.from_rows(Q, R, g_rows)
+    h = LinearMap.from_rows(P, Q, h_rows)
+    k = LinearMap.from_rows(R, S, k_rows)
+    for m in (f, g, h, k):
+        _assert_canonical(m)
+    assert _dense(f) == f_rows
+
+    v = _vector(draw, p)
+    assert list(f.apply(v)) == _ref_apply(f_rows, v)
+    for j in range(p):
+        assert list(f.column(j)) == [row[j] for row in f_rows]
+
+    fg = g @ f
+    _assert_canonical(fg)
+    assert _dense(fg) == _ref_compose(g_rows, f_rows)
+
+    fk = f.tensor(k)
+    _assert_canonical(fk)
+    assert _dense(fk) == _ref_kron(f_rows, k_rows)
+
+    total, diff = f + h, f - h
+    _assert_canonical(total)
+    _assert_canonical(diff)
+    assert _dense(total) == [[a + b for a, b in zip(x, y)]
+                             for x, y in zip(f_rows, h_rows)]
+    assert _dense(diff) == [[a - b for a, b in zip(x, y)]
+                            for x, y in zip(f_rows, h_rows)]
+
+    # f: P -> Q read as a bilinear map on P = X (x) Y
+    x_dim = draw(st.sampled_from([d for d in (1, 2, 3) if p % d == 0]))
+    x, y = _vector(draw, x_dim), _vector(draw, p // x_dim)
+    assert list(bilinear(f, x, y)) == _ref_apply(f_rows, _ref_kron_vec(x, y))
+
+    ident = [[Fraction(int(i == j)) for j in range(p)] for i in range(q)]
+    assert f.is_identity() == (p == q and f_rows == ident)
+    assert LinearMap.identity(P).is_identity()
+
+    # canonical form: equal maps have equal columns
+    assert (diff + h).cols == f.cols
+    assert (f - f).cols == LinearMap.zero(P, Q).cols
+    assert (f.tensor(LinearMap.identity(_space(1)))).cols == f.cols
+    assert (LinearMap.identity(Q) @ f).cols == f.cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_zero_skipping_vector_helpers_match_dense_reference(data):
+    n = data.draw(st.integers(1, 4))
+    x = _vector(data.draw, n)
+    y = _vector(data.draw, n)
+    z = _vector(data.draw, data.draw(st.integers(1, 3)))
+    c = data.draw(sparse_entries)
+    assert list(vec_add(x, y)) == [a + b for a, b in zip(x, y)]
+    assert list(vec_sub(x, y)) == [a - b for a, b in zip(x, y)]
+    assert list(vec_scale(c, x)) == [c * a for a in x]
+    assert list(tensor_vec(x, z)) == _ref_kron_vec(x, z)
+    assert vec_is_zero(x) == all(a == 0 for a in x)
+    for v in (vec_add(x, y), vec_sub(x, y), vec_scale(c, x),
+              tensor_vec(x, z)):
+        assert all(isinstance(a, Fraction) for a in v)

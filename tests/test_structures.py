@@ -66,9 +66,8 @@ def test_broken_coaction_is_reported_with_witness():
     from dataclasses import replace
     rows = [list(r) for r in CA.coaction.matrix]
     rows[0][1] += 1
-    bad = replace(CA, coaction=LinearMap(CA.space,
-                                         CA.coaction.codomain, tuple(
-                                             tuple(r) for r in rows)))
+    bad = replace(CA, coaction=LinearMap.from_rows(CA.space,
+                                                   CA.coaction.codomain, rows))
     rep = check_comodule_algebra(bad)
     assert not rep.ok
     assert any(f.witness is not None for f in rep.failures)
@@ -79,7 +78,6 @@ def test_hom_algebra_checker_sees_broken_associativity():
     from dataclasses import replace
     rows = [list(r) for r in H.algebra.mult.matrix]
     rows[0][4] += 1
-    bad = replace(H.algebra, mult=LinearMap(H.algebra.mult.domain,
-                                            H.space,
-                                            tuple(tuple(r) for r in rows)))
+    bad = replace(H.algebra, mult=LinearMap.from_rows(H.algebra.mult.domain,
+                                                      H.space, rows))
     assert not check_hom_algebra(bad).ok
