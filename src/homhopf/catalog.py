@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import ParametersNotCoinvariant, UnknownEntry
 from .linalg import (SCALAR_SPACE, LinearMap, Space, Vector, frac, space,
@@ -22,7 +22,6 @@ from .structures import (ComoduleAlgebra, HomAlgebra, HomCoalgebra,
                          HomHopfAlgebra, check_comodule_algebra,
                          check_hom_coalgebra, check_hom_hopf,
                          regular_comodule_algebra, twist)
-from .verify import check_identity
 
 
 # ---------------------------------------------------------------------------
@@ -268,17 +267,9 @@ class CatalogEntry:
         return rep
 
 
-def _hopf_entry(name: str, description: str, H: HomHopfAlgebra,
+def _hopf_entry(name: str, description: str, CA: ComoduleAlgebra,
                 expected: dict) -> CatalogEntry:
-    CA = regular_comodule_algebra(H)
-    A_mod = regular_rel_hopf(CA)
-    modules = {"A": A_mod, "G(A)": induce_G(A_mod.as_module(), CA)}
-    return CatalogEntry(name, "hopf", description, CA, modules, expected)
-
-
-def _trivial_entry(name: str, description: str, H: HomHopfAlgebra,
-                   expected: dict) -> CatalogEntry:
-    CA = trivial_comodule_algebra(H)
+    """A Hopf entry carrying the modules A and G(A) over CA."""
     A_mod = regular_rel_hopf(CA)
     modules = {"A": A_mod, "G(A)": induce_G(A_mod.as_module(), CA)}
     return CatalogEntry(name, "hopf", description, CA, modules, expected)
@@ -288,43 +279,47 @@ def _build_entries() -> dict[str, Callable[[], CatalogEntry]]:
     return {
         "kC2": lambda: _hopf_entry(
             "kC2", "group algebra of the cyclic group of order 2, "
-            "coacting on itself", cyclic_group_hopf(2),
+            "coacting on itself",
+            regular_comodule_algebra(cyclic_group_hopf(2)),
             {"total_integral": True, "total_integral_kernel_dim": 1,
              "total_quantum_integral": True, "galois": "bijective",
              "coinvariant_dim": 1}),
         "kC3": lambda: _hopf_entry(
             "kC3", "group algebra of the cyclic group of order 3, "
-            "coacting on itself", cyclic_group_hopf(3),
+            "coacting on itself",
+            regular_comodule_algebra(cyclic_group_hopf(3)),
             {"total_integral": True, "total_integral_kernel_dim": 2,
              "total_quantum_integral": True, "galois": "bijective",
              "coinvariant_dim": 1}),
         "kC3-twisted": lambda: _hopf_entry(
             "kC3-twisted", "kC3 twisted along the automorphism g -> g^2",
-            twisted_cyclic3(),
+            regular_comodule_algebra(twisted_cyclic3()),
             {"total_integral": True, "total_integral_kernel_dim": 1,
              "total_quantum_integral": True, "galois": "bijective",
              "coinvariant_dim": 1}),
         "sweedler-H4": lambda: _hopf_entry(
             "sweedler-H4", "the four-dimensional Hopf algebra coacting on "
-            "itself", sweedler_hopf(),
+            "itself",
+            regular_comodule_algebra(sweedler_hopf()),
             {"total_integral": True, "total_integral_kernel_dim": 3,
              "total_quantum_integral": True, "galois": "bijective",
              "coinvariant_dim": 1}),
-        "trivial-k-over-kC2": lambda: _trivial_entry(
+        "trivial-k-over-kC2": lambda: _hopf_entry(
             "trivial-k-over-kC2", "A = k with the trivial coaction of kC2",
-            cyclic_group_hopf(2),
+            trivial_comodule_algebra(cyclic_group_hopf(2)),
             {"total_integral": True, "total_integral_kernel_dim": 0,
              "total_quantum_integral": True, "galois": "neither",
              "coinvariant_dim": 1}),
-        "trivial-k-over-H4": lambda: _trivial_entry(
+        "trivial-k-over-H4": lambda: _hopf_entry(
             "trivial-k-over-H4", "A = k with the trivial coaction of the "
-            "four-dimensional Hopf algebra", sweedler_hopf(),
+            "four-dimensional Hopf algebra",
+            trivial_comodule_algebra(sweedler_hopf()),
             {"total_integral": False, "total_quantum_integral": False,
              "galois": "neither", "coinvariant_dim": 1}),
-        "kG-C2-datum": lambda: _trivial_entry(
+        "kG-C2-datum": lambda: _hopf_entry(
             "kG-C2-datum", "A = k under kC2 with the diagonal parameterised "
             "integral family gamma(x)(y) = delta_xy mu_x",
-            cyclic_group_hopf(2),
+            trivial_comodule_algebra(cyclic_group_hopf(2)),
             {"total_integral": True, "family": "group",
              "family_total_iff": "all mu_x equal 1"}),
         "matrix-datum-2": lambda: CatalogEntry(

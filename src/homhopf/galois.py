@@ -10,11 +10,11 @@ from typing import Optional
 from .errors import StructureDoesNotDescend
 from .integrals import QuantumIntegral, find_quantum_integral
 from .linalg import (LinearMap, QuotientSpace, Space, Subspace, Vector,
-                     kernel_basis, quotient_by, rank, span, swap_map,
-                     tensor_space, tensor_vec, unrank, vec_add, vec_is_zero,
-                     vec_scale)
-from .modules import (HomModule, RelHopfModule, induce_G, is_morphism,
-                      regular_rel_hopf)
+                     kernel_basis, permute_factors, quotient_by, rank, span,
+                     swap_map, tensor_after, tensor_space, tensor_vec, unrank,
+                     vec_add, vec_is_zero, vec_scale, vec_sub)
+from .modules import (HomModule, RelHopfModule, gtilde_action, induce_G,
+                      is_morphism, regular_rel_hopf)
 from .report import Report
 from .structures import ComoduleAlgebra, HomAlgebra, HomHopfAlgebra
 
@@ -118,32 +118,22 @@ def coinvariant_module(M: RelHopfModule,
 def quantum_trace_left(CA: ComoduleAlgebra, gamma: QuantumIntegral) -> LinearMap:
     """t^l(a) = a0 gamma(a1)(1_H); B-valued, restricting to the identity on B."""
     A, H = CA.algebra, CA.hopf
-
-    def img(i: int) -> Vector:
-        out = A.space.zero()
-        for c, a0, a1 in CA.rho(A.space.basis_vector(i)):
-            out = vec_add(out, vec_scale(c, A.mul(
-                A.space.basis_vector(a0),
-                gamma.value(H.space.basis_vector(a1), H.unit))))
-        return out
-
-    return LinearMap.from_function(A.space, A.space, img)
+    idh = LinearMap.identity(H.space)
+    at_unit = gamma.gamma_hat @ tensor_after(idh, H.algebra.unit_map, idh)
+    return A.mult @ tensor_after(LinearMap.identity(A.space), at_unit,
+                                 CA.coaction)
 
 
 def quantum_trace_right(CA: ComoduleAlgebra, gamma: QuantumIntegral) -> LinearMap:
     """t^r(a) = gamma(1_H)(S^{-1}(alpha^2(a1))) beta(a0)."""
     A, H = CA.algebra, CA.hopf
-
-    def img(i: int) -> Vector:
-        out = A.space.zero()
-        for c, a0, a1 in CA.rho(A.space.basis_vector(i)):
-            ga = gamma.value(H.unit,
-                             H.s_inv(H.a(H.a(H.space.basis_vector(a1)))))
-            out = vec_add(out, vec_scale(
-                c, A.mul(ga, A.a(A.space.basis_vector(a0)))))
-        return out
-
-    return LinearMap.from_function(A.space, A.space, img)
+    H.require_bijective_antipode()
+    al = H.algebra.alpha
+    from_unit = gamma.gamma_hat @ tensor_after(
+        H.algebra.unit_map, H.antipode_inv @ al @ al,
+        LinearMap.identity(H.space))
+    return A.mult @ tensor_after(from_unit, A.alpha, permute_factors(
+        CA.coaction, (A.space, H.space), (1, 0)))
 
 
 def prop51_maps(CA: ComoduleAlgebra,
@@ -152,30 +142,17 @@ def prop51_maps(CA: ComoduleAlgebra,
     Lam(a (x) h) = lam(1_A (x) alpha^{-1}(h) S^{-1}(a1)) beta(a0),
     both maps A (x) H -> A."""
     A, H = CA.algebra, CA.hopf
-    ah = tensor_space(A.space, H.space)
-    eh = H.space.basis_vector
-
-    def lam_img(k: int) -> Vector:
-        ai, hj = unrank((A.dim, H.dim), k)
-        out = A.space.zero()
-        for c, a0, a1 in CA.rho(A.space.basis_vector(ai)):
-            out = vec_add(out, vec_scale(c, A.mul(
-                A.space.basis_vector(a0), gamma.value(eh(a1), eh(hj)))))
-        return out
-
-    lam = LinearMap.from_function(ah, A.space, lam_img)
-
-    def big_img(k: int) -> Vector:
-        ai, hj = unrank((A.dim, H.dim), k)
-        out = A.space.zero()
-        for c, a0, a1 in CA.rho(A.space.basis_vector(ai)):
-            inner = lam.apply(tensor_vec(
-                A.unit, H.mul(H.a_inv(eh(hj)), H.s_inv(eh(a1)))))
-            out = vec_add(out, vec_scale(
-                c, A.mul(inner, A.a(A.space.basis_vector(a0)))))
-        return out
-
-    big = LinearMap.from_function(ah, A.space, big_img)
+    H.require_bijective_antipode()
+    idh = LinearMap.identity(H.space)
+    rho_h = CA.coaction.tensor(idh)                  # a0 (x) a1 (x) h
+    lam = A.mult @ tensor_after(LinearMap.identity(A.space), gamma.gamma_hat,
+                                rho_h)
+    arg = H.algebra.mult @ H.algebra.alpha_inv.tensor(H.antipode_inv)
+    inner = lam @ tensor_after(A.unit_map, arg,
+                               LinearMap.identity(tensor_space(H.space,
+                                                               H.space)))
+    big = A.mult @ tensor_after(inner, A.alpha, permute_factors(
+        rho_h, (A.space, H.space, H.space), (2, 1, 0)))
     return lam, big
 
 
@@ -213,8 +190,9 @@ def balanced_tensor(left: Space, right: Space, B: CoinvariantAlgebra,
                     act_right, mu_left: LinearMap,
                     act_left, mu_right_inv: LinearMap) -> BalancedTensor:
     """Build left (x)_B right.  act_right(m_vec, b_vec) is the right B-action
-    on the left factor; act_left(b_vec, n_vec) the left B-action on the right
-    factor; b_vec runs over the chosen basis of B inside A."""
+    on the left factor, b_vec running over the chosen basis of B inside A;
+    act_left(bj, n_vec) the left action of the bj-th basis element of B on
+    the right factor."""
     relations = []
     for i in range(left.dim):
         m = left.basis_vector(i)
@@ -222,11 +200,10 @@ def balanced_tensor(left: Space, right: Space, B: CoinvariantAlgebra,
             b = B.element(bj)
             for j in range(right.dim):
                 n = right.basis_vector(j)
-                rel = vec_add(
+                rel = vec_sub(
                     tensor_vec(act_right(m, b), n),
-                    vec_scale(-1, tensor_vec(
-                        mu_left.apply(m),
-                        act_left(b, mu_right_inv.apply(n)))))
+                    tensor_vec(mu_left.apply(m),
+                               act_left(bj, mu_right_inv.apply(n))))
                 if not vec_is_zero(rel):
                     relations.append(rel)
     return BalancedTensor(left, right,
@@ -281,29 +258,11 @@ def balanced_tensor_AA(CA: ComoduleAlgebra,
         B = coinvariants(CA)
     bt = balanced_tensor(A.space, A.space, B,
                          act_right=A.mul, mu_left=A.alpha,
-                         act_left=A.mul, mu_right_inv=A.alpha_inv)
-    amb = bt.ambient
-    da = A.dim
-    ea = A.space.basis_vector
-
-    def act_img(k: int) -> Vector:
-        ai, bi, ci = unrank((da, da, da), k)
-        return tensor_vec(A.a(ea(ai)), A.mul(ea(bi), A.a_inv(ea(ci))))
-
-    amb_action = LinearMap.from_function(tensor_space(amb, A.space), amb,
-                                         act_img)
-
-    def coact_img(k: int) -> Vector:
-        ai, bi = unrank((da, da), k)
-        out = tensor_space(amb, H.space).zero()
-        for c, b0, b1 in CA.rho(ea(bi)):
-            out = vec_add(out, vec_scale(c, tensor_vec(
-                tensor_vec(A.a_inv(ea(ai)), ea(b0)),
-                H.a(H.space.basis_vector(b1)))))
-        return out
-
-    amb_coaction = LinearMap.from_function(amb, tensor_space(amb, H.space),
-                                           coact_img)
+                         act_left=lambda bj, n: A.mul(B.element(bj), n),
+                         mu_right_inv=A.alpha_inv)
+    amb_action = A.alpha.tensor(
+        A.mult @ LinearMap.identity(A.space).tensor(A.alpha_inv))
+    amb_coaction = A.alpha_inv.tensor(_twisted_coaction(CA))
     action = descend_action(amb_action, bt, A.space,
                             "the A-action on the balanced tensor square")
     coaction = descend_coaction(amb_coaction, bt, H.space,
@@ -316,20 +275,15 @@ def balanced_tensor_AA(CA: ComoduleAlgebra,
 
 def galois_psi_ambient(CA: ComoduleAlgebra) -> LinearMap:
     """psi~(a (x) b) = beta^{-1}(a) b0 (x) alpha(b1) on A (x) A."""
-    A, H = CA.algebra, CA.hopf
-    ea = A.space.basis_vector
+    A = CA.algebra
+    return tensor_after(A.mult, CA.hopf.algebra.alpha,
+                        A.alpha_inv.tensor(CA.coaction))
 
-    def img(k: int) -> Vector:
-        ai, bi = unrank((A.dim, A.dim), k)
-        out = tensor_space(A.space, H.space).zero()
-        for c, b0, b1 in CA.rho(ea(bi)):
-            out = vec_add(out, vec_scale(c, tensor_vec(
-                A.mul(A.a_inv(ea(ai)), ea(b0)),
-                H.a(H.space.basis_vector(b1)))))
-        return out
 
-    return LinearMap.from_function(tensor_space(A.space, A.space),
-                                   tensor_space(A.space, H.space), img)
+def _twisted_coaction(CA: ComoduleAlgebra) -> LinearMap:
+    """a -> a0 (x) alpha(a1), the coaction leg the ambient structures use."""
+    return tensor_after(LinearMap.identity(CA.space), CA.hopf.algebra.alpha,
+                        CA.coaction)
 
 
 @dataclass(frozen=True)
@@ -377,26 +331,9 @@ def xi_source_module(CA: ComoduleAlgebra) -> RelHopfModule:
     coaction (a0 (x) beta^{-1}(b)) (x) alpha(a1)."""
     A, H = CA.algebra, CA.hopf
     amb = tensor_space(A.space, A.space)
-    da = A.dim
-    ea = A.space.basis_vector
-
-    def act_img(k: int) -> Vector:
-        ai, bi, ci = unrank((da, da, da), k)
-        return tensor_vec(A.mul(ea(ai), A.a_inv(ea(ci))), A.a(ea(bi)))
-
-    action = LinearMap.from_function(tensor_space(amb, A.space), amb, act_img)
-
-    def coact_img(k: int) -> Vector:
-        ai, bi = unrank((da, da), k)
-        out = tensor_space(amb, H.space).zero()
-        for c, a0, a1 in CA.rho(ea(ai)):
-            out = vec_add(out, vec_scale(c, tensor_vec(
-                tensor_vec(ea(a0), A.a_inv(ea(bi))),
-                H.a(H.space.basis_vector(a1)))))
-        return out
-
-    coaction = LinearMap.from_function(amb, tensor_space(amb, H.space),
-                                       coact_img)
+    action = gtilde_action(A, A.alpha)
+    coaction = permute_factors(_twisted_coaction(CA).tensor(A.alpha_inv),
+                               (A.space, H.space, A.space), (0, 2, 1))
     mu = A.alpha.tensor(A.alpha)
     return RelHopfModule(amb, mu, mu.inverse(), action, coaction, CA)
 
@@ -412,47 +349,14 @@ def induction(N: HomModule, B: CoinvariantAlgebra
     CA = B.of
     A, H = CA.algebra, CA.hopf
 
-    def act_left(bj: int, n: Vector) -> Vector:
-        # the left B-action on the right B-module N is n.b read backwards
-        return N.act(n, B.algebra.basis_vector(bj))
-
-    relations = []
-    for i in range(A.dim):
-        m = A.space.basis_vector(i)
-        for bj in range(B.dim):
-            b = B.element(bj)
-            for j in range(N.dim):
-                n = N.space.basis_vector(j)
-                rel = vec_add(
-                    tensor_vec(A.mul(m, b), n),
-                    vec_scale(-1, tensor_vec(
-                        A.a(m), act_left(bj, N.mu_inv.apply(n)))))
-                if not vec_is_zero(rel):
-                    relations.append(rel)
-    bt = BalancedTensor(A.space, N.space,
-                        quotient_by(tensor_space(A.space, N.space), relations))
-    amb = bt.ambient
-    da, dn = A.dim, N.dim
-    ea, en = A.space.basis_vector, N.space.basis_vector
-
-    def act_img(k: int) -> Vector:
-        ai, ni, ci = unrank((da, dn, da), k)
-        return tensor_vec(A.mul(ea(ai), A.a_inv(ea(ci))), N.mu.apply(en(ni)))
-
-    amb_action = LinearMap.from_function(tensor_space(amb, A.space), amb,
-                                         act_img)
-
-    def coact_img(k: int) -> Vector:
-        ai, ni = unrank((da, dn), k)
-        out = tensor_space(amb, H.space).zero()
-        for c, a0, a1 in CA.rho(ea(ai)):
-            out = vec_add(out, vec_scale(c, tensor_vec(
-                tensor_vec(ea(a0), N.mu_inv.apply(en(ni))),
-                H.a(H.space.basis_vector(a1)))))
-        return out
-
-    amb_coaction = LinearMap.from_function(amb, tensor_space(amb, H.space),
-                                           coact_img)
+    # the left B-action on the right B-module N is n.b read backwards
+    bt = balanced_tensor(
+        A.space, N.space, B, act_right=A.mul, mu_left=A.alpha,
+        act_left=lambda bj, n: N.act(n, B.algebra.basis_vector(bj)),
+        mu_right_inv=N.mu_inv)
+    amb_action = gtilde_action(A, N.mu)
+    amb_coaction = permute_factors(_twisted_coaction(CA).tensor(N.mu_inv),
+                                   (A.space, H.space, N.space), (0, 2, 1))
     action = descend_action(amb_action, bt, A.space,
                             "the A-action on the induced module")
     coaction = descend_coaction(amb_coaction, bt, H.space,
@@ -534,7 +438,8 @@ def beta_evaluation(M: RelHopfModule, B: CoinvariantAlgebra
 
     bt = balanced_tensor(coinv_mod.space, A.space, B,
                          act_right=act_right, mu_left=coinv_mod.mu,
-                         act_left=A.mul, mu_right_inv=A.alpha_inv)
+                         act_left=lambda bj, n: A.mul(B.element(bj), n),
+                         mu_right_inv=A.alpha_inv)
 
     def amb_img(k: int) -> Vector:
         ci, ai = unrank((coinv_mod.dim, A.dim), k)
@@ -671,21 +576,10 @@ def prop51_check(CA: ComoduleAlgebra, gamma: QuantumIntegral) -> Report:
 
     # colinearity of lam in its twisted form:
     # lam(beta^{-1}(a) (x) h1) (x) alpha(h2) = rho_A(lam(a (x) h))
-    ah = tensor_space(A.space, H.space)
-
-    def colin_lhs(k: int) -> Vector:
-        ai, hj = unrank((A.dim, H.dim), k)
-        out = ah.zero()
-        for c, h1, h2 in H.sweedler(H.space.basis_vector(hj)):
-            out = vec_add(out, vec_scale(c, tensor_vec(
-                lam.apply(tensor_vec(A.a_inv(A.space.basis_vector(ai)),
-                                     H.space.basis_vector(h1))),
-                H.a(H.space.basis_vector(h2)))))
-        return out
-
+    colin_lhs = tensor_after(lam, H.algebra.alpha,
+                             A.alpha_inv.tensor(H.coalgebra.comult))
     rep.record("lam(beta^{-1}(a) (x) h1) (x) alpha(h2) = rho_A(lam(a (x) h))",
-               LinearMap.from_function(ah, ah, colin_lhs).same_matrix(
-                   CA.coaction @ lam))
+               colin_lhs.same_matrix(CA.coaction @ lam))
     rep.record("Lam is a relative-category morphism G(A) -> A",
                is_morphism(big, regular_induced(CA), regular_rel_hopf(CA)))
 

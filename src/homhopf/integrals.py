@@ -7,12 +7,13 @@ A (x) H (x) M.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import CentralityViolated, EquivalenceViolated, NotIntertwining
 from .linalg import (AffineSolution, Infeasible, LinearMap, Space, Vector,
-                     ONE, bilinear, tensor_space, tensor_vec, unrank,
-                     vec_add, vec_is_zero, vec_scale)
+                     ONE, bilinear, permute_factors, tensor_after,
+                     tensor_space, tensor_vec, unrank, vec_add, vec_is_zero,
+                     vec_scale, vec_sub)
 from .modules import RelHopfModule, induce_G, is_colinear, regular_rel_hopf
 from .report import Report
 from .structures import ComoduleAlgebra
@@ -84,8 +85,8 @@ def _solve_map_conditions(dom: Space, cod: Space,
         i, j = divmod(k, dom.dim)
         unit_cols: list = [()] * dom.dim
         unit_cols[j] = ((i, ONE),)
-        col = residual(LinearMap(dom, cod, tuple(unit_cols)))
-        cols.append(tuple(a - b for a, b in zip(col, offset)))
+        cols.append(vec_sub(residual(LinearMap(dom, cod, tuple(unit_cols))),
+                            offset))
     unknowns = Space(tuple(f"u{k}" for k in range(n_unk)))
     eqspace = Space(tuple(f"eq{r}" for r in range(m))) if m else Space(("eq0",))
     if m == 0:
@@ -113,7 +114,7 @@ def _total_integral_residual(CA: ComoduleAlgebra, phi: LinearMap) -> Vector:
     idh = LinearMap.identity(H.space)
     colinear = (CA.coaction @ phi) - (phi.tensor(idh) @ H.coalgebra.comult)
     intertwine = (phi @ H.algebra.alpha) - (A.alpha @ phi)
-    unit_res = tuple(a - b for a, b in zip(phi.apply(H.unit), A.unit))
+    unit_res = vec_sub(phi.apply(H.unit), A.unit)
     out: list = []
     for m in (colinear, intertwine):
         for row in m.matrix:
@@ -234,13 +235,6 @@ def find_quantum_integral(CA: ComoduleAlgebra, require_total: bool = True
     return QuantumIntegral(gh, is_total(CA, gh), family)
 
 
-def quantum_integral_from_map(CA: ComoduleAlgebra, gh: LinearMap) -> QuantumIntegral:
-    """Wrap an explicitly given gamma_hat after exact re-verification."""
-    if not verify_quantum_integral(CA, gh, total=False):
-        raise ValueError("map does not satisfy the quantum integral conditions")
-    return QuantumIntegral(gh, is_total(CA, gh), ())
-
-
 # ---------------------------------------------------------------------------
 # Conversions between phi and gamma
 # ---------------------------------------------------------------------------
@@ -309,57 +303,31 @@ def average_colinear(u: LinearMap, N: RelHopfModule, M: RelHopfModule,
     one: u~(n) = mu(w0) . phi(S(w1) alpha^{-1}(n1)) with w = u(n0)."""
     if not (M.mu @ u).same_matrix(u @ N.mu):
         raise NotIntertwining("u does not intertwine the automorphisms")
-    CA = M.over
-    H = CA.hopf
-    eh = H.space.basis_vector
-    em = M.space.basis_vector
-    p = phi.phi
-
-    def img(j: int) -> Vector:
-        out = M.space.zero()
-        for c, n0, n1 in N.rho(N.space.basis_vector(j)):
-            w = u.apply(N.space.basis_vector(n0))
-            for d, w0, w1 in M.rho(w):
-                out = vec_add(out, vec_scale(c * d, M.act(
-                    M.mu.apply(em(w0)),
-                    p.apply(H.mul(H.s(eh(w1)), H.a_inv(eh(n1)))))))
-        return out
-
-    return LinearMap.from_function(N.space, M.space, img)
+    idh = LinearMap.identity(M.over.hopf.space)
+    return lambda_M(M, phi) @ tensor_after(u, idh, N.coaction)
 
 
 def lambda_M(M: RelHopfModule, phi: TotalIntegral) -> LinearMap:
     """The colinear retraction of rho_M:
     lambda(m (x) h) = mu(m0) . phi(S(m1) alpha^{-1}(h))."""
-    CA = M.over
-    H = CA.hopf
-    eh = H.space.basis_vector
-    em = M.space.basis_vector
-    dom = tensor_space(M.space, H.space)
-    p = phi.phi
-
-    def img(k: int) -> Vector:
-        mi, hj = unrank((M.dim, H.dim), k)
-        out = M.space.zero()
-        for c, m0, m1 in M.rho(em(mi)):
-            out = vec_add(out, vec_scale(c, M.act(
-                M.mu.apply(em(m0)),
-                p.apply(H.mul(H.s(eh(m1)), H.a_inv(eh(hj)))))))
-        return out
-
-    return LinearMap.from_function(dom, M.space, img)
+    H = M.over.hopf
+    arg = H.algebra.mult @ H.antipode.tensor(H.algebra.alpha_inv)
+    return M.action @ tensor_after(
+        M.mu, phi.phi @ arg,
+        M.coaction.tensor(LinearMap.identity(H.space)))
 
 
 # ---------------------------------------------------------------------------
 # Existence equivalence: total integral <-> rho_A splits colinearly
 # ---------------------------------------------------------------------------
 
-def _colinear_retraction_residual(CA: ComoduleAlgebra, lam: LinearMap) -> Vector:
+def _colinear_retraction_residual(CA: ComoduleAlgebra, ga: LinearMap,
+                                  lam: LinearMap) -> Vector:
     """Conditions on lambda_A: A (x) H -> A: retraction of rho_A, H-colinear
-    against the induced coaction on A (x) H, and automorphism-intertwining."""
+    against the induced coaction ga on A (x) H, and
+    automorphism-intertwining."""
     A, H = CA.algebra, CA.hopf
     idh = LinearMap.identity(H.space)
-    ga = induce_G_coaction(CA)
     retraction = (lam @ CA.coaction) - LinearMap.identity(A.space)
     colinear = (CA.coaction @ lam) - (lam.tensor(idh) @ ga)
     intertwine = (lam @ A.alpha.tensor(H.algebra.alpha)) - (A.alpha @ lam)
@@ -368,24 +336,6 @@ def _colinear_retraction_residual(CA: ComoduleAlgebra, lam: LinearMap) -> Vector
         for row in m.matrix:
             out.extend(row)
     return tuple(out)
-
-
-def induce_G_coaction(CA: ComoduleAlgebra) -> LinearMap:
-    """Coaction (3.2) on A (x) H: a (x) h -> (beta^{-1}(a) (x) h1) (x) alpha(h2)."""
-    A, H = CA.algebra, CA.hopf
-    sp = tensor_space(A.space, H.space)
-    eh = H.space.basis_vector
-
-    def img(k: int) -> Vector:
-        ai, hj = unrank((A.dim, H.dim), k)
-        out = tensor_space(sp, H.space).zero()
-        for c, h1, h2 in H.sweedler(eh(hj)):
-            out = vec_add(out, vec_scale(c, tensor_vec(
-                tensor_vec(A.a_inv(A.space.basis_vector(ai)), eh(h1)),
-                H.a(eh(h2)))))
-        return out
-
-    return LinearMap.from_function(sp, tensor_space(sp, H.space), img)
 
 
 def theorem43_check(CA: ComoduleAlgebra,
@@ -399,9 +349,10 @@ def theorem43_check(CA: ComoduleAlgebra,
     res1 = find_total_integral(CA)
     exists1 = isinstance(res1, TotalIntegral)
 
+    ga = induce_G(regular_rel_hopf(CA).as_module(), CA).coaction
     sol, coeff, rhs = _solve_map_conditions(
         tensor_space(A.space, H.space), A.space,
-        lambda f: _colinear_retraction_residual(CA, f))
+        lambda f: _colinear_retraction_residual(CA, ga, f))
     exists3 = isinstance(sol, AffineSolution)
 
     rep.record("condition (1): total integral exists", True,
@@ -416,9 +367,8 @@ def theorem43_check(CA: ComoduleAlgebra,
 
     if exists3:
         lam = _map_from_flat(tensor_space(A.space, H.space), A.space, sol.particular)
-        phi_map = LinearMap.from_function(
-            H.space, A.space,
-            lambda j: lam.apply(tensor_vec(A.unit, H.space.basis_vector(j))))
+        idh = LinearMap.identity(H.space)
+        phi_map = lam @ tensor_after(A.unit_map, idh, idh)
         rep.record("phi(h) = lambda_A(1 (x) h) is a total integral",
                    verify_total_integral(CA, phi_map))
         assert isinstance(res1, TotalIntegral)
@@ -446,32 +396,16 @@ def thm48_module(CA: ComoduleAlgebra, M: RelHopfModule) -> RelHopfModule:
     rho = beta^{-1}(a) (x) h1 (x) mu^{-1}(m) (x) alpha^2(h2)."""
     A, H = CA.algebra, CA.hopf
     sp = tensor_space(A.space, H.space, M.space)
-    da, dh, dm = A.dim, H.dim, M.dim
-    ea, eh, em = A.space.basis_vector, H.space.basis_vector, M.space.basis_vector
-
-    def act_img(k: int) -> Vector:
-        ai, hj, mi, bk = unrank((da, dh, dm, da), k)
-        out = sp.zero()
-        for c, b0, b1 in CA.rho(ea(bk)):
-            out = vec_add(out, vec_scale(c, tensor_vec(tensor_vec(
-                A.mul(ea(ai), A.a_inv(ea(b0))),
-                H.mul(eh(hj), H.a_inv(eh(b1)))),
-                M.mu.apply(em(mi)))))
-        return out
-
-    action = LinearMap.from_function(tensor_space(sp, A.space), sp, act_img)
-
-    def coact_img(k: int) -> Vector:
-        ai, hj, mi = unrank((da, dh, dm), k)
-        out = tensor_space(sp, H.space).zero()
-        for c, h1, h2 in H.sweedler(eh(hj)):
-            out = vec_add(out, vec_scale(c, tensor_vec(tensor_vec(
-                tensor_vec(A.a_inv(ea(ai)), eh(h1)),
-                M.mu_inv.apply(em(mi))),
-                H.a(H.a(eh(h2))))))
-        return out
-
-    coaction = LinearMap.from_function(sp, tensor_space(sp, H.space), coact_img)
+    rho_inv = tensor_after(A.alpha_inv, H.algebra.alpha_inv, CA.coaction)
+    action = tensor_after(A.mult, H.algebra.mult.tensor(M.mu), permute_factors(
+        LinearMap.identity(sp).tensor(rho_inv),
+        (A.space, H.space, M.space, A.space, H.space), (0, 3, 1, 4, 2)))
+    alpha2 = H.algebra.alpha @ H.algebra.alpha
+    delta2 = tensor_after(LinearMap.identity(H.space), alpha2,
+                          H.coalgebra.comult)
+    coaction = permute_factors(
+        A.alpha_inv.tensor(delta2).tensor(M.mu_inv),
+        (A.space, H.space, H.space, M.space), (0, 1, 3, 2))
     mu = A.alpha.tensor(H.algebra.alpha).tensor(M.mu)
     mu_inv = A.alpha_inv.tensor(H.algebra.alpha_inv).tensor(M.mu_inv)
     return RelHopfModule(sp, mu, mu_inv, action, coaction, CA)
@@ -488,31 +422,22 @@ def generator_epi(CA: ComoduleAlgebra, M: RelHopfModule,
         raise ValueError("the generator epimorphism needs a total quantum integral")
     A, H = CA.algebra, CA.hopf
     H.require_bijective_antipode()
-    sp = tensor_space(A.space, H.space, M.space)
-    da, dh, dm = A.dim, H.dim, M.dim
-    ea, eh, em = A.space.basis_vector, H.space.basis_vector, M.space.basis_vector
-
-    def f_img(k: int) -> Vector:
-        ai, hj, mi = unrank((da, dh, dm), k)
-        out = M.space.zero()
-        for c1, a0, a1 in CA.rho(ea(ai)):
-            arg = H.mul(H.a_inv(H.a_inv(eh(hj))), H.s_inv(H.a_inv(eh(a1))))
-            for c2, m0, m1 in M.rho(em(mi)):
-                gval = gamma.value(H.a_inv(eh(m1)), arg)
-                out = vec_add(out, vec_scale(c1 * c2, M.act(
-                    M.mu.apply(em(m0)), A.mul(gval, A.a(ea(a0))))))
-        return out
-
-    f = LinearMap.from_function(sp, M.space, f_img)
-
-    def g_img(j: int) -> Vector:
-        out = sp.zero()
-        for c, m0, m1 in M.rho(em(j)):
-            out = vec_add(out, vec_scale(c, tensor_vec(
-                tensor_vec(A.unit, H.a_inv(eh(m1))), em(m0))))
-        return out
-
-    g = LinearMap.from_function(M.space, sp, g_img)
+    a_inv = H.algebra.alpha_inv
+    idh, idm = LinearMap.identity(H.space), LinearMap.identity(M.space)
+    # gamma(alpha^{-1}(m1))(alpha^{-2}(h) S^{-1}(alpha^{-1}(a1))): H^3 -> A
+    arg = H.algebra.mult @ (a_inv @ a_inv).tensor(H.antipode_inv @ a_inv)
+    gval = gamma.gamma_hat @ a_inv.tensor(arg)
+    # a (x) h (x) m -> beta(a0) (x) mu(m0) (x) gval, then reordered to
+    # mu(m0) (x) gval (x) beta(a0)
+    legs = permute_factors(
+        CA.coaction.tensor(idh).tensor(M.coaction),
+        (A.space, H.space, H.space, M.space, H.space), (0, 3, 4, 2, 1))
+    terms = permute_factors(tensor_after(A.alpha.tensor(M.mu), gval, legs),
+                            (A.space, M.space, A.space), (1, 2, 0))
+    f = M.action @ tensor_after(idm, A.mult, terms)
+    m1_first = permute_factors(tensor_after(idm, a_inv, M.coaction),
+                               (M.space, H.space), (1, 0))
+    g = tensor_after(A.unit_map, m1_first, idm)
     return f, g
 
 

@@ -10,6 +10,7 @@ point anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -30,21 +31,34 @@ def frac(x) -> Fraction:
 # Spaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Space:
-    """A finite-dimensional vector space with a distinguished labelled basis."""
+    """A finite-dimensional vector space with a distinguished labelled basis.
 
-    labels: tuple[str, ...]
+    A tensor product space keeps its factors and spells out (and checks) its
+    labels only when they are first read, so the wide intermediate space of
+    a composite map costs no more than its dimension.
+    """
 
-    def __post_init__(self):
-        if len(self.labels) < 1:
+    __slots__ = ("dim", "_labels", "_factors")
+
+    def __init__(self, labels: tuple[str, ...]):
+        labels = tuple(labels)
+        if len(labels) < 1:
             raise ValueError("a Space needs at least one basis label")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("basis labels must be pairwise distinct")
+        _require_distinct(labels)
+        self.dim = len(labels)
+        self._labels: Optional[tuple[str, ...]] = labels
+        self._factors: tuple[Space, ...] = ()
 
     @property
-    def dim(self) -> int:
-        return len(self.labels)
+    def labels(self) -> tuple[str, ...]:
+        if self._labels is None:
+            labels = [""]
+            for sp in self._factors:
+                labels = [a + ("⊗" if a else "") + b
+                          for a in labels for b in sp.labels]
+            self._labels = _require_distinct(tuple(labels))
+        return self._labels
 
     def basis_vector(self, i: int) -> Vector:
         out = [ZERO] * self.dim
@@ -58,8 +72,22 @@ class Space:
     def zero(self) -> Vector:
         return (ZERO,) * self.dim
 
+    def __eq__(self, other):
+        if not isinstance(other, Space):
+            return NotImplemented
+        return self.dim == other.dim and self.labels == other.labels
+
+    def __hash__(self):
+        return hash(self.labels)
+
     def __repr__(self):
         return f"Space({list(self.labels)})"
+
+
+def _require_distinct(labels: tuple[str, ...]) -> tuple[str, ...]:
+    if len(set(labels)) != len(labels):
+        raise ValueError("basis labels must be pairwise distinct")
+    return labels
 
 
 def space(*labels: str) -> Space:
@@ -71,10 +99,14 @@ SCALAR_SPACE = space("k")
 
 def tensor_space(*spaces: Space) -> Space:
     """Tensor product space, row-major (left factor slowest)."""
-    labels = [""]
-    for sp in spaces:
-        labels = [a + ("⊗" if a else "") + b for a in labels for b in sp.labels]
-    return Space(tuple(labels))
+    factors = tuple(f for sp in spaces for f in (sp._factors or (sp,)))
+    if not factors:
+        raise ValueError("a tensor product needs at least one factor")
+    out = Space.__new__(Space)
+    out.dim = math.prod(f.dim for f in factors)
+    out._labels = None
+    out._factors = factors
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +534,60 @@ def quotient_by(ambient: Space, relations: Iterable[Vector]) -> QuotientSpace:
     return QuotientSpace(ambient, rel, qspace, projection, section)
 
 
+def permute_factors(x: LinearMap, spaces: Sequence[Space],
+                    perm: Sequence[int]) -> LinearMap:
+    """P . x, where x's codomain is the tensor product of spaces and P puts
+    factor perm[t] in position t.  Only rows are re-indexed."""
+    dims = [sp.dim for sp in spaces]
+    if sorted(perm) != list(range(len(dims))):
+        raise ValueError("perm is not a permutation of the factors")
+    if math.prod(dims) != x.codomain.dim:
+        raise ValueError("factors do not match the codomain dim")
+    strides = [0] * len(dims)
+    step = 1
+    for p in reversed(perm):
+        strides[p] = step
+        step *= dims[p]
+    new_row = [0]
+    for d, stride in zip(dims, strides):
+        new_row = [r + i * stride for r in new_row for i in range(d)]
+    return LinearMap(x.domain, tensor_space(*(spaces[p] for p in perm)),
+                     tuple(tuple(sorted((new_row[i], c) for i, c in col))
+                           for col in x.cols))
+
+
 def swap_map(left: Space, right: Space) -> LinearMap:
     """The flip x (x) y -> y (x) x."""
-    return LinearMap(tensor_space(left, right), tensor_space(right, left),
-                     tuple(((j * left.dim + i, ONE),)
-                           for i in range(left.dim) for j in range(right.dim)))
+    return permute_factors(LinearMap.identity(tensor_space(left, right)),
+                           (left, right), (1, 0))
+
+
+def tensor_after(f: LinearMap, g: LinearMap, x: LinearMap) -> LinearMap:
+    """(f (x) g) . x, column by column, without building f (x) g.
+
+    x's codomain is read as f.domain (x) g.domain, so a factor of
+    dimension one (the scalars) may be left implicit."""
+    n = g.domain.dim
+    if x.codomain.dim != f.domain.dim * n:
+        raise ValueError("maps are not composable")
+    m = g.codomain.dim
+    fcols, gcols = f.cols, g.cols
+    cols = []
+    for col in x.cols:
+        acc: dict[int, Fraction] = {}
+        for r, c in col:
+            i, k = divmod(r, n)
+            gcol = gcols[k]
+            for fi, a in fcols[i]:
+                ca = c * a
+                base = fi * m
+                for gi, b in gcol:
+                    p = ca * b
+                    o = acc.get(base + gi)
+                    acc[base + gi] = p if o is None else o + p
+        cols.append(_sparse(acc))
+    return LinearMap(x.domain, tensor_space(f.codomain, g.codomain),
+                     tuple(cols))
 
 
 def bilinear(f: LinearMap, x: Vector, y: Vector) -> Vector:

@@ -7,9 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (LinearMap, Space, Vector, bilinear, components,
-                     rank_index, tensor_space, tensor_vec, unrank, vec_add,
-                     vec_scale)
+from .linalg import (LinearMap, Space, Vector, bilinear, permute_factors,
+                     tensor_after, tensor_space, unrank, vec_scale)
 from .report import Report
 from .structures import (ComoduleAlgebra, HomAlgebra, HomHopfAlgebra,
                          check_comodule_axioms)
@@ -54,11 +53,6 @@ class HomComodule:
               over: HomHopfAlgebra) -> "HomComodule":
         return HomComodule(space, mu, mu.inverse(), coaction, over)
 
-    def rho(self, x: Vector):
-        for (i, j), c in components(self.coaction.apply(x),
-                                    (self.space.dim, self.over.dim)):
-            yield c, i, j
-
     @property
     def dim(self) -> int:
         return self.space.dim
@@ -84,11 +78,6 @@ class RelHopfModule:
     def act(self, m: Vector, a: Vector) -> Vector:
         return bilinear(self.action, m, a)
 
-    def rho(self, x: Vector):
-        for (i, j), c in components(self.coaction.apply(x),
-                                    (self.space.dim, self.over.hopf.dim)):
-            yield c, i, j
-
     def as_module(self) -> HomModule:
         return HomModule(self.space, self.mu, self.mu_inv, self.action,
                          self.over.algebra)
@@ -110,20 +99,17 @@ def check_hom_module(M: HomModule) -> Report:
     rep = Report(f"Hom-module axioms on dim {M.dim}")
     A = M.over
     sp, asp = M.space, A.space
-    e, ea = sp.basis_vector, asp.basis_vector
+    act, mu = M.action, M.mu
+    idm = LinearMap.identity(sp)
 
     rep.record("mu invertible", (M.mu @ M.mu_inv).is_identity())
     check_identity(rep, "Hom-associativity: (m.a).alpha(b) = mu(m).(ab)",
                    [sp, asp, asp], sp,
-                   lambda i, j, k: M.act(M.act(e(i), ea(j)), A.a(ea(k))),
-                   lambda i, j, k: M.act(M.mu.apply(e(i)), A.mul(ea(j), ea(k))))
+                   act @ act.tensor(A.alpha), act @ mu.tensor(A.mult))
     check_identity(rep, "unit law: m.1 = mu(m)", [sp], sp,
-                   lambda i: M.act(e(i), A.unit),
-                   lambda i: M.mu.apply(e(i)))
+                   act @ tensor_after(idm, A.unit_map, idm), mu)
     check_identity(rep, "action intertwines: mu(m.a) = mu(m).alpha(a)",
-                   [sp, asp], sp,
-                   lambda i, j: M.mu.apply(M.act(e(i), ea(j))),
-                   lambda i, j: M.act(M.mu.apply(e(i)), A.a(ea(j))))
+                   [sp, asp], sp, mu @ act, act @ mu.tensor(A.alpha))
     return rep
 
 
@@ -143,24 +129,12 @@ def check_rel_hopf(M: RelHopfModule) -> Report:
     CA = M.over
     H = CA.hopf
     sp, asp = M.space, CA.space
-    e, ea = sp.basis_vector, asp.basis_vector
-    mh = tensor_space(sp, H.space)
-
-    def lhs(i, j):
-        return M.coaction.apply(M.act(e(i), ea(j)))
-
-    def rhs(i, j):
-        out = mh.zero()
-        for c1, m0, m1 in M.rho(e(i)):
-            for c2, a0, a1 in CA.rho(ea(j)):
-                out = vec_add(out, vec_scale(
-                    c1 * c2, tensor_vec(M.act(sp.basis_vector(m0), ea(a0)),
-                                        H.mul(H.space.basis_vector(m1),
-                                              H.space.basis_vector(a1)))))
-        return out
-
     check_identity(rep, "compatibility: rho(m.a) = m0.a0 (x) m1 a1",
-                   [sp, asp], mh, lhs, rhs)
+                   [sp, asp], tensor_space(sp, H.space),
+                   M.coaction @ M.action,
+                   tensor_after(M.action, H.algebra.mult, permute_factors(
+                       M.coaction.tensor(CA.coaction),
+                       (sp, H.space, asp, H.space), (0, 2, 1, 3))))
     return rep
 
 
@@ -181,30 +155,11 @@ def induce_G(M: HomModule, CA: ComoduleAlgebra) -> RelHopfModule:
     if M.over is not CA.algebra and not M.over.mult.same_matrix(CA.algebra.mult):
         raise ValueError("module must live over the comodule algebra's algebra")
     sp = tensor_space(M.space, H.space)
-    dm, dh, da = M.dim, H.dim, CA.dim
-    eh = H.space.basis_vector
-
-    def act_img(k: int) -> Vector:
-        mi, hj, ak = unrank((dm, dh, da), k)
-        out = sp.zero()
-        for c, a0, a1 in CA.rho(CA.space.basis_vector(ak)):
-            out = vec_add(out, vec_scale(c, tensor_vec(
-                M.act(M.space.basis_vector(mi), CA.space.basis_vector(a0)),
-                H.mul(eh(hj), eh(a1)))))
-        return out
-
-    action = LinearMap.from_function(tensor_space(sp, CA.space), sp, act_img)
-
-    def coact_img(k: int) -> Vector:
-        mi, hj = unrank((dm, dh), k)
-        out = tensor_space(sp, H.space).zero()
-        for c, h1, h2 in H.sweedler(eh(hj)):
-            out = vec_add(out, vec_scale(c, tensor_vec(
-                tensor_vec(M.mu_inv.apply(M.space.basis_vector(mi)), eh(h1)),
-                H.a(eh(h2)))))
-        return out
-
-    coaction = LinearMap.from_function(sp, tensor_space(sp, H.space), coact_img)
+    action = tensor_after(M.action, H.algebra.mult, permute_factors(
+        LinearMap.identity(sp).tensor(CA.coaction),
+        (M.space, H.space, CA.space, H.space), (0, 2, 1, 3)))
+    coaction = M.mu_inv.tensor(tensor_after(
+        LinearMap.identity(H.space), H.algebra.alpha, H.coalgebra.comult))
     mu = M.mu.tensor(H.algebra.alpha)
     return RelHopfModule(sp, mu, M.mu_inv.tensor(H.algebra.alpha_inv),
                          action, coaction, CA)
@@ -224,30 +179,23 @@ def induce_Gtilde(N: HomComodule, CA: ComoduleAlgebra) -> RelHopfModule:
     H = CA.hopf
     A = CA.algebra
     sp = tensor_space(A.space, N.space)
-    da, dn = A.dim, N.dim
-    ea, en = A.space.basis_vector, N.space.basis_vector
-
-    def act_img(k: int) -> Vector:
-        ai, nj, bk = unrank((da, dn, da), k)
-        return tensor_vec(A.mul(ea(ai), A.a_inv(ea(bk))),
-                          N.mu.apply(en(nj)))
-
-    action = LinearMap.from_function(tensor_space(sp, A.space), sp, act_img)
-
-    def coact_img(k: int) -> Vector:
-        ai, nj = unrank((da, dn), k)
-        out = tensor_space(sp, H.space).zero()
-        for c1, a0, a1 in CA.rho(ea(ai)):
-            for c2, n0, n1 in N.rho(en(nj)):
-                out = vec_add(out, vec_scale(c1 * c2, tensor_vec(
-                    tensor_vec(ea(a0), en(n0)),
-                    H.mul(H.space.basis_vector(n1), H.space.basis_vector(a1)))))
-        return out
-
-    coaction = LinearMap.from_function(sp, tensor_space(sp, H.space), coact_img)
+    action = gtilde_action(A, N.mu)
+    coaction = tensor_after(LinearMap.identity(sp), H.algebra.mult,
+                            permute_factors(
+                                CA.coaction.tensor(N.coaction),
+                                (A.space, H.space, N.space, H.space),
+                                (0, 2, 3, 1)))
     mu = A.alpha.tensor(N.mu)
     return RelHopfModule(sp, mu, A.alpha_inv.tensor(N.mu_inv),
                          action, coaction, CA)
+
+
+def gtilde_action(A: HomAlgebra, nu: LinearMap) -> LinearMap:
+    """(a (x) n).b = a beta^{-1}(b) (x) nu(n) on A (x) N."""
+    N = nu.domain
+    return tensor_after(A.mult, nu, permute_factors(
+        LinearMap.identity(tensor_space(A.space, N)).tensor(A.alpha_inv),
+        (A.space, N, A.space), (0, 2, 1)))
 
 
 def regular_comodule(H: HomHopfAlgebra) -> HomComodule:
@@ -330,20 +278,7 @@ def prop31_u(CA: ComoduleAlgebra) -> LinearMap:
     but fail colinearity for the Gtilde(H) coaction on a twisted group
     algebra with nontrivial alpha.
     """
-    A, H = CA.algebra, CA.hopf
-    sp = tensor_space(A.space, H.space)
-    eh = H.space.basis_vector
-
-    def img(k: int) -> Vector:
-        ai, hj = unrank((A.dim, H.dim), k)
-        out = sp.zero()
-        for c, a0, a1 in CA.rho(A.space.basis_vector(ai)):
-            out = vec_add(out, vec_scale(c, tensor_vec(
-                A.a(A.space.basis_vector(a0)),
-                H.mul(H.a(eh(hj)), eh(a1)))))
-        return out
-
-    return LinearMap.from_function(sp, sp, img)
+    return _prop31_map(CA, LinearMap.identity(CA.hopf.space))
 
 
 def prop31_v(CA: ComoduleAlgebra) -> LinearMap:
@@ -355,21 +290,18 @@ def prop31_v(CA: ComoduleAlgebra) -> LinearMap:
     S^{-1} only inverts u when the coproduct is cocommutative, since it
     relies on S(c2) c1 = eps(c) 1.
     """
-    A, H = CA.algebra, CA.hopf
+    H = CA.hopf
     H.require_bijective_antipode()
-    sp = tensor_space(A.space, H.space)
-    eh = H.space.basis_vector
+    return _prop31_map(CA, H.antipode_inv)
 
-    def img(k: int) -> Vector:
-        ai, hj = unrank((A.dim, H.dim), k)
-        out = sp.zero()
-        for c, a0, a1 in CA.rho(A.space.basis_vector(ai)):
-            out = vec_add(out, vec_scale(c, tensor_vec(
-                A.a(A.space.basis_vector(a0)),
-                H.mul(H.a(eh(hj)), H.s_inv(eh(a1))))))
-        return out
 
-    return LinearMap.from_function(sp, sp, img)
+def _prop31_map(CA: ComoduleAlgebra, t: LinearMap) -> LinearMap:
+    """a (x) h -> beta(a0) (x) alpha(h) t(a1)."""
+    A, H = CA.algebra, CA.hopf
+    return tensor_after(
+        A.alpha, H.algebra.mult @ H.algebra.alpha.tensor(t),
+        permute_factors(CA.coaction.tensor(LinearMap.identity(H.space)),
+                        (A.space, H.space, H.space), (0, 2, 1)))
 
 
 def prop31_check(CA: ComoduleAlgebra) -> Report:

@@ -44,9 +44,6 @@ class Report:
     results: list[CheckResult] = field(default_factory=list)
     certificates: dict[str, Any] = field(default_factory=dict)
 
-    def add(self, result: CheckResult) -> None:
-        self.results.append(result)
-
     def record(self, name: str, passed: bool,
                witness: Optional[Witness] = None, detail: Optional[str] = None) -> None:
         self.results.append(

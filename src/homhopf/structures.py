@@ -2,9 +2,10 @@
 Hom-comodule algebras, with exhaustive axiom checkers and a twisting
 constructor.
 
-Every structure is a bundle of linear maps over a fixed labelled basis.
-Checkers return a Report instead of raising: an invalid structure is data
-for the caller to inspect (catalog and CLI loaders refuse on any failure).
+Every structure is a bundle of linear maps over a fixed labelled basis, and
+every axiom is an equality of composites of those maps.  Checkers return a
+Report instead of raising: an invalid structure is data for the caller to
+inspect (catalog and CLI loaders refuse on any failure).
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from typing import Optional
 
 from .errors import NotAutomorphism
 from .linalg import (LinearMap, SCALAR_SPACE, Space, Vector, bilinear,
-                     components, tensor_space, tensor_vec, vec_scale, vec_add)
+                     components, permute_factors, tensor_after, tensor_space,
+                     tensor_vec)
 from .report import Report
 from .verify import check_identity
 
@@ -32,6 +34,11 @@ class HomAlgebra:
     @staticmethod
     def build(space: Space, mult: LinearMap, unit: Vector, alpha: LinearMap) -> "HomAlgebra":
         return HomAlgebra(space, mult, unit, alpha, alpha.inverse())
+
+    @property
+    def unit_map(self) -> LinearMap:
+        """The unit as a map k -> A."""
+        return LinearMap.from_columns(SCALAR_SPACE, self.space, [self.unit])
 
     def mul(self, x: Vector, y: Vector) -> Vector:
         return bilinear(self.mult, x, y)
@@ -73,12 +80,6 @@ class HomCoalgebra:
 
     def eps(self, x: Vector):
         return self.counit.apply(x)[0]
-
-    def g(self, x: Vector) -> Vector:
-        return self.gamma.apply(x)
-
-    def g_inv(self, x: Vector) -> Vector:
-        return self.gamma_inv.apply(x)
 
     @property
     def dim(self) -> int:
@@ -188,76 +189,39 @@ def check_hom_algebra(A: HomAlgebra) -> Report:
     """Exhaustive Definition-level check of the Hom-algebra axioms."""
     rep = Report(f"Hom-algebra axioms on {A.space.labels}")
     sp = A.space
-    e = sp.basis_vector
+    m, al = A.mult, A.alpha
+    ida = LinearMap.identity(sp)
 
     rep.record("alpha invertible", (A.alpha @ A.alpha_inv).is_identity())
     check_identity(rep, "alpha multiplicative: alpha(ab) = alpha(a)alpha(b)",
-                   [sp, sp], sp,
-                   lambda i, j: A.a(A.mul(e(i), e(j))),
-                   lambda i, j: A.mul(A.a(e(i)), A.a(e(j))))
+                   [sp, sp], sp, al @ m, m @ al.tensor(al))
     rep.record("alpha(1) = 1", A.a(A.unit) == A.unit)
     check_identity(rep, "Hom-associativity: alpha(a)(bc) = (ab)alpha(c)",
-                   [sp, sp, sp], sp,
-                   lambda i, j, k: A.mul(A.a(e(i)), A.mul(e(j), e(k))),
-                   lambda i, j, k: A.mul(A.mul(e(i), e(j)), A.a(e(k))))
+                   [sp, sp, sp], sp, m @ al.tensor(m), m @ m.tensor(al))
     check_identity(rep, "unit law: a·1 = alpha(a)", [sp], sp,
-                   lambda i: A.mul(e(i), A.unit), lambda i: A.a(e(i)))
+                   m @ tensor_after(ida, A.unit_map, ida), al)
     check_identity(rep, "unit law: 1·a = alpha(a)", [sp], sp,
-                   lambda i: A.mul(A.unit, e(i)), lambda i: A.a(e(i)))
+                   m @ tensor_after(A.unit_map, ida, ida), al)
     return rep
 
 
 def check_hom_coalgebra(C: HomCoalgebra) -> Report:
     rep = Report(f"Hom-coalgebra axioms on {C.space.labels}")
     sp = C.space
-    e = sp.basis_vector
-    cc = tensor_space(sp, sp)
-    ccc = tensor_space(sp, sp, sp)
-    n = sp.dim
+    d, eps, g, g_inv = C.comult, C.counit, C.gamma, C.gamma_inv
+    idc = LinearMap.identity(sp)
 
     rep.record("gamma invertible", (C.gamma @ C.gamma_inv).is_identity())
-    gamma2 = C.gamma.tensor(C.gamma)
-    check_identity(rep, "Delta gamma = (gamma x gamma) Delta", [sp], cc,
-                   lambda i: C.comult.apply(C.g(e(i))),
-                   lambda i: gamma2.apply(C.comult.apply(e(i))))
-    check_identity(rep, "eps gamma = eps", [sp], SCALAR_SPACE,
-                   lambda i: (C.eps(C.g(e(i))),),
-                   lambda i: (C.eps(e(i)),))
-
-    def coassoc_lhs(i):
-        # gamma^{-1}(c1) (x) Delta(c2)
-        out = ccc.zero()
-        for c, p, q in C.sweedler(e(i)):
-            out = vec_add(out, vec_scale(
-                c, tensor_vec(C.g_inv(e(p)), C.comult.apply(e(q)))))
-        return out
-
-    def coassoc_rhs(i):
-        # Delta(c1) (x) gamma(c2)
-        out = ccc.zero()
-        for c, p, q in C.sweedler(e(i)):
-            out = vec_add(out, vec_scale(
-                c, tensor_vec(C.comult.apply(e(p)), C.g(e(q)))))
-        return out
-
-    check_identity(rep, "Hom-coassociativity", [sp], ccc, coassoc_lhs, coassoc_rhs)
-
-    def counit_left(i):
-        out = sp.zero()
-        for c, p, q in C.sweedler(e(i)):
-            out = vec_add(out, vec_scale(c * C.eps(e(p)), e(q)))
-        return out
-
-    def counit_right(i):
-        out = sp.zero()
-        for c, p, q in C.sweedler(e(i)):
-            out = vec_add(out, vec_scale(c * C.eps(e(q)), e(p)))
-        return out
-
+    check_identity(rep, "Delta gamma = (gamma x gamma) Delta", [sp],
+                   tensor_space(sp, sp), d @ g, tensor_after(g, g, d))
+    check_identity(rep, "eps gamma = eps", [sp], SCALAR_SPACE, eps @ g, eps)
+    check_identity(rep, "Hom-coassociativity", [sp],
+                   tensor_space(sp, sp, sp),
+                   tensor_after(g_inv, d, d), tensor_after(d, g, d))
     check_identity(rep, "counit law: eps(c1)c2 = gamma^{-1}(c)", [sp], sp,
-                   counit_left, lambda i: C.g_inv(e(i)))
+                   tensor_after(eps, idc, d), g_inv)
     check_identity(rep, "counit law: eps(c2)c1 = gamma^{-1}(c)", [sp], sp,
-                   counit_right, lambda i: C.g_inv(e(i)))
+                   tensor_after(idc, eps, d), g_inv)
     return rep
 
 
@@ -268,54 +232,38 @@ def check_hom_hopf(H: HomHopfAlgebra) -> Report:
     rep.extend(check_hom_coalgebra(H.coalgebra), prefix="coalgebra: ")
 
     sp = H.space
-    e = sp.basis_vector
-    cc = tensor_space(sp, sp)
     A, C = H.algebra, H.coalgebra
+    m, d, eps, S = A.mult, C.comult, C.counit, H.antipode
+    idh = LinearMap.identity(sp)
 
-    def delta_of_product(i, j):
-        return C.comult.apply(A.mul(e(i), e(j)))
-
-    def product_of_deltas(i, j):
-        out = cc.zero()
-        for c1, p1, q1 in C.sweedler(e(i)):
-            for c2, p2, q2 in C.sweedler(e(j)):
-                out = vec_add(out, vec_scale(
-                    c1 * c2, tensor_vec(A.mul(e(p1), e(p2)), A.mul(e(q1), e(q2)))))
-        return out
-
-    check_identity(rep, "Delta(ab) = a1 b1 (x) a2 b2", [sp, sp], cc,
-                   delta_of_product, product_of_deltas)
+    check_identity(rep, "Delta(ab) = a1 b1 (x) a2 b2", [sp, sp],
+                   tensor_space(sp, sp), d @ m,
+                   tensor_after(m, m, permute_factors(
+                       d.tensor(d), (sp, sp, sp, sp), (0, 2, 1, 3))))
     rep.record("Delta(1) = 1 (x) 1",
                C.comult.apply(A.unit) == tensor_vec(A.unit, A.unit))
     check_identity(rep, "eps(ab) = eps(a)eps(b)", [sp, sp], SCALAR_SPACE,
-                   lambda i, j: (C.eps(A.mul(e(i), e(j))),),
-                   lambda i, j: (C.eps(e(i)) * C.eps(e(j)),))
+                   eps @ m, eps.tensor(eps))
     rep.record("eps(1) = 1", C.eps(A.unit) == 1)
-
-    def conv_left(i):
-        out = sp.zero()
-        for c, p, q in C.sweedler(e(i)):
-            out = vec_add(out, vec_scale(c, A.mul(H.s(e(p)), e(q))))
-        return out
-
-    def conv_right(i):
-        out = sp.zero()
-        for c, p, q in C.sweedler(e(i)):
-            out = vec_add(out, vec_scale(c, A.mul(e(p), H.s(e(q)))))
-        return out
-
-    def eta_eps(i):
-        return vec_scale(C.eps(e(i)), A.unit)
 
     # one check for both convolution sides, so a corrupted antipode entry
     # yields a single failure with a single witness
     both = Space(tuple(f"(S*id) {lab}" for lab in sp.labels)
                  + tuple(f"(id*S) {lab}" for lab in sp.labels))
+
+    def stacked(top: LinearMap, bottom: LinearMap) -> LinearMap:
+        n = sp.dim
+        return LinearMap(sp, both, tuple(
+            a + tuple((i + n, c) for i, c in b)
+            for a, b in zip(top.cols, bottom.cols)))
+
+    eta_eps = A.unit_map @ eps
     check_identity(rep, "antipode: S * id = id * S = unit eps", [sp], both,
-                   lambda i: conv_left(i) + conv_right(i),
-                   lambda i: eta_eps(i) + eta_eps(i))
+                   stacked(m @ tensor_after(S, idh, d),
+                           m @ tensor_after(idh, S, d)),
+                   stacked(eta_eps, eta_eps))
     check_identity(rep, "S alpha = alpha S", [sp], sp,
-                   lambda i: H.s(A.a(e(i))), lambda i: A.a(H.s(e(i))))
+                   S @ A.alpha, A.alpha @ S)
     return rep
 
 
@@ -324,74 +272,32 @@ def check_comodule_axioms(rep: Report, prefix: str, space: Space,
                           coaction: LinearMap, H: HomHopfAlgebra) -> None:
     """Definition 2.6 axioms for a right Hom-comodule (shared by A and modules)."""
     sp = space
-    e = sp.basis_vector
-    n, nh = sp.dim, H.dim
-    mhh = tensor_space(sp, H.space, H.space)
-    mh = tensor_space(sp, H.space)
-
-    eh = H.space.basis_vector
-
-    def rho_pairs(x):
-        for (i, j), c in components(coaction.apply(x), (n, nh)):
-            yield c, i, j
-
-    def coassoc_lhs(i):
-        # m00 (x) m01 (x) alpha^{-1}(m1)
-        out = mhh.zero()
-        for c, p, q in rho_pairs(e(i)):
-            out = vec_add(out, vec_scale(
-                c, tensor_vec(coaction.apply(e(p)), H.a_inv(eh(q)))))
-        return out
-
-    def coassoc_rhs(i):
-        # mu^{-1}(m0) (x) Delta(m1)
-        out = mhh.zero()
-        for c, p, q in rho_pairs(e(i)):
-            out = vec_add(out, vec_scale(
-                c, tensor_vec(mu_inv.apply(e(p)), H.coalgebra.comult.apply(eh(q)))))
-        return out
-
-    check_identity(rep, prefix + "Hom-coassociativity of coaction", [sp], mhh,
-                   coassoc_lhs, coassoc_rhs)
-
-    def counit_side(i):
-        out = sp.zero()
-        for c, p, q in rho_pairs(e(i)):
-            out = vec_add(out, vec_scale(c * H.eps(eh(q)), e(p)))
-        return out
-
+    rho = coaction
+    check_identity(rep, prefix + "Hom-coassociativity of coaction", [sp],
+                   tensor_space(sp, H.space, H.space),
+                   tensor_after(rho, H.algebra.alpha_inv, rho),
+                   tensor_after(mu_inv, H.coalgebra.comult, rho))
     check_identity(rep, prefix + "counit law: m0 eps(m1) = mu^{-1}(m)", [sp], sp,
-                   counit_side, lambda i: mu_inv.apply(e(i)))
-    mu_alpha = mu.tensor(H.algebra.alpha)
+                   tensor_after(LinearMap.identity(sp), H.coalgebra.counit,
+                                rho), mu_inv)
     check_identity(rep, prefix + "coaction intertwines: rho mu = (mu x alpha) rho",
-                   [sp], mh,
-                   lambda i: coaction.apply(mu.apply(e(i))),
-                   lambda i: mu_alpha.apply(coaction.apply(e(i))))
+                   [sp], tensor_space(sp, H.space),
+                   rho @ mu, tensor_after(mu, H.algebra.alpha, rho))
 
 
 def check_comodule_algebra(CA: ComoduleAlgebra) -> Report:
     rep = Report(f"Hom-comodule algebra axioms on {CA.space.labels}")
     A, H = CA.algebra, CA.hopf
     sp = A.space
-    e = sp.basis_vector
-    ah = tensor_space(sp, H.space)
+    rho = CA.coaction
 
     check_comodule_axioms(rep, "comodule: ", sp, A.alpha, A.alpha_inv,
                           CA.coaction, H)
-
-    def rho_of_product(i, j):
-        return CA.coaction.apply(A.mul(e(i), e(j)))
-
-    def product_of_rhos(i, j):
-        out = ah.zero()
-        for c1, p1, q1 in CA.rho(e(i)):
-            for c2, p2, q2 in CA.rho(e(j)):
-                out = vec_add(out, vec_scale(
-                    c1 * c2, tensor_vec(A.mul(e(p1), e(p2)), H.mul(e(q1), e(q2)))))
-        return out
-
-    check_identity(rep, "multiplicativity: rho(ab) = a0 b0 (x) a1 b1", [sp, sp], ah,
-                   rho_of_product, product_of_rhos)
+    check_identity(rep, "multiplicativity: rho(ab) = a0 b0 (x) a1 b1", [sp, sp],
+                   tensor_space(sp, H.space), rho @ A.mult,
+                   tensor_after(A.mult, H.algebra.mult, permute_factors(
+                       rho.tensor(rho), (sp, H.space, sp, H.space),
+                       (0, 2, 1, 3))))
     rep.record("unitality: rho(1) = 1 (x) 1",
                CA.coaction.apply(A.unit) == tensor_vec(A.unit, H.unit))
     return rep

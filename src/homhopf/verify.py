@@ -1,11 +1,17 @@
-"""Exhaustive basis-tuple identity checking with witness extraction."""
+"""Axioms as equalities of composite maps, with witness extraction.
+
+An axiom is stated as two linear maps on a tensor product of basis spaces.
+The maps are compared column by column; column j is the image of the j-th
+basis tuple in row-major (``itertools.product``) order, so the first
+differing column is the first violating basis tuple.
+"""
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Sequence
+import math
+from typing import Sequence
 
-from .linalg import LinearMap, Space, Vector
+from .linalg import LinearMap, Space, Vector, unrank
 from .report import Report, Witness
 
 
@@ -23,24 +29,24 @@ def format_vector(sp: Space, v: Vector) -> str:
 
 def check_identity(report: Report, name: str,
                    factors: Sequence[Space], out_space: Space,
-                   lhs: Callable[..., Vector], rhs: Callable[..., Vector]) -> None:
-    """Compare lhs(i, j, ...) and rhs(i, j, ...) over all basis index tuples.
+                   lhs: LinearMap, rhs: LinearMap) -> None:
+    """Compare the maps lhs, rhs: (x)factors -> out_space.
 
     Records a single pass/fail result; on failure the witness carries the
-    first violating basis tuple and both evaluated sides.
+    first violating basis tuple and both sides, written over out_space's
+    labels (the maps' own codomain labels may differ, e.g. ``1`` for ``k``).
     """
-    for idxs in itertools.product(*(range(sp.dim) for sp in factors)):
-        left = lhs(*idxs)
-        right = rhs(*idxs)
+    dims = [sp.dim for sp in factors]
+    for f in (lhs, rhs):
+        if (f.domain.dim, f.codomain.dim) != (math.prod(dims), out_space.dim):
+            raise ValueError(f"{name}: maps do not match the check's shape")
+    for j, (left, right) in enumerate(zip(lhs.cols, rhs.cols)):
         if left != right:
-            labels = tuple(sp.labels[i] for sp, i in zip(factors, idxs))
+            labels = tuple(sp.labels[i]
+                           for sp, i in zip(factors, unrank(dims, j)))
             report.record(name, False, Witness(
-                labels, format_vector(out_space, left), format_vector(out_space, right)))
+                labels, format_vector(out_space, lhs.column(j)),
+                format_vector(out_space, rhs.column(j))))
             return
     report.record(name, True)
 
-
-def check_map_equal(report: Report, name: str, f: LinearMap, g: LinearMap) -> None:
-    """Matrix-identity version of check_identity for already-built maps."""
-    check_identity(report, name, [f.domain], f.codomain,
-                   lambda j: f.column(j), lambda j: g.column(j))

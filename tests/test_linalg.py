@@ -1,15 +1,18 @@
 """Property tests for the exact linear algebra kernel."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from homhopf.linalg import (ZERO, AffineSolution, Infeasible, LinearMap,
-                            Space, bilinear, kernel_basis, quotient_by, rank,
-                            solve_affine, span, swap_map, tensor_space,
-                            tensor_vec, space, unrank, rank_index, vec_add,
-                            vec_is_zero, vec_scale, vec_sub)
+                            Space, bilinear, kernel_basis, permute_factors,
+                            quotient_by, rank, solve_affine, span, swap_map,
+                            tensor_after, tensor_space, tensor_vec, space,
+                            unrank, rank_index, vec_add, vec_is_zero,
+                            vec_scale, vec_sub)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
@@ -124,6 +127,15 @@ def test_unrank_rank_index_inverse():
 def test_tensor_space_labels():
     sp = tensor_space(_space(2), _space(2))
     assert sp.dim == 4
+    assert sp.labels == ("e0⊗e0", "e0⊗e1", "e1⊗e0", "e1⊗e1")
+    a, b = space("x", "y"), space("1", "g", "x")
+    assert tensor_space(tensor_space(a, b), a) == tensor_space(a, b, a)
+    assert tensor_space(a, tensor_space(b, a)).labels[-1] == "y⊗x⊗y"
+    # labels are spelled out, and checked, when first read
+    clash = tensor_space(space("a", "a⊗a"), space("a", "a⊗a"))
+    assert clash.dim == 4
+    with pytest.raises(ValueError):
+        clash.labels
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +245,32 @@ def test_sparse_kernel_matches_dense_reference(data):
     ident = [[Fraction(int(i == j)) for j in range(p)] for i in range(q)]
     assert f.is_identity() == (p == q and f_rows == ident)
     assert LinearMap.identity(P).is_identity()
+
+    # tensor_after(f, k, x) = (f (x) k) . x, for x: T -> P (x) R
+    t = draw(dims)
+    x_rows = draw(sparse_rows(p * r, t))
+    x = LinearMap.from_rows(_space(t), tensor_space(P, R), x_rows)
+    fkx = tensor_after(f, k, x)
+    _assert_canonical(fkx)
+    assert fkx.codomain == tensor_space(Q, S)
+    assert _dense(fkx) == _ref_compose(_ref_kron(f_rows, k_rows), x_rows)
+
+    # permute_factors against an explicit permutation matrix
+    fdims = draw(st.lists(dims, min_size=1, max_size=3))
+    spaces = [space(*[f"{chr(97 + n)}{i}" for i in range(d)])
+              for n, d in enumerate(fdims)]
+    perm = draw(st.permutations(range(len(fdims))))
+    y_rows = draw(sparse_rows(math.prod(fdims), t))
+    y = LinearMap.from_rows(_space(t), tensor_space(*spaces), y_rows)
+    py = permute_factors(y, spaces, perm)
+    _assert_canonical(py)
+    assert py.codomain == tensor_space(*(spaces[i] for i in perm))
+    moved = [[Fraction(0)] * len(y_rows) for _ in y_rows]
+    for src in itertools.product(*(range(d) for d in fdims)):
+        dst = [src[i] for i in perm]
+        moved[rank_index([fdims[i] for i in perm], dst)][
+            rank_index(fdims, src)] = Fraction(1)
+    assert _dense(py) == _ref_compose(moved, y_rows)
 
     # canonical form: equal maps have equal columns
     assert (diff + h).cols == f.cols

@@ -81,3 +81,20 @@ def test_hom_algebra_checker_sees_broken_associativity():
     bad = replace(H.algebra, mult=LinearMap.from_rows(H.algebra.mult.domain,
                                                       H.space, rows))
     assert not check_hom_algebra(bad).ok
+
+
+def test_kc12_axiom_checks_build_no_wide_tensor(monkeypatch):
+    # the composites avoid materialising maps like m (x) m on H^4
+    widest = []
+    original = LinearMap.tensor
+
+    def recording(self, other):
+        out = original(self, other)
+        widest.append(out.domain.dim)
+        return out
+
+    monkeypatch.setattr(LinearMap, "tensor", recording)
+    CA = regular_comodule_algebra(cyclic_group_hopf(12))
+    assert check_hom_hopf(CA.hopf).ok
+    assert check_comodule_algebra(CA).ok
+    assert widest and max(widest) <= 12 ** 3
