@@ -21,10 +21,9 @@ from .errors import HomHopfError, InstanceFormatError, UnknownEntry
 from .galois import (balanced_tensor_AA, canonical_psi, coinvariants,
                      thm56_check, thm57_check)
 from .instance_io import ParsedInstance, emit_instance, load_instance
-from .integrals import (InfeasibilityWitness, QuantumIntegral, TotalIntegral,
-                        find_quantum_integral, find_total_integral,
-                        theorem43_check, thm48_check)
-from .modules import check_rel_hopf, prop31_check
+from .integrals import (QuantumIntegral, TotalIntegral, find_quantum_integral,
+                        find_total_integral, theorem43_check, thm48_check)
+from .modules import check_rel_hopf
 from .report import Report
 from .structures import (check_comodule_algebra, check_hom_coalgebra,
                          check_hom_hopf)

@@ -2,18 +2,25 @@
 problems, the colinear averaging construction, the splitting maps lambda_M,
 the integral existence equivalence, and the generator epimorphism on
 A (x) H (x) M.
+
+Each existence question is an affine system in the entries of one unknown
+map.  Its coefficients are assembled directly from the sparse columns of the
+maps in its conditions, each condition a short sum of terms
+L . (id (x) X (x) id) . R; every solution is then re-verified by a
+hand-written residual that shares no code with the assembly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from fractions import Fraction
+from typing import Sequence
 
 from .errors import CentralityViolated, EquivalenceViolated, NotIntertwining
-from .linalg import (AffineSolution, Infeasible, LinearMap, Space, Vector,
-                     ONE, bilinear, permute_factors, tensor_after,
-                     tensor_space, tensor_vec, unrank, vec_add, vec_is_zero,
-                     vec_scale, vec_sub)
+from .linalg import (ZERO, AffineSolution, Infeasible, LinearMap, Space,
+                     Vector, _sparse, bilinear, permute_factors, solve_affine,
+                     tensor_after, tensor_space, tensor_vec, unrank, vec_add,
+                     vec_is_zero, vec_scale, vec_sub)
 from .modules import RelHopfModule, induce_G, is_colinear, regular_rel_hopf
 from .report import Report
 from .structures import ComoduleAlgebra
@@ -64,37 +71,69 @@ class InfeasibilityWitness:
 
 
 # ---------------------------------------------------------------------------
-# Generic affine solving of map-valued conditions
+# Affine systems in the entries of an unknown map, assembled from map terms
 # ---------------------------------------------------------------------------
 
-def _solve_map_conditions(dom: Space, cod: Space,
-                          residual: Callable[[LinearMap], Vector]
-                          ) -> tuple[AffineSolution | Infeasible, LinearMap, Vector]:
-    """Solve residual(F) = 0 over the entries of a map F: dom -> cod.
+# A linear term sign * L . (id_U (x) X (x) id_W) . R in the unknown map
+# X: D -> C, given as (sign, L, R, dim W); dim U follows from R's codomain.
+_Term = tuple[int, LinearMap, LinearMap, int]
 
-    residual must be affine in F; it is linearized by evaluation on the
-    elementary matrices.  Unknown k corresponds to the entry sending basis
-    vector k % dom.dim of dom to basis vector k // dom.dim of cod.
+
+class _MapSystem:
+    """Affine conditions on the entries of an unknown map X: dom -> cod.
+
+    Unknown k = c * dom.dim + d is the entry of X sending basis vector d of
+    dom to basis vector c of cod.  Each condition equates a sum of linear
+    terms with a constant map; its coefficients are read off the terms'
+    sparse columns through vec(L X R) = (L (x) R^T) vec(X), so no residual
+    is evaluated while the system is built.
     """
-    n_unk = dom.dim * cod.dim
-    zero_map = LinearMap.zero(dom, cod)
-    offset = residual(zero_map)
-    m = len(offset)
-    cols = []
-    for k in range(n_unk):
-        i, j = divmod(k, dom.dim)
-        unit_cols: list = [()] * dom.dim
-        unit_cols[j] = ((i, ONE),)
-        cols.append(vec_sub(residual(LinearMap(dom, cod, tuple(unit_cols))),
-                            offset))
-    unknowns = Space(tuple(f"u{k}" for k in range(n_unk)))
-    eqspace = Space(tuple(f"eq{r}" for r in range(m))) if m else Space(("eq0",))
-    if m == 0:
-        raise ValueError("no conditions to solve")
-    coeff = LinearMap.from_columns(unknowns, eqspace, cols)
-    rhs = tuple(-x for x in offset)
-    from .linalg import solve_affine
-    return solve_affine(coeff, rhs), coeff, rhs
+
+    def __init__(self, dom: Space, cod: Space):
+        self.dom, self.cod = dom, cod
+        self.cols: list[dict[int, Fraction]] = [
+            {} for _ in range(dom.dim * cod.dim)]
+        self.rhs: list[Fraction] = []
+
+    def condition(self, terms: Sequence[_Term],
+                  target: LinearMap | None = None, blocks: bool = False) -> None:
+        """Append the rows of sum(terms) = target (zero if None), both maps
+        E -> F.  Entry (f, e) is row f * dim E + e (row-major), or row
+        e * dim F + f (one block of F per basis vector of E) with blocks."""
+        nd, nc = self.dom.dim, self.cod.dim
+        _, L0, R0, _ = terms[0]
+        ne, nf = R0.domain.dim, L0.codomain.dim
+        base = len(self.rhs)
+        row_e, row_f = (nf, 1) if blocks else (1, ne)
+        for sign, L, R, w in terms:
+            lcols = L.cols
+            for e, col in enumerate(R.cols):
+                for r, rv in col:
+                    ui, rest = divmod(r, nd * w)
+                    d, wi = divmod(rest, w)
+                    if sign < 0:
+                        rv = -rv
+                    for c in range(nc):
+                        acc = self.cols[c * nd + d]
+                        for f, lv in lcols[(ui * nc + c) * w + wi]:
+                            i = base + e * row_e + f * row_f
+                            p = rv * lv
+                            o = acc.get(i)
+                            acc[i] = p if o is None else o + p
+        rhs = [ZERO] * (ne * nf)
+        if target is not None:
+            for e, col in enumerate(target.cols):
+                for f, v in col:
+                    rhs[e * row_e + f * row_f] = v
+        self.rhs.extend(rhs)
+
+    def solve(self) -> tuple[AffineSolution | Infeasible, LinearMap, Vector]:
+        unknowns = Space(tuple(f"u{k}" for k in range(len(self.cols))))
+        eqspace = Space(tuple(f"eq{r}" for r in range(len(self.rhs))))
+        coeff = LinearMap(unknowns, eqspace,
+                          tuple(_sparse(acc) for acc in self.cols))
+        rhs = tuple(self.rhs)
+        return solve_affine(coeff, rhs), coeff, rhs
 
 
 def _map_from_flat(dom: Space, cod: Space, flat: Vector) -> LinearMap:
@@ -127,11 +166,23 @@ def verify_total_integral(CA: ComoduleAlgebra, phi: LinearMap) -> bool:
     return vec_is_zero(_total_integral_residual(CA, phi))
 
 
+def _total_integral_system(CA: ComoduleAlgebra) -> _MapSystem:
+    """rho_A phi = (phi (x) id) Delta, phi alpha = beta phi, phi(1_H) = 1_A."""
+    A, H = CA.algebra, CA.hopf
+    ida, idh = LinearMap.identity(A.space), LinearMap.identity(H.space)
+    system = _MapSystem(H.space, A.space)
+    system.condition([(1, CA.coaction, idh, 1),
+                      (-1, LinearMap.identity(tensor_space(A.space, H.space)),
+                       H.coalgebra.comult, H.dim)])
+    system.condition([(1, ida, H.algebra.alpha, 1), (-1, A.alpha, idh, 1)])
+    system.condition([(1, ida, H.algebra.unit_map, 1)], A.unit_map)
+    return system
+
+
 def find_total_integral(CA: ComoduleAlgebra) -> TotalIntegral | InfeasibilityWitness:
     """Decide existence of a total integral phi: H -> A exactly."""
     A, H = CA.algebra, CA.hopf
-    sol, coeff, rhs = _solve_map_conditions(
-        H.space, A.space, lambda f: _total_integral_residual(CA, f))
+    sol, coeff, rhs = _total_integral_system(CA).solve()
     if isinstance(sol, Infeasible):
         return InfeasibilityWitness(sol.system_rank, sol.augmented_rank, coeff, rhs)
     phi = _map_from_flat(H.space, A.space, sol.particular)
@@ -212,20 +263,42 @@ def is_total(CA: ComoduleAlgebra, gh: LinearMap) -> bool:
     return vec_is_zero(_eq42_residual(CA, gh))
 
 
+def _quantum_integral_system(CA: ComoduleAlgebra,
+                             require_total: bool) -> _MapSystem:
+    """beta-compatibility, Eq. 4.1 and (if require_total) Eq. 4.2 on the
+    curried gamma_hat: H (x) H -> A."""
+    A, H = CA.algebra, CA.hopf
+    hh = tensor_space(H.space, H.space)
+    ida, idh = LinearMap.identity(A.space), LinearMap.identity(H.space)
+    al, al_inv = H.algebra.alpha, H.algebra.alpha_inv
+    delta = H.coalgebra.comult
+    system = _MapSystem(hh, A.space)
+    # gamma_hat (alpha (x) alpha) = beta gamma_hat
+    system.condition([(1, ida, al.tensor(al), 1),
+                      (-1, A.alpha, LinearMap.identity(hh), 1)])
+    # Eq. 4.1, one block of A (x) H per pair (g, h):
+    # gamma(alpha^{-1}(g))(h1) (x) alpha(h2) = beta(w0) (x) g1 w1 with
+    # w = gamma(g2)(alpha^{-1}(h)); the right side sends g1 (x) w to
+    # (beta (x) m_H)(w0 (x) g1 (x) w1)
+    w_legs = permute_factors(idh.tensor(CA.coaction),
+                             (H.space, A.space, H.space), (1, 0, 2))
+    system.condition([(1, ida.tensor(al), al_inv.tensor(delta), H.dim),
+                      (-1, tensor_after(A.alpha, H.algebra.mult, w_legs),
+                       delta.tensor(al_inv), 1)], blocks=True)
+    if require_total:
+        # Eq. 4.2, one block of A per h: gamma(h1)(h2) = eps(h) 1_A
+        system.condition([(1, ida, delta, 1)],
+                         A.unit_map @ H.coalgebra.counit, blocks=True)
+    return system
+
+
 def find_quantum_integral(CA: ComoduleAlgebra, require_total: bool = True
                           ) -> QuantumIntegral | InfeasibilityWitness:
     """Decide existence of a (total) quantum integral exactly."""
     A, H = CA.algebra, CA.hopf
     H.require_bijective_antipode()
     hh = tensor_space(H.space, H.space)
-
-    def residual(gh: LinearMap) -> Vector:
-        parts = [_beta_compat_residual(CA, gh), _eq41_residual(CA, gh)]
-        if require_total:
-            parts.append(_eq42_residual(CA, gh))
-        return tuple(x for p in parts for x in p)
-
-    sol, coeff, rhs = _solve_map_conditions(hh, A.space, residual)
+    sol, coeff, rhs = _quantum_integral_system(CA, require_total).solve()
     if isinstance(sol, Infeasible):
         return InfeasibilityWitness(sol.system_rank, sol.augmented_rank, coeff, rhs)
     gh = _map_from_flat(hh, A.space, sol.particular)
@@ -264,23 +337,20 @@ def gamma_from_central_phi(CA: ComoduleAlgebra, phi: LinearMap) -> QuantumIntegr
     if not (phi @ H.algebra.alpha).same_matrix(CA.algebra.alpha @ phi):
         raise NotIntertwining("phi does not intertwine alpha and beta")
 
-    eh = H.space.basis_vector
-    ha = tensor_space(H.space, A.space)
-    for hi in range(H.dim):
-        for gi in range(H.dim):
-            lhs = ha.zero()
-            rhs = ha.zero()
-            for c, a0, a1 in CA.rho(phi.apply(eh(hi))):
-                ea0 = A.space.basis_vector(a0)
-                ea1 = H.space.basis_vector(a1)
-                lhs = vec_add(lhs, vec_scale(c, tensor_vec(
-                    H.mul(eh(gi), ea1), ea0)))
-                rhs = vec_add(rhs, vec_scale(c, tensor_vec(
-                    H.mul(ea1, eh(gi)), ea0)))
-            if lhs != rhs:
-                raise CentralityViolated(H.space.labels[gi], H.space.labels[hi])
+    # centrality as one equality of maps H (x) H -> H (x) A:
+    # h (x) g -> g phi(h)1 (x) phi(h)0 and h (x) g -> phi(h)1 g (x) phi(h)0
+    legs = (CA.coaction @ phi).tensor(idh)
+    spaces = (A.space, H.space, H.space)
+    mult, ida = H.algebra.mult, LinearMap.identity(A.space)
+    lhs = tensor_after(mult, ida, permute_factors(legs, spaces, (2, 1, 0)))
+    rhs = tensor_after(mult, ida, permute_factors(legs, spaces, (1, 2, 0)))
+    if not lhs.same_matrix(rhs):
+        k = next(k for k, (a, b) in enumerate(zip(lhs.cols, rhs.cols)) if a != b)
+        hi, gi = unrank((H.dim, H.dim), k)
+        raise CentralityViolated(H.space.labels[gi], H.space.labels[hi])
 
     hh = tensor_space(H.space, H.space)
+    eh = H.space.basis_vector
 
     def img(k: int) -> Vector:
         gi, hi = unrank((H.dim, H.dim), k)
@@ -338,6 +408,21 @@ def _colinear_retraction_residual(CA: ComoduleAlgebra, ga: LinearMap,
     return tuple(out)
 
 
+def _colinear_retraction_system(CA: ComoduleAlgebra,
+                                ga: LinearMap) -> _MapSystem:
+    """lambda_A rho_A = id_A, rho_A lambda_A = (lambda_A (x) id) ga and
+    lambda_A (beta (x) alpha) = beta lambda_A on lambda_A: A (x) H -> A."""
+    A, H = CA.algebra, CA.hopf
+    ah = tensor_space(A.space, H.space)
+    ida, idah = LinearMap.identity(A.space), LinearMap.identity(ah)
+    system = _MapSystem(ah, A.space)
+    system.condition([(1, ida, CA.coaction, 1)], ida)
+    system.condition([(1, CA.coaction, idah, 1), (-1, idah, ga, H.dim)])
+    system.condition([(1, ida, A.alpha.tensor(H.algebra.alpha), 1),
+                      (-1, A.alpha, idah, 1)])
+    return system
+
+
 def theorem43_check(CA: ComoduleAlgebra,
                     test_modules: Sequence[RelHopfModule] = ()) -> Report:
     """Machine-check the equivalence: a total integral exists iff rho_A has
@@ -350,9 +435,7 @@ def theorem43_check(CA: ComoduleAlgebra,
     exists1 = isinstance(res1, TotalIntegral)
 
     ga = induce_G(regular_rel_hopf(CA).as_module(), CA).coaction
-    sol, coeff, rhs = _solve_map_conditions(
-        tensor_space(A.space, H.space), A.space,
-        lambda f: _colinear_retraction_residual(CA, ga, f))
+    sol, _, _ = _colinear_retraction_system(CA, ga).solve()
     exists3 = isinstance(sol, AffineSolution)
 
     rep.record("condition (1): total integral exists", True,
@@ -367,6 +450,9 @@ def theorem43_check(CA: ComoduleAlgebra,
 
     if exists3:
         lam = _map_from_flat(tensor_space(A.space, H.space), A.space, sol.particular)
+        if not vec_is_zero(_colinear_retraction_residual(CA, ga, lam)):
+            raise EquivalenceViolated(
+                "solved colinear retraction fails re-verification")
         idh = LinearMap.identity(H.space)
         phi_map = lam @ tensor_after(A.unit_map, idh, idh)
         rep.record("phi(h) = lambda_A(1 (x) h) is a total integral",

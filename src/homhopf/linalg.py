@@ -422,16 +422,16 @@ def solve_affine(coeff: LinearMap, rhs: Vector) -> AffineSolution | Infeasible:
     rows, pivots = _rref(aug, n + 1)
     if n in pivots:
         return Infeasible(system_rank=len(pivots) - 1, augmented_rank=len(pivots))
-    pivot_cols = pivots
-    free_cols = [c for c in range(n) if c not in pivot_cols]
+    pivot_set = set(pivots)
+    free_cols = [c for c in range(n) if c not in pivot_set]
     particular = [ZERO] * n
-    for r, c in enumerate(pivot_cols):
+    for r, c in enumerate(pivots):
         particular[c] = rows[r][n]
     kernel = []
     for fc in free_cols:
         v = [ZERO] * n
         v[fc] = ONE
-        for r, c in enumerate(pivot_cols):
+        for r, c in enumerate(pivots):
             v[c] = -rows[r][fc]
         kernel.append(tuple(v))
     return AffineSolution(tuple(particular), tuple(kernel))
@@ -514,18 +514,20 @@ def quotient_by(ambient: Space, relations: Iterable[Vector]) -> QuotientSpace:
     rel = span(ambient, relations)
     n = ambient.dim
     rows, pivots = _rref([list(v) for v in rel.basis], n)
-    free_cols = [c for c in range(n) if c not in pivots]
+    pivot_row = {c: r for r, c in enumerate(pivots)}
+    free_cols = [c for c in range(n) if c not in pivot_row]
     qlabels = tuple(f"[{ambient.labels[c]}]" for c in free_cols)
     if not free_cols:
         raise ValueError("relations span the whole space; zero quotient unsupported")
     qspace = Space(qlabels)
+    free_index = {c: i for i, c in enumerate(free_cols)}
     proj_cols = []
     for j in range(n):
-        if j in pivots:
-            r = pivots.index(j)
+        r = pivot_row.get(j)
+        if r is not None:
             col = tuple(-rows[r][fc] for fc in free_cols)
         else:
-            fi = free_cols.index(j)
+            fi = free_index[j]
             col = tuple(ONE if i == fi else ZERO for i in range(len(free_cols)))
         proj_cols.append(col)
     projection = LinearMap.from_columns(ambient, qspace, proj_cols)

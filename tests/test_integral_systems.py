@@ -1,0 +1,180 @@
+"""The integral solvers' linear systems, assembled from map terms, against a
+reference that linearizes each condition by evaluating its hand-written
+residual on every elementary matrix."""
+
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+
+import homhopf.integrals as integrals
+from homhopf.catalog import cyclic_group_hopf, entry, names
+from homhopf.integrals import (_beta_compat_residual,
+                               _colinear_retraction_residual,
+                               _colinear_retraction_system, _eq41_residual,
+                               _eq42_residual, _quantum_integral_system,
+                               _total_integral_residual,
+                               _total_integral_system, find_quantum_integral,
+                               find_total_integral, theorem43_check)
+from homhopf.linalg import (Infeasible, LinearMap, Space, solve_affine,
+                            tensor_space)
+from homhopf.modules import induce_G, regular_rel_hopf
+from homhopf.structures import (ComoduleAlgebra, HomAlgebra, HomCoalgebra,
+                                HomHopfAlgebra, check_comodule_algebra,
+                                check_hom_hopf, regular_comodule_algebra)
+
+
+def _hilbert(n: int, shift: int) -> list[list[Fraction]]:
+    """An invertible matrix with non-integer entries: a Hilbert matrix plus
+    shift times the identity (positive definite for shift >= 0)."""
+    return [[Fraction(1, i + j + 1) + (shift if i == j else 0)
+             for j in range(n)] for i in range(n)]
+
+
+def _rebased(CA: ComoduleAlgebra) -> ComoduleAlgebra:
+    """CA written in another basis of H and of A: with old coordinates
+    v = P v', a map F: X -> Y becomes P_Y^{-1} F P_X."""
+    A, H = CA.algebra, CA.hopf
+    ph = LinearMap.from_rows(H.space, H.space, _hilbert(H.dim, 0))
+    pa = LinearMap.from_rows(A.space, A.space, _hilbert(A.dim, 1))
+    ph_inv, pa_inv = ph.inverse(), pa.inverse()
+
+    def conj(f, out_inv, into):
+        return out_inv @ f @ into
+
+    hop = HomAlgebra(H.space, conj(H.algebra.mult, ph_inv, ph.tensor(ph)),
+                     ph_inv.apply(H.unit), conj(H.algebra.alpha, ph_inv, ph),
+                     conj(H.algebra.alpha_inv, ph_inv, ph))
+    coalg = HomCoalgebra(
+        H.space, conj(H.coalgebra.comult, ph_inv.tensor(ph_inv), ph),
+        H.coalgebra.counit @ ph, conj(H.coalgebra.gamma, ph_inv, ph),
+        conj(H.coalgebra.gamma_inv, ph_inv, ph))
+    hopf = HomHopfAlgebra.build(hop, coalg, conj(H.antipode, ph_inv, ph))
+    alg = HomAlgebra(A.space, conj(A.mult, pa_inv, pa.tensor(pa)),
+                     pa_inv.apply(A.unit), conj(A.alpha, pa_inv, pa),
+                     conj(A.alpha_inv, pa_inv, pa))
+    return ComoduleAlgebra(alg, hopf,
+                           conj(CA.coaction, pa_inv.tensor(ph_inv), pa))
+
+
+_EXTRA = {
+    "kC4": lambda: regular_comodule_algebra(cyclic_group_hopf(4)),
+    "kC5": lambda: regular_comodule_algebra(cyclic_group_hopf(5)),
+    "rebased kC3-twisted": lambda: _rebased(entry("kC3-twisted").comodule_algebra),
+}
+CASES = names() + list(_EXTRA)
+HOPF_CASES = [n for n in CASES if n not in names()
+              or entry(n).hopf.antipode_inv is not None]
+
+
+@lru_cache(maxsize=None)
+def _case(name: str) -> ComoduleAlgebra:
+    return _EXTRA[name]() if name in _EXTRA else entry(name).comodule_algebra
+
+
+def _probe(dom: Space, cod: Space, residual):
+    """Reference: coefficient column k is residual(E_k) - residual(0), where
+    E_k is the elementary map with entry 1 at (k // dom.dim, k % dom.dim)."""
+    offset = residual(LinearMap.zero(dom, cod))
+    cols = []
+    for k in range(dom.dim * cod.dim):
+        i, j = divmod(k, dom.dim)
+        unit_cols = [()] * dom.dim
+        unit_cols[j] = ((i, Fraction(1)),)
+        value = residual(LinearMap(dom, cod, tuple(unit_cols)))
+        cols.append(tuple(a - b for a, b in zip(value, offset)))
+    coeff = LinearMap.from_columns(
+        Space(tuple(f"u{k}" for k in range(len(cols)))),
+        Space(tuple(f"eq{r}" for r in range(len(offset)))), cols)
+    return coeff, tuple(-x for x in offset)
+
+
+def _assert_matches_probing(system, dom: Space, cod: Space, residual):
+    sol, coeff, rhs = system.solve()
+    ref_coeff, ref_rhs = _probe(dom, cod, residual)
+    assert coeff.codomain.dim == ref_coeff.codomain.dim
+    assert coeff.cols == ref_coeff.cols
+    assert rhs == ref_rhs
+    assert sol == solve_affine(ref_coeff, ref_rhs)
+    return sol
+
+
+def test_rebased_instance_is_valid_with_non_integer_constants():
+    CA = _case("rebased kC3-twisted")
+    assert check_hom_hopf(CA.hopf).ok and check_comodule_algebra(CA).ok
+    assert any(c.denominator != 1 for col in CA.coaction.cols for _, c in col)
+    assert not CA.hopf.algebra.alpha.is_identity()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_total_integral_system_matches_probing(name):
+    CA = _case(name)
+    sol = _assert_matches_probing(
+        _total_integral_system(CA), CA.hopf.space, CA.algebra.space,
+        lambda f: _total_integral_residual(CA, f))
+    # the comatrix datum's "algebra" is k, so phi(1_H) = 1_A has no solution
+    assert isinstance(sol, Infeasible) == (
+        name in ("trivial-k-over-H4", "matrix-datum-2"))
+
+
+@pytest.mark.parametrize("require_total", [True, False])
+@pytest.mark.parametrize("name", HOPF_CASES)
+def test_quantum_integral_system_matches_probing(name, require_total):
+    CA = _case(name)
+    H = CA.hopf
+
+    def residual(gh):
+        parts = [_beta_compat_residual(CA, gh), _eq41_residual(CA, gh)]
+        if require_total:
+            parts.append(_eq42_residual(CA, gh))
+        return tuple(x for p in parts for x in p)
+
+    sol = _assert_matches_probing(
+        _quantum_integral_system(CA, require_total),
+        tensor_space(H.space, H.space), CA.algebra.space, residual)
+    assert isinstance(sol, Infeasible) == (
+        require_total and name == "trivial-k-over-H4")
+
+
+@pytest.mark.parametrize("name", HOPF_CASES)
+def test_colinear_retraction_system_matches_probing(name):
+    CA = _case(name)
+    ga = induce_G(regular_rel_hopf(CA).as_module(), CA).coaction
+    sol = _assert_matches_probing(
+        _colinear_retraction_system(CA, ga),
+        tensor_space(CA.algebra.space, CA.hopf.space), CA.algebra.space,
+        lambda f: _colinear_retraction_residual(CA, ga, f))
+    assert isinstance(sol, Infeasible) == (name == "trivial-k-over-H4")
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    calls = []
+    original = getattr(integrals, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(integrals, name, counted)
+    return calls
+
+
+def test_quantum_solver_evaluates_eq41_a_bounded_number_of_times(monkeypatch):
+    # the residual only re-verifies the solution: a constant number of
+    # evaluations, not one per unknown (kC5 has 125)
+    calls = _count_calls(monkeypatch, "_eq41_residual")
+    find_quantum_integral(_case("kC5"), require_total=True)
+    assert 1 <= len(calls) <= 2
+
+
+def test_total_solver_evaluates_its_residual_a_bounded_number_of_times(
+        monkeypatch):
+    calls = _count_calls(monkeypatch, "_total_integral_residual")
+    find_total_integral(regular_comodule_algebra(cyclic_group_hopf(8)))
+    assert 1 <= len(calls) <= 2
+
+
+def test_theorem43_evaluates_the_retraction_residual_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "_colinear_retraction_residual")
+    assert theorem43_check(_case("kC4")).ok
+    assert len(calls) == 1

@@ -131,6 +131,17 @@ def test_gamma_from_central_phi_rejects_noncommutative():
         gamma_from_central_phi(CA, LinearMap.identity(CA.hopf.space))
 
 
+def test_centrality_witness_is_the_first_failing_pair():
+    # pairs are visited h outer, g inner; the witness reads (g, h)
+    CA = entry("sweedler-H4").comodule_algebra
+    phi = find_total_integral(CA).phi
+    for f, witness in ((LinearMap.identity(CA.hopf.space), ("x", "g")),
+                       (phi, ("g", "gx"))):
+        with pytest.raises(CentralityViolated) as exc:
+            gamma_from_central_phi(CA, f)
+        assert exc.value.witness == witness
+
+
 def test_gamma_from_central_phi_rejects_non_colinear_phi():
     # over the trivial coaction the counit collapse phi = unit . eps is
     # not colinear (eps(h1) h2 = eps(h) 1 fails for nontrivial Delta)
