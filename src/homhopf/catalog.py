@@ -208,11 +208,13 @@ def group_family_gamma(CA: ComoduleAlgebra,
 
 def _require_coinvariant_params(CA: ComoduleAlgebra, values) -> None:
     from .galois import coinvariant_subspace
-    sub = coinvariant_subspace(CA.algebra.space, CA.algebra.alpha_inv,
-                               CA.coaction, CA.hopf)
+    A = CA.algebra
+    sub = coinvariant_subspace(A.space, A.alpha_inv, CA.coaction, CA.hopf)
+    # v 1_A is coinvariant iff v = 0 or 1_A is
+    unit_in_b = sub.dim > 0 and sub.coordinates(
+        A.unit_map, Space(tuple(f"b{i}" for i in range(sub.dim)))) is not None
     for v in values:
-        elem = vec_scale(frac(v), CA.algebra.unit)
-        if not sub.contains(elem):
+        if frac(v) and not unit_in_b:
             raise ParametersNotCoinvariant(
                 f"parameter {v} scales 1_A outside the coinvariants")
 

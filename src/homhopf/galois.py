@@ -1,5 +1,11 @@
 """Coinvariants, quantum traces, balanced tensor products, the canonical
 Galois map, and the adjunction machinery behind the affineness criterion.
+
+Everything here is built from maps.  A structure map of the coinvariants
+is a composite with the embedding B -> A, read in B's coordinates off the
+pivots of its RREF basis (Subspace.coordinates).  A balanced tensor product
+is the quotient by the columns of one relation map, and a map descends to
+it when its composite with that relation map is zero.
 """
 
 from __future__ import annotations
@@ -11,8 +17,7 @@ from .errors import StructureDoesNotDescend
 from .integrals import QuantumIntegral, find_quantum_integral
 from .linalg import (LinearMap, QuotientSpace, Space, Subspace, Vector,
                      kernel_basis, permute_factors, quotient_by, rank, span,
-                     swap_map, tensor_after, tensor_space, tensor_vec, unrank,
-                     vec_add, vec_is_zero, vec_scale, vec_sub)
+                     swap_map, tensor_after, tensor_space)
 from .modules import (HomModule, RelHopfModule, gtilde_action, induce_G,
                       is_morphism, regular_rel_hopf)
 from .report import Report
@@ -26,9 +31,8 @@ from .structures import ComoduleAlgebra, HomAlgebra, HomHopfAlgebra
 def coinvariant_subspace(space: Space, mu_inv: LinearMap,
                          coaction: LinearMap, H: HomHopfAlgebra) -> Subspace:
     """Exact kernel of rho(m) - mu^{-1}(m) (x) 1_H."""
-    insert_unit = LinearMap.from_function(
-        space, tensor_space(space, H.space),
-        lambda i: tensor_vec(mu_inv.apply(space.basis_vector(i)), H.unit))
+    insert_unit = tensor_after(mu_inv, H.algebra.unit_map,
+                               LinearMap.identity(space))
     return span(space, kernel_basis(coaction - insert_unit))
 
 
@@ -45,9 +49,27 @@ class CoinvariantAlgebra:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def element(self, j: int) -> Vector:
-        """The j-th basis vector of B as an element of A."""
-        return self.subspace.basis[j]
+    @property
+    def left_action(self) -> LinearMap:
+        """B (x) A -> A, b (x) a -> b a."""
+        A = self.of.algebra
+        return A.mult @ self.embed.tensor(LinearMap.identity(A.space))
+
+    @property
+    def right_action(self) -> LinearMap:
+        """A (x) B -> A, a (x) b -> a b."""
+        A = self.of.algebra
+        return A.mult @ LinearMap.identity(A.space).tensor(self.embed)
+
+
+def _restrict(sub: Subspace, f: LinearMap, space: Space,
+              error: str) -> LinearMap:
+    """f read in the coordinates of sub; raises ValueError(error) when f
+    does not land in sub."""
+    g = sub.coordinates(f, space)
+    if g is None:
+        raise ValueError(error)
+    return g
 
 
 def coinvariants(CA: ComoduleAlgebra) -> CoinvariantAlgebra:
@@ -57,29 +79,15 @@ def coinvariants(CA: ComoduleAlgebra) -> CoinvariantAlgebra:
     if sub.dim == 0:
         raise ValueError("coinvariants are zero; B must contain 1_A")
     bspace = Space(tuple(f"b{i}" for i in range(sub.dim)))
-    unit_coords = sub.coords(A.unit)
-    if unit_coords is None:
-        raise ValueError("1_A is not coinvariant; coaction is not unital")
-
-    def mult_img(k: int) -> Vector:
-        i, j = unrank((sub.dim, sub.dim), k)
-        coords = sub.coords(A.mul(sub.basis[i], sub.basis[j]))
-        if coords is None:
-            raise ValueError("coinvariants are not closed under multiplication")
-        return coords
-
-    mult = LinearMap.from_function(tensor_space(bspace, bspace), bspace,
-                                   mult_img)
-
-    def alpha_img(i: int) -> Vector:
-        coords = sub.coords(A.a(sub.basis[i]))
-        if coords is None:
-            raise ValueError("coinvariants are not beta-stable")
-        return coords
-
-    beta_b = LinearMap.from_function(bspace, bspace, alpha_img)
-    algebra = HomAlgebra(bspace, mult, unit_coords, beta_b, beta_b.inverse())
-    embed = LinearMap.from_columns(bspace, A.space, list(sub.basis))
+    embed = sub.embedding(bspace)
+    unit = _restrict(sub, A.unit_map, bspace,
+                     "1_A is not coinvariant; coaction is not unital")
+    mult = _restrict(sub, A.mult @ embed.tensor(embed), bspace,
+                     "coinvariants are not closed under multiplication")
+    beta_b = _restrict(sub, A.alpha @ embed, bspace,
+                       "coinvariants are not beta-stable")
+    algebra = HomAlgebra(bspace, mult, unit.column(0), beta_b,
+                         beta_b.inverse())
     return CoinvariantAlgebra(CA, sub, algebra, embed)
 
 
@@ -90,24 +98,10 @@ def coinvariant_module(M: RelHopfModule,
     if sub.dim == 0:
         raise ValueError("zero coinvariants are not representable as a module")
     cspace = Space(tuple(f"c{i}" for i in range(sub.dim)))
-
-    def act_img(k: int) -> Vector:
-        i, j = unrank((sub.dim, B.dim), k)
-        coords = sub.coords(M.act(sub.basis[i], B.element(j)))
-        if coords is None:
-            raise ValueError("coinvariants are not closed under the B-action")
-        return coords
-
-    action = LinearMap.from_function(
-        tensor_space(cspace, B.algebra.space), cspace, act_img)
-
-    def mu_img(i: int) -> Vector:
-        coords = sub.coords(M.mu.apply(sub.basis[i]))
-        if coords is None:
-            raise ValueError("coinvariants are not mu-stable")
-        return coords
-
-    mu = LinearMap.from_function(cspace, cspace, mu_img)
+    embed = sub.embedding(cspace)
+    action = _restrict(sub, M.action @ embed.tensor(B.embed), cspace,
+                       "coinvariants are not closed under the B-action")
+    mu = _restrict(sub, M.mu @ embed, cspace, "coinvariants are not mu-stable")
     return HomModule(cspace, mu, mu.inverse(), action, B.algebra), sub
 
 
@@ -116,12 +110,17 @@ def coinvariant_module(M: RelHopfModule,
 # ---------------------------------------------------------------------------
 
 def quantum_trace_left(CA: ComoduleAlgebra, gamma: QuantumIntegral) -> LinearMap:
-    """t^l(a) = a0 gamma(a1)(1_H); B-valued, restricting to the identity on B."""
+    """t^l(a) = beta(a0) gamma(a1)(1_H); B-valued, restricting to the
+    identity on B.
+
+    By beta-compatibility this is a0 gamma(alpha^{-1}(a1))(1_H).  The beta
+    is needed once beta is not the identity: a0 gamma(a1)(1_H) lands in B
+    for some total quantum integrals of kC3-twisted but not for all of
+    them, and for none after a change of basis."""
     A, H = CA.algebra, CA.hopf
     idh = LinearMap.identity(H.space)
     at_unit = gamma.gamma_hat @ tensor_after(idh, H.algebra.unit_map, idh)
-    return A.mult @ tensor_after(LinearMap.identity(A.space), at_unit,
-                                 CA.coaction)
+    return A.mult @ tensor_after(A.alpha, at_unit, CA.coaction)
 
 
 def quantum_trace_right(CA: ComoduleAlgebra, gamma: QuantumIntegral) -> LinearMap:
@@ -163,15 +162,11 @@ def prop51_maps(CA: ComoduleAlgebra,
 @dataclass(frozen=True)
 class BalancedTensor:
     """A quotient of left (x) right by the Hom-twisted balancing relations
-    (m.b) (x) n - mu(m) (x) (b . nu^{-1}(n)), b running over a basis of B."""
+    (m.b) (x) n - mu(m) (x) (b . nu^{-1}(n)): the columns of rel, a map
+    left (x) B (x) right -> left (x) right."""
 
-    left: Space
-    right: Space
+    rel: LinearMap
     quotient: QuotientSpace
-
-    @property
-    def ambient(self) -> Space:
-        return self.quotient.ambient
 
     @property
     def relations(self) -> tuple[Vector, ...]:
@@ -186,37 +181,30 @@ class BalancedTensor:
         return self.quotient.dim
 
 
-def balanced_tensor(left: Space, right: Space, B: CoinvariantAlgebra,
-                    act_right, mu_left: LinearMap,
-                    act_left, mu_right_inv: LinearMap) -> BalancedTensor:
-    """Build left (x)_B right.  act_right(m_vec, b_vec) is the right B-action
-    on the left factor, b_vec running over the chosen basis of B inside A;
-    act_left(bj, n_vec) the left action of the bj-th basis element of B on
-    the right factor."""
-    relations = []
-    for i in range(left.dim):
-        m = left.basis_vector(i)
-        for bj in range(B.dim):
-            b = B.element(bj)
-            for j in range(right.dim):
-                n = right.basis_vector(j)
-                rel = vec_sub(
-                    tensor_vec(act_right(m, b), n),
-                    tensor_vec(mu_left.apply(m),
-                               act_left(bj, mu_right_inv.apply(n))))
-                if not vec_is_zero(rel):
-                    relations.append(rel)
-    return BalancedTensor(left, right,
-                          quotient_by(tensor_space(left, right), relations))
+def balanced_tensor(B: CoinvariantAlgebra, act_right: LinearMap,
+                    mu_left: LinearMap, act_left: LinearMap,
+                    mu_right_inv: LinearMap) -> BalancedTensor:
+    """Build left (x)_B right from the right B-action left (x) B -> left
+    and the left B-action B (x) right -> right, B in its own coordinates."""
+    idb = LinearMap.identity(B.algebra.space)
+    right = mu_right_inv.domain
+    rel = (act_right.tensor(LinearMap.identity(right))
+           - mu_left.tensor(act_left @ idb.tensor(mu_right_inv)))
+    return BalancedTensor(rel, quotient_by(
+        tensor_space(mu_left.domain, right),
+        [rel.column(k) for k, col in enumerate(rel.cols) if col]))
+
+
+def _require_descends(f: LinearMap, rel: LinearMap, what: str) -> None:
+    if any((f @ rel).cols):
+        raise StructureDoesNotDescend(
+            f"{what} does not vanish on a balancing relation")
 
 
 def descend_linear(f: LinearMap, bt: BalancedTensor, what: str) -> LinearMap:
     """Descend f: ambient -> Z through the quotient after verifying that f
     kills every balancing relation."""
-    for r in bt.relations:
-        if not vec_is_zero(f.apply(r)):
-            raise StructureDoesNotDescend(
-                f"{what} does not vanish on a balancing relation")
+    _require_descends(f, bt.rel, what)
     return f @ bt.quotient.section
 
 
@@ -235,13 +223,10 @@ def descend_coaction(f: LinearMap, bt: BalancedTensor, hspace: Space,
 def descend_action(f: LinearMap, bt: BalancedTensor, aspace: Space,
                    what: str) -> LinearMap:
     """Descend f: ambient (x) A -> ambient to quotient (x) A -> quotient."""
+    ida = LinearMap.identity(aspace)
     g = bt.quotient.projection @ f
-    for r in bt.relations:
-        for j in range(aspace.dim):
-            if not vec_is_zero(g.apply(tensor_vec(r, aspace.basis_vector(j)))):
-                raise StructureDoesNotDescend(
-                    f"{what} does not vanish on a balancing relation")
-    return g @ bt.quotient.section.tensor(LinearMap.identity(aspace))
+    _require_descends(g, bt.rel.tensor(ida), what)
+    return g @ bt.quotient.section.tensor(ida)
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +241,8 @@ def balanced_tensor_AA(CA: ComoduleAlgebra,
     A, H = CA.algebra, CA.hopf
     if B is None:
         B = coinvariants(CA)
-    bt = balanced_tensor(A.space, A.space, B,
-                         act_right=A.mul, mu_left=A.alpha,
-                         act_left=lambda bj, n: A.mul(B.element(bj), n),
-                         mu_right_inv=A.alpha_inv)
+    bt = balanced_tensor(B, act_right=B.right_action, mu_left=A.alpha,
+                         act_left=B.left_action, mu_right_inv=A.alpha_inv)
     amb_action = A.alpha.tensor(
         A.mult @ LinearMap.identity(A.space).tensor(A.alpha_inv))
     amb_coaction = A.alpha_inv.tensor(_twisted_coaction(CA))
@@ -350,10 +333,10 @@ def induction(N: HomModule, B: CoinvariantAlgebra
     A, H = CA.algebra, CA.hopf
 
     # the left B-action on the right B-module N is n.b read backwards
-    bt = balanced_tensor(
-        A.space, N.space, B, act_right=A.mul, mu_left=A.alpha,
-        act_left=lambda bj, n: N.act(n, B.algebra.basis_vector(bj)),
-        mu_right_inv=N.mu_inv)
+    bt = balanced_tensor(B, act_right=B.right_action, mu_left=A.alpha,
+                         act_left=N.action @ swap_map(B.algebra.space,
+                                                      N.space),
+                         mu_right_inv=N.mu_inv)
     amb_action = gtilde_action(A, N.mu)
     amb_coaction = permute_factors(_twisted_coaction(CA).tensor(N.mu_inv),
                                    (A.space, H.space, N.space), (0, 2, 1))
@@ -388,32 +371,15 @@ def thm56_adjunction(N: HomModule, B: CoinvariantAlgebra,
     bt, ind = induction(N, B)
     coinv_mod, sub = coinvariant_module(ind, B)
     tl = quantum_trace_left(CA, gamma)
-
-    def eta_img(i: int) -> Vector:
-        q = bt.quotient.projection.apply(
-            tensor_vec(A.unit, N.space.basis_vector(i)))
-        coords = sub.coords(q)
-        if coords is None:
-            raise ValueError("1_A (x) n is not coinvariant in A (x)_B N")
-        return coords
-
-    eta = LinearMap.from_function(N.space, coinv_mod.space, eta_img)
-
-    def theta_img(i: int) -> Vector:
-        amb = bt.quotient.section.apply(sub.basis[i])
-        out = N.space.zero()
-        for k, c in enumerate(amb):
-            if c == 0:
-                continue
-            ai, ni = unrank((A.dim, N.dim), k)
-            tcoords = B.subspace.coords(tl.apply(A.space.basis_vector(ai)))
-            if tcoords is None:
-                raise ValueError("the left quantum trace does not land in B")
-            out = vec_add(out, vec_scale(c, N.act(
-                N.space.basis_vector(ni), tcoords)))
-        return out
-
-    theta = LinearMap.from_function(coinv_mod.space, N.space, theta_img)
+    idn = LinearMap.identity(N.space)
+    unit_tensor = bt.quotient.projection @ tensor_after(A.unit_map, idn, idn)
+    eta = _restrict(sub, unit_tensor, coinv_mod.space,
+                    "1_A (x) n is not coinvariant in A (x)_B N")
+    tl_b = _restrict(B.subspace, tl, B.algebra.space,
+                     "the left quantum trace does not land in B")
+    amb = bt.quotient.section @ sub.embedding(coinv_mod.space)
+    theta = N.action @ tensor_after(idn, tl_b, permute_factors(
+        amb, (A.space, N.space), (1, 0)))
     is_iso = (theta @ eta).is_identity() and (eta @ theta).is_identity()
     return AdjunctionPair(eta, theta, is_iso, ind, coinv_mod)
 
@@ -421,31 +387,12 @@ def thm56_adjunction(N: HomModule, B: CoinvariantAlgebra,
 def beta_evaluation(M: RelHopfModule, B: CoinvariantAlgebra
                     ) -> tuple[BalancedTensor, LinearMap]:
     """beta_M: M^{coH} (x)_B A -> M, m (x)_B a -> m.a, with descent checked."""
-    CA = B.of
-    A = CA.algebra
+    A = B.of.algebra
     coinv_mod, sub = coinvariant_module(M, B)
-
-    def act_right(c: Vector, b: Vector) -> Vector:
-        out = coinv_mod.space.zero()
-        for i, ci in enumerate(c):
-            if ci == 0:
-                continue
-            coords = sub.coords(M.act(sub.basis[i], b))
-            if coords is None:
-                raise ValueError("coinvariants are not closed under B")
-            out = vec_add(out, vec_scale(ci, coords))
-        return out
-
-    bt = balanced_tensor(coinv_mod.space, A.space, B,
-                         act_right=act_right, mu_left=coinv_mod.mu,
-                         act_left=lambda bj, n: A.mul(B.element(bj), n),
-                         mu_right_inv=A.alpha_inv)
-
-    def amb_img(k: int) -> Vector:
-        ci, ai = unrank((coinv_mod.dim, A.dim), k)
-        return M.act(sub.basis[ci], A.space.basis_vector(ai))
-
-    amb = LinearMap.from_function(bt.ambient, M.space, amb_img)
+    bt = balanced_tensor(B, act_right=coinv_mod.action, mu_left=coinv_mod.mu,
+                         act_left=B.left_action, mu_right_inv=A.alpha_inv)
+    amb = M.action @ sub.embedding(coinv_mod.space).tensor(
+        LinearMap.identity(A.space))
     beta_m = descend_linear(amb, bt,
                             "the evaluation of coinvariants against A")
     return bt, beta_m
@@ -458,31 +405,15 @@ def beta_evaluation(M: RelHopfModule, B: CoinvariantAlgebra
 def free_module(B: CoinvariantAlgebra, copies: int) -> HomModule:
     """The free right B-module B^copies with componentwise structure."""
     balg = B.algebra
-    labels = tuple(f"e{c}.{lab}" for c in range(copies)
-                   for lab in balg.space.labels)
-    space = Space(labels)
-    d = balg.dim
-
-    def place(c: int, vec: Vector) -> Vector:
-        vals = list(space.zero())
-        for t, coeff in enumerate(vec):
-            vals[c * d + t] = coeff
-        return tuple(vals)
-
-    def act_img(k: int) -> Vector:
-        i, j = unrank((space.dim, d), k)
-        c, bi = divmod(i, d)
-        return place(c, balg.mul(balg.basis_vector(bi), balg.basis_vector(j)))
-
-    action = LinearMap.from_function(tensor_space(space, balg.space), space,
-                                     act_img)
-
-    def mu_img(i: int) -> Vector:
-        c, bi = divmod(i, d)
-        return place(c, balg.a(balg.basis_vector(bi)))
-
-    mu = LinearMap.from_function(space, space, mu_img)
-    return HomModule(space, mu, mu.inverse(), action, balg)
+    space = Space(tuple(f"e{c}.{lab}" for c in range(copies)
+                        for lab in balg.space.labels))
+    # componentwise is id (x) f on k^copies (x) B, relabelled
+    ids = LinearMap.identity(Space(tuple(f"e{c}" for c in range(copies))))
+    action = LinearMap(tensor_space(space, balg.space), space,
+                       ids.tensor(balg.mult).cols)
+    mu = LinearMap(space, space, ids.tensor(balg.alpha).cols)
+    mu_inv = LinearMap(space, space, ids.tensor(balg.alpha_inv).cols)
+    return HomModule(space, mu, mu_inv, action, balg)
 
 
 def regular_induced(CA: ComoduleAlgebra) -> RelHopfModule:
@@ -584,24 +515,18 @@ def prop51_check(CA: ComoduleAlgebra, gamma: QuantumIntegral) -> Report:
                is_morphism(big, regular_induced(CA), regular_rel_hopf(CA)))
 
     B = coinvariants(CA)
-    for tag, tr in (("t^l", quantum_trace_left(CA, gamma)),
-                    ("t^r", quantum_trace_right(CA, gamma))):
-        in_b = all(B.subspace.coords(tr.column(j)) is not None
-                   for j in range(A.dim))
-        rep.record(f"{tag} lands in the coinvariants", in_b)
-        fixes_b = all(tr.apply(b) == b for b in B.subspace.basis)
-        rep.record(f"{tag} restricts to the identity on B", fixes_b)
-        rep.record(f"{tag} is idempotent", (tr @ tr).same_matrix(tr))
     tl = quantum_trace_left(CA, gamma)
-    linear = all(tl.apply(A.mul(b, A.space.basis_vector(j)))
-                 == A.mul(b, tl.apply(A.space.basis_vector(j)))
-                 for b in B.subspace.basis for j in range(A.dim))
-    rep.record("t^l is left B-linear", linear)
     tr = quantum_trace_right(CA, gamma)
-    rlinear = all(tr.apply(A.mul(A.space.basis_vector(j), b))
-                  == A.mul(tr.apply(A.space.basis_vector(j)), b)
-                  for b in B.subspace.basis for j in range(A.dim))
-    rep.record("t^r is right B-linear", rlinear)
+    for tag, t in (("t^l", tl), ("t^r", tr)):
+        rep.record(f"{tag} lands in the coinvariants",
+                   B.subspace.coordinates(t, B.algebra.space) is not None)
+        rep.record(f"{tag} restricts to the identity on B",
+                   (t @ B.embed).same_matrix(B.embed))
+        rep.record(f"{tag} is idempotent", (t @ t).same_matrix(t))
+    rep.record("t^l is left B-linear", (tl @ B.left_action).same_matrix(
+        A.mult @ B.embed.tensor(tl)))
+    rep.record("t^r is right B-linear", (tr @ B.right_action).same_matrix(
+        A.mult @ tr.tensor(B.embed)))
     return rep
 
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-Scalar = Fraction
 Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
@@ -64,10 +63,6 @@ class Space:
         out = [ZERO] * self.dim
         out[i] = ONE
         return tuple(out)
-
-    def basis(self) -> Iterator[Vector]:
-        for i in range(self.dim):
-            yield self.basis_vector(i)
 
     def zero(self) -> Vector:
         return (ZERO,) * self.dim
@@ -148,12 +143,6 @@ def unrank(dims: Sequence[int], k: int) -> tuple[int, ...]:
         out.append(k % d)
         k //= d
     return tuple(reversed(out))
-
-def rank_index(dims: Sequence[int], idxs: Sequence[int]) -> int:
-    k = 0
-    for d, i in zip(dims, idxs):
-        k = k * d + i
-    return k
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +377,6 @@ def rank(f: LinearMap) -> int:
     return _rank_rows([list(row) for row in f.matrix], f.domain.dim)
 
 
-def rank_of_vectors(vectors: Iterable[Vector], dim: int) -> int:
-    return _rank_rows([list(v) for v in vectors], dim)
-
-
 @dataclass(frozen=True)
 class AffineSolution:
     """A certified solution of coeff . x = rhs together with ker(coeff)."""
@@ -449,43 +434,36 @@ def kernel_basis(f: LinearMap) -> tuple[Vector, ...]:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of an ambient space, given by a linearly independent basis."""
+    """A subspace of an ambient space with its RREF basis: basis vector r
+    has a 1 in column pivots[r] and 0 in every other pivot column, so the
+    coordinates of a vector in the subspace are its entries at the pivots."""
 
     ambient: Space
     basis: tuple[Vector, ...]
-
-    def __post_init__(self):
-        if self.basis and rank_of_vectors(self.basis, self.ambient.dim) != len(self.basis):
-            raise ValueError("subspace basis vectors are linearly dependent")
+    pivots: tuple[int, ...]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def coords(self, v: Vector) -> Optional[Vector]:
-        """Coordinates of v in the subspace basis, or None if v is outside."""
-        if not self.basis:
-            return () if vec_is_zero(v) else None
-        dom = Space(tuple(f"s{i}" for i in range(len(self.basis))))
-        emb = LinearMap.from_columns(dom, self.ambient, list(self.basis))
-        sol = solve_affine(emb, v)
-        return sol.particular if isinstance(sol, AffineSolution) else None
+    def embedding(self, space: Space) -> LinearMap:
+        """The inclusion space -> ambient, space labelling the basis."""
+        return LinearMap.from_columns(space, self.ambient, self.basis)
 
-    def contains(self, v: Vector) -> bool:
-        return self.coords(v) is not None
-
-    def embed(self, coords: Vector) -> Vector:
-        out = self.ambient.zero()
-        for c, b in zip(coords, self.basis):
-            out = vec_add(out, vec_scale(c, b))
-        return out
+    def coordinates(self, f: LinearMap, space: Space) -> Optional[LinearMap]:
+        """g: f.domain -> space with embedding(space) @ g == f, or None when
+        f does not land in the subspace."""
+        row = {p: r for r, p in enumerate(self.pivots)}
+        g = LinearMap(f.domain, space, tuple(
+            tuple((row[i], c) for i, c in col if i in row) for col in f.cols))
+        return g if (self.embedding(space) @ g).same_matrix(f) else None
 
 
 def span(ambient: Space, vectors: Iterable[Vector]) -> Subspace:
     """Canonical (RREF) basis of the span of the given vectors."""
     rows, pivots = _rref([list(v) for v in vectors], ambient.dim)
     basis = tuple(tuple(rows[i]) for i in range(len(pivots)))
-    return Subspace(ambient, basis)
+    return Subspace(ambient, basis, tuple(pivots))
 
 
 @dataclass(frozen=True)
@@ -513,8 +491,8 @@ def quotient_by(ambient: Space, relations: Iterable[Vector]) -> QuotientSpace:
     """
     rel = span(ambient, relations)
     n = ambient.dim
-    rows, pivots = _rref([list(v) for v in rel.basis], n)
-    pivot_row = {c: r for r, c in enumerate(pivots)}
+    rows = rel.basis
+    pivot_row = {c: r for r, c in enumerate(rel.pivots)}
     free_cols = [c for c in range(n) if c not in pivot_row]
     qlabels = tuple(f"[{ambient.labels[c]}]" for c in free_cols)
     if not free_cols:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (LinearMap, Space, Vector, bilinear, permute_factors,
+from .linalg import (LinearMap, Space, Vector, permute_factors,
                      tensor_after, tensor_space, unrank, vec_scale)
 from .report import Report
 from .structures import (ComoduleAlgebra, HomAlgebra, HomHopfAlgebra,
@@ -25,14 +25,6 @@ class HomModule:
     action: LinearMap        # M (x) A -> M
     over: HomAlgebra
 
-    @staticmethod
-    def build(space: Space, mu: LinearMap, action: LinearMap,
-              over: HomAlgebra) -> "HomModule":
-        return HomModule(space, mu, mu.inverse(), action, over)
-
-    def act(self, m: Vector, a: Vector) -> Vector:
-        return bilinear(self.action, m, a)
-
     @property
     def dim(self) -> int:
         return self.space.dim
@@ -47,11 +39,6 @@ class HomComodule:
     mu_inv: LinearMap
     coaction: LinearMap      # N -> N (x) H
     over: HomHopfAlgebra
-
-    @staticmethod
-    def build(space: Space, mu: LinearMap, coaction: LinearMap,
-              over: HomHopfAlgebra) -> "HomComodule":
-        return HomComodule(space, mu, mu.inverse(), coaction, over)
 
     @property
     def dim(self) -> int:
@@ -69,14 +56,6 @@ class RelHopfModule:
     action: LinearMap        # M (x) A -> M
     coaction: LinearMap      # M -> M (x) H
     over: ComoduleAlgebra
-
-    @staticmethod
-    def build(space: Space, mu: LinearMap, action: LinearMap,
-              coaction: LinearMap, over: ComoduleAlgebra) -> "RelHopfModule":
-        return RelHopfModule(space, mu, mu.inverse(), action, coaction, over)
-
-    def act(self, m: Vector, a: Vector) -> Vector:
-        return bilinear(self.action, m, a)
 
     def as_module(self) -> HomModule:
         return HomModule(self.space, self.mu, self.mu_inv, self.action,

@@ -31,10 +31,6 @@ class HomAlgebra:
     alpha: LinearMap
     alpha_inv: LinearMap
 
-    @staticmethod
-    def build(space: Space, mult: LinearMap, unit: Vector, alpha: LinearMap) -> "HomAlgebra":
-        return HomAlgebra(space, mult, unit, alpha, alpha.inverse())
-
     @property
     def unit_map(self) -> LinearMap:
         """The unit as a map k -> A."""
@@ -66,11 +62,6 @@ class HomCoalgebra:
     counit: LinearMap        # C -> k
     gamma: LinearMap
     gamma_inv: LinearMap
-
-    @staticmethod
-    def build(space: Space, comult: LinearMap, counit: LinearMap,
-              gamma: LinearMap) -> "HomCoalgebra":
-        return HomCoalgebra(space, comult, counit, gamma, gamma.inverse())
 
     def sweedler(self, x: Vector):
         """Yield (coeff, i, j) over the terms of Delta(x) = sum x1 (x) x2."""
@@ -173,10 +164,6 @@ class ComoduleAlgebra:
         return self.algebra.space
 
     @property
-    def beta(self) -> LinearMap:
-        return self.algebra.alpha
-
-    @property
     def dim(self) -> int:
         return self.algebra.dim
 
@@ -217,7 +204,7 @@ def check_hom_coalgebra(C: HomCoalgebra) -> Report:
     check_identity(rep, "eps gamma = eps", [sp], SCALAR_SPACE, eps @ g, eps)
     check_identity(rep, "Hom-coassociativity", [sp],
                    tensor_space(sp, sp, sp),
-                   tensor_after(g_inv, d, d), tensor_after(d, g, d))
+                   tensor_after(g_inv, d, d), tensor_after(d, g_inv, d))
     check_identity(rep, "counit law: eps(c1)c2 = gamma^{-1}(c)", [sp], sp,
                    tensor_after(eps, idc, d), g_inv)
     check_identity(rep, "counit law: eps(c2)c1 = gamma^{-1}(c)", [sp], sp,

@@ -3,17 +3,25 @@ affineness criterion."""
 
 import pytest
 
-from homhopf.catalog import entry, names
+import homhopf.integrals as integrals
+import homhopf.linalg as linalg
+from homhopf.catalog import cyclic_group_hopf, entry, names, sweedler_hopf
 from homhopf.errors import StructureDoesNotDescend
 from homhopf.galois import (balanced_tensor_AA, beta_evaluation,
-                            canonical_psi, coinvariants, cor58_check,
+                            canonical_psi, coinvariant_module, coinvariants,
+                            cor58_check, descend_action, descend_linear,
                             free_module, galois_xi, induction, prop51_check,
                             quantum_trace_left, regular_induced,
                             thm56_adjunction, thm56_check, thm57_check,
                             xi_source_module)
 from homhopf.integrals import QuantumIntegral, find_quantum_integral
-from homhopf.linalg import rank, swap_map, tensor_space
+from homhopf.linalg import (LinearMap, bilinear, rank, span, swap_map,
+                            tensor_after, tensor_space, tensor_vec,
+                            vec_is_zero, vec_sub)
 from homhopf.modules import check_rel_hopf, is_morphism, regular_rel_hopf
+from homhopf.structures import ComoduleAlgebra
+
+from test_integral_systems import _rebased
 
 HOPF_ENTRIES = [n for n in names()
                 if entry(n).kind == "hopf"
@@ -28,7 +36,8 @@ def test_coinvariant_dimension_matches_expected(name):
     B = coinvariants(e.comodule_algebra)
     assert B.dim == e.expected["coinvariant_dim"]
     # B contains the unit and is closed under multiplication
-    assert B.subspace.contains(e.comodule_algebra.algebra.unit)
+    assert B.subspace.coordinates(e.comodule_algebra.algebra.unit_map,
+                                  B.algebra.space) is not None
 
 
 @pytest.mark.parametrize("name", names())
@@ -153,3 +162,160 @@ def test_quantum_trace_fixes_the_unit():
     gamma = find_quantum_integral(CA, require_total=True)
     tl = quantum_trace_left(CA, gamma)
     assert tl.apply(CA.algebra.unit) == CA.algebra.unit
+
+
+@pytest.mark.parametrize("rebased", [False, True], ids=["catalog", "rebased"])
+def test_left_quantum_trace_projects_onto_B_for_every_total_integral(rebased):
+    """t^l lands in B, fixes B and is idempotent for the solver's gamma and
+    for gamma +- each kernel vector, in the catalog basis of kC3-twisted and
+    after a change of basis with non-integer constants."""
+    CA = entry("kC3-twisted").comodule_algebra
+    if rebased:
+        CA = _rebased(CA)
+    gamma = find_quantum_integral(CA, require_total=True)
+    B = coinvariants(CA)
+    gammas = [gamma.gamma_hat]
+    for k in gamma.solution_family:
+        gammas += [gamma.gamma_hat + k, gamma.gamma_hat - k]
+    assert len(gammas) > 1
+    for gh in gammas:
+        tl = quantum_trace_left(CA, QuantumIntegral(gh, True, ()))
+        assert B.subspace.coordinates(tl, B.algebra.space) is not None
+        assert (tl @ B.embed).same_matrix(B.embed)
+        assert (tl @ tl).same_matrix(tl)
+
+
+# ---------------------------------------------------------------------------
+# Nonzero balancing relations: H coacting trivially on itself, so B = A
+# ---------------------------------------------------------------------------
+
+TRIVIAL = {"kC2": lambda: cyclic_group_hopf(2),
+           "kC3": lambda: cyclic_group_hopf(3),
+           "sweedler-H4": sweedler_hopf}
+
+
+def _trivial_coaction(name: str) -> ComoduleAlgebra:
+    """a -> a (x) 1_H, a Hom-comodule algebra since alpha = id."""
+    H = TRIVIAL[name]()
+    ida = LinearMap.identity(H.space)
+    return ComoduleAlgebra(H.algebra, H,
+                           tensor_after(ida, H.algebra.unit_map, ida))
+
+
+def _reference_relations(B, act_right, mu_left, act_left, mu_right_inv):
+    """The relations (m.b) (x) n - mu(m) (x) (b . nu^{-1}(n)), one per basis
+    triple (m, b, n) with b running over B's basis inside A, m outermost,
+    zeros dropped."""
+    left, right = mu_left.domain, mu_right_inv.domain
+    out = []
+    for i in range(left.dim):
+        m = left.basis_vector(i)
+        for bj in range(B.dim):
+            b = B.subspace.basis[bj]
+            for j in range(right.dim):
+                n = right.basis_vector(j)
+                rel = vec_sub(tensor_vec(act_right(m, b), n),
+                              tensor_vec(mu_left.apply(m),
+                                         act_left(bj, mu_right_inv.apply(n))))
+                if not vec_is_zero(rel):
+                    out.append(rel)
+    return out
+
+
+def _assert_relations(bt, ref):
+    assert [bt.rel.column(k) for k, col in enumerate(bt.rel.cols) if col] \
+        == ref
+    assert ref, "the relations should not all be zero"
+    ambient = bt.quotient.ambient
+    assert bt.relations == span(ambient, ref).basis
+    assert bt.dim == ambient.dim - len(bt.relations)
+
+
+@pytest.mark.parametrize("name", TRIVIAL)
+def test_balanced_square_over_B_equal_to_A_matches_the_reference(name):
+    CA = _trivial_coaction(name)
+    A = CA.algebra
+    B = coinvariants(CA)
+    assert B.dim == A.dim
+    bt, module = balanced_tensor_AA(CA, B)
+    _assert_relations(bt, _reference_relations(
+        B, A.mul, A.alpha,
+        lambda bj, n: A.mul(B.subspace.basis[bj], n), A.alpha_inv))
+    # A (x)_A A = A
+    assert bt.dim == A.dim
+    assert check_rel_hopf(module).ok
+
+
+@pytest.mark.parametrize("name", TRIVIAL)
+def test_induction_over_B_equal_to_A_matches_the_reference(name):
+    CA = _trivial_coaction(name)
+    A = CA.algebra
+    B = coinvariants(CA)
+    N = free_module(B, 2)
+    bt, _ = induction(N, B)
+
+    def act_left(bj, n):
+        return bilinear(N.action, n, B.algebra.space.basis_vector(bj))
+
+    _assert_relations(bt, _reference_relations(
+        B, A.mul, A.alpha, act_left, N.mu_inv))
+
+
+@pytest.mark.parametrize("name", TRIVIAL)
+def test_beta_evaluation_over_B_equal_to_A_matches_the_reference(name):
+    CA = _trivial_coaction(name)
+    A = CA.algebra
+    B = coinvariants(CA)
+    M = regular_rel_hopf(CA)
+    bt, beta_m = beta_evaluation(M, B)
+    # every m is coinvariant, so M^{coH} = M in its own basis and its
+    # B-action is M's action
+    standard = tuple(M.space.basis_vector(i) for i in range(M.dim))
+    assert coinvariant_module(M, B)[1].basis == standard
+    _assert_relations(bt, _reference_relations(
+        B, lambda m, b: bilinear(M.action, m, b), M.mu,
+        lambda bj, n: A.mul(B.subspace.basis[bj], n), A.alpha_inv))
+    # M^{coH} (x)_B A = A (x)_A A = A, and beta_M is onto
+    assert rank(beta_m) == M.dim == bt.dim
+
+
+@pytest.mark.parametrize("name", ["kC2", "kC3"])
+def test_adjunction_and_trace_projections_over_B_equal_to_A(name):
+    CA = _trivial_coaction(name)
+    gamma = find_quantum_integral(CA, require_total=True)
+    assert isinstance(gamma, QuantumIntegral)
+    rep = prop51_check(CA, gamma)
+    assert rep.ok, rep.pretty()
+    rep = thm56_check(CA)
+    assert rep.ok, rep.pretty()
+
+
+def test_descent_refuses_a_map_that_does_not_kill_the_relations():
+    """On H4 over B = A the relations (ab) (x) c - a (x) (bc) are nonzero;
+    x (x) y -> xy kills them, x (x) y -> yx does not."""
+    CA = _trivial_coaction("sweedler-H4")
+    A = CA.algebra
+    bt, _ = balanced_tensor_AA(CA)
+    flip = swap_map(A.space, A.space)
+    assert descend_linear(A.mult, bt, "mult").domain == bt.space
+    with pytest.raises(StructureDoesNotDescend, match="flipped mult"):
+        descend_linear(A.mult @ flip, bt, "flipped mult")
+    with pytest.raises(StructureDoesNotDescend, match="flipped action"):
+        descend_action(flip.tensor(CA.hopf.coalgebra.counit), bt, A.space,
+                       "flipped action")
+
+
+def test_thm57_runs_a_bounded_number_of_affine_solves(monkeypatch):
+    """Coordinates in B and in the coinvariants of a module are read off
+    pivots, not solved for vector by vector (which took 26 solves here)."""
+    calls = []
+    original = linalg.solve_affine
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    for module in (linalg, integrals):
+        monkeypatch.setattr(module, "solve_affine", counted)
+    assert thm57_check(entry("sweedler-H4").comodule_algebra).ok
+    assert len(calls) <= 6

@@ -1,5 +1,6 @@
 """Source hygiene that no installed linter checks: every name a module
-imports is used in that module."""
+imports is used in that module, and every module-level function, class and
+assignment in the package is named somewhere in the package or its tests."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "homhopf"
+TESTS = Path(__file__).resolve().parent
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -26,10 +28,10 @@ def _imported(tree: ast.AST) -> dict[str, int]:
 
 def _used(tree: ast.AST) -> set[str]:
     """Every name read in the module, including names inside quoted
-    annotations."""
+    annotations; a name that is only assigned to is not read."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         annotations = []
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -60,3 +62,64 @@ def test_the_scan_sees_an_unused_import():
                      "def f(x: 'Sequence[int]'): return x\n")
     assert {n for n in _imported(tree) if n not in _used(tree)} == \
         {"Callable", "os"}
+
+
+def _defined(tree: ast.Module) -> dict[str, int]:
+    """Module-level function, class and assigned names -> their line,
+    dunder names left out."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        out[sub.id] = node.lineno
+    return {n: line for n, line in out.items() if not n.startswith("__")}
+
+
+def _named(tree: ast.AST) -> set[str]:
+    """Every name read, every attribute read and every name imported."""
+    named = _used(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            named.update(alias.name for alias in node.names)
+    return named
+
+
+def _unnamed(sources: dict[str, str]) -> set[str]:
+    """'module.name' for each definition in a module under src that no
+    source (its own module included) names."""
+    trees = {key: ast.parse(text) for key, text in sources.items()}
+    named = set().union(*(_named(tree) for tree in trees.values()))
+    return {f"{key}.{name}" for key, tree in trees.items()
+            if key.startswith("src/")
+            for name in _defined(tree) if name not in named}
+
+
+def test_every_definition_is_named_somewhere():
+    sources = {f"src/{p.stem}": p.read_text() for p in SRC.glob("*.py")}
+    sources.update({f"tests/{p.stem}": p.read_text()
+                    for p in TESTS.glob("*.py")})
+    assert not _unnamed(sources)
+
+
+def test_the_scan_sees_an_unused_definition():
+    sources = {
+        "src/a": "from fractions import Fraction\n"
+                 "Scalar = Fraction\n"
+                 "LIMIT: int = 3\n"
+                 "def used(): return LIMIT\n"
+                 "def unused(): return used()\n"
+                 "class Kept: pass\n"
+                 "class Dropped: pass\n",
+        "tests/b": "from a import used\nimport a\nused(); a.Kept()\n",
+    }
+    assert _unnamed(sources) == {"src/a.Scalar", "src/a.unused",
+                                 "src/a.Dropped"}

@@ -11,7 +11,7 @@ from homhopf.linalg import (ZERO, AffineSolution, Infeasible, LinearMap,
                             Space, bilinear, kernel_basis, permute_factors,
                             quotient_by, rank, solve_affine, span, swap_map,
                             tensor_after, tensor_space, tensor_vec, space,
-                            unrank, rank_index, vec_add, vec_is_zero,
+                            unrank, vec_add, vec_is_zero,
                             vec_scale, vec_sub)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
@@ -101,11 +101,33 @@ def test_span_and_coords_roundtrip():
     sp = _space(3)
     sub = span(sp, [sp.basis_vector(0), sp.basis_vector(2),
                     vec_add(sp.basis_vector(0), sp.basis_vector(2))])
-    assert sub.dim == 2
+    assert sub.dim == 2 and sub.pivots == (0, 2)
     v = vec_add(sp.basis_vector(0), vec_scale(Fraction(7), sp.basis_vector(2)))
-    coords = sub.coords(v)
-    assert coords is not None and sub.embed(coords) == v
-    assert sub.coords(sp.basis_vector(1)) is None
+    sub_space, one = _space(2), _space(1)
+    f = LinearMap.from_columns(one, sp, [v])
+    g = sub.coordinates(f, sub_space)
+    assert g is not None and g.column(0) == (1, 7)
+    assert (sub.embedding(sub_space) @ g).same_matrix(f)
+    outside = LinearMap.from_columns(_space(2), sp, [v, sp.basis_vector(1)])
+    assert sub.coordinates(outside, sub_space) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices())
+def test_coordinates_of_a_map_into_its_image(f):
+    """Each map lands in the span of its own columns, its coordinates
+    reproduce it, and a vector outside the span is refused."""
+    sub = span(f.codomain, [f.column(j) for j in range(f.domain.dim)])
+    if sub.dim == 0:
+        return
+    coords = _space(sub.dim)
+    g = sub.coordinates(f, coords)
+    assert g is not None and (sub.embedding(coords) @ g).same_matrix(f)
+    free = [c for c in range(f.codomain.dim) if c not in sub.pivots]
+    if free:
+        e = LinearMap.from_columns(_space(1), f.codomain,
+                                   [f.codomain.basis_vector(free[0])])
+        assert sub.coordinates(e, coords) is None
 
 
 def test_inverse_raises_on_singular():
@@ -116,6 +138,14 @@ def test_inverse_raises_on_singular():
     g = LinearMap.from_rows(sp, sp, [[1, 1], [0, 1]])
     assert (g @ g.inverse()).is_identity()
     assert (g.inverse() @ g).is_identity()
+
+
+def rank_index(dims, idxs):
+    """Reference inverse of unrank: the row-major index of a tuple."""
+    k = 0
+    for d, i in zip(dims, idxs):
+        k = k * d + i
+    return k
 
 
 def test_unrank_rank_index_inverse():

@@ -31,6 +31,20 @@ def test_twisted_cyclic3_has_nontrivial_alpha():
     assert check_hom_hopf(H).ok
 
 
+@pytest.mark.parametrize("lam", [2, -1, 3])
+def test_twist_of_h4_by_a_scaling_of_x_is_a_hom_hopf_algebra(lam):
+    """x -> lam x is a Hopf automorphism of H4; for lam = 2 or 3 the twist's
+    alpha has infinite order, so (gamma^{-1} x Delta)Delta = (Delta x
+    gamma^{-1})Delta and the variant with gamma on the right differ."""
+    H = sweedler_hopf()
+    aut = LinearMap.from_rows(H.space, H.space, [
+        [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, lam, 0], [0, 0, 0, lam]])
+    T = twist(H, aut)
+    rep = check_hom_hopf(T)
+    assert rep.ok, rep.pretty()
+    assert check_comodule_algebra(regular_comodule_algebra(T)).ok
+
+
 def test_twist_rejects_non_automorphism():
     H = cyclic_group_hopf(2)
     bad = LinearMap.from_rows(H.space, H.space, [[1, 1], [0, 1]])
