@@ -58,13 +58,14 @@ class InfeasibilityWitness:
 
     def reverify(self) -> bool:
         """Recompute both ranks with an independent (reversed) pivot order."""
-        from .linalg import _rank_rows
-        rows = [list(r) for r in self.coeff.matrix]
+        from .linalg import _rank_rows, _rows
+        rows = _rows(self.coeff)
         n = self.coeff.domain.dim
-        sys_rank = _rank_rows([row[:] for row in rows], n,
-                              col_order=list(range(n - 1, -1, -1)))
-        aug = [row + [v] for row, v in zip(rows, self.rhs)]
-        aug_rank = _rank_rows(aug, n + 1, col_order=list(range(n, -1, -1)))
+        sys_rank = _rank_rows(rows, col_order=range(n - 1, -1, -1))
+        for row, v in zip(rows, self.rhs):
+            if v:
+                row[n] = v
+        aug_rank = _rank_rows(rows, col_order=range(n, -1, -1))
         return (sys_rank == self.system_rank
                 and aug_rank == self.augmented_rank
                 and aug_rank == sys_rank + 1)

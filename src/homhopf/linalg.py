@@ -6,12 +6,19 @@ columns; vectors are dense tuples.  Every zero a helper creates is the shared
 ZERO, so the helpers skip zero entries by identity; any other zero goes
 through the same exact arithmetic as a nonzero entry.  There is no floating
 point anywhere.
+
+The one elimination, _rref, works on sparse rows (column -> nonzero
+coefficient) read straight off the sparse columns, so its cost follows the
+nonzeros, not m x n.  It returns the reduced row echelon form, which is
+unique: pivots, particular solutions, kernel bases and ranks do not depend
+on the order in which rows are met.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -215,7 +222,8 @@ class LinearMap:
 
     @property
     def matrix(self) -> tuple[Vector, ...]:
-        """Dense rows, rebuilt on every access; for emission and elimination."""
+        """Dense rows, rebuilt on every access; for emission and the
+        independent residual re-verifiers, never for elimination."""
         rows = [[ZERO] * self.domain.dim for _ in range(self.codomain.dim)]
         for j, col in enumerate(self.cols):
             for i, c in col:
@@ -307,19 +315,24 @@ class LinearMap:
         n = self.domain.dim
         if self.codomain.dim != n:
             raise ValueError("only square maps can be inverted")
-        aug = [list(row) + list(self.domain.basis_vector(i))
-               for i, row in enumerate(self.matrix)]
-        rows, pivots = _rref(aug, 2 * n)
+        aug = _rows(self)
+        for i, row in enumerate(aug):
+            row[n + i] = ONE
+        rows, pivots = _rref(aug)
         if pivots != list(range(n)):
             raise ValueError("map is not invertible")
-        return LinearMap.from_rows(self.codomain, self.domain,
-                                   [rows[i][n:] for i in range(n)])
+        # row i of the inverse is the right half of pivot row i
+        cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+        for i, row in enumerate(rows):
+            for c, x in row.items():
+                if c >= n:
+                    cols[c - n].append((i, x))
+        return LinearMap(self.codomain, self.domain, tuple(map(tuple, cols)))
 
     def transpose_rank_oracle(self) -> int:
         """Rank via an independent elimination order (reversed columns)."""
-        return _rank_rows([list(row) for row in self.matrix],
-                          self.domain.dim,
-                          col_order=list(range(self.domain.dim - 1, -1, -1)))
+        return _rank_rows(_rows(self),
+                          col_order=range(self.domain.dim - 1, -1, -1))
 
     def __repr__(self):
         return f"LinearMap({self.domain.dim}->{self.codomain.dim})"
@@ -329,52 +342,80 @@ class LinearMap:
 # Elimination, rank, affine solving
 # ---------------------------------------------------------------------------
 
-def _rref(rows: list[list[Fraction]], ncols: int,
-          col_order: Optional[Sequence[int]] = None) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot columns).
+# A sparse row: column -> nonzero coefficient, no stored zeros.
+Row = dict[int, Fraction]
 
-    Columns are scanned in col_order (default leftmost-first); within a
-    column the topmost available row is the pivot, so the output is
-    deterministic.
+
+def _rows(f: LinearMap) -> list[Row]:
+    """The rows of f, read off its sparse columns in O(nnz)."""
+    rows: list[Row] = [{} for _ in range(f.codomain.dim)]
+    for j, col in enumerate(f.cols):
+        for i, c in col:
+            rows[i][j] = c
+    return rows
+
+
+def _add_multiple(row: Row, a: Fraction, other: Row) -> None:
+    """row += a * other, dropping the entries that cancel."""
+    for c, v in other.items():
+        o = row.get(c)
+        if o is None:
+            row[c] = a * v
+        else:
+            o += a * v
+            if o:
+                row[c] = o
+            else:
+                del row[c]
+
+
+def _rref(rows: Iterable, col_order: Optional[Sequence[int]] = None
+          ) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form of sparse rows; returns (pivot rows, pivot
+    columns), both sorted by pivot column in col_order (default ascending).
+
+    Each row is a Row or an iterable of (column, nonzero) pairs; it is
+    copied, not changed.  An incoming row is reduced by the pivot rows found
+    so far.  If anything is left, its first column in col_order becomes a
+    new pivot, the row is scaled to 1 there, and that column is eliminated
+    from the earlier pivot rows.  The reduced row echelon form of a matrix
+    is unique, so the result is the dense Gauss-Jordan one with its zero
+    rows dropped, whatever the order of the rows.
     """
     if col_order is None:
-        col_order = range(ncols)
-    pivots: list[int] = []
-    r = 0
-    for c in col_order:
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
+        first, position = min, None
+    else:
+        position = {c: k for k, c in enumerate(col_order)}.__getitem__
+        first = partial(min, key=position)
+    pivot_rows: dict[int, Row] = {}
+    for row in rows:
+        row = dict(row)
+        for c in [c for c in row if c in pivot_rows]:
+            _add_multiple(row, -row[c], pivot_rows[c])
+        if not row:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
+        p = first(row)
+        pv = row[p]
         if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+            row = {c: v / pv for c, v in row.items()}
+        for prow in pivot_rows.values():
+            f = prow.get(p)
+            if f is not None:
+                _add_multiple(prow, -f, row)
+        pivot_rows[p] = row
+    pivots = sorted(pivot_rows, key=position)
+    return [pivot_rows[p] for p in pivots], pivots
 
 
-def _rank_rows(rows: list[list[Fraction]], ncols: int,
+def _rank_rows(rows: Iterable,
                col_order: Optional[Sequence[int]] = None) -> int:
-    if not rows:
-        return 0
-    _, pivots = _rref(rows, ncols, col_order)
-    return len(pivots)
+    return len(_rref(rows, col_order)[1])
 
 
 def rank(f: LinearMap) -> int:
-    """Exact rank by Gaussian elimination with leftmost pivots."""
-    return _rank_rows([list(row) for row in f.matrix], f.domain.dim)
+    """Exact rank, by eliminating the columns of f as rows (rank f = rank
+    f^T)."""
+    return _rank_rows(f.cols)
 
 
 @dataclass(frozen=True)
@@ -403,21 +444,30 @@ def solve_affine(coeff: LinearMap, rhs: Vector) -> AffineSolution | Infeasible:
     m, n = coeff.codomain.dim, coeff.domain.dim
     if len(rhs) != m:
         raise ValueError("rhs length does not match codomain dim")
-    aug = [list(row) + [b] for row, b in zip(coeff.matrix, rhs)]
-    rows, pivots = _rref(aug, n + 1)
+    aug = _rows(coeff)
+    for row, b in zip(aug, rhs):
+        if b:
+            row[n] = b
+    rows, pivots = _rref(aug)
     if n in pivots:
         return Infeasible(system_rank=len(pivots) - 1, augmented_rank=len(pivots))
     pivot_set = set(pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
     particular = [ZERO] * n
-    for r, c in enumerate(pivots):
-        particular[c] = rows[r][n]
+    # free column -> (pivot, -entry) over the pivot rows that hold it
+    free: dict[int, list[tuple[int, Fraction]]] = {
+        c: [] for c in range(n) if c not in pivot_set}
+    for row, p in zip(rows, pivots):
+        for c, x in row.items():
+            if c == n:
+                particular[p] = x
+            elif c != p:
+                free[c].append((p, -x))
     kernel = []
-    for fc in free_cols:
+    for fc, entries in free.items():
         v = [ZERO] * n
         v[fc] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][fc]
+        for p, x in entries:
+            v[p] = x
         kernel.append(tuple(v))
     return AffineSolution(tuple(particular), tuple(kernel))
 
@@ -459,11 +509,23 @@ class Subspace:
         return g if (self.embedding(space) @ g).same_matrix(f) else None
 
 
+def _span(ambient: Space,
+          vectors: Iterable[Vector]) -> tuple[Subspace, list[Row]]:
+    """span(ambient, vectors) and its RREF basis as sparse rows."""
+    rows, pivots = _rref({j: c for j, c in enumerate(v) if c}
+                         for v in vectors)
+    basis = []
+    for row in rows:
+        v = [ZERO] * ambient.dim
+        for c, x in row.items():
+            v[c] = x
+        basis.append(tuple(v))
+    return Subspace(ambient, tuple(basis), tuple(pivots)), rows
+
+
 def span(ambient: Space, vectors: Iterable[Vector]) -> Subspace:
     """Canonical (RREF) basis of the span of the given vectors."""
-    rows, pivots = _rref([list(v) for v in vectors], ambient.dim)
-    basis = tuple(tuple(rows[i]) for i in range(len(pivots)))
-    return Subspace(ambient, basis, tuple(pivots))
+    return _span(ambient, vectors)[0]
 
 
 @dataclass(frozen=True)
@@ -489,28 +551,26 @@ def quotient_by(ambient: Space, relations: Iterable[Vector]) -> QuotientSpace:
     the relations, so projection . section = id and
     ker(projection) = span(relations).
     """
-    rel = span(ambient, relations)
-    n = ambient.dim
-    rows = rel.basis
-    pivot_row = {c: r for r, c in enumerate(rel.pivots)}
-    free_cols = [c for c in range(n) if c not in pivot_row]
+    rel, rows = _span(ambient, relations)
+    pivot_row = dict(zip(rel.pivots, rows))
+    free_cols = [c for c in range(ambient.dim) if c not in pivot_row]
     qlabels = tuple(f"[{ambient.labels[c]}]" for c in free_cols)
     if not free_cols:
         raise ValueError("relations span the whole space; zero quotient unsupported")
     qspace = Space(qlabels)
     free_index = {c: i for i, c in enumerate(free_cols)}
+    # a pivot row holds its pivot and free columns only
     proj_cols = []
-    for j in range(n):
-        r = pivot_row.get(j)
-        if r is not None:
-            col = tuple(-rows[r][fc] for fc in free_cols)
+    for j in range(ambient.dim):
+        row = pivot_row.get(j)
+        if row is None:
+            proj_cols.append(((free_index[j], ONE),))
         else:
-            fi = free_index[j]
-            col = tuple(ONE if i == fi else ZERO for i in range(len(free_cols)))
-        proj_cols.append(col)
-    projection = LinearMap.from_columns(ambient, qspace, proj_cols)
-    section = LinearMap.from_columns(
-        qspace, ambient, [ambient.basis_vector(fc) for fc in free_cols])
+            proj_cols.append(tuple(sorted(
+                (free_index[c], -x) for c, x in row.items() if c != j)))
+    projection = LinearMap(ambient, qspace, tuple(proj_cols))
+    section = LinearMap(qspace, ambient,
+                        tuple(((fc, ONE),) for fc in free_cols))
     return QuotientSpace(ambient, rel, qspace, projection, section)
 
 

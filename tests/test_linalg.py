@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homhopf import linalg as la
+from homhopf.integrals import InfeasibilityWitness
 from homhopf.linalg import (ZERO, AffineSolution, Infeasible, LinearMap,
                             Space, bilinear, kernel_basis, permute_factors,
                             quotient_by, rank, solve_affine, span, swap_map,
@@ -325,3 +327,144 @@ def test_zero_skipping_vector_helpers_match_dense_reference(data):
     for v in (vec_add(x, y), vec_sub(x, y), vec_scale(c, x),
               tensor_vec(x, z)):
         assert all(isinstance(a, Fraction) for a in v)
+
+
+# ---------------------------------------------------------------------------
+# The sparse elimination against a dense Gauss-Jordan reference
+# ---------------------------------------------------------------------------
+
+def _ref_rref(rows, ncols, col_order=None):
+    """Dense Gauss-Jordan: for each column in col_order the topmost remaining
+    row with a nonzero there becomes the pivot row.  Returns the nonzero
+    reduced rows and the pivot columns."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for c in (range(ncols) if col_order is None else col_order):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def _ref_solve(rows, rhs, n):
+    """Particular solution (free variables zero) and kernel basis read off
+    the dense reference, or the two ranks when the system is infeasible."""
+    red, pivots = _ref_rref([row + [b] for row, b in zip(rows, rhs)], n + 1)
+    if n in pivots:
+        return len(pivots) - 1, len(pivots)
+    particular = [Fraction(0)] * n
+    for row, c in zip(red, pivots):
+        particular[c] = row[n]
+    kernel = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for row, c in zip(red, pivots):
+            v[c] = -row[fc]
+        kernel.append(tuple(v))
+    return tuple(particular), tuple(kernel)
+
+
+def _from_row_dict(row, n):
+    out = [Fraction(0)] * n
+    for c, x in row.items():
+        out[c] = x
+    return out
+
+
+@st.composite
+def tall_rows(draw, max_cols=5):
+    """Mostly-zero rows, many more than columns: scaled duplicates of a few
+    drawn rows, all-zero rows (some of them new Fraction(0) objects, not
+    the shared ZERO), in a drawn order."""
+    n = draw(st.integers(1, max_cols))
+    base = draw(st.lists(st.lists(sparse_entries, min_size=n, max_size=n),
+                         min_size=1, max_size=5))
+    scales = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2),
+                              Fraction(1, 3)])
+    copies = draw(st.lists(st.tuples(st.integers(0, len(base) - 1), scales),
+                           max_size=12))
+    zeros = draw(st.lists(st.sampled_from([ZERO, Fraction(0)]), max_size=4))
+    rows = (base + [[c * x for x in base[i]] for i, c in copies]
+            + [[z] * n for z in zeros])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tall_rows(), st.booleans(), st.data())
+def test_sparse_elimination_matches_dense_gauss_jordan(rows, reverse, data):
+    m, n = len(rows), len(rows[0])
+    order = range(n - 1, -1, -1) if reverse else None
+    ref_red, ref_pivots = _ref_rref(rows, n, order)
+    red, pivots = la._rref(({c: x for c, x in enumerate(row) if x}
+                            for row in rows), order)
+    assert pivots == ref_pivots
+    assert [_from_row_dict(row, n) for row in red] == ref_red
+    assert all(x != 0 for row in red for x in row.values())
+
+    f = LinearMap.from_rows(_space(n), _space(m), rows)
+    assert rank(f) == f.transpose_rank_oracle() == len(ref_pivots)
+
+    basis, pivots = _ref_rref(rows, n)
+    sub = span(_space(n), [tuple(row) for row in rows])
+    assert sub.basis == tuple(map(tuple, basis))
+    assert sub.pivots == tuple(pivots)
+
+    rhs = _vector(data.draw, m)
+    sol = solve_affine(f, rhs)
+    want = _ref_solve(rows, rhs, n)
+    if isinstance(sol, Infeasible):
+        assert (sol.system_rank, sol.augmented_rank) == want
+        assert InfeasibilityWitness(sol.system_rank, sol.augmented_rank,
+                                    f, rhs).reverify()
+    else:
+        assert (sol.particular, sol.kernel) == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(tall_rows())
+def test_quotient_projection_matches_dense_reference(rows):
+    n = len(rows[0])
+    red, pivots = _ref_rref(rows, n)
+    free = [c for c in range(n) if c not in pivots]
+    if not free:
+        with pytest.raises(ValueError):
+            quotient_by(_space(n), [tuple(row) for row in rows])
+        return
+    q = quotient_by(_space(n), [tuple(row) for row in rows])
+    want = [[Fraction(int(j == fc)) for j in range(n)] for fc in free]
+    for row, p in zip(red, pivots):
+        for i, fc in enumerate(free):
+            want[i][p] = -row[fc]
+    assert _dense(q.projection) == want
+    assert (q.projection @ q.section).is_identity()
+    _assert_canonical(q.projection)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 5), st.booleans(), st.data())
+def test_inverse_matches_dense_gauss_jordan(n, dominant, data):
+    rows = data.draw(sparse_rows(n, n))
+    if dominant:    # strictly diagonally dominant, so invertible
+        rows = [[x + 1000 if i == j else x for j, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+    f = LinearMap.from_rows(_space(n), _space(n), rows)
+    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    red, pivots = _ref_rref([row + e for row, e in zip(rows, ident)], 2 * n)
+    if pivots != list(range(n)):
+        assert not dominant
+        with pytest.raises(ValueError):
+            f.inverse()
+        return
+    inv = f.inverse()
+    _assert_canonical(inv)
+    assert _dense(inv) == [row[n:] for row in red]
