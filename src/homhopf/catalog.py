@@ -42,7 +42,7 @@ def cyclic_group_hopf(n: int) -> HomHopfAlgebra:
     comult = LinearMap.from_function(
         sp, tensor_space(sp, sp), lambda i: tensor_vec(e(i), e(i)))
     counit = LinearMap.from_function(sp, SCALAR_SPACE,
-                                     lambda i: (Fraction(1),))
+                                     lambda i: (1,))
     antipode = LinearMap.from_function(sp, sp, lambda i: e((-i) % n))
     ident = LinearMap.identity(sp)
     algebra = HomAlgebra(sp, mult, e(0), ident, ident)
@@ -77,7 +77,7 @@ def sweedler_hopf() -> HomHopfAlgebra:
     }
     comult = LinearMap.from_function(sp, big, lambda i: cop[i])
     counit = LinearMap.from_function(
-        sp, SCALAR_SPACE, lambda i: (Fraction(1 if i < 2 else 0),))
+        sp, SCALAR_SPACE, lambda i: (1 if i < 2 else 0,))
     s_img = {0: one, 1: g, 2: vec_scale(-1, gx), 3: x}
     antipode = LinearMap.from_function(sp, sp, lambda i: s_img[i])
     ident = LinearMap.identity(sp)
@@ -125,7 +125,7 @@ def matrix_coalgebra(n: int) -> HomCoalgebra:
     comult = LinearMap.from_function(sp, tensor_space(sp, sp), comult_img)
     counit = LinearMap.from_function(
         sp, SCALAR_SPACE,
-        lambda k: (Fraction(1 if k // n == k % n else 0),))
+        lambda k: (1 if k // n == k % n else 0,))
     ident = LinearMap.identity(sp)
     return HomCoalgebra(sp, comult, counit, ident, ident)
 

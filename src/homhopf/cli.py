@@ -20,7 +20,7 @@ from .catalog import entry, names
 from .errors import HomHopfError, InstanceFormatError, UnknownEntry
 from .galois import (balanced_tensor_AA, canonical_psi, coinvariants,
                      thm56_check, thm57_check)
-from .instance_io import ParsedInstance, emit_instance, load_instance
+from .instance_io import ParsedInstance, _matrix, emit_instance, load_instance
 from .integrals import (QuantumIntegral, TotalIntegral, find_quantum_integral,
                         find_total_integral, theorem43_check, thm48_check)
 from .modules import check_rel_hopf
@@ -29,10 +29,6 @@ from .structures import (check_comodule_algebra, check_hom_coalgebra,
                          check_hom_hopf)
 
 THEOREM_IDS = ("4.3", "4.8", "5.6", "5.7", "5.8")
-
-
-def _scalar_matrix(f) -> list[list[str]]:
-    return [[str(x) for x in row] for row in f.matrix]
 
 
 def _compare_expected(rep: Report, expected: dict) -> None:
@@ -67,7 +63,7 @@ def cmd_integral(inst: ParsedInstance, quantum: bool, total: bool) -> Report:
         rep.record("a total integral exists", True, detail="feasible")
         rep.certificates["total_integral"] = True
         rep.certificates["total_integral_kernel_dim"] = len(res.solution_family)
-        rep.certificates["phi"] = _scalar_matrix(res.phi)
+        rep.certificates["phi"] = _matrix(res.phi)
         rep.record("solution re-verifies", True,
                    detail=f"kernel dim {len(res.solution_family)}")
     else:
@@ -83,7 +79,7 @@ def cmd_integral(inst: ParsedInstance, quantum: bool, total: bool) -> Report:
             rep.record(f"a {'total ' if total else ''}quantum integral exists",
                        True, detail="feasible")
             rep.certificates[key] = True
-            rep.certificates["gamma"] = _scalar_matrix(qres.gamma_hat)
+            rep.certificates["gamma"] = _matrix(qres.gamma_hat)
         else:
             rep.record(f"a {'total ' if total else ''}quantum integral exists",
                        True, detail="infeasible")
@@ -151,10 +147,10 @@ def cmd_theorem(inst: ParsedInstance, which: str) -> Report:
     return rep
 
 
-def _emit_output(rep: Report, started: float) -> int:
-    elapsed = time.monotonic() - started
+def _emit_output(rep: Report, started_ns: int) -> int:
+    ms = (time.monotonic_ns() - started_ns + 500_000) // 1_000_000
     print(rep.pretty())
-    print(f"wall-time: {elapsed:.3f}s")
+    print(f"wall-time: {ms // 1000}.{ms % 1000:03d}s")
     print("---")
     print(json.dumps(rep.to_dict(), indent=2))
     return 0 if rep.ok else 1
@@ -190,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     p_cat.add_argument("name", nargs="?")
 
     args = parser.parse_args(argv)
-    started = time.monotonic()
+    started = time.monotonic_ns()
 
     try:
         if args.command == "catalog":

@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .errors import InstanceFormatError
-from .linalg import LinearMap, Space, Vector, space, tensor_space
+from .linalg import (LinearMap, Scalar, Space, Vector, frac, space,
+                     tensor_space)
 from .modules import RelHopfModule
 from .structures import (ComoduleAlgebra, HomAlgebra, HomCoalgebra,
                          HomHopfAlgebra)
@@ -60,16 +60,12 @@ class ParsedInstance:
 # Emission
 # ---------------------------------------------------------------------------
 
-def _scalar(x: Fraction) -> str:
-    return str(x)
-
-
 def _matrix(f: LinearMap) -> list[list[str]]:
-    return [[_scalar(x) for x in row] for row in f.matrix]
+    return [[str(x) for x in row] for row in f.matrix]
 
 
 def _vector(v: Vector) -> list[str]:
-    return [_scalar(x) for x in v]
+    return [str(x) for x in v]
 
 
 def _hopf_block(H: HomHopfAlgebra) -> dict:
@@ -140,21 +136,45 @@ def _get(doc: dict, key: str, types, where: str):
     return value
 
 
-def _parse_scalar(x, where: str) -> Fraction:
-    if isinstance(x, bool) or not isinstance(x, (str, int)):
-        raise InstanceFormatError(f"scalar must be a string or integer, "
-                                  f"got {type(x).__name__}", where)
+def _parse_scalar(x) -> Scalar:
+    """A JSON string or integer as an exact scalar; raises TypeError,
+    ValueError or ZeroDivisionError, without a location."""
+    if type(x) is int:
+        return x
+    if type(x) is not str:
+        raise TypeError(f"scalar must be a string or integer, "
+                        f"got {type(x).__name__}")
     try:
-        return Fraction(x)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InstanceFormatError(f"bad rational {x!r}: {exc}", where)
+        return int(x)
+    except ValueError:
+        return frac(x)
+
+
+_SCALAR_ERRORS = (TypeError, ValueError, ZeroDivisionError)
+
+
+def _bad_scalar(raw: list, where: str) -> InstanceFormatError:
+    """The error for the first entry of raw that is not a scalar; the
+    location where[j] is spelt out only here, not for every scalar."""
+    for j, x in enumerate(raw):
+        try:
+            _parse_scalar(x)
+        except TypeError as exc:
+            return InstanceFormatError(str(exc), f"{where}[{j}]")
+        except (ValueError, ZeroDivisionError) as exc:
+            return InstanceFormatError(f"bad rational {x!r}: {exc}",
+                                       f"{where}[{j}]")
+    raise AssertionError(f"{where} has no bad scalar")
 
 
 def _parse_vector(raw, sp: Space, where: str) -> Vector:
     if not isinstance(raw, list) or len(raw) != sp.dim:
         raise InstanceFormatError(
             f"expected a list of {sp.dim} scalars", where)
-    return tuple(_parse_scalar(x, f"{where}[{i}]") for i, x in enumerate(raw))
+    try:
+        return tuple(map(_parse_scalar, raw))
+    except _SCALAR_ERRORS:
+        raise _bad_scalar(raw, where)
 
 
 def _parse_matrix(raw, dom: Space, cod: Space, where: str) -> LinearMap:
@@ -166,8 +186,10 @@ def _parse_matrix(raw, dom: Space, cod: Space, where: str) -> LinearMap:
         if not isinstance(row, list) or len(row) != dom.dim:
             raise InstanceFormatError(
                 f"expected a row of {dom.dim} scalars", f"{where} row {i}")
-        rows.append(tuple(_parse_scalar(x, f"{where}[{i}][{j}]")
-                          for j, x in enumerate(row)))
+        try:
+            rows.append(tuple(map(_parse_scalar, row)))
+        except _SCALAR_ERRORS:
+            raise _bad_scalar(row, f"{where}[{i}]")
     return LinearMap.from_rows(dom, cod, rows)
 
 

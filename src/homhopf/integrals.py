@@ -13,14 +13,13 @@ hand-written residual that shares no code with the assembly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import CentralityViolated, EquivalenceViolated, NotIntertwining
-from .linalg import (ZERO, AffineSolution, Infeasible, LinearMap, Space,
-                     Vector, _sparse, bilinear, permute_factors, solve_affine,
-                     tensor_after, tensor_space, tensor_vec, unrank, vec_add,
-                     vec_is_zero, vec_scale, vec_sub)
+from .linalg import (ZERO, AffineSolution, Infeasible, LinearMap, Scalar,
+                     Space, Vector, _sparse, bilinear, permute_factors,
+                     solve_affine, tensor_after, tensor_space, tensor_vec,
+                     unrank, vec_add, vec_is_zero, vec_scale, vec_sub)
 from .modules import RelHopfModule, induce_G, is_colinear, regular_rel_hopf
 from .report import Report
 from .structures import ComoduleAlgebra
@@ -92,9 +91,9 @@ class _MapSystem:
 
     def __init__(self, dom: Space, cod: Space):
         self.dom, self.cod = dom, cod
-        self.cols: list[dict[int, Fraction]] = [
+        self.cols: list[dict[int, Scalar]] = [
             {} for _ in range(dom.dim * cod.dim)]
-        self.rhs: list[Fraction] = []
+        self.rhs: list[Scalar] = []
 
     def condition(self, terms: Sequence[_Term],
                   target: LinearMap | None = None, blocks: bool = False) -> None:

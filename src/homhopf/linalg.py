@@ -1,11 +1,16 @@
 """Exact rational linear algebra over finite-dimensional spaces.
 
 Everything downstream (algebra structure maps, coactions, integrals,
-Galois maps) is a matrix of Fractions over a fixed basis, stored as sparse
-columns; vectors are dense tuples.  Every zero a helper creates is the shared
-ZERO, so the helpers skip zero entries by identity; any other zero goes
-through the same exact arithmetic as a nonzero entry.  There is no floating
-point anywhere.
+Galois maps) is a matrix of exact scalars over a fixed basis, stored as
+sparse columns; vectors are dense tuples.  A scalar is an int when its
+denominator is 1 and a Fraction otherwise (frac gives that form), so
+integer constants stay in int arithmetic.  Every helper returns scalars in
+that form.  An int and a Fraction of the same value compare and hash equal
+and print the same, so the form never shows in a comparison or a report.
+Every zero a helper creates is the shared ZERO, so the helpers skip zero
+entries by identity; any other zero goes through the same exact arithmetic
+as a nonzero entry.  There is no floating point anywhere: the one division,
+in _rref, builds a Fraction.
 
 The one elimination, _rref, works on sparse rows (column -> nonzero
 coefficient) read straight off the sparse columns, so its cost follows the
@@ -22,15 +27,21 @@ from functools import partial
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-Vector = tuple[Fraction, ...]
+# An exact scalar: an int when integral, a Fraction otherwise.
+Scalar = int | Fraction
+Vector = tuple[Scalar, ...]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
-def frac(x) -> Fraction:
-    """Coerce ints/strings/Fractions to an exact rational."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+def frac(x) -> Scalar:
+    """x (an int, a Fraction or a string such as "p/q") as an exact scalar:
+    an int when it is integral, a Fraction otherwise."""
+    if type(x) is int:
+        return x
+    q = x if isinstance(x, Fraction) else Fraction(x)
+    return q.numerator if q.denominator == 1 else q
 
 
 # ---------------------------------------------------------------------------
@@ -116,17 +127,17 @@ def tensor_space(*spaces: Space) -> Space:
 # ---------------------------------------------------------------------------
 
 def vec_add(x: Vector, y: Vector) -> Vector:
-    return tuple(b if a is ZERO else a if b is ZERO else a + b
+    return tuple(b if a is ZERO else a if b is ZERO else frac(a + b)
                  for a, b in zip(x, y))
 
 def vec_sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a if b is ZERO else -b if a is ZERO else a - b
+    return tuple(a if b is ZERO else -b if a is ZERO else frac(a - b)
                  for a, b in zip(x, y))
 
-def vec_scale(c: Fraction, x: Vector) -> Vector:
+def vec_scale(c: Scalar, x: Vector) -> Vector:
     if not c:
         return (ZERO,) * len(x)
-    return tuple(ZERO if a is ZERO else c * a for a in x)
+    return tuple(ZERO if a is ZERO else frac(c * a) for a in x)
 
 def vec_is_zero(x: Vector) -> bool:
     return all(a is ZERO or not a for a in x)
@@ -140,7 +151,7 @@ def tensor_vec(x: Vector, y: Vector) -> Vector:
         if a is not ZERO:
             base = i * n
             for j, b in nonzero_y:
-                out[base + j] = a * b
+                out[base + j] = frac(a * b)
     return tuple(out)
 
 def unrank(dims: Sequence[int], k: int) -> tuple[int, ...]:
@@ -157,12 +168,14 @@ def unrank(dims: Sequence[int], k: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 # A sparse column: (row, coeff) pairs, rows ascending, no zero coefficients.
-Column = tuple[tuple[int, Fraction], ...]
+Column = tuple[tuple[int, Scalar], ...]
 
 
-def _sparse(acc: dict[int, Fraction]) -> Column:
-    """The canonical column of a row -> coefficient accumulator."""
-    return tuple(sorted((i, c) for i, c in acc.items() if c))
+def _sparse(acc: dict[int, Scalar]) -> Column:
+    """The canonical column of a row -> coefficient accumulator: its nonzero
+    entries, rows ascending, each scalar in the form frac gives."""
+    return tuple(sorted((i, c if type(c) is int else frac(c))
+                        for i, c in acc.items() if c))
 
 
 @dataclass(frozen=True)
@@ -200,7 +213,7 @@ class LinearMap:
         for col in cols:
             if len(col) != codomain.dim:
                 raise ValueError("column length does not match codomain dim")
-            sparse.append(tuple((i, c) for i, c in enumerate(col)
+            sparse.append(tuple((i, frac(c)) for i, c in enumerate(col)
                                 if c is not ZERO and c))
         return LinearMap(domain, codomain, tuple(sparse))
 
@@ -248,7 +261,8 @@ class LinearMap:
                     p = x * c
                     o = out[i]
                     out[i] = p if o is None else o + p
-        return tuple(ZERO if o is None else o for o in out)
+        return tuple(ZERO if o is None else o if type(o) is int else frac(o)
+                     for o in out)
 
     def __call__(self, v: Vector) -> Vector:
         return self.apply(v)
@@ -262,7 +276,7 @@ class LinearMap:
         mine = self.cols
         cols = []
         for col in other.cols:
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, Scalar] = {}
             for k, c in col:
                 for i, v in mine[k]:
                     p = c * v
@@ -277,7 +291,7 @@ class LinearMap:
         cod = tensor_space(self.codomain, other.codomain)
         n = other.codomain.dim
         return LinearMap(dom, cod, tuple(
-            tuple((i * n + k, a * b) for i, a in c1 for k, b in c2)
+            tuple((i * n + k, frac(a * b)) for i, a in c1 for k, b in c2)
             for c1 in self.cols for c2 in other.cols))
 
     def _merge(self, other: "LinearMap", negate: bool) -> "LinearMap":
@@ -322,7 +336,7 @@ class LinearMap:
         if pivots != list(range(n)):
             raise ValueError("map is not invertible")
         # row i of the inverse is the right half of pivot row i
-        cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+        cols: list[list[tuple[int, Scalar]]] = [[] for _ in range(n)]
         for i, row in enumerate(rows):
             for c, x in row.items():
                 if c >= n:
@@ -343,7 +357,7 @@ class LinearMap:
 # ---------------------------------------------------------------------------
 
 # A sparse row: column -> nonzero coefficient, no stored zeros.
-Row = dict[int, Fraction]
+Row = dict[int, Scalar]
 
 
 def _rows(f: LinearMap) -> list[Row]:
@@ -355,18 +369,15 @@ def _rows(f: LinearMap) -> list[Row]:
     return rows
 
 
-def _add_multiple(row: Row, a: Fraction, other: Row) -> None:
+def _add_multiple(row: Row, a: Scalar, other: Row) -> None:
     """row += a * other, dropping the entries that cancel."""
     for c, v in other.items():
         o = row.get(c)
-        if o is None:
-            row[c] = a * v
+        o = a * v if o is None else o + a * v
+        if not o:
+            del row[c]
         else:
-            o += a * v
-            if o:
-                row[c] = o
-            else:
-                del row[c]
+            row[c] = o if type(o) is int else frac(o)
 
 
 def _rref(rows: Iterable, col_order: Optional[Sequence[int]] = None
@@ -397,7 +408,7 @@ def _rref(rows: Iterable, col_order: Optional[Sequence[int]] = None
         p = first(row)
         pv = row[p]
         if pv != 1:
-            row = {c: v / pv for c, v in row.items()}
+            row = {c: frac(Fraction(v, pv)) for c, v in row.items()}
         for prow in pivot_rows.values():
             f = prow.get(p)
             if f is not None:
@@ -447,14 +458,14 @@ def solve_affine(coeff: LinearMap, rhs: Vector) -> AffineSolution | Infeasible:
     aug = _rows(coeff)
     for row, b in zip(aug, rhs):
         if b:
-            row[n] = b
+            row[n] = frac(b)
     rows, pivots = _rref(aug)
     if n in pivots:
         return Infeasible(system_rank=len(pivots) - 1, augmented_rank=len(pivots))
     pivot_set = set(pivots)
     particular = [ZERO] * n
     # free column -> (pivot, -entry) over the pivot rows that hold it
-    free: dict[int, list[tuple[int, Fraction]]] = {
+    free: dict[int, list[tuple[int, Scalar]]] = {
         c: [] for c in range(n) if c not in pivot_set}
     for row, p in zip(rows, pivots):
         for c, x in row.items():
@@ -512,7 +523,7 @@ class Subspace:
 def _span(ambient: Space,
           vectors: Iterable[Vector]) -> tuple[Subspace, list[Row]]:
     """span(ambient, vectors) and its RREF basis as sparse rows."""
-    rows, pivots = _rref({j: c for j, c in enumerate(v) if c}
+    rows, pivots = _rref({j: frac(c) for j, c in enumerate(v) if c}
                          for v in vectors)
     basis = []
     for row in rows:
@@ -614,7 +625,7 @@ def tensor_after(f: LinearMap, g: LinearMap, x: LinearMap) -> LinearMap:
     fcols, gcols = f.cols, g.cols
     cols = []
     for col in x.cols:
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Scalar] = {}
         for r, c in col:
             i, k = divmod(r, n)
             gcol = gcols[k]
@@ -646,7 +657,8 @@ def bilinear(f: LinearMap, x: Vector, y: Vector) -> Vector:
                 p = c * v
                 o = out[k]
                 out[k] = p if o is None else o + p
-    return tuple(ZERO if o is None else o for o in out)
+    return tuple(ZERO if o is None else o if type(o) is int else frac(o)
+                 for o in out)
 
 
 def components(v: Vector, dims: Sequence[int]):

@@ -123,3 +123,33 @@ def test_the_scan_sees_an_unused_definition():
     }
     assert _unnamed(sources) == {"src/a.Scalar", "src/a.unused",
                                  "src/a.Dropped"}
+
+
+def _inexact(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, what) for each true division, float literal and use of the
+    name float: arithmetic stays exact."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
+                isinstance(node.op, ast.Div):
+            out.append((node.lineno, "/"))
+        elif isinstance(node, ast.Constant) and \
+                isinstance(node.value, (float, complex)):
+            out.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            out.append((node.lineno, "float"))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_float_and_no_true_division(path):
+    found = _inexact(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name} is not exact at {found}"
+
+
+def test_the_scan_sees_a_division_and_a_float():
+    tree = ast.parse("def f(a: float, b):\n"
+                     "    a /= 2\n"
+                     "    return a / b + 0.5 + a // b\n")
+    assert _inexact(tree) == [(1, "float"), (2, "/"), (3, "/"), (3, "0.5")]

@@ -1,6 +1,7 @@
 """Instance file format: bit-exact round-trips and error reporting."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -47,6 +48,42 @@ def test_bad_scalar_reports_position():
     doc["hopf"]["alpha"][0][0] = "1/0"
     with pytest.raises(InstanceFormatError, match=r"alpha\[0\]\[0\]"):
         parse_instance(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key, index, value, message", [
+    ("mult", (1, 2), "x",
+     "hopf.mult[1][2]: bad rational 'x': Invalid literal for Fraction: 'x'"),
+    ("mult", (0, 3), True,
+     "hopf.mult[0][3]: scalar must be a string or integer, got bool"),
+    ("alpha", (1, 0), "1/0", "hopf.alpha[1][0]: bad rational '1/0': "
+     "Fraction(1, 0)"),
+    ("unit", (1,), 0.5,
+     "hopf.unit[1]: scalar must be a string or integer, got float"),
+    ("unit", (0,), None,
+     "hopf.unit[0]: scalar must be a string or integer, got NoneType"),
+])
+def test_bad_scalar_message_names_the_first_bad_entry(key, index, value,
+                                                      message):
+    doc = json.loads(emit_instance(entry("kC2")))
+    target = doc["hopf"][key]
+    for i in index[:-1]:
+        target = target[i]
+    target[index[-1]] = value
+    if index[-1] + 1 < len(target):
+        target[index[-1] + 1] = "later"
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance(json.dumps(doc))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2/1", 2), ("-4/2", -2), ("1.0", 1), ("3e0", 3), (" 7 ", 7), ("+3", 3),
+    (5, 5), ("-6/4", Fraction(-3, 2)), ("0.25", Fraction(1, 4))])
+def test_scalar_is_an_int_exactly_when_integral(text, value):
+    doc = json.loads(emit_instance(entry("kC2")))
+    doc["hopf"]["unit"][1] = text
+    got = parse_instance(json.dumps(doc)).hopf.unit[1]
+    assert got == value and type(got) is type(value)
 
 
 def test_wrong_shape_is_rejected():

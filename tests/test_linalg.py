@@ -197,18 +197,25 @@ def _dense(f):
     return [list(row) for row in f.matrix]
 
 
+def _is_scalar(x):
+    """The kernel's scalar form: an int, or a non-integral Fraction."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
 def _assert_canonical(f):
     assert len(f.cols) == f.domain.dim
     for col in f.cols:
         rows = [i for i, _ in col]
         assert rows == sorted(set(rows))
         assert all(0 <= i < f.codomain.dim for i in rows)
-        assert all(c != 0 for _, c in col)
+        assert all(c != 0 and _is_scalar(c) for _, c in col)
 
 
 # mostly zeros, both the kernel's shared ZERO, which the helpers skip by
-# identity, and other zero objects, which they must treat exactly
-sparse_entries = st.one_of(st.just(ZERO), st.just(Fraction(0)), rationals)
+# identity, and other zero objects, which they must treat exactly; plain
+# ints as well as Fractions, so an int pivot divides int entries
+sparse_entries = st.one_of(st.just(ZERO), st.just(Fraction(0)), rationals,
+                           st.integers(-6, 6))
 
 
 @st.composite
@@ -326,7 +333,7 @@ def test_zero_skipping_vector_helpers_match_dense_reference(data):
     assert vec_is_zero(x) == all(a == 0 for a in x)
     for v in (vec_add(x, y), vec_sub(x, y), vec_scale(c, x),
               tensor_vec(x, z)):
-        assert all(isinstance(a, Fraction) for a in v)
+        assert all(type(a) in (int, Fraction) for a in v)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +343,9 @@ def test_zero_skipping_vector_helpers_match_dense_reference(data):
 def _ref_rref(rows, ncols, col_order=None):
     """Dense Gauss-Jordan: for each column in col_order the topmost remaining
     row with a nonzero there becomes the pivot row.  Returns the nonzero
-    reduced rows and the pivot columns."""
-    rows = [list(row) for row in rows]
+    reduced rows and the pivot columns.  The rows are read as Fractions, so
+    the reference stays exact on int entries."""
+    rows = [[Fraction(x) for x in row] for row in rows]
     pivots = []
     for c in (range(ncols) if col_order is None else col_order):
         r = len(pivots)
@@ -428,6 +436,8 @@ def test_sparse_elimination_matches_dense_gauss_jordan(rows, reverse, data):
                                     f, rhs).reverify()
     else:
         assert (sol.particular, sol.kernel) == want
+        assert all(_is_scalar(x) for v in (sol.particular, *sol.kernel)
+                   for x in v)
 
 
 @settings(max_examples=50, deadline=None)

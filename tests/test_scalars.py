@@ -1,0 +1,72 @@
+"""The kernel's one scalar form: an int when the value is integral, a
+Fraction otherwise, never a float.  Integer instances stay in int
+arithmetic from the parsed file to the composites of the axiom checks."""
+
+from fractions import Fraction
+
+import pytest
+
+import homhopf.modules as modules
+from homhopf.catalog import cyclic_group_hopf, entry, sweedler_hopf
+from homhopf.instance_io import ParsedInstance, emit_instance, parse_instance
+from homhopf.integrals import thm48_module
+from homhopf.modules import check_rel_hopf, regular_rel_hopf
+from homhopf.structures import regular_comodule_algebra
+from homhopf.verify import check_identity
+from test_integral_systems import _rebased
+
+
+def _stored(CA, mods=()):
+    """Every scalar stored in the structure maps and units of CA, its Hopf
+    algebra and the given modules."""
+    A, H = CA.algebra, CA.hopf
+    maps = [H.algebra.mult, H.algebra.alpha, H.algebra.alpha_inv,
+            H.coalgebra.comult, H.coalgebra.counit, H.coalgebra.gamma,
+            H.coalgebra.gamma_inv, H.antipode, H.antipode_inv,
+            A.mult, A.alpha, A.alpha_inv, CA.coaction]
+    for M in mods:
+        maps += [M.mu, M.mu_inv, M.action, M.coaction]
+    out = [c for f in maps for col in f.cols for _, c in col]
+    return out + list(H.unit) + list(A.unit)
+
+
+def _round_trip(CA, mods):
+    inst = ParsedInstance("x", "hopf", "", CA, dict(mods), {})
+    parsed = parse_instance(emit_instance(inst))
+    return parsed.comodule_algebra, list(parsed.modules.values())
+
+
+@pytest.mark.parametrize("hopf", [lambda: cyclic_group_hopf(12),
+                                  sweedler_hopf], ids=["kC12", "sweedler-H4"])
+def test_integer_instances_store_only_ints(hopf):
+    CA = regular_comodule_algebra(hopf())
+    mods = {"A": regular_rel_hopf(CA)}
+    for ca, ms in ((CA, mods.values()), _round_trip(CA, mods)):
+        scalars = _stored(ca, ms)
+        assert scalars and all(type(c) is int for c in scalars)
+
+
+def test_thm48_composites_of_an_integer_instance_are_ints(monkeypatch):
+    compared = []
+
+    def recording(report, name, factors, out_space, lhs, rhs):
+        compared.append((lhs, rhs))
+        check_identity(report, name, factors, out_space, lhs, rhs)
+
+    monkeypatch.setattr(modules, "check_identity", recording)
+    CA = regular_comodule_algebra(sweedler_hopf())
+    assert check_rel_hopf(thm48_module(CA, regular_rel_hopf(CA))).ok
+    assert len(compared) >= 4
+    assert all(type(c) is int for pair in compared for f in pair
+               for col in f.cols for _, c in col)
+
+
+def test_rebased_instance_stores_exact_scalars_in_one_form():
+    CA = _rebased(entry("kC3-twisted").comodule_algebra)
+    mods = {"A": regular_rel_hopf(CA)}
+    for ca, ms in ((CA, mods.values()), _round_trip(CA, mods)):
+        scalars = _stored(ca, ms)
+        assert all(type(c) in (int, Fraction) for c in scalars)
+        assert all(type(c) is int for c in scalars if c.denominator == 1)
+        assert any(type(c) is Fraction for c in scalars)
+        assert any(type(c) is int for c in scalars)
