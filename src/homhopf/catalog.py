@@ -8,7 +8,6 @@ recomputes on every run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -17,6 +16,7 @@ from .linalg import (SCALAR_SPACE, LinearMap, Space, Vector, frac, space,
                      tensor_space, tensor_vec, unrank, vec_add, vec_scale)
 from .modules import (RelHopfModule, check_rel_hopf, induce_G, prop31_check,
                       regular_rel_hopf)
+from .records import field, record
 from .report import Report
 from .structures import (ComoduleAlgebra, HomAlgebra, HomCoalgebra,
                          HomHopfAlgebra, check_comodule_algebra,
@@ -240,7 +240,7 @@ def example_family_verify(CA: ComoduleAlgebra, gamma_map: LinearMap,
 # Catalog entries
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class CatalogEntry:
     name: str
     kind: str                       # "hopf" or "coalgebra-datum"

@@ -10,7 +10,6 @@ it when its composite with that relation map is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import StructureDoesNotDescend
@@ -20,6 +19,7 @@ from .linalg import (LinearMap, QuotientSpace, Space, Subspace, Vector,
                      swap_map, tensor_after, tensor_space)
 from .modules import (HomModule, RelHopfModule, gtilde_action, induce_G,
                       is_morphism, regular_rel_hopf)
+from .records import record
 from .report import Report
 from .structures import ComoduleAlgebra, HomAlgebra, HomHopfAlgebra
 
@@ -36,7 +36,7 @@ def coinvariant_subspace(space: Space, mu_inv: LinearMap,
     return span(space, kernel_basis(coaction - insert_unit))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CoinvariantAlgebra:
     """B = A^{coH} with its induced multiplication, unit, and automorphism."""
 
@@ -159,7 +159,7 @@ def prop51_maps(CA: ComoduleAlgebra,
 # Balanced tensor products
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BalancedTensor:
     """A quotient of left (x) right by the Hom-twisted balancing relations
     (m.b) (x) n - mu(m) (x) (b . nu^{-1}(n)): the columns of rel, a map
@@ -269,7 +269,7 @@ def _twisted_coaction(CA: ComoduleAlgebra) -> LinearMap:
                         CA.coaction)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GaloisMap:
     """The canonical map psi: A (x)_B A -> A (x) H with its classification."""
 
@@ -350,7 +350,7 @@ def induction(N: HomModule, B: CoinvariantAlgebra
     return bt, module
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AdjunctionPair:
     """eta_N: N -> (A (x)_B N)^{coH} and theta_N back, with the verdict."""
 
@@ -486,10 +486,8 @@ def cor58_check(H: HomHopfAlgebra,
     """Specialize the affineness criterion to A = H coacting on itself."""
     from .structures import regular_comodule_algebra
     rep = thm57_check(regular_comodule_algebra(H), test_modules)
-    out = Report("affineness criterion for the regular coaction")
-    out.results.extend(rep.results)
-    out.certificates.update(rep.certificates)
-    return out
+    rep.title = "affineness criterion for the regular coaction"
+    return rep
 
 
 def prop51_check(CA: ComoduleAlgebra, gamma: QuantumIntegral) -> Report:

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import InstanceFormatError
 from .linalg import (LinearMap, Scalar, Space, Vector, frac, space,
                      tensor_space)
 from .modules import RelHopfModule
+from .records import field, record
 from .structures import (ComoduleAlgebra, HomAlgebra, HomCoalgebra,
                          HomHopfAlgebra)
 
@@ -40,7 +40,7 @@ def max_dim() -> int:
     return value
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ParsedInstance:
     """The in-memory form of an instance file."""
 
@@ -335,4 +335,9 @@ def load_instance(path: str) -> ParsedInstance:
             text = fh.read()
     except OSError as exc:
         raise InstanceFormatError(f"cannot read file: {exc.strerror}", path)
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file at once, so exc.start is its offset
+        raise InstanceFormatError(
+            f"not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset "
+            f"{exc.start}", path)
     return parse_instance(text)

@@ -12,7 +12,6 @@ hand-written residual that shares no code with the assembly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CentralityViolated, EquivalenceViolated, NotIntertwining
@@ -21,11 +20,12 @@ from .linalg import (ZERO, AffineSolution, Infeasible, LinearMap, Scalar,
                      solve_affine, tensor_after, tensor_space, tensor_vec,
                      unrank, vec_add, vec_is_zero, vec_scale, vec_sub)
 from .modules import RelHopfModule, induce_G, is_colinear, regular_rel_hopf
+from .records import record
 from .report import Report
 from .structures import ComoduleAlgebra
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TotalIntegral:
     """A solved total integral phi: H -> A plus the homogeneous solution family."""
 
@@ -33,7 +33,7 @@ class TotalIntegral:
     solution_family: tuple[LinearMap, ...]   # kernel basis, as maps H -> A
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QuantumIntegral:
     """A quantum integral in curried form gamma_hat: H (x) H -> A."""
 
@@ -46,7 +46,7 @@ class QuantumIntegral:
         return bilinear(self.gamma_hat, g, h)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InfeasibilityWitness:
     """Rank certificate: the inhomogeneous system is strictly overdetermined."""
 

@@ -22,10 +22,11 @@ on the order in which rows are met.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
+
+from .records import record
 
 # An exact scalar: an int when integral, a Fraction otherwise.
 Scalar = int | Fraction
@@ -178,7 +179,7 @@ def _sparse(acc: dict[int, Scalar]) -> Column:
                         for i, c in acc.items() if c))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LinearMap:
     """A linear map in fixed bases, stored as domain.dim sparse columns.
 
@@ -429,7 +430,7 @@ def rank(f: LinearMap) -> int:
     return _rank_rows(f.cols)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AffineSolution:
     """A certified solution of coeff . x = rhs together with ker(coeff)."""
 
@@ -437,7 +438,7 @@ class AffineSolution:
     kernel: tuple[Vector, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Infeasible:
     """Rank certificate for an unsolvable affine system."""
 
@@ -493,7 +494,7 @@ def kernel_basis(f: LinearMap) -> tuple[Vector, ...]:
 # Subspaces and quotient spaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Subspace:
     """A subspace of an ambient space with its RREF basis: basis vector r
     has a 1 in column pivots[r] and 0 in every other pivot column, so the
@@ -539,7 +540,7 @@ def span(ambient: Space, vectors: Iterable[Vector]) -> Subspace:
     return _span(ambient, vectors)[0]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QuotientSpace:
     """ambient / span(relations), with an explicit projection and section."""
 

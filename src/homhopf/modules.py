@@ -5,17 +5,16 @@ the comparison isomorphism between the two module structures on A (x) H.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .linalg import (LinearMap, Space, Vector, permute_factors,
                      tensor_after, tensor_space, unrank, vec_scale)
+from .records import record
 from .report import Report
 from .structures import (ComoduleAlgebra, HomAlgebra, HomHopfAlgebra,
                          check_comodule_axioms)
 from .verify import check_identity
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HomModule:
     """A right (A, beta)-Hom-module (M, mu)."""
 
@@ -30,7 +29,7 @@ class HomModule:
         return self.space.dim
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HomComodule:
     """A right (H, alpha)-Hom-comodule (N, nu)."""
 
@@ -45,7 +44,7 @@ class HomComodule:
         return self.space.dim
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RelHopfModule:
     """Simultaneously a right A-module and right H-comodule over the pair
     (H, A), with the compatibility rho(m.a) = m0.a0 (x) m1 a1."""

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from .records import field, record
 
-@dataclass(frozen=True)
+
+@record(frozen=True)
 class Witness:
     """First violating basis tuple of a failed identity, with both sides."""
 
@@ -18,7 +19,7 @@ class Witness:
         return {"basis": list(self.basis), "lhs": str(self.lhs), "rhs": str(self.rhs)}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CheckResult:
     name: str
     status: str                     # "pass" | "fail" | "skipped"
@@ -38,7 +39,7 @@ class CheckResult:
         return d
 
 
-@dataclass
+@record
 class Report:
     title: str
     results: list[CheckResult] = field(default_factory=list)

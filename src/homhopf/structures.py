@@ -10,18 +10,18 @@ inspect (catalog and CLI loaders refuse on any failure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotAutomorphism
 from .linalg import (LinearMap, SCALAR_SPACE, Space, Vector, bilinear,
                      components, permute_factors, tensor_after, tensor_space,
                      tensor_vec)
+from .records import record
 from .report import Report
 from .verify import check_identity
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HomAlgebra:
     """A monoidal Hom-algebra (A, alpha): multiplication, unit, automorphism."""
 
@@ -53,7 +53,7 @@ class HomAlgebra:
         return self.space.dim
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HomCoalgebra:
     """A monoidal Hom-coalgebra (C, gamma): comultiplication, counit, automorphism."""
 
@@ -77,7 +77,7 @@ class HomCoalgebra:
         return self.space.dim
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HomHopfAlgebra:
     """A monoidal Hom-Hopf algebra: compatible Hom-bialgebra plus antipode.
 
@@ -145,7 +145,7 @@ class HomHopfAlgebra:
             raise ValueError("this operation needs a bijective antipode")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ComoduleAlgebra:
     """A right (H, alpha)-Hom-comodule algebra (A, beta) with coaction A -> A (x) H."""
 

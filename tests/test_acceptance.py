@@ -40,7 +40,7 @@ def test_criterion_01_structure_suite():
     ok = all(entry(n).validate().ok for n in names())
     # corrupting any single antipode constant of the order-2 group algebra
     # must produce exactly one failed check carrying a witness
-    from dataclasses import replace
+    from homhopf.records import replace
     H = cyclic_group_hopf(2)
     for i in range(2):
         for j in range(2):

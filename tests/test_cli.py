@@ -74,6 +74,15 @@ def test_check_truncated_file_is_exit_2(capsys, tmp_path):
     assert "error" in err
 
 
+def test_check_non_utf8_file_is_exit_2_naming_file_and_offset(capsys,
+                                                              tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"format": "homhopf-instance", "name": "caf\xe9"}')
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: not UTF-8: byte 0xe9 at offset 43\n"
+
+
 def test_integral_feasible(capsys, kc2_file):
     code, out, _ = run(capsys, "integral", kc2_file, "--quantum", "--total")
     assert code == 0

@@ -1,8 +1,13 @@
 """Source hygiene that no installed linter checks: every name a module
-imports is used in that module, and every module-level function, class and
-assignment in the package is named somewhere in the package or its tests."""
+imports is used in that module, every module-level function, class and
+assignment in the package is named somewhere in the package or its tests,
+arithmetic is exact, no code is generated at run time, and starting the CLI
+loads neither dataclasses nor inspect."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -153,3 +158,47 @@ def test_the_scan_sees_a_division_and_a_float():
                      "    a /= 2\n"
                      "    return a / b + 0.5 + a // b\n")
     assert _inexact(tree) == [(1, "float"), (2, "/"), (3, "/"), (3, "0.5")]
+
+
+def _generated(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) for each call of exec, eval or compile."""
+    return sorted((node.lineno, node.func.id) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id in ("exec", "eval", "compile"))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_code_generated_at_run_time(path):
+    found = _generated(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name} generates code at {found}"
+
+
+def test_the_scan_sees_exec_eval_and_compile():
+    tree = ast.parse("exec('x = 1')\n"
+                     "y = eval(compile('1', '<s>', 'eval'))\n"
+                     "re.compile('a')\n")
+    assert _generated(tree) == [(1, "exec"), (2, "compile"), (2, "eval")]
+
+
+def _fresh_modules(prelude: str) -> set[str]:
+    """sys.modules of a fresh interpreter (no site) after prelude and
+    ``import homhopf.cli``."""
+    code = (f"{prelude}\nimport sys\nimport homhopf.cli\n"
+            "print(' '.join(sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    return set(out.split())
+
+
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+    loaded = _fresh_modules("")
+    assert "homhopf.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_the_start_up_probe_sees_dataclasses():
+    assert "dataclasses" in _fresh_modules("import dataclasses")

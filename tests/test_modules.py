@@ -51,7 +51,7 @@ def test_wrong_action_breaks_compatibility():
 
     bad_action = LinearMap.from_function(
         tensor_space(sp, A.space), sp, act_img)
-    from dataclasses import replace
+    from homhopf.records import replace
     bad = replace(GA, action=bad_action)
     rep = check_rel_hopf(bad)
     assert not rep.ok
@@ -111,7 +111,7 @@ def test_coaction_is_colinear_but_counit_collapse_is_not():
     eps_map = LinearMap.from_function(
         M.space, K.space,
         lambda j: (CA.hopf.eps(M.space.basis_vector(j)),))
-    from dataclasses import replace
+    from homhopf.records import replace
     HM = replace(M, over=CA)
     assert not is_colinear(eps_map, HM, replace(K, over=CA))
 

@@ -53,7 +53,7 @@ def test_twist_rejects_non_automorphism():
 
 
 def test_corrupted_antipode_fails_exactly_one_check():
-    from dataclasses import replace
+    from homhopf.records import replace
     H = cyclic_group_hopf(2)
     rows = [list(r) for r in H.antipode.matrix]
     rows[0][1] += 1
@@ -77,7 +77,7 @@ def test_regular_comodule_algebra_checks():
 def test_broken_coaction_is_reported_with_witness():
     H = cyclic_group_hopf(2)
     CA = regular_comodule_algebra(H)
-    from dataclasses import replace
+    from homhopf.records import replace
     rows = [list(r) for r in CA.coaction.matrix]
     rows[0][1] += 1
     bad = replace(CA, coaction=LinearMap.from_rows(CA.space,
@@ -89,7 +89,7 @@ def test_broken_coaction_is_reported_with_witness():
 
 def test_hom_algebra_checker_sees_broken_associativity():
     H = twisted_cyclic3()
-    from dataclasses import replace
+    from homhopf.records import replace
     rows = [list(r) for r in H.algebra.mult.matrix]
     rows[0][4] += 1
     bad = replace(H.algebra, mult=LinearMap.from_rows(H.algebra.mult.domain,
