@@ -12,8 +12,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ParametersNotCoinvariant, UnknownEntry
-from .linalg import (SCALAR_SPACE, LinearMap, Space, Vector, frac, space,
-                     tensor_space, tensor_vec, unrank, vec_add, vec_scale)
+from .linalg import (SCALAR_SPACE, ZERO, LinearMap, Space, frac, space,
+                     tensor_space)
 from .modules import (RelHopfModule, check_rel_hopf, induce_G, prop31_check,
                       regular_rel_hopf)
 from .records import field, record
@@ -34,18 +34,14 @@ def cyclic_group_hopf(n: int) -> HomHopfAlgebra:
     labels = tuple("1" if i == 0 else ("g" if i == 1 else f"g{i}")
                    for i in range(n))
     sp = Space(labels)
-    e = sp.basis_vector
-
-    mult = LinearMap.from_function(
-        tensor_space(sp, sp), sp,
-        lambda k: e(sum(unrank((n, n), k)) % n))
-    comult = LinearMap.from_function(
-        sp, tensor_space(sp, sp), lambda i: tensor_vec(e(i), e(i)))
-    counit = LinearMap.from_function(sp, SCALAR_SPACE,
-                                     lambda i: (1,))
-    antipode = LinearMap.from_function(sp, sp, lambda i: e((-i) % n))
+    mult = LinearMap(tensor_space(sp, sp), sp, tuple(
+        (((i + j) % n, 1),) for i in range(n) for j in range(n)))
+    comult = LinearMap(sp, tensor_space(sp, sp),
+                       tuple(((i * n + i, 1),) for i in range(n)))
+    counit = LinearMap(sp, SCALAR_SPACE, (((0, 1),),) * n)
+    antipode = LinearMap(sp, sp, tuple((((-i) % n, 1),) for i in range(n)))
     ident = LinearMap.identity(sp)
-    algebra = HomAlgebra(sp, mult, e(0), ident, ident)
+    algebra = HomAlgebra(sp, mult, sp.basis_vector(0), ident, ident)
     coalgebra = HomCoalgebra(sp, comult, counit, ident, ident)
     return HomHopfAlgebra.build(algebra, coalgebra, antipode)
 
@@ -54,34 +50,23 @@ def sweedler_hopf() -> HomHopfAlgebra:
     """The four-dimensional Hopf algebra with basis (1, g, x, gx), where
     g^2 = 1, x^2 = 0, xg = -gx, with identity twisting maps."""
     sp = space("1", "g", "x", "gx")
-    e = sp.basis_vector
-    one, g, x, gx = e(0), e(1), e(2), e(3)
-
-    prod = {
-        (0, 0): one, (0, 1): g, (0, 2): x, (0, 3): gx,
-        (1, 0): g, (1, 1): one, (1, 2): gx, (1, 3): x,
-        (2, 0): x, (2, 1): vec_scale(-1, gx), (2, 2): sp.zero(),
-        (2, 3): sp.zero(),
-        (3, 0): gx, (3, 1): vec_scale(-1, x), (3, 2): sp.zero(),
-        (3, 3): sp.zero(),
-    }
-    mult = LinearMap.from_function(
-        tensor_space(sp, sp), sp, lambda k: prod[unrank((4, 4), k)])
-
-    big = tensor_space(sp, sp)
-    cop = {
-        0: tensor_vec(one, one),
-        1: tensor_vec(g, g),
-        2: vec_add(tensor_vec(x, one), tensor_vec(g, x)),
-        3: vec_add(tensor_vec(gx, g), tensor_vec(one, gx)),
-    }
-    comult = LinearMap.from_function(sp, big, lambda i: cop[i])
-    counit = LinearMap.from_function(
-        sp, SCALAR_SPACE, lambda i: (1 if i < 2 else 0,))
-    s_img = {0: one, 1: g, 2: vec_scale(-1, gx), 3: x}
-    antipode = LinearMap.from_function(sp, sp, lambda i: s_img[i])
+    one, g, x, gx = range(4)
+    # column a * 4 + b is the product ab
+    mult = LinearMap(tensor_space(sp, sp), sp, (
+        ((one, 1),), ((g, 1),), ((x, 1),), ((gx, 1),),
+        ((g, 1),), ((one, 1),), ((gx, 1),), ((x, 1),),
+        ((x, 1),), ((gx, -1),), (), (),
+        ((gx, 1),), ((x, -1),), (), ()))
+    # Delta(x) = x (x) 1 + g (x) x, Delta(gx) = 1 (x) gx + gx (x) g
+    comult = LinearMap(sp, tensor_space(sp, sp), (
+        ((one * 4 + one, 1),), ((g * 4 + g, 1),),
+        ((g * 4 + x, 1), (x * 4 + one, 1)),
+        ((one * 4 + gx, 1), (gx * 4 + g, 1))))
+    counit = LinearMap(sp, SCALAR_SPACE, (((0, 1),), ((0, 1),), (), ()))
+    antipode = LinearMap(sp, sp, (((one, 1),), ((g, 1),), ((gx, -1),),
+                                  ((x, 1),)))
     ident = LinearMap.identity(sp)
-    algebra = HomAlgebra(sp, mult, one, ident, ident)
+    algebra = HomAlgebra(sp, mult, sp.basis_vector(one), ident, ident)
     coalgebra = HomCoalgebra(sp, comult, counit, ident, ident)
     return HomHopfAlgebra.build(algebra, coalgebra, antipode)
 
@@ -90,8 +75,7 @@ def twisted_cyclic3() -> HomHopfAlgebra:
     """kC3 twisted along the group automorphism g -> g^2."""
     H = cyclic_group_hopf(3)
     sp = H.space
-    aut = LinearMap.from_function(
-        sp, sp, lambda i: sp.basis_vector((2 * i) % 3))
+    aut = LinearMap(sp, sp, tuple((((2 * i) % 3, 1),) for i in range(3)))
     return twist(H, aut)
 
 
@@ -99,12 +83,11 @@ def trivial_comodule_algebra(H: HomHopfAlgebra) -> ComoduleAlgebra:
     """A = k with the trivial coaction 1 -> 1 (x) 1_H."""
     sp = space("1")
     ident = LinearMap.identity(sp)
-    mult = LinearMap.from_function(tensor_space(sp, sp), sp,
-                                   lambda k: sp.basis_vector(0))
+    mult = LinearMap(tensor_space(sp, sp), sp, ident.cols)
     algebra = HomAlgebra(sp, mult, sp.basis_vector(0), ident, ident)
-    coaction = LinearMap.from_function(
-        sp, tensor_space(sp, H.space),
-        lambda i: tensor_vec(sp.basis_vector(0), H.unit))
+    # 1 (x) 1_H has the coordinates of 1_H, as A (x) H has H's basis
+    coaction = LinearMap(sp, tensor_space(sp, H.space),
+                         H.algebra.unit_map.cols)
     return ComoduleAlgebra(algebra, H, coaction)
 
 
@@ -113,19 +96,11 @@ def matrix_coalgebra(n: int) -> HomCoalgebra:
     c_iu (x) c_uj, eps(c_ij) = delta_ij, identity twisting."""
     labels = tuple(f"c{i}{j}" for i in range(n) for j in range(n))
     sp = Space(labels)
-    e = sp.basis_vector
-
-    def comult_img(k: int) -> Vector:
-        i, j = unrank((n, n), k)
-        out = tensor_space(sp, sp).zero()
-        for u in range(n):
-            out = vec_add(out, tensor_vec(e(i * n + u), e(u * n + j)))
-        return out
-
-    comult = LinearMap.from_function(sp, tensor_space(sp, sp), comult_img)
-    counit = LinearMap.from_function(
-        sp, SCALAR_SPACE,
-        lambda k: (1 if k // n == k % n else 0,))
+    comult = LinearMap(sp, tensor_space(sp, sp), tuple(
+        tuple(((i * n + u) * n * n + u * n + j, 1) for u in range(n))
+        for i in range(n) for j in range(n)))
+    counit = LinearMap(sp, SCALAR_SPACE, tuple(
+        ((0, 1),) if i == j else () for i in range(n) for j in range(n)))
     ident = LinearMap.identity(sp)
     return HomCoalgebra(sp, comult, counit, ident, ident)
 
@@ -141,18 +116,11 @@ def matrix_datum(n: int) -> ComoduleAlgebra:
     """
     C = matrix_coalgebra(n)
     sp = C.space
-    e = sp.basis_vector
-
-    def mult_img(k: int) -> Vector:
-        a, b = unrank((n * n, n * n), k)
-        i, j = divmod(a, n)
-        r, s = divmod(b, n)
-        return e(i * n + s) if j == r else sp.zero()
-
-    mult = LinearMap.from_function(tensor_space(sp, sp), sp, mult_img)
-    unit = sp.zero()
-    for u in range(n):
-        unit = vec_add(unit, e(u * n + u))
+    mult = LinearMap(tensor_space(sp, sp), sp, tuple(
+        ((i * n + s, 1),) if j == r else ()
+        for i in range(n) for j in range(n)
+        for r in range(n) for s in range(n)))
+    unit = tuple(1 if i == j else ZERO for i in range(n) for j in range(n))
     ident = LinearMap.identity(sp)
     algebra = HomAlgebra(sp, mult, unit, ident, ident)
     antipode = LinearMap.zero(sp, sp)
@@ -175,17 +143,11 @@ def matrix_family_gamma(CA: ComoduleAlgebra,
         raise ValueError(f"a comatrix datum has square dimension, got {H.dim}")
     _require_coinvariant_params(
         CA, [frac(mu[r][c]) for r in range(n) for c in range(n)])
-
-    def img(k: int) -> Vector:
-        a, b = unrank((H.dim, H.dim), k)
-        i, j = divmod(a, n)
-        r, s = divmod(b, n)
-        if i != s:
-            return A.space.zero()
-        return A.a(vec_scale(frac(mu[r][j]), A.unit))
-
-    return LinearMap.from_function(tensor_space(H.space, H.space),
-                                   A.space, img)
+    # D(c_ij (x) c_rs) = delta_is mu_rj, one row
+    D = _scalar_table(H, [frac(mu[r][j]) if i == s else ZERO
+                          for i in range(n) for j in range(n)
+                          for r in range(n) for s in range(n)])
+    return A.alpha @ A.unit_map @ D
 
 
 def group_family_gamma(CA: ComoduleAlgebra,
@@ -195,15 +157,16 @@ def group_family_gamma(CA: ComoduleAlgebra,
     H = CA.hopf
     A = CA.algebra
     _require_coinvariant_params(CA, [frac(mu[i]) for i in range(H.dim)])
+    # D(x (x) y) = delta_xy mu_x, one row
+    D = _scalar_table(H, [frac(mu[x]) if x == y else ZERO
+                          for x in range(H.dim) for y in range(H.dim)])
+    return A.alpha @ A.unit_map @ D
 
-    def img(k: int) -> Vector:
-        x, y = unrank((H.dim, H.dim), k)
-        if x != y:
-            return A.space.zero()
-        return A.a(vec_scale(frac(mu[x]), A.unit))
 
-    return LinearMap.from_function(tensor_space(H.space, H.space),
-                                   A.space, img)
+def _scalar_table(H: HomHopfAlgebra, values) -> LinearMap:
+    """The map H (x) H -> k with the given values on the basis."""
+    return LinearMap(tensor_space(H.space, H.space), SCALAR_SPACE,
+                     tuple(((0, v),) if v else () for v in values))
 
 
 def _require_coinvariant_params(CA: ComoduleAlgebra, values) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -147,12 +148,23 @@ def cmd_theorem(inst: ParsedInstance, which: str) -> Report:
     return rep
 
 
+def _write(text: str) -> None:
+    """Write text to stdout.  A reader that closes the pipe early (head, a
+    pager) ends the output, not the run."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit_output(rep: Report, started_ns: int) -> int:
     ms = (time.monotonic_ns() - started_ns + 500_000) // 1_000_000
-    print(rep.pretty())
-    print(f"wall-time: {ms // 1000}.{ms % 1000:03d}s")
-    print("---")
-    print(json.dumps(rep.to_dict(), indent=2))
+    _write(f"{rep.pretty()}\n"
+           f"wall-time: {ms // 1000}.{ms % 1000:03d}s\n"
+           "---\n"
+           f"{json.dumps(rep.to_dict(), indent=2)}\n")
     return 0 if rep.ok else 1
 
 
@@ -191,13 +203,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "catalog":
             if args.action == "list":
-                for name in names():
-                    print(name)
+                _write("".join(name + "\n" for name in names()))
                 return 0
             if not args.name:
                 print("catalog emit needs an entry name", file=sys.stderr)
                 return 2
-            print(emit_instance(entry(args.name)), end="")
+            _write(emit_instance(entry(args.name)))
             return 0
 
         inst = load_instance(args.file)

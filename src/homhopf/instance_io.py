@@ -130,7 +130,8 @@ def _get(doc: dict, key: str, types, where: str):
     if key not in doc:
         raise InstanceFormatError(f"missing key {key!r}", where)
     value = doc[key]
-    if not isinstance(value, types):
+    # a JSON true or false is a bool, which Python counts as an int
+    if not isinstance(value, types) or isinstance(value, bool):
         raise InstanceFormatError(
             f"key {key!r} has wrong type {type(value).__name__}", where)
     return value

@@ -7,7 +7,8 @@ Each existence question is an affine system in the entries of one unknown
 map.  Its coefficients are assembled directly from the sparse columns of the
 maps in its conditions, each condition a short sum of terms
 L . (id (x) X (x) id) . R; every solution is then re-verified by a
-hand-written residual that shares no code with the assembly.
+residual, the difference of the two sides of each condition as composite
+maps, written apart from the assembly's terms.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from typing import Sequence
 
 from .errors import CentralityViolated, EquivalenceViolated, NotIntertwining
 from .linalg import (ZERO, AffineSolution, Infeasible, LinearMap, Scalar,
-                     Space, Vector, _sparse, bilinear, permute_factors,
-                     solve_affine, tensor_after, tensor_space, tensor_vec,
-                     unrank, vec_add, vec_is_zero, vec_scale, vec_sub)
+                     Space, Vector, _sparse, permute_factors, solve_affine,
+                     swap_map, tensor_after, tensor_space, unrank,
+                     vec_is_zero)
 from .modules import RelHopfModule, induce_G, is_colinear, regular_rel_hopf
 from .records import record
 from .report import Report
@@ -40,10 +41,6 @@ class QuantumIntegral:
     gamma_hat: LinearMap
     total: bool
     solution_family: tuple[LinearMap, ...]
-
-    def value(self, g: Vector, h: Vector) -> Vector:
-        """gamma(g)(h)."""
-        return bilinear(self.gamma_hat, g, h)
 
 
 @record(frozen=True)
@@ -142,6 +139,22 @@ def _map_from_flat(dom: Space, cod: Space, flat: Vector) -> LinearMap:
                                [flat[i * n:(i + 1) * n] for i in range(cod.dim)])
 
 
+def _flat(*maps: LinearMap, blocks: bool = False) -> Vector:
+    """The entries of the maps in turn.  Entry (f, e) of a map E -> F is at
+    f * dim E + e (row by row), or at e * dim F + f (column by column, one
+    block of F per basis vector of E) with blocks."""
+    out: list = []
+    for m in maps:
+        ne, nf = m.domain.dim, m.codomain.dim
+        at_e, at_f = (nf, 1) if blocks else (1, ne)
+        flat = [ZERO] * (ne * nf)
+        for e, col in enumerate(m.cols):
+            for f, c in col:
+                flat[e * at_e + f * at_f] = c
+        out.extend(flat)
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Total integrals (Definition-level conditions on phi: H -> A)
 # ---------------------------------------------------------------------------
@@ -151,15 +164,9 @@ def _total_integral_residual(CA: ComoduleAlgebra, phi: LinearMap) -> Vector:
     phi(1_H) = 1_A."""
     A, H = CA.algebra, CA.hopf
     idh = LinearMap.identity(H.space)
-    colinear = (CA.coaction @ phi) - (phi.tensor(idh) @ H.coalgebra.comult)
-    intertwine = (phi @ H.algebra.alpha) - (A.alpha @ phi)
-    unit_res = vec_sub(phi.apply(H.unit), A.unit)
-    out: list = []
-    for m in (colinear, intertwine):
-        for row in m.matrix:
-            out.extend(row)
-    out.extend(unit_res)
-    return tuple(out)
+    return _flat((CA.coaction @ phi) - (phi.tensor(idh) @ H.coalgebra.comult),
+                 (phi @ H.algebra.alpha) - (A.alpha @ phi),
+                 (phi @ H.algebra.unit_map) - A.unit_map)
 
 
 def verify_total_integral(CA: ComoduleAlgebra, phi: LinearMap) -> bool:
@@ -206,48 +213,28 @@ def _eq41_residual(CA: ComoduleAlgebra, gh: LinearMap) -> Vector:
     so the two bracketed occurrences are coaction legs of the same element.
     """
     A, H = CA.algebra, CA.hopf
-    ah = tensor_space(A.space, H.space)
-    eh = H.space.basis_vector
-    out: list = []
-    for gi in range(H.dim):
-        for hi in range(H.dim):
-            lhs = ah.zero()
-            for c, h1, h2 in H.sweedler(eh(hi)):
-                lhs = vec_add(lhs, vec_scale(c, tensor_vec(
-                    bilinear(gh, H.a_inv(eh(gi)), eh(h1)), H.a(eh(h2)))))
-            rhs = ah.zero()
-            for c, g1, g2 in H.sweedler(eh(gi)):
-                w = bilinear(gh, eh(g2), H.a_inv(eh(hi)))
-                for d, w0, w1 in CA.rho(w):
-                    rhs = vec_add(rhs, vec_scale(c * d, tensor_vec(
-                        A.a(A.space.basis_vector(w0)),
-                        H.mul(eh(g1), H.space.basis_vector(w1)))))
-            out.extend(a - b for a, b in zip(lhs, rhs))
-    return tuple(out)
+    al, al_inv = H.algebra.alpha, H.algebra.alpha_inv
+    delta, idh = H.coalgebra.comult, LinearMap.identity(H.space)
+    lhs = tensor_after(gh, al, al_inv.tensor(delta))
+    # g (x) h -> g1 (x) w -> g1 (x) w0 (x) w1 -> beta(w0) (x) g1 w1
+    w = tensor_after(idh, gh, delta.tensor(al_inv))
+    legs = permute_factors(tensor_after(idh, CA.coaction, w),
+                           (H.space, A.space, H.space), (1, 0, 2))
+    rhs = tensor_after(A.alpha, H.algebra.mult, legs)
+    return _flat(lhs - rhs, blocks=True)
 
 
 def _beta_compat_residual(CA: ComoduleAlgebra, gh: LinearMap) -> Vector:
     A, H = CA.algebra, CA.hopf
     aa = H.algebra.alpha
-    res = (gh @ aa.tensor(aa)) - (A.alpha @ gh)
-    out: list = []
-    for row in res.matrix:
-        out.extend(row)
-    return tuple(out)
+    return _flat((gh @ aa.tensor(aa)) - (A.alpha @ gh))
 
 
 def _eq42_residual(CA: ComoduleAlgebra, gh: LinearMap) -> Vector:
     """gamma(h1)(h2) - eps(h) 1_A, per basis h."""
     A, H = CA.algebra, CA.hopf
-    eh = H.space.basis_vector
-    out: list = []
-    for hi in range(H.dim):
-        acc = A.space.zero()
-        for c, h1, h2 in H.sweedler(eh(hi)):
-            acc = vec_add(acc, vec_scale(c, bilinear(gh, eh(h1), eh(h2))))
-        target = vec_scale(H.eps(eh(hi)), A.unit)
-        out.extend(a - b for a, b in zip(acc, target))
-    return tuple(out)
+    return _flat((gh @ H.coalgebra.comult) - (A.unit_map @ H.coalgebra.counit),
+                 blocks=True)
 
 
 def verify_quantum_integral(CA: ComoduleAlgebra, gh: LinearMap,
@@ -314,11 +301,9 @@ def find_quantum_integral(CA: ComoduleAlgebra, require_total: bool = True
 
 def phi_from_gamma(CA: ComoduleAlgebra, gamma: QuantumIntegral) -> LinearMap:
     """phi(h) = gamma(h)(1_H); always H-colinear for a quantum integral."""
-    A, H = CA.algebra, CA.hopf
-    phi = LinearMap.from_function(
-        H.space, A.space,
-        lambda j: gamma.value(H.space.basis_vector(j), H.unit))
+    H = CA.hopf
     idh = LinearMap.identity(H.space)
+    phi = gamma.gamma_hat @ tensor_after(idh, H.algebra.unit_map, idh)
     colinear = (CA.coaction @ phi).same_matrix(
         phi.tensor(idh) @ H.coalgebra.comult)
     if not colinear:
@@ -349,14 +334,7 @@ def gamma_from_central_phi(CA: ComoduleAlgebra, phi: LinearMap) -> QuantumIntegr
         hi, gi = unrank((H.dim, H.dim), k)
         raise CentralityViolated(H.space.labels[gi], H.space.labels[hi])
 
-    hh = tensor_space(H.space, H.space)
-    eh = H.space.basis_vector
-
-    def img(k: int) -> Vector:
-        gi, hi = unrank((H.dim, H.dim), k)
-        return phi.apply(H.mul(eh(hi), H.s_inv(eh(gi))))
-
-    gh = LinearMap.from_function(hh, A.space, img)
+    gh = phi @ mult @ idh.tensor(H.antipode_inv) @ swap_map(H.space, H.space)
     if not vec_is_zero(_eq41_residual(CA, gh)) or \
        not vec_is_zero(_beta_compat_residual(CA, gh)):
         raise EquivalenceViolated("gamma built from central phi fails Eq-level check")
@@ -398,14 +376,9 @@ def _colinear_retraction_residual(CA: ComoduleAlgebra, ga: LinearMap,
     automorphism-intertwining."""
     A, H = CA.algebra, CA.hopf
     idh = LinearMap.identity(H.space)
-    retraction = (lam @ CA.coaction) - LinearMap.identity(A.space)
-    colinear = (CA.coaction @ lam) - (lam.tensor(idh) @ ga)
-    intertwine = (lam @ A.alpha.tensor(H.algebra.alpha)) - (A.alpha @ lam)
-    out: list = []
-    for m in (retraction, colinear, intertwine):
-        for row in m.matrix:
-            out.extend(row)
-    return tuple(out)
+    return _flat((lam @ CA.coaction) - LinearMap.identity(A.space),
+                 (CA.coaction @ lam) - (lam.tensor(idh) @ ga),
+                 (lam @ A.alpha.tensor(H.algebra.alpha)) - (A.alpha @ lam))
 
 
 def _colinear_retraction_system(CA: ComoduleAlgebra,

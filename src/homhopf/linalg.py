@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from functools import partial
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .records import record
 
@@ -127,33 +127,8 @@ def tensor_space(*spaces: Space) -> Space:
 # Vector helpers
 # ---------------------------------------------------------------------------
 
-def vec_add(x: Vector, y: Vector) -> Vector:
-    return tuple(b if a is ZERO else a if b is ZERO else frac(a + b)
-                 for a, b in zip(x, y))
-
-def vec_sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a if b is ZERO else -b if a is ZERO else frac(a - b)
-                 for a, b in zip(x, y))
-
-def vec_scale(c: Scalar, x: Vector) -> Vector:
-    if not c:
-        return (ZERO,) * len(x)
-    return tuple(ZERO if a is ZERO else frac(c * a) for a in x)
-
 def vec_is_zero(x: Vector) -> bool:
     return all(a is ZERO or not a for a in x)
-
-def tensor_vec(x: Vector, y: Vector) -> Vector:
-    """Kronecker product with the global row-major convention."""
-    n = len(y)
-    nonzero_y = [(j, b) for j, b in enumerate(y) if b is not ZERO]
-    out = [ZERO] * (len(x) * n)
-    for i, a in enumerate(x):
-        if a is not ZERO:
-            base = i * n
-            for j, b in nonzero_y:
-                out[base + j] = frac(a * b)
-    return tuple(out)
 
 def unrank(dims: Sequence[int], k: int) -> tuple[int, ...]:
     """Split a composite (row-major) basis index into per-factor indices."""
@@ -219,14 +194,6 @@ class LinearMap:
         return LinearMap(domain, codomain, tuple(sparse))
 
     @staticmethod
-    def from_function(domain: Space, codomain: Space,
-                      fn: Callable[[int], Vector]) -> "LinearMap":
-        """Build a map from its values on domain basis vectors, keeping one
-        dense column at a time."""
-        return LinearMap.from_columns(domain, codomain,
-                                      (fn(j) for j in range(domain.dim)))
-
-    @staticmethod
     def identity(sp: Space) -> "LinearMap":
         return LinearMap(sp, sp, tuple(((j, ONE),) for j in range(sp.dim)))
 
@@ -236,8 +203,8 @@ class LinearMap:
 
     @property
     def matrix(self) -> tuple[Vector, ...]:
-        """Dense rows, rebuilt on every access; for emission and the
-        independent residual re-verifiers, never for elimination."""
+        """Dense rows, rebuilt on every access; for emission, never for
+        elimination."""
         rows = [[ZERO] * self.domain.dim for _ in range(self.codomain.dim)]
         for j, col in enumerate(self.cols):
             for i, c in col:
@@ -264,9 +231,6 @@ class LinearMap:
                     out[i] = p if o is None else o + p
         return tuple(ZERO if o is None else o if type(o) is int else frac(o)
                      for o in out)
-
-    def __call__(self, v: Vector) -> Vector:
-        return self.apply(v)
 
     # -- algebra of maps ----------------------------------------------------
 
@@ -641,29 +605,3 @@ def tensor_after(f: LinearMap, g: LinearMap, x: LinearMap) -> LinearMap:
     return LinearMap(x.domain, tensor_space(f.codomain, g.codomain),
                      tuple(cols))
 
-
-def bilinear(f: LinearMap, x: Vector, y: Vector) -> Vector:
-    """Evaluate f: X (x) Y -> Z on a pair of vectors, skipping zero entries."""
-    dy = len(y)
-    nonzero_y = [(j, b) for j, b in enumerate(y) if b is not ZERO]
-    cols = f.cols
-    out: list = [None] * f.codomain.dim
-    for i, a in enumerate(x):
-        if a is ZERO:
-            continue
-        base = i * dy
-        for j, b in nonzero_y:
-            c = a * b
-            for k, v in cols[base + j]:
-                p = c * v
-                o = out[k]
-                out[k] = p if o is None else o + p
-    return tuple(ZERO if o is None else o if type(o) is int else frac(o)
-                 for o in out)
-
-
-def components(v: Vector, dims: Sequence[int]):
-    """Yield ((i1, ..., ir), coeff) for the nonzero entries of a tensor vector."""
-    for k, c in enumerate(v):
-        if c is not ZERO and c:
-            yield unrank(dims, k), c

@@ -5,8 +5,8 @@ the comparison isomorphism between the two module structures on A (x) H.
 
 from __future__ import annotations
 
-from .linalg import (LinearMap, Space, Vector, permute_factors,
-                     tensor_after, tensor_space, unrank, vec_scale)
+from .linalg import (LinearMap, Space, permute_factors, tensor_after,
+                     tensor_space)
 from .records import record
 from .report import Report
 from .structures import (ComoduleAlgebra, HomAlgebra, HomHopfAlgebra,
@@ -197,14 +197,9 @@ def adjunction_counit(N: HomModule, H: HomHopfAlgebra) -> LinearMap:
     The nu-twist makes delta_N right A-linear and closes both triangle
     identities exactly; the untwisted variant only closes them up to nu.
     """
-    sp = tensor_space(N.space, H.space)
-
-    def img(k: int) -> Vector:
-        ni, hj = unrank((N.dim, H.dim), k)
-        return vec_scale(H.eps(H.space.basis_vector(hj)),
-                         N.mu.apply(N.space.basis_vector(ni)))
-
-    return LinearMap.from_function(sp, N.space, img)
+    # nu (x) eps lands in N (x) k, whose basis is N's
+    return LinearMap(tensor_space(N.space, H.space), N.space,
+                     N.mu.tensor(H.coalgebra.counit).cols)
 
 
 def is_colinear(f: LinearMap, M, N) -> bool:

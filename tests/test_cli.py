@@ -4,6 +4,9 @@ import importlib
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,9 @@ from homhopf.linalg import LinearMap
 from homhopf.modules import regular_rel_hopf
 from homhopf.structures import regular_comodule_algebra
 from homhopf.verify import check_identity
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -201,3 +207,45 @@ def test_traced_benchmark_hooks_resolve():
         assert callable(getattr(LinearMap, attr))
     params = list(inspect.signature(check_identity).parameters)
     assert params[0] == "report" and params[2] == "factors"
+
+
+def _run_with_closed_stdout(*argv):
+    """Run the CLI in a fresh process whose stdout is a pipe with no
+    reader; return (exit code, stderr)."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "homhopf.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("mismatch", [False, True])
+def test_closed_stdout_keeps_the_verdicts_exit_code(tmp_path, mismatch):
+    doc = json.loads(emit_instance(entry("kC2")))
+    if mismatch:
+        doc["expected"]["galois"] = "neither"
+    path = tmp_path / "kc2.json"
+    path.write_text(json.dumps(doc))
+    code, err = _run_with_closed_stdout("theorem", "--id", "5.8", str(path))
+    assert err == ""
+    assert code == (1 if mismatch else 0)
+    code, err = _run_with_closed_stdout("catalog", "emit", "kC2")
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("block", ["hopf", "comodule_algebra"])
+def test_check_bool_dim_is_exit_2(capsys, tmp_path, block):
+    # trivial-k-over-kC2 has a dim-2 Hopf block and a dim-1 algebra block,
+    # where true == 1 used to pass
+    doc = json.loads(emit_instance(entry("trivial-k-over-kC2")))
+    doc[block]["dim"] = True
+    path = tmp_path / "bool_dim.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {block}: key 'dim' has wrong type bool\n"

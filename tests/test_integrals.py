@@ -67,13 +67,10 @@ def test_quantum_integral_on_kc2_matches_group_inverse_formula():
     H = CA.hopf
     from homhopf.integrals import verify_quantum_integral
     import homhopf.linalg as la
-    hh = la.tensor_space(H.space, H.space)
-
-    def img(k):
-        gi, hi = la.unrank((2, 2), k)
-        return H.mul(H.space.basis_vector(hi), H.s(H.space.basis_vector(gi)))
-
-    gh = LinearMap.from_function(hh, CA.algebra.space, img)
+    idh = LinearMap.identity(H.space)
+    # g (x) h -> h (x) g -> h (x) S(g) -> h S(g)
+    gh = (H.algebra.mult @ idh.tensor(H.antipode)
+          @ la.swap_map(H.space, H.space))
     assert verify_quantum_integral(CA, gh, total=True)
 
 
@@ -151,8 +148,7 @@ def test_gamma_from_central_phi_rejects_non_colinear_phi():
     from homhopf.errors import NotIntertwining
     CA = trivial_comodule_algebra(sweedler_hopf())
     H = CA.hopf
-    phi = LinearMap.from_function(
-        H.space, CA.algebra.space, lambda j: (H.eps(H.space.basis_vector(j)),))
+    phi = LinearMap(H.space, CA.algebra.space, H.coalgebra.counit.cols)
     with pytest.raises(NotIntertwining):
         gamma_from_central_phi(CA, phi)
 

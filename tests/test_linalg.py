@@ -10,11 +10,9 @@ from hypothesis import given, settings, strategies as st
 from homhopf import linalg as la
 from homhopf.integrals import InfeasibilityWitness
 from homhopf.linalg import (ZERO, AffineSolution, Infeasible, LinearMap,
-                            Space, bilinear, kernel_basis, permute_factors,
-                            quotient_by, rank, solve_affine, span, swap_map,
-                            tensor_after, tensor_space, tensor_vec, space,
-                            unrank, vec_add, vec_is_zero,
-                            vec_scale, vec_sub)
+                            Space, kernel_basis, permute_factors, quotient_by,
+                            rank, solve_affine, span, swap_map, tensor_after,
+                            tensor_space, space, unrank, vec_is_zero)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
@@ -66,8 +64,8 @@ def test_solve_affine_resubstitutes(f, raw):
 def test_tensor_of_maps_acts_on_tensors(f, g):
     x = f.domain.basis_vector(0)
     y = g.domain.basis_vector(g.domain.dim - 1)
-    assert (f.tensor(g)).apply(tensor_vec(x, y)) == tensor_vec(
-        f.apply(x), g.apply(y))
+    assert list((f.tensor(g)).apply(tuple(_ref_kron_vec(x, y)))) == \
+        _ref_kron_vec(f.apply(x), g.apply(y))
 
 
 def test_swap_is_an_involutive_permutation():
@@ -77,13 +75,12 @@ def test_swap_is_an_involutive_permutation():
     assert (t @ s).is_identity()
     x = (Fraction(1), Fraction(2))
     y = (Fraction(0), Fraction(3), Fraction(5))
-    assert s.apply(tensor_vec(x, y)) == tensor_vec(y, x)
+    assert list(s.apply(tuple(_ref_kron_vec(x, y)))) == _ref_kron_vec(y, x)
 
 
 def test_quotient_projection_splits():
     sp = _space(4)
-    rels = [vec_add(sp.basis_vector(0),
-                    vec_scale(Fraction(-1), sp.basis_vector(1)))]
+    rels = [(1, -1, 0, 0)]
     q = quotient_by(sp, rels)
     assert q.dim == 3
     assert (q.projection @ q.section).is_identity()
@@ -101,10 +98,9 @@ def test_quotient_by_nothing_is_the_identity():
 
 def test_span_and_coords_roundtrip():
     sp = _space(3)
-    sub = span(sp, [sp.basis_vector(0), sp.basis_vector(2),
-                    vec_add(sp.basis_vector(0), sp.basis_vector(2))])
+    sub = span(sp, [sp.basis_vector(0), sp.basis_vector(2), (1, 0, 1)])
     assert sub.dim == 2 and sub.pivots == (0, 2)
-    v = vec_add(sp.basis_vector(0), vec_scale(Fraction(7), sp.basis_vector(2)))
+    v = (1, 0, 7)
     sub_space, one = _space(2), _space(1)
     f = LinearMap.from_columns(one, sp, [v])
     g = sub.coordinates(f, sub_space)
@@ -276,11 +272,6 @@ def test_sparse_kernel_matches_dense_reference(data):
     assert _dense(diff) == [[a - b for a, b in zip(x, y)]
                             for x, y in zip(f_rows, h_rows)]
 
-    # f: P -> Q read as a bilinear map on P = X (x) Y
-    x_dim = draw(st.sampled_from([d for d in (1, 2, 3) if p % d == 0]))
-    x, y = _vector(draw, x_dim), _vector(draw, p // x_dim)
-    assert list(bilinear(f, x, y)) == _ref_apply(f_rows, _ref_kron_vec(x, y))
-
     ident = [[Fraction(int(i == j)) for j in range(p)] for i in range(q)]
     assert f.is_identity() == (p == q and f_rows == ident)
     assert LinearMap.identity(P).is_identity()
@@ -321,19 +312,8 @@ def test_sparse_kernel_matches_dense_reference(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_zero_skipping_vector_helpers_match_dense_reference(data):
-    n = data.draw(st.integers(1, 4))
-    x = _vector(data.draw, n)
-    y = _vector(data.draw, n)
-    z = _vector(data.draw, data.draw(st.integers(1, 3)))
-    c = data.draw(sparse_entries)
-    assert list(vec_add(x, y)) == [a + b for a, b in zip(x, y)]
-    assert list(vec_sub(x, y)) == [a - b for a, b in zip(x, y)]
-    assert list(vec_scale(c, x)) == [c * a for a in x]
-    assert list(tensor_vec(x, z)) == _ref_kron_vec(x, z)
+    x = _vector(data.draw, data.draw(st.integers(1, 4)))
     assert vec_is_zero(x) == all(a == 0 for a in x)
-    for v in (vec_add(x, y), vec_sub(x, y), vec_scale(c, x),
-              tensor_vec(x, z)):
-        assert all(type(a) in (int, Fraction) for a in v)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ comparison isomorphism between the two module structures on A (x) H."""
 import pytest
 
 from homhopf.catalog import cyclic_group_hopf, entry, names
-from homhopf.linalg import LinearMap, tensor_space, tensor_vec, unrank
+from homhopf.linalg import (LinearMap, permute_factors, tensor_after,
+                            tensor_space)
 from homhopf.modules import (adjunction_counit, adjunction_unit,
                              check_rel_hopf, induce_G, induce_Gtilde,
                              is_alinear, is_colinear, is_morphism,
@@ -43,14 +44,11 @@ def test_wrong_action_breaks_compatibility():
     GA = induce_G(regular_rel_hopf(CA).as_module(), CA)
     sp = GA.space
 
-    def act_img(k):
-        ai, hj, bk = unrank((A.dim, H.dim, A.dim), k)
-        return tensor_vec(A.mul(A.space.basis_vector(ai),
-                                A.space.basis_vector(bk)),
-                          H.space.basis_vector(hj))
-
-    bad_action = LinearMap.from_function(
-        tensor_space(sp, A.space), sp, act_img)
+    # a (x) h (x) b -> a (x) b (x) h -> ab (x) h
+    bad_action = tensor_after(A.mult, LinearMap.identity(H.space),
+                              permute_factors(
+                                  LinearMap.identity(tensor_space(sp, A.space)),
+                                  (A.space, H.space, A.space), (0, 2, 1)))
     from homhopf.records import replace
     bad = replace(GA, action=bad_action)
     rep = check_rel_hopf(bad)
@@ -85,9 +83,10 @@ def test_counit_kills_the_unit_trivially():
     H = CA.hopf
     M = regular_rel_hopf(CA).as_module()
     delta = adjunction_counit(M, H)
-    for i in range(M.dim):
-        v = tensor_vec(M.space.basis_vector(i), H.unit)
-        assert delta.apply(v) == M.mu.apply(M.space.basis_vector(i))
+    idm = LinearMap.identity(M.space)
+    # m -> m (x) 1_H -> eps(1_H) mu(m)
+    assert (delta @ tensor_after(idm, H.algebra.unit_map, idm)).same_matrix(
+        M.mu)
 
 
 def test_identity_is_a_morphism():
@@ -108,9 +107,7 @@ def test_coaction_is_colinear_but_counit_collapse_is_not():
     triv = trivial_comodule_algebra(CA.hopf)
     K = regular_rel_hopf(triv)
     # view eps as a map from the regular comodule on H
-    eps_map = LinearMap.from_function(
-        M.space, K.space,
-        lambda j: (CA.hopf.eps(M.space.basis_vector(j)),))
+    eps_map = LinearMap(M.space, K.space, CA.hopf.coalgebra.counit.cols)
     from homhopf.records import replace
     HM = replace(M, over=CA)
     assert not is_colinear(eps_map, HM, replace(K, over=CA))
