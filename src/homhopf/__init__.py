@@ -11,7 +11,7 @@ from .errors import (CentralityViolated, EquivalenceViolated, HomHopfError,
                      InstanceFormatError, NotAutomorphism, NotIntertwining,
                      ParametersNotCoinvariant, StructureDoesNotDescend,
                      UnknownEntry)
-from .linalg import LinearMap, Space, frac, space, tensor_space
+from .linalg import Infeasible, LinearMap, Space, frac, space, tensor_space
 from .structures import (ComoduleAlgebra, HomAlgebra, HomCoalgebra,
                          HomHopfAlgebra, check_comodule_algebra,
                          check_hom_algebra, check_hom_coalgebra,
@@ -19,9 +19,8 @@ from .structures import (ComoduleAlgebra, HomAlgebra, HomCoalgebra,
 from .modules import (HomComodule, HomModule, RelHopfModule, check_rel_hopf,
                       induce_G, induce_Gtilde, is_morphism, prop31_check,
                       prop31_u, prop31_v, regular_comodule, regular_rel_hopf)
-from .integrals import (InfeasibilityWitness, QuantumIntegral, TotalIntegral,
-                        find_quantum_integral, find_total_integral,
-                        theorem43_check)
+from .integrals import (QuantumIntegral, TotalIntegral, find_quantum_integral,
+                        find_total_integral, theorem43_check)
 from .galois import (CoinvariantAlgebra, GaloisMap, balanced_tensor_AA,
                      canonical_psi, coinvariants, cor58_check, thm57_check)
 from .catalog import entry, names

@@ -22,7 +22,6 @@ on the order in which rows are met.
 from __future__ import annotations
 
 import math
-from functools import partial
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -308,11 +307,6 @@ class LinearMap:
                     cols[c - n].append((i, x))
         return LinearMap(self.codomain, self.domain, tuple(map(tuple, cols)))
 
-    def transpose_rank_oracle(self) -> int:
-        """Rank via an independent elimination order (reversed columns)."""
-        return _rank_rows(_rows(self),
-                          col_order=range(self.domain.dim - 1, -1, -1))
-
     def __repr__(self):
         return f"LinearMap({self.domain.dim}->{self.codomain.dim})"
 
@@ -345,24 +339,18 @@ def _add_multiple(row: Row, a: Scalar, other: Row) -> None:
             row[c] = o if type(o) is int else frac(o)
 
 
-def _rref(rows: Iterable, col_order: Optional[Sequence[int]] = None
-          ) -> tuple[list[Row], list[int]]:
+def _rref(rows: Iterable) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form of sparse rows; returns (pivot rows, pivot
-    columns), both sorted by pivot column in col_order (default ascending).
+    columns), both sorted by pivot column.
 
     Each row is a Row or an iterable of (column, nonzero) pairs; it is
     copied, not changed.  An incoming row is reduced by the pivot rows found
-    so far.  If anything is left, its first column in col_order becomes a
-    new pivot, the row is scaled to 1 there, and that column is eliminated
-    from the earlier pivot rows.  The reduced row echelon form of a matrix
-    is unique, so the result is the dense Gauss-Jordan one with its zero
-    rows dropped, whatever the order of the rows.
+    so far.  If anything is left, its first column becomes a new pivot, the
+    row is scaled to 1 there, and that column is eliminated from the earlier
+    pivot rows.  The reduced row echelon form of a matrix is unique, so the
+    result is the dense Gauss-Jordan one with its zero rows dropped,
+    whatever the order of the rows.
     """
-    if col_order is None:
-        first, position = min, None
-    else:
-        position = {c: k for k, c in enumerate(col_order)}.__getitem__
-        first = partial(min, key=position)
     pivot_rows: dict[int, Row] = {}
     for row in rows:
         row = dict(row)
@@ -370,7 +358,7 @@ def _rref(rows: Iterable, col_order: Optional[Sequence[int]] = None
             _add_multiple(row, -row[c], pivot_rows[c])
         if not row:
             continue
-        p = first(row)
+        p = min(row)
         pv = row[p]
         if pv != 1:
             row = {c: frac(Fraction(v, pv)) for c, v in row.items()}
@@ -379,19 +367,14 @@ def _rref(rows: Iterable, col_order: Optional[Sequence[int]] = None
             if f is not None:
                 _add_multiple(prow, -f, row)
         pivot_rows[p] = row
-    pivots = sorted(pivot_rows, key=position)
+    pivots = sorted(pivot_rows)
     return [pivot_rows[p] for p in pivots], pivots
-
-
-def _rank_rows(rows: Iterable,
-               col_order: Optional[Sequence[int]] = None) -> int:
-    return len(_rref(rows, col_order)[1])
 
 
 def rank(f: LinearMap) -> int:
     """Exact rank, by eliminating the columns of f as rows (rank f = rank
     f^T)."""
-    return _rank_rows(f.cols)
+    return len(_rref(f.cols)[1])
 
 
 @record(frozen=True)
@@ -404,10 +387,24 @@ class AffineSolution:
 
 @record(frozen=True)
 class Infeasible:
-    """Rank certificate for an unsolvable affine system."""
+    """Rank certificate for the unsolvable affine system coeff . x = rhs:
+    rank [coeff | rhs] = rank coeff + 1."""
 
     system_rank: int
     augmented_rank: int
+    coeff: LinearMap
+    rhs: Vector
+
+    def reverify(self) -> bool:
+        """Recompute both ranks from the transpose: eliminate the columns of
+        coeff and of [coeff | rhs], where solve_affine eliminated their
+        rows (row rank = column rank)."""
+        cols = self.coeff.cols
+        sys_rank = len(_rref(cols)[1])
+        aug_rank = len(_rref(cols + (_sparse(dict(enumerate(self.rhs))),))[1])
+        return (sys_rank == self.system_rank
+                and aug_rank == self.augmented_rank
+                and aug_rank == sys_rank + 1)
 
 
 def solve_affine(coeff: LinearMap, rhs: Vector) -> AffineSolution | Infeasible:
@@ -426,7 +423,7 @@ def solve_affine(coeff: LinearMap, rhs: Vector) -> AffineSolution | Infeasible:
             row[n] = frac(b)
     rows, pivots = _rref(aug)
     if n in pivots:
-        return Infeasible(system_rank=len(pivots) - 1, augmented_rank=len(pivots))
+        return Infeasible(len(pivots) - 1, len(pivots), coeff, rhs)
     pivot_set = set(pivots)
     particular = [ZERO] * n
     # free column -> (pivot, -entry) over the pivot rows that hold it

@@ -2,21 +2,23 @@
 generator epimorphism."""
 
 import time
+from fractions import Fraction
 
 import pytest
 
 from homhopf.catalog import (cyclic_group_hopf, entry, names, sweedler_hopf,
                              trivial_comodule_algebra)
 from homhopf.errors import CentralityViolated
-from homhopf.integrals import (InfeasibilityWitness, QuantumIntegral,
-                               TotalIntegral, average_colinear,
+from homhopf.integrals import (QuantumIntegral, TotalIntegral,
+                               average_colinear,
                                find_quantum_integral, find_total_integral,
                                gamma_from_central_phi, lambda_M,
                                phi_from_gamma, theorem43_check, thm48_check,
                                verify_total_integral)
-from homhopf.linalg import LinearMap
+from homhopf.linalg import Infeasible, LinearMap
 from homhopf.modules import induce_G, is_colinear, regular_rel_hopf
-from homhopf.structures import regular_comodule_algebra
+from homhopf.structures import regular_comodule_algebra, twist
+from test_integral_systems import _rebased
 
 HOPF_ENTRIES = [n for n in names()
                 if entry(n).kind == "hopf"
@@ -47,7 +49,7 @@ def test_identity_is_a_total_integral_for_the_regular_coaction():
 
 def test_trivial_over_h4_infeasibility_certificate():
     res = find_total_integral(entry("trivial-k-over-H4").comodule_algebra)
-    assert isinstance(res, InfeasibilityWitness)
+    assert isinstance(res, Infeasible)
     assert res.reverify()
 
 
@@ -117,6 +119,40 @@ def test_phi_from_gamma_is_colinear_and_unital():
     assert isinstance(gamma, QuantumIntegral)
     phi = phi_from_gamma(CA, gamma)
     assert phi.apply(CA.hopf.unit) == CA.algebra.unit
+
+
+def _scaled_h4(lam):
+    """H4 twisted by the Hopf automorphism x -> lam x; alpha has infinite
+    order unless lam = +-1."""
+    H = sweedler_hopf()
+    aut = LinearMap.from_rows(H.space, H.space, [
+        [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, lam, 0], [0, 0, 0, lam]])
+    return regular_comodule_algebra(twist(H, aut))
+
+
+PHI_CASES = {
+    **{n: (lambda n=n: entry(n).comodule_algebra) for n in HOPF_ENTRIES
+       if entry(n).expected.get("total_quantum_integral", True)},
+    "rebased kC3-twisted": lambda: _rebased(
+        entry("kC3-twisted").comodule_algebra),
+    **{f"H4 twisted by x -> {lam} x": (lambda lam=lam: _scaled_h4(lam))
+       for lam in (2, 3, Fraction(1, 2), -1)},
+}
+
+
+@pytest.mark.parametrize("name", PHI_CASES)
+def test_phi_from_gamma_is_a_total_integral(name):
+    """For the solver's total quantum integral gamma, and gamma plus (or
+    minus twice) each kernel vector, phi_from_gamma is a total integral."""
+    CA = PHI_CASES[name]()
+    gamma = find_quantum_integral(CA, require_total=True)
+    assert isinstance(gamma, QuantumIntegral)
+    gh = gamma.gamma_hat
+    candidates = [gh] + [gh + k for k in gamma.solution_family] + [
+        gh - k - k for k in gamma.solution_family]
+    for cand in candidates:
+        phi = phi_from_gamma(CA, QuantumIntegral(cand, True, ()))
+        assert verify_total_integral(CA, phi)
 
 
 def test_gamma_from_central_phi_on_commutative_hopf():
