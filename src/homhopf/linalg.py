@@ -9,8 +9,9 @@ that form.  An int and a Fraction of the same value compare and hash equal
 and print the same, so the form never shows in a comparison or a report.
 Every zero a helper creates is the shared ZERO, so the helpers skip zero
 entries by identity; any other zero goes through the same exact arithmetic
-as a nonzero entry.  There is no floating point anywhere: the one division,
-in _rref, builds a Fraction.
+as a nonzero entry.  There is no floating point anywhere: a division builds
+a Fraction, in _rref by a pivot and in _sparse by the common denominator of
+a map product (@, tensor, tensor_after), once per output entry.
 
 The one elimination, _rref, works on sparse rows (column -> nonzero
 coefficient) read straight off the sparse columns, so its cost follows the
@@ -146,11 +147,31 @@ def unrank(dims: Sequence[int], k: int) -> tuple[int, ...]:
 Column = tuple[tuple[int, Scalar], ...]
 
 
-def _sparse(acc: dict[int, Scalar]) -> Column:
-    """The canonical column of a row -> coefficient accumulator: its nonzero
-    entries, rows ascending, each scalar in the form frac gives."""
+def _sparse(acc: dict[int, Scalar], d: int = 1) -> Column:
+    """The canonical column of a row -> coefficient accumulator divided by
+    d: nonzero entries, rows ascending, scalars in frac's form.  A product
+    divides here: one gcd per output entry, not one per multiply-add."""
+    if d != 1:
+        return tuple(sorted((i, Fraction(c, d) if c % d else c // d)
+                            for i, c in acc.items() if c))
     return tuple(sorted((i, c if type(c) is int else frac(c))
                         for i, c in acc.items() if c))
+
+
+def _over_common_denominator(cols: tuple[Column, ...]) -> tuple[int, tuple]:
+    """(d, cols times d), d the lcm of the denominators in cols, so that a
+    product over them multiplies ints and divides once per output entry.
+    An all-int map gives (1, cols), not a copy."""
+    d = 1
+    for col in cols:
+        for _, c in col:
+            if type(c) is not int:
+                d = math.lcm(d, c.denominator)
+    if d == 1:
+        return 1, cols
+    return d, tuple(tuple((i, c * d if type(c) is int
+                           else c.numerator * (d // c.denominator))
+                          for i, c in col) for col in cols)
 
 
 @record(frozen=True)
@@ -237,16 +258,18 @@ class LinearMap:
         """Composition self after other."""
         if other.codomain.dim != self.domain.dim:
             raise ValueError("maps are not composable")
-        mine = self.cols
+        dm, mine = _over_common_denominator(self.cols)
+        do, theirs = _over_common_denominator(other.cols)
+        d = dm * do
         cols = []
-        for col in other.cols:
-            acc: dict[int, Scalar] = {}
+        for col in theirs:
+            acc: dict[int, int] = {}
             for k, c in col:
                 for i, v in mine[k]:
                     p = c * v
                     o = acc.get(i)
                     acc[i] = p if o is None else o + p
-            cols.append(_sparse(acc))
+            cols.append(_sparse(acc, d))
         return LinearMap(other.domain, self.codomain, tuple(cols))
 
     def tensor(self, other: "LinearMap") -> "LinearMap":
@@ -254,9 +277,14 @@ class LinearMap:
         dom = tensor_space(self.domain, other.domain)
         cod = tensor_space(self.codomain, other.codomain)
         n = other.codomain.dim
-        return LinearMap(dom, cod, tuple(
-            tuple((i * n + k, frac(a * b)) for i, a in c1 for k, b in c2)
-            for c1 in self.cols for c2 in other.cols))
+        dm, mine = _over_common_denominator(self.cols)
+        do, theirs = _over_common_denominator(other.cols)
+        d = dm * do
+        # a product of nonzero ints is a nonzero int, already canonical
+        cols = (tuple((i * n + k, a * b) for i, a in c1 for k, b in c2)
+                for c1 in mine for c2 in theirs)
+        return LinearMap(dom, cod, tuple(cols) if d == 1 else
+                         tuple(_sparse(dict(col), d) for col in cols))
 
     def _merge(self, other: "LinearMap", negate: bool) -> "LinearMap":
         if (self.domain.dim, self.codomain.dim) != \
@@ -584,10 +612,13 @@ def tensor_after(f: LinearMap, g: LinearMap, x: LinearMap) -> LinearMap:
     if x.codomain.dim != f.domain.dim * n:
         raise ValueError("maps are not composable")
     m = g.codomain.dim
-    fcols, gcols = f.cols, g.cols
+    df, fcols = _over_common_denominator(f.cols)
+    dg, gcols = _over_common_denominator(g.cols)
+    dx, xcols = _over_common_denominator(x.cols)
+    d = df * dg * dx
     cols = []
-    for col in x.cols:
-        acc: dict[int, Scalar] = {}
+    for col in xcols:
+        acc: dict[int, int] = {}
         for r, c in col:
             i, k = divmod(r, n)
             gcol = gcols[k]
@@ -598,7 +629,7 @@ def tensor_after(f: LinearMap, g: LinearMap, x: LinearMap) -> LinearMap:
                     p = ca * b
                     o = acc.get(base + gi)
                     acc[base + gi] = p if o is None else o + p
-        cols.append(_sparse(acc))
+        cols.append(_sparse(acc, d))
     return LinearMap(x.domain, tensor_space(f.codomain, g.codomain),
                      tuple(cols))
 

@@ -302,6 +302,73 @@ def test_sparse_kernel_matches_dense_reference(data):
     assert (LinearMap.identity(Q) @ f).cols == f.cols
 
 
+# Entries over the coprime denominators 2, 3, 5, 7 and 11 next to plain
+# ints, so a product's common denominator has several prime factors and its
+# int entries are scaled along with its Fractions.
+coprime = st.sampled_from((2, 3, 5, 7, 11))
+wide_entries = st.one_of(
+    st.just(ZERO), st.integers(-6, 6),
+    st.builds(lambda a, b: la.frac(Fraction(a, b)), st.integers(-40, 40),
+              coprime))
+
+
+def _wide_rows(draw, n, m):
+    """n x m entries over the coprime denominators, entry (0, 0) nonzero."""
+    rows = draw(st.lists(st.lists(wide_entries, min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+    if not rows[0][0]:
+        rows[0][0] = Fraction(draw(st.integers(1, 40)), draw(coprime))
+    return rows
+
+
+def _force_entry(a_rows, b_rows, target):
+    """b_rows with one entry of column 0 changed so that entry (0, 0) of
+    a_rows . b_rows is target; a_rows[0][0] must not be zero."""
+    rest = sum((a * b_rows[k][0] for k, a in enumerate(a_rows[0]) if k),
+               Fraction(0))
+    b_rows[0][0] = la.frac((target - rest) / a_rows[0][0])
+    return b_rows
+
+
+def _map(rows):
+    return LinearMap.from_rows(_space(len(rows[0])), _space(len(rows)), rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_products_over_a_common_denominator_match_dense_reference(data):
+    """@, tensor and tensor_after on entries with coprime denominators
+    match the dense reference.  Entry (0, 0) of each product is forced to
+    an integer: a sum of Fraction terms that cancels to an int is stored as
+    an int, and one that cancels to zero is dropped."""
+    draw = data.draw
+    dims = st.integers(1, 3)
+    p, q, r, s, t = (draw(dims) for _ in range(5))
+    target = draw(st.integers(-3, 3))
+
+    def check(out, want):
+        _assert_canonical(out)
+        assert _dense(out) == want
+        stored = dict(out.cols[0]).get(0)
+        assert stored == target if target else stored is None
+
+    g_rows = _wide_rows(draw, r, q)
+    f_rows = _force_entry(g_rows, _wide_rows(draw, q, p), target)
+    check(_map(g_rows) @ _map(f_rows), _ref_compose(g_rows, f_rows))
+
+    f_rows = _wide_rows(draw, q, p)
+    k_rows = _force_entry([f_rows[0][:1]], _wide_rows(draw, s, r), target)
+    check(_map(f_rows).tensor(_map(k_rows)), _ref_kron(f_rows, k_rows))
+
+    f_rows, k_rows = _wide_rows(draw, q, p), _wide_rows(draw, s, r)
+    fk = _ref_kron(f_rows, k_rows)
+    x_rows = _force_entry(fk, _wide_rows(draw, p * r, t), target)
+    x = LinearMap.from_rows(_space(t), tensor_space(_space(p), _space(r)),
+                            x_rows)
+    check(tensor_after(_map(f_rows), _map(k_rows), x),
+          _ref_compose(fk, x_rows))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_zero_skipping_vector_helpers_match_dense_reference(data):

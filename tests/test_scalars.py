@@ -7,18 +7,20 @@ from fractions import Fraction
 import pytest
 
 import homhopf.modules as modules
+import homhopf.structures as structures
 from homhopf.catalog import cyclic_group_hopf, entry, sweedler_hopf
 from homhopf.instance_io import ParsedInstance, emit_instance, parse_instance
 from homhopf.integrals import thm48_module
+from homhopf.linalg import _over_common_denominator
 from homhopf.modules import check_rel_hopf, regular_rel_hopf
-from homhopf.structures import regular_comodule_algebra
+from homhopf.structures import (check_comodule_algebra, check_hom_hopf,
+                                regular_comodule_algebra)
 from homhopf.verify import check_identity
 from test_integral_systems import _rebased
 
 
-def _stored(CA, mods=()):
-    """Every scalar stored in the structure maps and units of CA, its Hopf
-    algebra and the given modules."""
+def _structure_maps(CA, mods=()):
+    """The structure maps of CA, its Hopf algebra and the given modules."""
     A, H = CA.algebra, CA.hopf
     maps = [H.algebra.mult, H.algebra.alpha, H.algebra.alpha_inv,
             H.coalgebra.comult, H.coalgebra.counit, H.coalgebra.gamma,
@@ -26,8 +28,34 @@ def _stored(CA, mods=()):
             A.mult, A.alpha, A.alpha_inv, CA.coaction]
     for M in mods:
         maps += [M.mu, M.mu_inv, M.action, M.coaction]
-    out = [c for f in maps for col in f.cols for _, c in col]
-    return out + list(H.unit) + list(A.unit)
+    return maps
+
+
+def _stored(CA, mods=()):
+    """Every scalar stored in the structure maps and units of CA, its Hopf
+    algebra and the given modules."""
+    out = [c for f in _structure_maps(CA, mods) for col in f.cols
+           for _, c in col]
+    return out + list(CA.hopf.unit) + list(CA.algebra.unit)
+
+
+def _assert_one_form(scalars):
+    """No float; every integral scalar an int, the others Fractions."""
+    assert all(type(c) in (int, Fraction) for c in scalars)
+    assert all(type(c) is int for c in scalars if c.denominator == 1)
+
+
+def _recorded(monkeypatch, module):
+    """The (lhs, rhs) maps that module compares with check_identity from
+    now on."""
+    compared = []
+
+    def recording(report, name, factors, out_space, lhs, rhs):
+        compared.append((lhs, rhs))
+        check_identity(report, name, factors, out_space, lhs, rhs)
+
+    monkeypatch.setattr(module, "check_identity", recording)
+    return compared
 
 
 def _round_trip(CA, mods):
@@ -47,13 +75,7 @@ def test_integer_instances_store_only_ints(hopf):
 
 
 def test_thm48_composites_of_an_integer_instance_are_ints(monkeypatch):
-    compared = []
-
-    def recording(report, name, factors, out_space, lhs, rhs):
-        compared.append((lhs, rhs))
-        check_identity(report, name, factors, out_space, lhs, rhs)
-
-    monkeypatch.setattr(modules, "check_identity", recording)
+    compared = _recorded(monkeypatch, modules)
     CA = regular_comodule_algebra(sweedler_hopf())
     assert check_rel_hopf(thm48_module(CA, regular_rel_hopf(CA))).ok
     assert len(compared) >= 4
@@ -66,7 +88,30 @@ def test_rebased_instance_stores_exact_scalars_in_one_form():
     mods = {"A": regular_rel_hopf(CA)}
     for ca, ms in ((CA, mods.values()), _round_trip(CA, mods)):
         scalars = _stored(ca, ms)
-        assert all(type(c) in (int, Fraction) for c in scalars)
-        assert all(type(c) is int for c in scalars if c.denominator == 1)
+        _assert_one_form(scalars)
         assert any(type(c) is Fraction for c in scalars)
         assert any(type(c) is int for c in scalars)
+
+
+def test_integer_maps_skip_the_common_denominator():
+    """An all-int map takes the products' d == 1 path: no lcm, no copy."""
+    CA = regular_comodule_algebra(cyclic_group_hopf(12))
+    for f in _structure_maps(CA, [regular_rel_hopf(CA)]):
+        d, cols = _over_common_denominator(f.cols)
+        assert d == 1 and cols is f.cols
+
+
+def test_rebased_axiom_composites_keep_one_scalar_form(monkeypatch):
+    """The composites of the Hom-Hopf and comodule-algebra axioms on a
+    rebased instance come out of the common-denominator products with
+    every integral scalar an int and the rest Fractions."""
+    compared = _recorded(monkeypatch, structures)
+    CA = _rebased(entry("kC3-twisted").comodule_algebra)
+    assert check_hom_hopf(CA.hopf).ok
+    assert check_comodule_algebra(CA).ok
+    assert len(compared) >= 10
+    scalars = [c for pair in compared for f in pair for col in f.cols
+               for _, c in col]
+    _assert_one_form(scalars)
+    assert any(type(c) is Fraction for c in scalars)
+    assert any(type(c) is int for c in scalars)
