@@ -1,5 +1,6 @@
 """CLI integration: subcommands, exit codes, and report determinism."""
 
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -249,3 +250,212 @@ def test_check_bool_dim_is_exit_2(capsys, tmp_path, block):
     code, out, err = run(capsys, "check", str(path))
     assert code == 2 and out == ""
     assert err == f"error: {block}: key 'dim' has wrong type bool\n"
+
+
+# The report of every subcommand on every emitted catalog entry: the sha256
+# of stdout without its wall-time line for a cell that exits 0 with nothing
+# on stderr, and the stderr of a cell refused with exit 2 and no stdout.
+# A change that keeps the verdicts keeps every byte of these.
+GOLDEN_SUBCOMMANDS = (
+    "check", "integral", "integral --quantum", "integral --quantum --total",
+    "galois", "theorem --id 4.3", "theorem --id 4.8", "theorem --id 5.6",
+    "theorem --id 5.7", "theorem --id 5.8")
+
+GOLDEN_STDOUT_SHA256 = {
+    ("kC2", "check"):
+        "0e408aa10b89320179cda95f1bad2e0aa3db2cb5bcf3993867d3377dac7d70ff",
+    ("kC2", "integral"):
+        "7591407385e7494d446744dffea84e8f148107c9e615d4f708e70e63a1d2b4fd",
+    ("kC2", "integral --quantum"):
+        "50501d5daa0e89f58fbcdd8a3425cf03e6a474a6e1b8fb075de8cdf46aeccf64",
+    ("kC2", "integral --quantum --total"):
+        "bb8b45e123468bc63cd0c7847912c358374df9ab5e286fcc8a3f97ab8d51420f",
+    ("kC2", "galois"):
+        "5193d79f2b81fa9cf0e2d06ac9bd5a28292e2894f43ba46e6638e803424bf8d0",
+    ("kC2", "theorem --id 4.3"):
+        "89cbfca9405585ac034772a4bb2a942ae8b0edc968e9b37c6356c11c71881c6c",
+    ("kC2", "theorem --id 4.8"):
+        "d73ee05cc41880c86e7875b9c1be3cabd95df0dd6c526285bfb435d4437db3f4",
+    ("kC2", "theorem --id 5.6"):
+        "263600ba112c406919500da6ca4027ee203cdac6693a909688732112688fc788",
+    ("kC2", "theorem --id 5.7"):
+        "2af1719b31d3d2236122baee155ad509c58430d7d571521998f2ebef2b885ae4",
+    ("kC2", "theorem --id 5.8"):
+        "d75e5717d9dc2846a04c52f5a990ba75834ff6e953ce5ce9dfe9f1662402d27f",
+    ("kC3", "check"):
+        "a68e37b192da64d2497105d955b2af21820908e217e91c4f25a45dbac64bfcfa",
+    ("kC3", "integral"):
+        "d2c14244798adddab8ae3dff70fca856a6e526615b6bde9e6474247281cbb578",
+    ("kC3", "integral --quantum"):
+        "b76c89925c33ba3db146c514a44df7981228bfed3ebdccb5c1891b986b45245d",
+    ("kC3", "integral --quantum --total"):
+        "7c892d769bd87da13b9f9df1da654092f0be93390c9355b8859a5bf8af392ad1",
+    ("kC3", "galois"):
+        "b0b600edbce5c302ab922e7275f06e8407efdd041ef043098086f4268f4739df",
+    ("kC3", "theorem --id 4.3"):
+        "c276079aedb80781c67649ff029e61079bbea449f035220b803c56e8ca65daec",
+    ("kC3", "theorem --id 4.8"):
+        "d73ee05cc41880c86e7875b9c1be3cabd95df0dd6c526285bfb435d4437db3f4",
+    ("kC3", "theorem --id 5.6"):
+        "263600ba112c406919500da6ca4027ee203cdac6693a909688732112688fc788",
+    ("kC3", "theorem --id 5.7"):
+        "c074014a660bec7c3cbba35ab22d3b9e4fd8297987cd5e7db8385234ae958bbf",
+    ("kC3", "theorem --id 5.8"):
+        "d4d37969faa04d6a1a8b93d1c928f538b5557488afb8c56b84879677f1df8d93",
+    ("kC3-twisted", "check"):
+        "41d228f124d4b904cca23f079a80f976f1f52db2a238958cee0a640c3ee3e8a4",
+    ("kC3-twisted", "integral"):
+        "e31ba01e6a60cba85539246273b3525c2d5b98e37a0347f3c9d2254a208d969b",
+    ("kC3-twisted", "integral --quantum"):
+        "2ce1f73aa67124c395c30742df517084ed27687eac1e47a343c4fd2030dc1d38",
+    ("kC3-twisted", "integral --quantum --total"):
+        "8b6d0cbbee0926aa42fa503ffa6e4b11da21ccf62b7e2542a187fec3bdf59e00",
+    ("kC3-twisted", "galois"):
+        "bc1d2c6baf79315547aafa0108879efd37f0a0af42dd1bfeddadb1ec34f3b3f4",
+    ("kC3-twisted", "theorem --id 4.3"):
+        "c276079aedb80781c67649ff029e61079bbea449f035220b803c56e8ca65daec",
+    ("kC3-twisted", "theorem --id 4.8"):
+        "d73ee05cc41880c86e7875b9c1be3cabd95df0dd6c526285bfb435d4437db3f4",
+    ("kC3-twisted", "theorem --id 5.6"):
+        "263600ba112c406919500da6ca4027ee203cdac6693a909688732112688fc788",
+    ("kC3-twisted", "theorem --id 5.7"):
+        "c074014a660bec7c3cbba35ab22d3b9e4fd8297987cd5e7db8385234ae958bbf",
+    ("kC3-twisted", "theorem --id 5.8"):
+        "d4d37969faa04d6a1a8b93d1c928f538b5557488afb8c56b84879677f1df8d93",
+    ("kG-C2-datum", "check"):
+        "a4dae3aaa6f9c973c6ae27b24556b1ecd6608e55b41d636e004b2b95f2fdd455",
+    ("kG-C2-datum", "integral"):
+        "21bf92399c712caac0bb6090427e98aac6512a7282b36d9984e7415b9ab2f7c8",
+    ("kG-C2-datum", "integral --quantum"):
+        "8f57776c29890d8106ee14fd8757cec833266238c0a0c5727cd8746b4b8661a4",
+    ("kG-C2-datum", "integral --quantum --total"):
+        "70e9a87ccd264e23245a3499bd7df925a358290564313871f1a0d27cbfc231b4",
+    ("kG-C2-datum", "galois"):
+        "4c0be0b8883cf5339cbdaa8971f9a22c03526d6fec485da840f9c1a44f64f0f8",
+    ("kG-C2-datum", "theorem --id 4.3"):
+        "747658e552dd05c09c29103b79cb5e46484c39da69ae6bfb7505b0777f0a7392",
+    ("kG-C2-datum", "theorem --id 4.8"):
+        "a37c4bb413fd3af8e5527e1b54f98227e8787a8fc49d1c875e1419acc8b94834",
+    ("kG-C2-datum", "theorem --id 5.6"):
+        "3094dea2801f51e11381ba38389a21f973a24e16c5844222fb9e8b1f2ef3243d",
+    ("kG-C2-datum", "theorem --id 5.7"):
+        "63b7e98ec39dd63e202ea62246f4ad32d3fae1f1860314b5c8beb78a3d838be9",
+    ("matrix-datum-2", "check"):
+        "9377fe695871d40111d7aae248a025e90a885314913a7bb34a3da3ba23491c98",
+    ("matrix-datum-2", "integral"):
+        "8d88fcea82323fc67d9f51d71f12d024b80baa4a8add2f1d327a241d02d780f9",
+    ("matrix-datum-2", "galois"):
+        "77fcdac5407e0e7d950081eee3990dceb2df2513fafd92cf4f946606e597e7b7",
+    ("matrix-datum-2", "theorem --id 4.3"):
+        "b08d2c4dcc3d5e535ddf8f1d83661d0732ed51633a40714f8ae4142c082bae79",
+    ("sweedler-H4", "check"):
+        "57e7c043fb8257a4b719bbf80d1cca686cb63bfa391dfc5739ca03e9dbb3521d",
+    ("sweedler-H4", "integral"):
+        "ac63b65688657a5a0a92c8c2bd20478695d206a13f62cac9b42e29cc83e15a77",
+    ("sweedler-H4", "integral --quantum"):
+        "1e531a3a2ef76c400ccc53806dac19f8230843ed2badf0296a5e91b0d8fc4650",
+    ("sweedler-H4", "integral --quantum --total"):
+        "c0bb4dc804b0cac2e44cb98020a205b7bd6239adce5099f63d04a283f747c91d",
+    ("sweedler-H4", "galois"):
+        "969322614a2ddc2d1ab3a24d4321d4faa4e0a5ca1753ea27a24731c7f214debb",
+    ("sweedler-H4", "theorem --id 4.3"):
+        "a46db03055c51450b1bc1dab59c65079e6bdd3ab7bf4298b0eeacc3ab71dab85",
+    ("sweedler-H4", "theorem --id 4.8"):
+        "d73ee05cc41880c86e7875b9c1be3cabd95df0dd6c526285bfb435d4437db3f4",
+    ("sweedler-H4", "theorem --id 5.6"):
+        "263600ba112c406919500da6ca4027ee203cdac6693a909688732112688fc788",
+    ("sweedler-H4", "theorem --id 5.7"):
+        "0a924ada3840112901a49ce46529bbae4c7654ada0c9dbe085c05c1ce51a52e9",
+    ("sweedler-H4", "theorem --id 5.8"):
+        "e79f478809b9022f3c17a21bf028b8039f63a266c43cfe23f534337b7b0b5e7a",
+    ("trivial-k-over-H4", "check"):
+        "445b43408331cf7410a965a19a6b7860557d96f042d63af6b458c30c1c2717d8",
+    ("trivial-k-over-H4", "integral"):
+        "fc37500e8a174c36514534ff7e98483083c74db0f75f8631a927a02748d6455c",
+    ("trivial-k-over-H4", "integral --quantum"):
+        "86cdacc082ce9a8f959f67d82fb96d48d12f82f7a3e3fc8214bc5319d502d66d",
+    ("trivial-k-over-H4", "integral --quantum --total"):
+        "8cec5a3116fd2b38c18e78ca3e8c6fd6f49916b198d489141778eb1f45aa9726",
+    ("trivial-k-over-H4", "galois"):
+        "3840d1e5449428b0f353895e6502f2418e7de08fafcb9b23200526ab0c344050",
+    ("trivial-k-over-H4", "theorem --id 4.3"):
+        "1fba9d4a01aae4b742e39e8f4536a865caba8d8f9313b12e1277a5b9fa0cdd6c",
+    ("trivial-k-over-H4", "theorem --id 4.8"):
+        "991e91527d33a4c3f0789d46fe4b39ba220cc4d70ad4a4b5dc721e99eef7337a",
+    ("trivial-k-over-H4", "theorem --id 5.6"):
+        "e1502e3b0e57d11fcae660c5ae1e8aa5ce8da7d75f5dd1906eb75073735b2c56",
+    ("trivial-k-over-H4", "theorem --id 5.7"):
+        "52eeb6a6df661fbf9e7d9e0d0d46a9bc556f816e92c6b88d1eb2e44f5020ef16",
+    ("trivial-k-over-kC2", "check"):
+        "aaf5f8b9a1c7398404079e6870606fdc6190e45580101a5c23dc2a172bbd3d78",
+    ("trivial-k-over-kC2", "integral"):
+        "730a9eabd19cc24b28b7b9adedd57679384f8e575c5a2daa151186f1eb12f4c8",
+    ("trivial-k-over-kC2", "integral --quantum"):
+        "8a11d4f9e46284d5dc8439a3519bb8acd77410f9aef1d6f19c92bc5ac3070df5",
+    ("trivial-k-over-kC2", "integral --quantum --total"):
+        "8293d736380f0acb19bf4d4535b09b52beb80dd6f5a842da558f6951a78b9225",
+    ("trivial-k-over-kC2", "galois"):
+        "23668133b0957cf993b949fbd5768be95f2aab73bdbc633c47086dc8c6ed4137",
+    ("trivial-k-over-kC2", "theorem --id 4.3"):
+        "747658e552dd05c09c29103b79cb5e46484c39da69ae6bfb7505b0777f0a7392",
+    ("trivial-k-over-kC2", "theorem --id 4.8"):
+        "d73ee05cc41880c86e7875b9c1be3cabd95df0dd6c526285bfb435d4437db3f4",
+    ("trivial-k-over-kC2", "theorem --id 5.6"):
+        "263600ba112c406919500da6ca4027ee203cdac6693a909688732112688fc788",
+    ("trivial-k-over-kC2", "theorem --id 5.7"):
+        "e72f1f8f981f1dcdca91f148b25ea36f51005ab06e2fac78cc2f6e80f8c000da",
+}
+
+_NOT_REGULAR = ("error: modules.A: corollary 5.8 needs modules over H "
+                "coacting on itself, but this module lives over the file's "
+                "comodule algebra\n")
+
+GOLDEN_REFUSALS = {
+    ("kG-C2-datum", "theorem --id 5.8"): _NOT_REGULAR,
+    ("trivial-k-over-H4", "theorem --id 5.8"): _NOT_REGULAR,
+    ("trivial-k-over-kC2", "theorem --id 5.8"): _NOT_REGULAR,
+    ("matrix-datum-2", "integral --quantum"):
+        "error: this operation needs a bijective antipode\n",
+    ("matrix-datum-2", "integral --quantum --total"):
+        "error: this operation needs a bijective antipode\n",
+}
+GOLDEN_REFUSALS.update({
+    ("matrix-datum-2", f"theorem --id {t}"):
+        f"error: hopf.antipode: theorem {t} needs a bijective antipode\n"
+    for t in ("4.8", "5.6", "5.7", "5.8")})
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def catalog_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("catalog")
+    for name in names():
+        (folder / f"{name}.json").write_text(emit_instance(entry(name)))
+    return folder
+
+
+def test_golden_reports_cover_every_entry_and_subcommand():
+    cells = {(n, c) for n in names() for c in GOLDEN_SUBCOMMANDS}
+    assert not set(GOLDEN_STDOUT_SHA256) & set(GOLDEN_REFUSALS)
+    assert set(GOLDEN_STDOUT_SHA256) | set(GOLDEN_REFUSALS) == cells
+
+
+@pytest.mark.parametrize("name", names())
+@pytest.mark.parametrize("subcommand", GOLDEN_SUBCOMMANDS)
+def test_report_is_byte_identical_to_golden(capsys, catalog_files, name,
+                                            subcommand):
+    command, *flags = subcommand.split()
+    argv = ([command, *flags, str(catalog_files / f"{name}.json")]
+            if command == "theorem" else
+            [command, str(catalog_files / f"{name}.json"), *flags])
+    code, out, err = run(capsys, *argv)
+    if (name, subcommand) in GOLDEN_REFUSALS:
+        assert (code, out, err) == (2, "", GOLDEN_REFUSALS[name, subcommand])
+        return
+    kept = "".join(line for line in out.splitlines(keepends=True)
+                   if not line.startswith("wall-time: "))
+    assert (code, err) == (0, "")
+    assert _sha256(kept) == GOLDEN_STDOUT_SHA256[name, subcommand]
