@@ -12,20 +12,19 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ParametersNotCoinvariant, UnknownEntry
+from .galois import coinvariant_subspace
+from .instance_io import ParsedInstance
+from .integrals import _beta_compat_residual, _eq41_residual, is_total
 from .linalg import (SCALAR_SPACE, ZERO, LinearMap, Space, frac, space,
-                     tensor_space)
-from .modules import (RelHopfModule, check_rel_hopf, induce_G, prop31_check,
-                      regular_rel_hopf)
-from .records import field, record
+                     tensor_space, vec_is_zero)
+from .modules import prop31_check, regular_induced, regular_rel_hopf
 from .report import Report
 from .structures import (ComoduleAlgebra, HomAlgebra, HomCoalgebra,
-                         HomHopfAlgebra, check_comodule_algebra,
-                         check_hom_coalgebra, check_hom_hopf,
-                         regular_comodule_algebra, twist)
+                         HomHopfAlgebra, regular_comodule_algebra, twist)
 
 
 # ---------------------------------------------------------------------------
-# Building blocks
+# Constructions
 # ---------------------------------------------------------------------------
 
 def cyclic_group_hopf(n: int) -> HomHopfAlgebra:
@@ -170,7 +169,6 @@ def _scalar_table(H: HomHopfAlgebra, values) -> LinearMap:
 
 
 def _require_coinvariant_params(CA: ComoduleAlgebra, values) -> None:
-    from .galois import coinvariant_subspace
     A = CA.algebra
     sub = coinvariant_subspace(A.space, A.alpha_inv, CA.coaction, CA.hopf)
     # v 1_A is coinvariant iff v = 0 or 1_A is
@@ -186,8 +184,6 @@ def example_family_verify(CA: ComoduleAlgebra, gamma_map: LinearMap,
                           expect_total: bool) -> Report:
     """Check the two integral equations for an explicit parameterised gamma
     and confirm that totality matches the trace criterion."""
-    from .integrals import _beta_compat_residual, _eq41_residual, is_total
-    from .linalg import vec_is_zero
     rep = Report("parameterised quantum integral family")
     rep.record("the integral equation holds",
                vec_is_zero(_eq41_residual(CA, gamma_map)))
@@ -203,44 +199,14 @@ def example_family_verify(CA: ComoduleAlgebra, gamma_map: LinearMap,
 # Catalog entries
 # ---------------------------------------------------------------------------
 
-@record
-class CatalogEntry:
-    name: str
-    kind: str                       # "hopf" or "coalgebra-datum"
-    description: str
-    comodule_algebra: ComoduleAlgebra
-    modules: dict[str, RelHopfModule] = field(default_factory=dict)
-    expected: dict[str, object] = field(default_factory=dict)
-
-    @property
-    def hopf(self) -> HomHopfAlgebra:
-        return self.comodule_algebra.hopf
-
-    def validate(self) -> Report:
-        """Run the structural checks appropriate for this entry's kind."""
-        rep = Report(f"catalog entry {self.name}")
-        if self.kind == "hopf":
-            rep.extend(check_hom_hopf(self.hopf), "hopf: ")
-            rep.extend(check_comodule_algebra(self.comodule_algebra),
-                       "comodule algebra: ")
-            rep.extend(prop31_check(self.comodule_algebra), "comparison: ")
-        else:
-            rep.extend(check_hom_coalgebra(self.hopf.coalgebra),
-                       "coalgebra: ")
-        for name, mod in self.modules.items():
-            rep.extend(check_rel_hopf(mod), f"module {name}: ")
-        return rep
-
-
 def _hopf_entry(name: str, description: str, CA: ComoduleAlgebra,
-                expected: dict) -> CatalogEntry:
+                expected: dict) -> ParsedInstance:
     """A Hopf entry carrying the modules A and G(A) over CA."""
-    A_mod = regular_rel_hopf(CA)
-    modules = {"A": A_mod, "G(A)": induce_G(A_mod.as_module(), CA)}
-    return CatalogEntry(name, "hopf", description, CA, modules, expected)
+    modules = {"A": regular_rel_hopf(CA), "G(A)": regular_induced(CA)}
+    return ParsedInstance(name, "hopf", description, CA, modules, expected)
 
 
-def _build_entries() -> dict[str, Callable[[], CatalogEntry]]:
+def _build_entries() -> dict[str, Callable[[], ParsedInstance]]:
     return {
         "kC2": lambda: _hopf_entry(
             "kC2", "group algebra of the cyclic group of order 2, "
@@ -287,7 +253,7 @@ def _build_entries() -> dict[str, Callable[[], CatalogEntry]]:
             trivial_comodule_algebra(cyclic_group_hopf(2)),
             {"total_integral": True, "family": "group",
              "family_total_iff": "all mu_x equal 1"}),
-        "matrix-datum-2": lambda: CatalogEntry(
+        "matrix-datum-2": lambda: ParsedInstance(
             "matrix-datum-2", "coalgebra-datum",
             "the 2 x 2 comatrix coalgebra coacting trivially on k, with "
             "the family gamma(c_ij)(c_rs) = delta_is mu_rj",
@@ -297,21 +263,24 @@ def _build_entries() -> dict[str, Callable[[], CatalogEntry]]:
 
 
 _BUILDERS = _build_entries()
-_CACHE: dict[str, CatalogEntry] = {}
+_CACHE: dict[str, ParsedInstance] = {}
 
 
 def names() -> list[str]:
     return sorted(_BUILDERS)
 
 
-def entry(name: str) -> CatalogEntry:
-    """Fetch a validated catalog entry by name."""
+def entry(name: str) -> ParsedInstance:
+    """Fetch a catalog entry by name, validated by the structure suite and,
+    for a Hopf entry, the comparison isomorphism G(A) ~ Gtilde(H)."""
     if name not in _BUILDERS:
         raise UnknownEntry(f"unknown catalog entry {name!r}; "
                            f"known: {', '.join(names())}")
     if name not in _CACHE:
         ent = _BUILDERS[name]()
         rep = ent.validate()
+        if ent.kind == "hopf":
+            rep.extend(prop31_check(ent.comodule_algebra), "comparison: ")
         if not rep.ok:
             raise AssertionError(
                 f"catalog entry {name} fails its structural checks:\n"

@@ -20,14 +20,11 @@ import time
 from .catalog import entry, names
 from .errors import HomHopfError, InstanceFormatError, UnknownEntry
 from .galois import (balanced_tensor_AA, canonical_psi, coinvariants,
-                     thm56_check, thm57_check)
+                     cor58_check, thm56_check, thm57_check)
 from .instance_io import ParsedInstance, _matrix, emit_instance, load_instance
-from .integrals import (QuantumIntegral, TotalIntegral, find_quantum_integral,
-                        find_total_integral, theorem43_check, thm48_check)
-from .modules import check_rel_hopf
+from .integrals import (find_quantum_integral, find_total_integral,
+                        record_existence, theorem43_check, thm48_check)
 from .report import Report
-from .structures import (check_comodule_algebra, check_hom_coalgebra,
-                         check_hom_hopf)
 
 THEOREM_IDS = ("4.3", "4.8", "5.6", "5.7", "5.8")
 
@@ -43,48 +40,26 @@ def _compare_expected(rep: Report, expected: dict) -> None:
                        detail=f"recomputed {got!r}")
 
 
-def cmd_check(inst: ParsedInstance) -> Report:
-    rep = Report(f"structural checks for {inst.name or 'instance'}")
-    if inst.kind == "hopf":
-        rep.extend(check_hom_hopf(inst.hopf), "hopf: ")
-        rep.extend(check_comodule_algebra(inst.comodule_algebra),
-                   "comodule algebra: ")
-    else:
-        rep.extend(check_hom_coalgebra(inst.hopf.coalgebra), "coalgebra: ")
-    for name, M in sorted(inst.modules.items()):
-        rep.extend(check_rel_hopf(M), f"module {name}: ")
-    return rep
-
-
 def cmd_integral(inst: ParsedInstance, quantum: bool, total: bool) -> Report:
     rep = Report(f"integral feasibility for {inst.name or 'instance'}")
     CA = inst.comodule_algebra
     res = find_total_integral(CA)
-    if isinstance(res, TotalIntegral):
-        rep.record("a total integral exists", True, detail="feasible")
-        rep.certificates["total_integral"] = True
+    if record_existence(rep, "a total integral", "total_integral", res):
         rep.certificates["total_integral_kernel_dim"] = len(res.solution_family)
         rep.certificates["phi"] = _matrix(res.phi)
         rep.record("solution re-verifies", True,
                    detail=f"kernel dim {len(res.solution_family)}")
     else:
-        rep.record("a total integral exists", True, detail="infeasible")
-        rep.certificates["total_integral"] = False
         rep.certificates["ranks"] = [res.system_rank, res.augmented_rank]
         rep.record("infeasibility certificate re-verifies", res.reverify(),
                    detail=f"ranks {res.system_rank}/{res.augmented_rank}")
     if quantum:
         qres = find_quantum_integral(CA, require_total=total)
         key = "total_quantum_integral" if total else "quantum_integral"
-        if isinstance(qres, QuantumIntegral):
-            rep.record(f"a {'total ' if total else ''}quantum integral exists",
-                       True, detail="feasible")
-            rep.certificates[key] = True
+        if record_existence(rep, f"a {'total ' if total else ''}quantum "
+                            "integral", key, qres):
             rep.certificates["gamma"] = _matrix(qres.gamma_hat)
         else:
-            rep.record(f"a {'total ' if total else ''}quantum integral exists",
-                       True, detail="infeasible")
-            rep.certificates[key] = False
             rep.certificates["quantum_ranks"] = [qres.system_rank,
                                                  qres.augmented_rank]
             rep.record("infeasibility certificate re-verifies", qres.reverify())
@@ -139,11 +114,10 @@ def cmd_theorem(inst: ParsedInstance, which: str) -> Report:
     elif which == "5.6":
         rep = thm56_check(CA)
     elif which == "5.7":
-        rep = thm57_check(CA, modules or None)
+        rep = thm57_check(CA, modules)
     else:
-        from .galois import cor58_check
         _require_regular_coaction(inst)
-        rep = cor58_check(inst.hopf, modules or None)
+        rep = cor58_check(inst.hopf, modules)
     _compare_expected(rep, inst.expected)
     return rep
 
@@ -183,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     p_int.add_argument("--quantum", action="store_true",
                        help="also decide quantum integrals")
     p_int.add_argument("--total", action="store_true",
-                       help="require the quantum integral to be total")
+                       help="with --quantum, require it to be total")
 
     p_gal = sub.add_parser("galois", help="classify the canonical Galois map")
     p_gal.add_argument("file")
@@ -211,9 +185,12 @@ def main(argv: list[str] | None = None) -> int:
             _write(emit_instance(entry(args.name)))
             return 0
 
+        if args.command == "integral" and args.total and not args.quantum:
+            print("error: --total needs --quantum", file=sys.stderr)
+            return 2
         inst = load_instance(args.file)
         if args.command == "check":
-            rep = cmd_check(inst)
+            rep = inst.validate()
         elif args.command == "integral":
             rep = cmd_integral(inst, args.quantum, args.total)
         elif args.command == "galois":

@@ -10,18 +10,20 @@ it when its composite with that relation map is zero.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Sequence
 
 from .errors import StructureDoesNotDescend
-from .integrals import QuantumIntegral, find_quantum_integral
+from .integrals import QuantumIntegral, total_quantum_hypothesis
 from .linalg import (LinearMap, QuotientSpace, Space, Subspace, Vector,
                      kernel_basis, permute_factors, quotient_by, rank, span,
                      swap_map, tensor_after, tensor_space)
-from .modules import (HomModule, RelHopfModule, gtilde_action, induce_G,
-                      is_morphism, regular_rel_hopf)
+from .modules import (HomModule, RelHopfModule, check_rel_hopf,
+                      gtilde_action, is_alinear, is_intertwining, is_morphism,
+                      regular_induced, regular_rel_hopf)
 from .records import record
 from .report import Report
-from .structures import ComoduleAlgebra, HomAlgebra, HomHopfAlgebra
+from .structures import (ComoduleAlgebra, HomAlgebra, HomHopfAlgebra,
+                         regular_comodule_algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -413,27 +415,18 @@ def free_module(B: CoinvariantAlgebra, copies: int) -> HomModule:
     return HomModule(space, mu, mu_inv, action, balg)
 
 
-def regular_induced(CA: ComoduleAlgebra) -> RelHopfModule:
-    """A (x) H with the standard induced structures."""
-    return induce_G(regular_rel_hopf(CA).as_module(), CA)
-
-
 def thm57_check(CA: ComoduleAlgebra,
-                test_modules: Optional[list[RelHopfModule]] = None) -> Report:
+                test_modules: Sequence[RelHopfModule] = ()) -> Report:
     """Verify the affineness criterion: when a total quantum integral exists
     and the canonical Galois map is surjective, induction and taking
-    coinvariants are inverse equivalences on the supplied test objects."""
+    coinvariants are inverse equivalences on B, B^2 and the test modules
+    (A if none)."""
     rep = Report("affineness criterion")
-    gamma = find_quantum_integral(CA, require_total=True)
-    has_integral = isinstance(gamma, QuantumIntegral)
-    rep.record("hypothesis: a total quantum integral exists", True,
-               detail="feasible" if has_integral else "infeasible")
-    rep.certificates["total_quantum_integral"] = has_integral
+    gamma = total_quantum_hypothesis(rep, CA)
 
     B = coinvariants(CA)
     rep.certificates["coinvariant_dim"] = B.dim
     bt, aa_mod = balanced_tensor_AA(CA, B)
-    from .modules import check_rel_hopf
     rep.record("the balanced tensor square is a relative Hopf module",
                check_rel_hopf(aa_mod).ok)
     gal = canonical_psi(CA, bt)
@@ -450,7 +443,7 @@ def thm57_check(CA: ComoduleAlgebra,
     if gal.surjective:
         rep.record("xi is surjective", rank(xi) == xi.codomain.dim)
 
-    if not (has_integral and gal.surjective):
+    if gamma is None or not gal.surjective:
         rep.skip("conclusion: adjunction units are isomorphisms",
                  "hypotheses not satisfied")
         rep.skip("conclusion: evaluation counits are isomorphisms",
@@ -463,9 +456,7 @@ def thm57_check(CA: ComoduleAlgebra,
         rep.record(f"unit of adjunction is an isomorphism (module {idx})",
                    pair.is_iso)
 
-    if test_modules is None:
-        test_modules = [regular_rel_hopf(CA)]
-    for idx, M in enumerate(test_modules):
+    for idx, M in enumerate(test_modules or [regular_rel_hopf(CA)]):
         btm, beta_m = beta_evaluation(M, B)
         ok = rank(beta_m) == M.dim and btm.dim == M.dim
         rep.record(f"evaluation counit is an isomorphism (module {idx})", ok,
@@ -476,9 +467,8 @@ def thm57_check(CA: ComoduleAlgebra,
 
 
 def cor58_check(H: HomHopfAlgebra,
-                test_modules: Optional[list[RelHopfModule]] = None) -> Report:
+                test_modules: Sequence[RelHopfModule] = ()) -> Report:
     """Specialize the affineness criterion to A = H coacting on itself."""
-    from .structures import regular_comodule_algebra
     rep = thm57_check(regular_comodule_algebra(H), test_modules)
     rep.title = "affineness criterion for the regular coaction"
     return rep
@@ -525,14 +515,9 @@ def prop51_check(CA: ComoduleAlgebra, gamma: QuantumIntegral) -> Report:
 def thm56_check(CA: ComoduleAlgebra) -> Report:
     """When a total quantum integral exists, the unit of the induction /
     coinvariants adjunction is an isomorphism on the free modules B, B^2."""
-    from .modules import is_alinear, is_intertwining
     rep = Report("adjunction unit is an isomorphism")
-    gamma = find_quantum_integral(CA, require_total=True)
-    feasible = isinstance(gamma, QuantumIntegral)
-    rep.record("hypothesis: a total quantum integral exists", True,
-               detail="feasible" if feasible else "infeasible")
-    rep.certificates["total_quantum_integral"] = feasible
-    if not feasible:
+    gamma = total_quantum_hypothesis(rep, CA)
+    if gamma is None:
         rep.skip("conclusion: unit and inverse on each test module",
                  "hypothesis not satisfied")
         return rep

@@ -3,8 +3,8 @@
 Every scalar is an exact rational written as a string ("p/q", or just "p"
 for integers), so files are human-diffable and round-trip bit-exactly.
 A file carries a Hopf (or coalgebra-datum) block, an optional comodule
-algebra block, optional named relative-module blocks, and an optional
-block of expected results.
+algebra block, an optional block of named relative modules, and an
+optional block of expected results.
 """
 
 from __future__ import annotations
@@ -16,10 +16,13 @@ from typing import Optional
 from .errors import InstanceFormatError
 from .linalg import (LinearMap, Scalar, Space, Vector, frac, space,
                      tensor_space)
-from .modules import RelHopfModule
+from .modules import RelHopfModule, check_rel_hopf
 from .records import field, record
+from .report import Report
 from .structures import (ComoduleAlgebra, HomAlgebra, HomCoalgebra,
-                         HomHopfAlgebra)
+                         HomHopfAlgebra, check_comodule_algebra,
+                         check_hom_coalgebra, check_hom_hopf,
+                         regular_comodule_algebra)
 
 FORMAT_NAME = "homhopf-instance"
 DEFAULT_MAX_DIM = 12
@@ -42,7 +45,7 @@ def max_dim() -> int:
 
 @record(frozen=True)
 class ParsedInstance:
-    """The in-memory form of an instance file."""
+    """An instance file, or a catalog entry, in memory."""
 
     name: str
     kind: str                        # "hopf" or "coalgebra-datum"
@@ -54,6 +57,20 @@ class ParsedInstance:
     @property
     def hopf(self) -> HomHopfAlgebra:
         return self.comodule_algebra.hopf
+
+    def validate(self) -> Report:
+        """The structure suite: the Hopf algebra and comodule algebra axioms
+        (the coalgebra's alone for a datum), then each module's, by name."""
+        rep = Report(f"structural checks for {self.name or 'instance'}")
+        if self.kind == "hopf":
+            rep.extend(check_hom_hopf(self.hopf), "hopf: ")
+            rep.extend(check_comodule_algebra(self.comodule_algebra),
+                       "comodule algebra: ")
+        else:
+            rep.extend(check_hom_coalgebra(self.hopf.coalgebra), "coalgebra: ")
+        for name, M in sorted(self.modules.items()):
+            rep.extend(check_rel_hopf(M), f"module {name}: ")
+        return rep
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +120,9 @@ def _module_block(M: RelHopfModule) -> dict:
     }
 
 
-def emit_instance(inst) -> str:
-    """Serialize an instance (a ParsedInstance or a catalog entry) to the
-    canonical file text.  Emission is deterministic: equal instances give
+def emit_instance(inst: ParsedInstance) -> str:
+    """Serialize an instance, parsed or from the catalog, to the canonical
+    file text.  Emission is deterministic: equal instances give
     byte-identical output."""
     doc = {
         "format": FORMAT_NAME,
@@ -305,7 +322,6 @@ def parse_instance(text: str) -> ParsedInstance:
     H = _parse_hopf(_get(doc, "hopf", dict, "top level"), kind, cap)
     ca_block = doc.get("comodule_algebra")
     if ca_block is None:
-        from .structures import regular_comodule_algebra
         CA = regular_comodule_algebra(H)
     else:
         if not isinstance(ca_block, dict):

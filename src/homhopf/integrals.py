@@ -20,7 +20,9 @@ from .linalg import (ZERO, AffineSolution, Infeasible, LinearMap, Scalar,
                      Space, Vector, _sparse, permute_factors, solve_affine,
                      swap_map, tensor_after, tensor_space, unrank,
                      vec_is_zero)
-from .modules import RelHopfModule, induce_G, is_colinear, regular_rel_hopf
+from .modules import (RelHopfModule, check_rel_hopf, induce_G, is_colinear,
+                      is_intertwining, is_morphism, regular_induced,
+                      regular_rel_hopf)
 from .records import record
 from .report import Report
 from .structures import ComoduleAlgebra
@@ -69,20 +71,20 @@ class _MapSystem:
         self.rhs: list[Scalar] = []
 
     def condition(self, terms: Sequence[_Term],
-                  target: LinearMap | None = None, blocks: bool = False) -> None:
+                  target: LinearMap | None = None) -> None:
         """Append the rows of sum(terms) = target (zero if None), both maps
-        E -> F.  Entry (f, e) is row f * dim E + e (row-major), or row
-        e * dim F + f (one block of F per basis vector of E) with blocks.
+        E -> F.  Entry (f, e) is row e * dim F + f: one block of F per basis
+        vector of E.
 
         The RREF is unique, so the row order never changes a result, but
-        blocks is faster for Eq. 4.1/4.2: row-major rows took the total
-        quantum integral on rebased kC4 from about 410 to 500 ms (Python
-        3.11.7, 2 vCPUs)."""
+        block order is the faster one.  In-process medians of 9 rounds
+        (Python 3.11.7, 2 vCPUs), rebased kC4: total integral 8.0 ms against
+        10.0 ms row-major, total quantum integral 412 against 534 ms; the
+        4.3 retraction system was equal within noise."""
         nd, nc = self.dom.dim, self.cod.dim
         _, L0, R0, _ = terms[0]
         ne, nf = R0.domain.dim, L0.codomain.dim
         base = len(self.rhs)
-        row_e, row_f = (nf, 1) if blocks else (1, ne)
         for sign, L, R, w in terms:
             lcols = L.cols
             for e, col in enumerate(R.cols):
@@ -94,7 +96,7 @@ class _MapSystem:
                     for c in range(nc):
                         acc = self.cols[c * nd + d]
                         for f, lv in lcols[(ui * nc + c) * w + wi]:
-                            i = base + e * row_e + f * row_f
+                            i = base + e * nf + f
                             p = rv * lv
                             o = acc.get(i)
                             acc[i] = p if o is None else o + p
@@ -102,7 +104,7 @@ class _MapSystem:
         if target is not None:
             for e, col in enumerate(target.cols):
                 for f, v in col:
-                    rhs[e * row_e + f * row_f] = v
+                    rhs[e * nf + f] = v
         self.rhs.extend(rhs)
 
     def equations(self) -> tuple[LinearMap, Vector]:
@@ -120,18 +122,16 @@ def _map_from_flat(dom: Space, cod: Space, flat: Vector) -> LinearMap:
                                [flat[i * n:(i + 1) * n] for i in range(cod.dim)])
 
 
-def _flat(*maps: LinearMap, blocks: bool = False) -> Vector:
+def _flat(*maps: LinearMap) -> Vector:
     """The entries of the maps in turn.  Entry (f, e) of a map E -> F is at
-    f * dim E + e (row by row), or at e * dim F + f (column by column, one
-    block of F per basis vector of E) with blocks."""
+    e * dim F + f, one block of F per basis vector of E."""
     out: list = []
     for m in maps:
-        ne, nf = m.domain.dim, m.codomain.dim
-        at_e, at_f = (nf, 1) if blocks else (1, ne)
-        flat = [ZERO] * (ne * nf)
+        nf = m.codomain.dim
+        flat = [ZERO] * (m.domain.dim * nf)
         for e, col in enumerate(m.cols):
             for f, c in col:
-                flat[e * at_e + f * at_f] = c
+                flat[e * nf + f] = c
         out.extend(flat)
     return tuple(out)
 
@@ -202,7 +202,7 @@ def _eq41_residual(CA: ComoduleAlgebra, gh: LinearMap) -> Vector:
     legs = permute_factors(tensor_after(idh, CA.coaction, w),
                            (H.space, A.space, H.space), (1, 0, 2))
     rhs = tensor_after(A.alpha, H.algebra.mult, legs)
-    return _flat(lhs - rhs, blocks=True)
+    return _flat(lhs - rhs)
 
 
 def _beta_compat_residual(CA: ComoduleAlgebra, gh: LinearMap) -> Vector:
@@ -214,8 +214,7 @@ def _beta_compat_residual(CA: ComoduleAlgebra, gh: LinearMap) -> Vector:
 def _eq42_residual(CA: ComoduleAlgebra, gh: LinearMap) -> Vector:
     """gamma(h1)(h2) - eps(h) 1_A, per basis h."""
     A, H = CA.algebra, CA.hopf
-    return _flat((gh @ H.coalgebra.comult) - (A.unit_map @ H.coalgebra.counit),
-                 blocks=True)
+    return _flat((gh @ H.coalgebra.comult) - (A.unit_map @ H.coalgebra.counit))
 
 
 def verify_quantum_integral(CA: ComoduleAlgebra, gh: LinearMap,
@@ -252,11 +251,11 @@ def _quantum_integral_system(CA: ComoduleAlgebra,
                              (H.space, A.space, H.space), (1, 0, 2))
     system.condition([(1, ida.tensor(al), al_inv.tensor(delta), H.dim),
                       (-1, tensor_after(A.alpha, H.algebra.mult, w_legs),
-                       delta.tensor(al_inv), 1)], blocks=True)
+                       delta.tensor(al_inv), 1)])
     if require_total:
         # Eq. 4.2, one block of A per h: gamma(h1)(h2) = eps(h) 1_A
         system.condition([(1, ida, delta, 1)],
-                         A.unit_map @ H.coalgebra.counit, blocks=True)
+                         A.unit_map @ H.coalgebra.counit)
     return system
 
 
@@ -274,6 +273,27 @@ def find_quantum_integral(CA: ComoduleAlgebra, require_total: bool = True
         raise EquivalenceViolated("solved quantum integral fails re-verification")
     family = tuple(_map_from_flat(hh, A.space, v) for v in sol.kernel)
     return QuantumIntegral(gh, is_total(CA, gh), family)
+
+
+def record_existence(rep: Report, what: str, key: str, res) -> bool:
+    """Record whether the solver's answer res is a solution, under the check
+    "<what> exists" and the certificate key."""
+    feasible = not isinstance(res, Infeasible)
+    rep.record(f"{what} exists", True,
+               detail="feasible" if feasible else "infeasible")
+    rep.certificates[key] = feasible
+    return feasible
+
+
+def total_quantum_hypothesis(rep: Report, CA: ComoduleAlgebra
+                             ) -> QuantumIntegral | None:
+    """The hypothesis of Theorems 4.8, 5.6 and 5.7: a total quantum integral,
+    recorded in rep; None when there is none."""
+    gamma = find_quantum_integral(CA, require_total=True)
+    if record_existence(rep, "hypothesis: a total quantum integral",
+                        "total_quantum_integral", gamma):
+        return gamma
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +412,7 @@ def theorem43_check(CA: ComoduleAlgebra,
     res1 = find_total_integral(CA)
     exists1 = isinstance(res1, TotalIntegral)
 
-    ga = induce_G(regular_rel_hopf(CA).as_module(), CA).coaction
+    ga = regular_induced(CA).coaction
     sol = solve_affine(*_colinear_retraction_system(CA, ga).equations())
     exists3 = isinstance(sol, AffineSolution)
 
@@ -489,23 +509,15 @@ def thm48_check(CA: ComoduleAlgebra,
                 test_modules: Sequence[RelHopfModule] = ()) -> Report:
     """When a total quantum integral exists, every relative Hopf module M is
     a quotient of the induced module A (x) H (x) M via a split epimorphism
-    with a colinear section; verified on the supplied test modules."""
-    from .modules import is_intertwining, is_morphism
+    with a colinear section; verified on the test modules (A if none)."""
     rep = Report("generator epimorphism")
-    gamma = find_quantum_integral(CA, require_total=True)
-    feasible = isinstance(gamma, QuantumIntegral)
-    rep.record("hypothesis: a total quantum integral exists", True,
-               detail="feasible" if feasible else "infeasible")
-    rep.certificates["total_quantum_integral"] = feasible
-    if not feasible:
+    gamma = total_quantum_hypothesis(rep, CA)
+    if gamma is None:
         rep.skip("conclusion: split epimorphism onto each test module",
                  "hypothesis not satisfied")
         return rep
-    if not test_modules:
-        test_modules = [regular_rel_hopf(CA)]
-    for idx, M in enumerate(test_modules):
+    for idx, M in enumerate(test_modules or [regular_rel_hopf(CA)]):
         AHM = thm48_module(CA, M)
-        from .modules import check_rel_hopf
         rep.record(f"A (x) H (x) M is a relative Hopf module (module {idx})",
                    check_rel_hopf(AHM).ok)
         f, g = generator_epi(CA, M, gamma)

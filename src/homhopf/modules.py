@@ -143,6 +143,11 @@ def induce_G(M: HomModule, CA: ComoduleAlgebra) -> RelHopfModule:
                          action, coaction, CA)
 
 
+def regular_induced(CA: ComoduleAlgebra) -> RelHopfModule:
+    """G(A) = A (x) H with the standard induced structures."""
+    return induce_G(regular_rel_hopf(CA).as_module(), CA)
+
+
 def induce_Gtilde(N: HomComodule, CA: ComoduleAlgebra) -> RelHopfModule:
     """Gtilde(N) = A (x) N with (a (x) n).b = a beta^{-1}(b) (x) nu(n) and
     rho(a (x) n) = (a0 (x) n0) (x) n1 a1.
@@ -282,7 +287,7 @@ def prop31_check(CA: ComoduleAlgebra) -> Report:
     induced module structures on A (x) H: u : Gtilde(H) -> G(A) and
     v : G(A) -> Gtilde(H)."""
     rep = Report("comparison isomorphism G(A) ~ Gtilde(H)")
-    GA = induce_G(regular_rel_hopf(CA).as_module(), CA)
+    GA = regular_induced(CA)
     GtH = induce_Gtilde(regular_comodule(CA.hopf), CA)
     rep.extend(check_rel_hopf(GA), "G(A)")
     rep.extend(check_rel_hopf(GtH), "Gtilde(H)")

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import homhopf.catalog as catalog
 from homhopf.catalog import (GROUP_FAMILY_CHOICES, MATRIX_FAMILY_CHOICES,
                              cyclic_group_hopf, entry, example_group_family,
                              example_matrix_family, group_family_gamma,
@@ -12,6 +13,7 @@ from homhopf.catalog import (GROUP_FAMILY_CHOICES, MATRIX_FAMILY_CHOICES,
 from homhopf.errors import ParametersNotCoinvariant, UnknownEntry
 from homhopf.instance_io import ParsedInstance, emit_instance
 from homhopf.modules import regular_rel_hopf
+from homhopf.report import Report
 from homhopf.structures import regular_comodule_algebra
 
 
@@ -28,6 +30,17 @@ def test_unknown_entry_raises():
 def test_every_entry_validates(name):
     rep = entry(name).validate()
     assert rep.ok, rep.pretty()
+
+
+def test_entry_refuses_a_hopf_entry_whose_comparison_fails(monkeypatch):
+    # validate() is the structure suite that check runs; entry() adds the
+    # comparison isomorphism G(A) ~ Gtilde(H) for a Hopf entry
+    failing = Report("comparison isomorphism G(A) ~ Gtilde(H)")
+    failing.record("u . v = id", False)
+    monkeypatch.setattr(catalog, "prop31_check", lambda CA: failing)
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    with pytest.raises(AssertionError, match=r"\[FAIL\] comparison: u \. v"):
+        entry("kC2")
 
 
 @pytest.mark.parametrize("mu", GROUP_FAMILY_CHOICES,

@@ -100,6 +100,13 @@ def test_integral_feasible(capsys, kc2_file):
     assert machine["certificates"]["total_quantum_integral"] is True
 
 
+def test_integral_total_without_quantum_is_exit_2(capsys, kc2_file):
+    # --total constrains the quantum integral; alone it used to be ignored
+    code, out, err = run(capsys, "integral", kc2_file, "--total")
+    assert (code, out) == (2, "")
+    assert err == "error: --total needs --quantum\n"
+
+
 def test_integral_infeasible_with_certificate(capsys, tmp_path):
     path = tmp_path / "tkh4.json"
     path.write_text(emit_instance(entry("trivial-k-over-H4")))

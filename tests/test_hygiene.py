@@ -1,8 +1,9 @@
 """Source hygiene that no installed linter checks: every name a module
-imports is used in that module, every module-level function, class and
-assignment in the package is named somewhere in the package or its tests,
-arithmetic is exact, no code is generated at run time, and starting the CLI
-loads neither dataclasses nor inspect."""
+imports is used in that module, every import is at module level, every
+module-level function, class and assignment in the package is named
+somewhere in the package or its tests, arithmetic is exact, no code is
+generated at run time, and starting the CLI loads neither dataclasses nor
+inspect."""
 
 import ast
 import os
@@ -67,6 +68,41 @@ def test_the_scan_sees_an_unused_import():
                      "def f(x: 'Sequence[int]'): return x\n")
     assert {n for n in _imported(tree) if n not in _used(tree)} == \
         {"Callable", "os"}
+
+
+def _local_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, module) for each import inside a function body; the package
+    has no import cycle to break, so every import sits at module level."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.ImportFrom):
+                    out.add((sub.lineno, "." * sub.level + (sub.module or "")))
+                elif isinstance(sub, ast.Import):
+                    out.add((sub.lineno,
+                             ", ".join(a.name for a in sub.names)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_import_is_at_module_level(path):
+    found = _local_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name} imports inside a function at {found}"
+
+
+def test_the_scan_sees_a_function_local_import():
+    tree = ast.parse("import os\n"
+                     "def f():\n"
+                     "    from .galois import cor58_check\n"
+                     "    def g():\n"
+                     "        import json, sys\n"
+                     "class C:\n"
+                     "    def m(self):\n"
+                     "        from . import linalg\n")
+    assert _local_imports(tree) == [(3, ".galois"), (5, "json, sys"),
+                                    (8, ".")]
 
 
 def _defined(tree: ast.Module) -> dict[str, int]:
