@@ -275,7 +275,7 @@ def find_quantum_integral(CA: ComoduleAlgebra, require_total: bool = True
     return QuantumIntegral(gh, is_total(CA, gh), family)
 
 
-def record_existence(rep: Report, what: str, key: str, res) -> bool:
+def record_existence(rep: Report, what: str, key: str, res: object) -> bool:
     """Record whether the solver's answer res is a solution, under the check
     "<what> exists" and the certificate key."""
     feasible = not isinstance(res, Infeasible)
