@@ -103,10 +103,6 @@ def _require_regular_coaction(inst: ParsedInstance) -> None:
 def cmd_theorem(inst: ParsedInstance, which: str) -> Report:
     CA = inst.comodule_algebra
     modules = [inst.modules[k] for k in sorted(inst.modules)]
-    if which in ("4.8", "5.6", "5.7", "5.8"):
-        if inst.hopf.antipode_inv is None:
-            raise InstanceFormatError(
-                f"theorem {which} needs a bijective antipode", "hopf.antipode")
     if which == "4.3":
         rep = theorem43_check(CA, modules)
     elif which == "4.8":
@@ -189,6 +185,13 @@ def main(argv: list[str] | None = None) -> int:
             print("error: --total needs --quantum", file=sys.stderr)
             return 2
         inst = load_instance(args.file)
+        # quantum integrals and theorems 4.8-5.8 use S^{-1}: refuse up front
+        op = (f"theorem {args.theorem_id}" if args.command == "theorem"
+              and args.theorem_id != "4.3" else "integral --quantum"
+              if args.command == "integral" and args.quantum else None)
+        if op and inst.hopf.antipode_inv is None:
+            raise InstanceFormatError(f"{op} needs a bijective antipode",
+                                      "hopf.antipode")
         if args.command == "check":
             rep = inst.validate()
         elif args.command == "integral":

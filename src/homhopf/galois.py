@@ -17,9 +17,9 @@ from .integrals import QuantumIntegral, total_quantum_hypothesis
 from .linalg import (LinearMap, QuotientSpace, Space, Subspace, Vector,
                      kernel_basis, permute_factors, quotient_by, rank, span,
                      swap_map, tensor_after, tensor_space)
-from .modules import (HomModule, RelHopfModule, check_rel_hopf,
-                      gtilde_action, is_alinear, is_intertwining, is_morphism,
-                      regular_induced, regular_rel_hopf)
+from .modules import (HomModule, RelHopfModule, check_rel_hopf, is_alinear,
+                      is_intertwining, is_morphism, regular_induced,
+                      regular_rel_hopf, tensor_module)
 from .records import record
 from .report import Report
 from .structures import (ComoduleAlgebra, HomAlgebra, HomHopfAlgebra,
@@ -210,25 +210,22 @@ def descend_linear(f: LinearMap, bt: BalancedTensor, what: str) -> LinearMap:
     return f @ bt.quotient.section
 
 
-def descend_endo(f: LinearMap, bt: BalancedTensor, what: str) -> LinearMap:
-    """Descend f: ambient -> ambient to an endomorphism of the quotient."""
-    return descend_linear(bt.quotient.projection @ f, bt, what)
-
-
-def descend_coaction(f: LinearMap, bt: BalancedTensor, hspace: Space,
-                     what: str) -> LinearMap:
-    """Descend f: ambient -> ambient (x) H to quotient -> quotient (x) H."""
-    g = bt.quotient.projection.tensor(LinearMap.identity(hspace)) @ f
-    return descend_linear(g, bt, what)
-
-
-def descend_action(f: LinearMap, bt: BalancedTensor, aspace: Space,
-                   what: str) -> LinearMap:
-    """Descend f: ambient (x) A -> ambient to quotient (x) A -> quotient."""
-    ida = LinearMap.identity(aspace)
-    g = bt.quotient.projection @ f
-    _require_descends(g, bt.rel.tensor(ida), what)
-    return g @ bt.quotient.section.tensor(ida)
+def descend_module(amb: RelHopfModule, bt: BalancedTensor,
+                   what: str) -> RelHopfModule:
+    """Descend the action, coaction and automorphism of amb, a relative Hopf
+    module on bt's ambient space, to the quotient, after verifying that
+    each one kills every balancing relation."""
+    CA = amb.over
+    ida = LinearMap.identity(CA.space)
+    proj, sec = bt.quotient.projection, bt.quotient.section
+    act = proj @ amb.action
+    _require_descends(act, bt.rel.tensor(ida), f"the A-action on {what}")
+    coaction = descend_linear(
+        proj.tensor(LinearMap.identity(CA.hopf.space)) @ amb.coaction, bt,
+        f"the coaction on {what}")
+    mu = descend_linear(proj @ amb.mu, bt, f"the automorphism of {what}")
+    return RelHopfModule(bt.space, mu, mu.inverse(), act @ sec.tensor(ida),
+                         coaction, CA)
 
 
 # ---------------------------------------------------------------------------
@@ -239,20 +236,17 @@ def balanced_tensor_AA(CA: ComoduleAlgebra, B: CoinvariantAlgebra
                        ) -> tuple[BalancedTensor, RelHopfModule]:
     """A (x)_B A with action (a (x) b).a' = beta(a) (x) b beta^{-1}(a') and
     coaction (beta^{-1}(a) (x) b0) (x) alpha(b1); descent is verified."""
-    A, H = CA.algebra, CA.hopf
+    A = CA.algebra
     bt = balanced_tensor(B, act_right=B.right_action, mu_left=A.alpha,
                          act_left=B.left_action, mu_right_inv=A.alpha_inv)
-    amb_action = A.alpha.tensor(
-        A.mult @ LinearMap.identity(A.space).tensor(A.alpha_inv))
-    amb_coaction = A.alpha_inv.tensor(_twisted_coaction(CA))
-    action = descend_action(amb_action, bt, A.space,
-                            "the A-action on the balanced tensor square")
-    coaction = descend_coaction(amb_coaction, bt, H.space,
-                                "the coaction on the balanced tensor square")
-    mu = descend_endo(A.alpha.tensor(A.alpha), bt,
-                      "the automorphism of the balanced tensor square")
-    module = RelHopfModule(bt.space, mu, mu.inverse(), action, coaction, CA)
-    return bt, module
+    ida = LinearMap.identity(A.space)
+    amb = RelHopfModule(
+        tensor_space(A.space, A.space), A.alpha.tensor(A.alpha),
+        A.alpha_inv.tensor(A.alpha_inv),
+        A.alpha.tensor(A.mult @ ida.tensor(A.alpha_inv)),
+        A.alpha_inv.tensor(tensor_after(ida, CA.hopf.algebra.alpha,
+                                        CA.coaction)), CA)
+    return bt, descend_module(amb, bt, "the balanced tensor square")
 
 
 def galois_psi_ambient(CA: ComoduleAlgebra) -> LinearMap:
@@ -260,12 +254,6 @@ def galois_psi_ambient(CA: ComoduleAlgebra) -> LinearMap:
     A = CA.algebra
     return tensor_after(A.mult, CA.hopf.algebra.alpha,
                         A.alpha_inv.tensor(CA.coaction))
-
-
-def _twisted_coaction(CA: ComoduleAlgebra) -> LinearMap:
-    """a -> a0 (x) alpha(a1), the coaction leg the ambient structures use."""
-    return tensor_after(LinearMap.identity(CA.space), CA.hopf.algebra.alpha,
-                        CA.coaction)
 
 
 @record(frozen=True)
@@ -309,15 +297,11 @@ def galois_xi(CA: ComoduleAlgebra) -> LinearMap:
 
 
 def xi_source_module(CA: ComoduleAlgebra) -> RelHopfModule:
-    """A (x) A with action (a (x) b).a' = a beta^{-1}(a') (x) beta(b) and
-    coaction (a0 (x) beta^{-1}(b)) (x) alpha(a1)."""
-    A, H = CA.algebra, CA.hopf
-    amb = tensor_space(A.space, A.space)
-    action = gtilde_action(A, A.alpha)
-    coaction = permute_factors(_twisted_coaction(CA).tensor(A.alpha_inv),
-                               (A.space, H.space, A.space), (0, 2, 1))
-    mu = A.alpha.tensor(A.alpha)
-    return RelHopfModule(amb, mu, mu.inverse(), action, coaction, CA)
+    """A (x) A = tensor_module(A, A), with action
+    (a (x) b).a' = a beta^{-1}(a') (x) beta(b) and coaction
+    (a0 (x) beta^{-1}(b)) (x) alpha(a1)."""
+    A = CA.algebra
+    return tensor_module(regular_rel_hopf(CA), A.alpha, A.alpha_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -326,27 +310,18 @@ def xi_source_module(CA: ComoduleAlgebra) -> RelHopfModule:
 
 def induction(N: HomModule, B: CoinvariantAlgebra
               ) -> tuple[BalancedTensor, RelHopfModule]:
-    """A (x)_B N with action (a (x) n).a' = a beta^{-1}(a') (x) nu(n) and
-    coaction (a0 (x) nu^{-1}(n)) (x) alpha(a1)."""
+    """A (x)_B N, the quotient of tensor_module(A, N): action
+    (a (x) n).a' = a beta^{-1}(a') (x) nu(n) and coaction
+    (a0 (x) nu^{-1}(n)) (x) alpha(a1)."""
     CA = B.of
-    A, H = CA.algebra, CA.hopf
 
     # the left B-action on the right B-module N is n.b read backwards
-    bt = balanced_tensor(B, act_right=B.right_action, mu_left=A.alpha,
+    bt = balanced_tensor(B, act_right=B.right_action, mu_left=CA.algebra.alpha,
                          act_left=N.action @ swap_map(B.algebra.space,
                                                       N.space),
                          mu_right_inv=N.mu_inv)
-    amb_action = gtilde_action(A, N.mu)
-    amb_coaction = permute_factors(_twisted_coaction(CA).tensor(N.mu_inv),
-                                   (A.space, H.space, N.space), (0, 2, 1))
-    action = descend_action(amb_action, bt, A.space,
-                            "the A-action on the induced module")
-    coaction = descend_coaction(amb_coaction, bt, H.space,
-                                "the coaction on the induced module")
-    mu = descend_endo(A.alpha.tensor(N.mu), bt,
-                      "the automorphism of the induced module")
-    module = RelHopfModule(bt.space, mu, mu.inverse(), action, coaction, CA)
-    return bt, module
+    amb = tensor_module(regular_rel_hopf(CA), N.mu, N.mu_inv)
+    return bt, descend_module(amb, bt, "the induced module")
 
 
 @record(frozen=True)

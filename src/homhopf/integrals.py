@@ -22,7 +22,7 @@ from .linalg import (ZERO, AffineSolution, Infeasible, LinearMap, Scalar,
                      vec_is_zero)
 from .modules import (RelHopfModule, check_rel_hopf, induce_G, is_colinear,
                       is_intertwining, is_morphism, regular_induced,
-                      regular_rel_hopf)
+                      regular_rel_hopf, tensor_module)
 from .records import record
 from .report import Report
 from .structures import ComoduleAlgebra
@@ -455,24 +455,12 @@ def theorem43_check(CA: ComoduleAlgebra,
 # ---------------------------------------------------------------------------
 
 def thm48_module(CA: ComoduleAlgebra, M: RelHopfModule) -> RelHopfModule:
-    """A (x) H (x) M with
-    (a (x) h (x) m).b = a beta^{-1}(b0) (x) h alpha^{-1}(b1) (x) mu(m),
-    rho = beta^{-1}(a) (x) h1 (x) mu^{-1}(m) (x) alpha^2(h2)."""
-    A, H = CA.algebra, CA.hopf
-    sp = tensor_space(A.space, H.space, M.space)
-    rho_inv = tensor_after(A.alpha_inv, H.algebra.alpha_inv, CA.coaction)
-    action = tensor_after(A.mult, H.algebra.mult.tensor(M.mu), permute_factors(
-        LinearMap.identity(sp).tensor(rho_inv),
-        (A.space, H.space, M.space, A.space, H.space), (0, 3, 1, 4, 2)))
-    alpha2 = H.algebra.alpha @ H.algebra.alpha
-    delta2 = tensor_after(LinearMap.identity(H.space), alpha2,
-                          H.coalgebra.comult)
-    coaction = permute_factors(
-        A.alpha_inv.tensor(delta2).tensor(M.mu_inv),
-        (A.space, H.space, H.space, M.space), (0, 1, 3, 2))
-    mu = A.alpha.tensor(H.algebra.alpha).tensor(M.mu)
-    mu_inv = A.alpha_inv.tensor(H.algebra.alpha_inv).tensor(M.mu_inv)
-    return RelHopfModule(sp, mu, mu_inv, action, coaction, CA)
+    """A (x) H (x) M = tensor_module(G(A), M), with
+    (a (x) h (x) m).b = a beta^{-1}(b0) (x) h alpha^{-1}(b1) (x) mu(m) and
+    rho = beta^{-1}(a) (x) h1 (x) mu^{-1}(m) (x) alpha^2(h2).  G(A) is acted
+    on by beta^{-1}(b), which rho . beta^{-1} = (beta^{-1} (x) alpha^{-1})
+    . rho turns into beta^{-1}(b0) (x) alpha^{-1}(b1)."""
+    return tensor_module(regular_induced(CA), M.mu, M.mu_inv)
 
 
 def generator_epi(CA: ComoduleAlgebra, M: RelHopfModule,

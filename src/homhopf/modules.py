@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from .linalg import (LinearMap, Space, permute_factors, tensor_after,
                      tensor_space)
-from .records import record
+from .records import record, replace
 from .report import Report
 from .structures import (ComoduleAlgebra, HomAlgebra, HomHopfAlgebra,
                          check_comodule_axioms)
@@ -148,37 +148,50 @@ def regular_induced(CA: ComoduleAlgebra) -> RelHopfModule:
     return induce_G(regular_rel_hopf(CA).as_module(), CA)
 
 
+def tensor_module(X: RelHopfModule, nu: LinearMap,
+                  nu_inv: LinearMap) -> RelHopfModule:
+    """X (x) N for a relative Hom-Hopf module X and an object (N, nu) of the
+    Hom-category, with (x (x) n).b = x.beta^{-1}(b) (x) nu(n),
+    rho(x (x) n) = (x0 (x) nu^{-1}(n)) (x) alpha(x1) and automorphism
+    mu_X (x) nu.
+
+    The twists come from reassociating (x (x) n) (x) b and
+    (x0 (x) x1) (x) n through the Hom-associator.  Theorem 4.8's
+    A (x) H (x) M is G(A) (x) M, the source of Theorem 5.7's xi is
+    A (x) A, and the ambient of the induction A (x)_B N is A (x) N.
+    """
+    CA = X.over
+    sp, N = X.space, nu.domain
+    action = tensor_after(X.action, nu, permute_factors(
+        LinearMap.identity(tensor_space(sp, N)).tensor(CA.algebra.alpha_inv),
+        (sp, N, CA.space), (0, 2, 1)))
+    coaction = permute_factors(
+        tensor_after(LinearMap.identity(sp), CA.hopf.algebra.alpha,
+                     X.coaction).tensor(nu_inv),
+        (sp, CA.hopf.space, N), (0, 2, 1))
+    return RelHopfModule(tensor_space(sp, N), X.mu.tensor(nu),
+                         X.mu_inv.tensor(nu_inv), action, coaction, CA)
+
+
 def induce_Gtilde(N: HomComodule, CA: ComoduleAlgebra) -> RelHopfModule:
     """Gtilde(N) = A (x) N with (a (x) n).b = a beta^{-1}(b) (x) nu(n) and
     rho(a (x) n) = (a0 (x) n0) (x) n1 a1.
 
-    The beta^{-1}/nu twists on the action come from reassociating
-    (a (x) n) (x) b through the Hom-associator before acting on the left
-    leg, and the coaction multiplies the H-outputs in the order n1 a1;
-    with either twist dropped, or with the product taken as a1 n1, the
-    compatibility axiom rho((a (x) n).b) = ((a (x) n)0 . b0) (x)
-    (a (x) n)1 b1 fails already for four-dimensional noncommutative H.
+    The action and automorphism are those of tensor_module(A, nu); the
+    coaction is the diagonal one, multiplying the H-outputs in the order
+    n1 a1.  With the beta^{-1}/nu twists on the action dropped, or with
+    the product taken as a1 n1, the compatibility axiom
+    rho((a (x) n).b) = ((a (x) n)0 . b0) (x) (a (x) n)1 b1 fails already
+    for four-dimensional noncommutative H.
     """
     H = CA.hopf
-    A = CA.algebra
-    sp = tensor_space(A.space, N.space)
-    action = gtilde_action(A, N.mu)
-    coaction = tensor_after(LinearMap.identity(sp), H.algebra.mult,
+    amb = tensor_module(regular_rel_hopf(CA), N.mu, N.mu_inv)
+    coaction = tensor_after(LinearMap.identity(amb.space), H.algebra.mult,
                             permute_factors(
                                 CA.coaction.tensor(N.coaction),
-                                (A.space, H.space, N.space, H.space),
+                                (CA.space, H.space, N.space, H.space),
                                 (0, 2, 3, 1)))
-    mu = A.alpha.tensor(N.mu)
-    return RelHopfModule(sp, mu, A.alpha_inv.tensor(N.mu_inv),
-                         action, coaction, CA)
-
-
-def gtilde_action(A: HomAlgebra, nu: LinearMap) -> LinearMap:
-    """(a (x) n).b = a beta^{-1}(b) (x) nu(n) on A (x) N."""
-    N = nu.domain
-    return tensor_after(A.mult, nu, permute_factors(
-        LinearMap.identity(tensor_space(A.space, N)).tensor(A.alpha_inv),
-        (A.space, N, A.space), (0, 2, 1)))
+    return replace(amb, coaction=coaction)
 
 
 def regular_comodule(H: HomHopfAlgebra) -> HomComodule:

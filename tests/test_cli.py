@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import homhopf.cli as cli
 from homhopf.catalog import cyclic_group_hopf, entry, names
 from homhopf.cli import main
 from homhopf.instance_io import ParsedInstance, emit_instance
@@ -105,6 +106,25 @@ def test_integral_total_without_quantum_is_exit_2(capsys, kc2_file):
     code, out, err = run(capsys, "integral", kc2_file, "--total")
     assert (code, out) == (2, "")
     assert err == "error: --total needs --quantum\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["integral", "{}", "--quantum"], ["integral", "{}", "--quantum", "--total"],
+    *(["theorem", "--id", t, "{}"] for t in ("4.8", "5.6", "5.7", "5.8"))])
+def test_antipode_refusal_is_located_and_precedes_every_solve(
+        capsys, tmp_path, monkeypatch, argv):
+    path = tmp_path / "m.json"
+    path.write_text(emit_instance(entry("matrix-datum-2")))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the antipode was checked")
+    for name in ("find_total_integral", "find_quantum_integral",
+                 "thm48_check", "thm56_check", "thm57_check", "cor58_check"):
+        monkeypatch.setattr(cli, name, no_solve)
+    code, out, err = run(capsys, *(a.format(path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: hopf.antipode: ")
+    assert err.endswith(" needs a bijective antipode\n")
 
 
 def test_integral_infeasible_with_certificate(capsys, tmp_path):
@@ -422,9 +442,9 @@ GOLDEN_REFUSALS = {
     ("trivial-k-over-H4", "theorem --id 5.8"): _NOT_REGULAR,
     ("trivial-k-over-kC2", "theorem --id 5.8"): _NOT_REGULAR,
     ("matrix-datum-2", "integral --quantum"):
-        "error: this operation needs a bijective antipode\n",
+        "error: hopf.antipode: integral --quantum needs a bijective antipode\n",
     ("matrix-datum-2", "integral --quantum --total"):
-        "error: this operation needs a bijective antipode\n",
+        "error: hopf.antipode: integral --quantum needs a bijective antipode\n",
 }
 GOLDEN_REFUSALS.update({
     ("matrix-datum-2", f"theorem --id {t}"):

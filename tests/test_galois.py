@@ -9,7 +9,7 @@ from homhopf.catalog import cyclic_group_hopf, entry, names, sweedler_hopf
 from homhopf.errors import StructureDoesNotDescend
 from homhopf.galois import (balanced_tensor_AA, beta_evaluation,
                             canonical_psi, coinvariant_module, coinvariants,
-                            cor58_check, descend_action, descend_linear,
+                            cor58_check, descend_linear, descend_module,
                             free_module, galois_xi, induction, prop51_check,
                             quantum_trace_left, regular_induced,
                             thm56_adjunction, thm56_check, thm57_check,
@@ -17,7 +17,9 @@ from homhopf.galois import (balanced_tensor_AA, beta_evaluation,
 from homhopf.integrals import QuantumIntegral, find_quantum_integral
 from homhopf.linalg import (LinearMap, kernel_basis, rank, span, swap_map,
                             tensor_after, tensor_space, vec_is_zero)
-from homhopf.modules import check_rel_hopf, is_morphism, regular_rel_hopf
+from homhopf.modules import (RelHopfModule, check_rel_hopf, is_morphism,
+                             regular_rel_hopf)
+from homhopf.records import replace
 from homhopf.structures import ComoduleAlgebra
 
 from test_integral_systems import _rebased
@@ -298,19 +300,61 @@ def test_adjunction_and_trace_projections_over_B_equal_to_A(name):
     assert rep.ok, rep.pretty()
 
 
+def _square_ambient(CA):
+    """A (x) A with the structures balanced_tensor_AA descends:
+    (a (x) b).a' = beta(a) (x) b beta^{-1}(a'),
+    rho(a (x) b) = (beta^{-1}(a) (x) b0) (x) alpha(b1), mu = beta (x) beta."""
+    A = CA.algebra
+    ida = LinearMap.identity(A.space)
+    return RelHopfModule(
+        tensor_space(A.space, A.space), A.alpha.tensor(A.alpha),
+        A.alpha_inv.tensor(A.alpha_inv),
+        A.alpha.tensor(A.mult @ ida.tensor(A.alpha_inv)),
+        A.alpha_inv.tensor(tensor_after(ida, CA.hopf.algebra.alpha,
+                                        CA.coaction)), CA)
+
+
+def _flipped_from(CA, amb, field):
+    """amb with the structure map named field, and every one checked after
+    it, precomposed with x (x) y -> y x (the action as in the original
+    refusal test, flip (x) eps)."""
+    flip = swap_map(CA.space, CA.space)
+    bad = {"action": flip.tensor(CA.hopf.coalgebra.counit),
+           "coaction": amb.coaction @ flip, "mu": amb.mu @ flip}
+    order = ("action", "coaction", "mu")
+    return replace(amb, **{f: bad[f] for f in order[order.index(field):]})
+
+
 def test_descent_refuses_a_map_that_does_not_kill_the_relations():
     """On H4 over B = A the relations (ab) (x) c - a (x) (bc) are nonzero;
     x (x) y -> xy kills them, x (x) y -> yx does not."""
     CA = _trivial_coaction("sweedler-H4")
     A = CA.algebra
-    bt, _ = balanced_tensor_AA(CA, coinvariants(CA))
+    bt, square = balanced_tensor_AA(CA, coinvariants(CA))
     flip = swap_map(A.space, A.space)
     assert descend_linear(A.mult, bt, "mult").domain == bt.space
     with pytest.raises(StructureDoesNotDescend, match="flipped mult"):
         descend_linear(A.mult @ flip, bt, "flipped mult")
-    with pytest.raises(StructureDoesNotDescend, match="flipped action"):
-        descend_action(flip.tensor(CA.hopf.coalgebra.counit), bt, A.space,
-                       "flipped action")
+    amb = _square_ambient(CA)
+    assert descend_module(amb, bt, "the square") == square
+    with pytest.raises(StructureDoesNotDescend,
+                       match="^the A-action on the flipped square does not"):
+        descend_module(_flipped_from(CA, amb, "action"), bt,
+                       "the flipped square")
+
+
+@pytest.mark.parametrize("field, message", [
+    ("coaction", "the coaction on the flipped square"),
+    ("mu", "the automorphism of the flipped square")])
+def test_descent_refuses_each_structure_map_in_turn(field, message):
+    """The action is checked first, then the coaction, then the
+    automorphism; each refusal names the first structure map that fails."""
+    CA = _trivial_coaction("sweedler-H4")
+    bt, _ = balanced_tensor_AA(CA, coinvariants(CA))
+    amb = _flipped_from(CA, _square_ambient(CA), field)
+    with pytest.raises(StructureDoesNotDescend,
+                       match=f"^{message} does not vanish"):
+        descend_module(amb, bt, "the flipped square")
 
 
 def test_thm57_runs_a_bounded_number_of_affine_solves(monkeypatch):

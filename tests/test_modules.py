@@ -1,18 +1,25 @@
 """Relative Hom-Hopf modules: induced structures, the adjunction, and the
 comparison isomorphism between the two module structures on A (x) H."""
 
+from fractions import Fraction
+
 import pytest
 
 from homhopf.catalog import cyclic_group_hopf, entry, names
+from homhopf.galois import xi_source_module
+from homhopf.integrals import thm48_module
 from homhopf.linalg import (LinearMap, permute_factors, tensor_after,
                             tensor_space)
-from homhopf.modules import (adjunction_counit, adjunction_unit,
-                             check_rel_hopf, induce_G, induce_Gtilde,
-                             is_alinear, is_colinear, is_morphism,
-                             prop31_check, prop31_u, prop31_v,
-                             regular_comodule, regular_rel_hopf,
+from homhopf.modules import (RelHopfModule, adjunction_counit,
+                             adjunction_unit, check_rel_hopf, induce_G,
+                             induce_Gtilde, is_alinear, is_colinear,
+                             is_morphism, prop31_check, prop31_u, prop31_v,
+                             regular_comodule, regular_induced,
+                             regular_rel_hopf, tensor_module,
                              triangle_identities_hold)
 from homhopf.structures import regular_comodule_algebra
+
+from test_integrals import _scaled_h4
 
 HOPF_ENTRIES = [n for n in names() if entry(n).kind == "hopf"]
 
@@ -120,3 +127,81 @@ def test_prop31_u_v_formulas_are_inverse_pointwise(name):
     v = prop31_v(CA)
     assert (u @ v).is_identity()
     assert (v @ u).is_identity()
+
+
+# tensor_module against the three hand-written constructions it replaced
+
+def _ref_thm48_module(CA, M):
+    """A (x) H (x) M with (a (x) h (x) m).b =
+    a beta^{-1}(b0) (x) h alpha^{-1}(b1) (x) mu(m) and
+    rho = beta^{-1}(a) (x) h1 (x) mu^{-1}(m) (x) alpha^2(h2)."""
+    A, H = CA.algebra, CA.hopf
+    sp = tensor_space(A.space, H.space, M.space)
+    rho_inv = tensor_after(A.alpha_inv, H.algebra.alpha_inv, CA.coaction)
+    action = tensor_after(A.mult, H.algebra.mult.tensor(M.mu), permute_factors(
+        LinearMap.identity(sp).tensor(rho_inv),
+        (A.space, H.space, M.space, A.space, H.space), (0, 3, 1, 4, 2)))
+    alpha2 = H.algebra.alpha @ H.algebra.alpha
+    delta2 = tensor_after(LinearMap.identity(H.space), alpha2,
+                          H.coalgebra.comult)
+    coaction = permute_factors(
+        A.alpha_inv.tensor(delta2).tensor(M.mu_inv),
+        (A.space, H.space, H.space, M.space), (0, 1, 3, 2))
+    mu = A.alpha.tensor(H.algebra.alpha).tensor(M.mu)
+    mu_inv = A.alpha_inv.tensor(H.algebra.alpha_inv).tensor(M.mu_inv)
+    return RelHopfModule(sp, mu, mu_inv, action, coaction, CA)
+
+
+def _ref_gtilde_action(A, nu):
+    """(a (x) n).b = a beta^{-1}(b) (x) nu(n) on A (x) N."""
+    N = nu.domain
+    return tensor_after(A.mult, nu, permute_factors(
+        LinearMap.identity(tensor_space(A.space, N)).tensor(A.alpha_inv),
+        (A.space, N, A.space), (0, 2, 1)))
+
+
+def _ref_xi_source_module(CA):
+    """A (x) A with action (a (x) b).a' = a beta^{-1}(a') (x) beta(b) and
+    coaction (a0 (x) beta^{-1}(b)) (x) alpha(a1)."""
+    A, H = CA.algebra, CA.hopf
+    twisted = tensor_after(LinearMap.identity(A.space), H.algebra.alpha,
+                           CA.coaction)
+    coaction = permute_factors(twisted.tensor(A.alpha_inv),
+                               (A.space, H.space, A.space), (0, 2, 1))
+    mu = A.alpha.tensor(A.alpha)
+    return RelHopfModule(tensor_space(A.space, A.space), mu, mu.inverse(),
+                         _ref_gtilde_action(A, A.alpha), coaction, CA)
+
+
+def _with_A_and_GA(CA):
+    return CA, [regular_rel_hopf(CA), regular_induced(CA)]
+
+
+TENSOR_MODULE_CASES = {
+    **{n: (lambda n=n: (entry(n).comodule_algebra,
+                        [entry(n).modules[k]
+                         for k in sorted(entry(n).modules)]))
+       for n in HOPF_ENTRIES},
+    **{f"H4 twisted by x -> {lam} x":
+       (lambda lam=lam: _with_A_and_GA(_scaled_h4(lam)))
+       for lam in (2, 3, -1, Fraction(1, 2))},
+    **{f"kC{n} on itself": (lambda n=n: _with_A_and_GA(
+        regular_comodule_algebra(cyclic_group_hopf(n)))) for n in range(1, 9)},
+}
+
+
+@pytest.mark.parametrize("case", TENSOR_MODULE_CASES)
+def test_tensor_module_reproduces_the_constructions_it_replaced(case):
+    """thm48_module, xi_source_module and the A (x) N action of induction
+    and Gtilde agree map for map with their hand-written formulas."""
+    CA, modules = TENSOR_MODULE_CASES[case]()
+    A, H = CA.algebra, CA.hopf
+    assert modules
+    for M in modules:
+        assert thm48_module(CA, M) == _ref_thm48_module(CA, M)
+        AM = tensor_module(regular_rel_hopf(CA), M.mu, M.mu_inv)
+        assert AM.action == _ref_gtilde_action(A, M.mu)
+    assert xi_source_module(CA) == _ref_xi_source_module(CA)
+    GtH = induce_Gtilde(regular_comodule(H), CA)
+    assert GtH.action == _ref_gtilde_action(A, H.coalgebra.gamma)
+    assert GtH.mu == A.alpha.tensor(H.coalgebra.gamma)
