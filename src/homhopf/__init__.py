@@ -9,16 +9,15 @@ structure theorems on a small built-in catalog.
 
 from .errors import (CentralityViolated, EquivalenceViolated, HomHopfError,
                      InstanceFormatError, NotAutomorphism, NotIntertwining,
-                     ParametersNotCoinvariant, StructureDoesNotDescend,
-                     UnknownEntry)
+                     StructureDoesNotDescend, UnknownEntry)
 from .linalg import Infeasible, LinearMap, Space, frac, space, tensor_space
 from .structures import (ComoduleAlgebra, HomAlgebra, HomCoalgebra,
                          HomHopfAlgebra, check_comodule_algebra,
                          check_hom_algebra, check_hom_coalgebra,
                          check_hom_hopf, regular_comodule_algebra, twist)
-from .modules import (HomComodule, HomModule, RelHopfModule, check_rel_hopf,
-                      induce_G, induce_Gtilde, is_morphism, prop31_check,
-                      prop31_u, prop31_v, regular_comodule, regular_rel_hopf)
+from .modules import (HomModule, RelHopfModule, check_rel_hopf, induce_G,
+                      induce_Gtilde, is_morphism, prop31_check, prop31_u,
+                      prop31_v, regular_rel_hopf)
 from .integrals import (QuantumIntegral, TotalIntegral, find_quantum_integral,
                         find_total_integral, theorem43_check)
 from .galois import (CoinvariantAlgebra, GaloisMap, balanced_tensor_AA,

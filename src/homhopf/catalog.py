@@ -11,8 +11,7 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-from .errors import ParametersNotCoinvariant, UnknownEntry
-from .galois import coinvariant_subspace
+from .errors import UnknownEntry
 from .instance_io import ParsedInstance
 from .integrals import _beta_compat_residual, _eq41_residual, is_total
 from .linalg import (SCALAR_SPACE, ZERO, LinearMap, Space, frac, space,
@@ -140,8 +139,6 @@ def matrix_family_gamma(CA: ComoduleAlgebra,
     n = math.isqrt(H.dim)
     if n * n != H.dim:
         raise ValueError(f"a comatrix datum has square dimension, got {H.dim}")
-    _require_coinvariant_params(
-        CA, [frac(mu[r][c]) for r in range(n) for c in range(n)])
     # D(c_ij (x) c_rs) = delta_is mu_rj, one row
     D = _scalar_table(H, [frac(mu[r][j]) if i == s else ZERO
                           for i in range(n) for j in range(n)
@@ -155,7 +152,6 @@ def group_family_gamma(CA: ComoduleAlgebra,
     trivial A = k; mu maps group-element index to a coinvariant scalar."""
     H = CA.hopf
     A = CA.algebra
-    _require_coinvariant_params(CA, [frac(mu[i]) for i in range(H.dim)])
     # D(x (x) y) = delta_xy mu_x, one row
     D = _scalar_table(H, [frac(mu[x]) if x == y else ZERO
                           for x in range(H.dim) for y in range(H.dim)])
@@ -166,18 +162,6 @@ def _scalar_table(H: HomHopfAlgebra, values) -> LinearMap:
     """The map H (x) H -> k with the given values on the basis."""
     return LinearMap(tensor_space(H.space, H.space), SCALAR_SPACE,
                      tuple(((0, v),) if v else () for v in values))
-
-
-def _require_coinvariant_params(CA: ComoduleAlgebra, values) -> None:
-    A = CA.algebra
-    sub = coinvariant_subspace(A.space, A.alpha_inv, CA.coaction, CA.hopf)
-    # v 1_A is coinvariant iff v = 0 or 1_A is
-    unit_in_b = sub.dim > 0 and sub.coordinates(
-        A.unit_map, Space(tuple(f"b{i}" for i in range(sub.dim)))) is not None
-    for v in values:
-        if frac(v) and not unit_in_b:
-            raise ParametersNotCoinvariant(
-                f"parameter {v} scales 1_A outside the coinvariants")
 
 
 def example_family_verify(CA: ComoduleAlgebra, gamma_map: LinearMap,

@@ -176,7 +176,8 @@ def main(argv: list[str] | None = None) -> int:
                 _write("".join(name + "\n" for name in names()))
                 return 0
             if not args.name:
-                print("catalog emit needs an entry name", file=sys.stderr)
+                print("error: catalog emit needs an entry name",
+                      file=sys.stderr)
                 return 2
             _write(emit_instance(entry(args.name)))
             return 0

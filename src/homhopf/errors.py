@@ -29,10 +29,6 @@ class UnknownEntry(HomHopfError):
     """Requested catalog entry does not exist."""
 
 
-class ParametersNotCoinvariant(HomHopfError):
-    """Integral family parameters lie outside the coinvariant subalgebra."""
-
-
 class EquivalenceViolated(HomHopfError):
     """A theorem-level equivalence failed; indicates an implementation bug."""
 

@@ -223,6 +223,9 @@ def _parse_space(block: dict, where: str, cap: Optional[int]) -> Space:
     if len(labels) != dim or not all(isinstance(x, str) for x in labels):
         raise InstanceFormatError(
             f"basis must list {dim} label strings", where)
+    if len(set(labels)) != dim:
+        raise InstanceFormatError("basis labels must be pairwise distinct",
+                                  where)
     return space(*labels)
 
 

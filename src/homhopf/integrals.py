@@ -1,7 +1,6 @@
 """Total integrals and total quantum integrals as affine feasibility
-problems, the colinear averaging construction, the splitting maps lambda_M,
-the integral existence equivalence, and the generator epimorphism on
-A (x) H (x) M.
+problems, the splitting maps lambda_M, the integral existence equivalence,
+and the generator epimorphism on A (x) H (x) M.
 
 Each existence question is an affine system in the entries of one unknown
 map.  Its coefficients are assembled directly from the sparse columns of the
@@ -347,18 +346,8 @@ def gamma_from_central_phi(CA: ComoduleAlgebra, phi: LinearMap) -> QuantumIntegr
 
 
 # ---------------------------------------------------------------------------
-# Averaging and splitting
+# Splitting
 # ---------------------------------------------------------------------------
-
-def average_colinear(u: LinearMap, N: RelHopfModule, M: RelHopfModule,
-                     phi: TotalIntegral) -> LinearMap:
-    """Average a mu/nu-intertwining k-linear map u: N -> M into an H-colinear
-    one: u~(n) = mu(w0) . phi(S(w1) alpha^{-1}(n1)) with w = u(n0)."""
-    if not (M.mu @ u).same_matrix(u @ N.mu):
-        raise NotIntertwining("u does not intertwine the automorphisms")
-    idh = LinearMap.identity(M.over.hopf.space)
-    return lambda_M(M, phi) @ tensor_after(u, idh, N.coaction)
-
 
 def lambda_M(M: RelHopfModule, phi: TotalIntegral) -> LinearMap:
     """The colinear retraction of rho_M:

@@ -1,6 +1,7 @@
-"""Right Hom-modules, Hom-comodules and relative Hom-Hopf modules, the
-induced structures M (x) H and A (x) N, the adjunction unit/counit, and
-the comparison isomorphism between the two module structures on A (x) H.
+"""Right Hom-modules and relative Hom-Hopf modules, the induced structures
+G(M) = M (x) H and Gtilde(H) = A (x) H, the tensor product X (x) N with an
+object of the Hom-category, and the comparison isomorphism between the two
+module structures on A (x) H.
 """
 
 from __future__ import annotations
@@ -9,8 +10,7 @@ from .linalg import (LinearMap, Space, permute_factors, tensor_after,
                      tensor_space)
 from .records import record, replace
 from .report import Report
-from .structures import (ComoduleAlgebra, HomAlgebra, HomHopfAlgebra,
-                         check_comodule_axioms)
+from .structures import ComoduleAlgebra, HomAlgebra, check_comodule_axioms
 from .verify import check_identity
 
 
@@ -23,21 +23,6 @@ class HomModule:
     mu_inv: LinearMap
     action: LinearMap        # M (x) A -> M
     over: HomAlgebra
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-
-@record(frozen=True)
-class HomComodule:
-    """A right (H, alpha)-Hom-comodule (N, nu)."""
-
-    space: Space
-    mu: LinearMap
-    mu_inv: LinearMap
-    coaction: LinearMap      # N -> N (x) H
-    over: HomHopfAlgebra
 
     @property
     def dim(self) -> int:
@@ -59,10 +44,6 @@ class RelHopfModule:
     def as_module(self) -> HomModule:
         return HomModule(self.space, self.mu, self.mu_inv, self.action,
                          self.over.algebra)
-
-    def as_comodule(self) -> HomComodule:
-        return HomComodule(self.space, self.mu, self.mu_inv, self.coaction,
-                           self.over.hopf)
 
     @property
     def dim(self) -> int:
@@ -91,21 +72,15 @@ def check_hom_module(M: HomModule) -> Report:
     return rep
 
 
-def check_hom_comodule(N: HomComodule) -> Report:
-    rep = Report(f"Hom-comodule axioms on dim {N.dim}")
-    rep.record("mu invertible", (N.mu @ N.mu_inv).is_identity())
-    check_comodule_axioms(rep, "", N.space, N.mu, N.mu_inv, N.coaction, N.over)
-    return rep
-
-
 def check_rel_hopf(M: RelHopfModule) -> Report:
     """Module axioms + comodule axioms + the compatibility condition."""
     rep = Report(f"relative Hom-Hopf module axioms on dim {M.dim}")
     rep.extend(check_hom_module(M.as_module()), prefix="module: ")
-    rep.extend(check_hom_comodule(M.as_comodule()), prefix="comodule: ")
-
     CA = M.over
     H = CA.hopf
+    rep.record("comodule: mu invertible", (M.mu @ M.mu_inv).is_identity())
+    check_comodule_axioms(rep, "comodule: ", M.space, M.mu, M.mu_inv,
+                          M.coaction, H)
     sp, asp = M.space, CA.space
     check_identity(rep, "compatibility: rho(m.a) = m0.a0 (x) m1 a1",
                    [sp, asp], tensor_space(sp, H.space),
@@ -173,35 +148,30 @@ def tensor_module(X: RelHopfModule, nu: LinearMap,
                          X.mu_inv.tensor(nu_inv), action, coaction, CA)
 
 
-def induce_Gtilde(N: HomComodule, CA: ComoduleAlgebra) -> RelHopfModule:
-    """Gtilde(N) = A (x) N with (a (x) n).b = a beta^{-1}(b) (x) nu(n) and
-    rho(a (x) n) = (a0 (x) n0) (x) n1 a1.
+def induce_Gtilde(CA: ComoduleAlgebra) -> RelHopfModule:
+    """Gtilde(H) = A (x) H with (a (x) h).b = a beta^{-1}(b) (x) alpha(h)
+    and rho(a (x) h) = (a0 (x) h1) (x) h2 a1.
 
-    The action and automorphism are those of tensor_module(A, nu); the
+    The action and automorphism are those of tensor_module(A, alpha); the
     coaction is the diagonal one, multiplying the H-outputs in the order
-    n1 a1.  With the beta^{-1}/nu twists on the action dropped, or with
-    the product taken as a1 n1, the compatibility axiom
-    rho((a (x) n).b) = ((a (x) n)0 . b0) (x) (a (x) n)1 b1 fails already
+    h2 a1.  With the beta^{-1}/alpha twists on the action dropped, or with
+    the product taken as a1 h2, the compatibility axiom
+    rho((a (x) h).b) = ((a (x) h)0 . b0) (x) (a (x) h)1 b1 fails already
     for four-dimensional noncommutative H.
     """
     H = CA.hopf
-    amb = tensor_module(regular_rel_hopf(CA), N.mu, N.mu_inv)
+    amb = tensor_module(regular_rel_hopf(CA), H.algebra.alpha,
+                        H.algebra.alpha_inv)
     coaction = tensor_after(LinearMap.identity(amb.space), H.algebra.mult,
                             permute_factors(
-                                CA.coaction.tensor(N.coaction),
-                                (CA.space, H.space, N.space, H.space),
+                                CA.coaction.tensor(H.coalgebra.comult),
+                                (CA.space, H.space, H.space, H.space),
                                 (0, 2, 3, 1)))
     return replace(amb, coaction=coaction)
 
 
-def regular_comodule(H: HomHopfAlgebra) -> HomComodule:
-    """H as a right comodule over itself via its comultiplication."""
-    return HomComodule(H.space, H.coalgebra.gamma, H.coalgebra.gamma_inv,
-                       H.coalgebra.comult, H)
-
-
 # ---------------------------------------------------------------------------
-# Adjunction unit / counit and morphism predicates
+# Adjunction unit and morphism predicates
 # ---------------------------------------------------------------------------
 
 def adjunction_unit(M: RelHopfModule) -> LinearMap:
@@ -209,21 +179,9 @@ def adjunction_unit(M: RelHopfModule) -> LinearMap:
     return M.coaction
 
 
-def adjunction_counit(N: HomModule, H: HomHopfAlgebra) -> LinearMap:
-    """delta_N : N (x) H -> N, n (x) h -> eps(h) nu(n).
-
-    The nu-twist makes delta_N right A-linear and closes both triangle
-    identities exactly; the untwisted variant only closes them up to nu.
-    """
-    # nu (x) eps lands in N (x) k, whose basis is N's
-    return LinearMap(tensor_space(N.space, H.space), N.space,
-                     N.mu.tensor(H.coalgebra.counit).cols)
-
-
-def is_colinear(f: LinearMap, M, N) -> bool:
+def is_colinear(f: LinearMap, M: RelHopfModule, N: RelHopfModule) -> bool:
     """rho_N . f = (f x id_H) . rho_M, entry-exactly."""
-    H = N.over.hopf if isinstance(N, RelHopfModule) else N.over
-    idh = LinearMap.identity(H.space)
+    idh = LinearMap.identity(N.over.hopf.space)
     return (N.coaction @ f).same_matrix(f.tensor(idh) @ M.coaction)
 
 
@@ -242,19 +200,6 @@ def is_intertwining(f: LinearMap, M, N) -> bool:
 def is_morphism(f: LinearMap, M: RelHopfModule, N: RelHopfModule) -> bool:
     return (is_intertwining(f, M, N) and is_alinear(f, M, N)
             and is_colinear(f, M, N))
-
-
-def triangle_identities_hold(M: RelHopfModule, N: HomModule,
-                             CA: ComoduleAlgebra) -> bool:
-    """G(delta_N) . eta_{G(N)} = id and delta_{F(M)} . F(eta_M) = id."""
-    H = CA.hopf
-    GN = induce_G(N, CA)
-    delta_N = adjunction_counit(N, H)
-    g_delta = delta_N.tensor(LinearMap.identity(H.space))
-    first = (g_delta @ GN.coaction).is_identity()
-    delta_FM = adjunction_counit(M.as_module(), H)
-    second = (delta_FM @ M.coaction).is_identity()
-    return first and second
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +246,7 @@ def prop31_check(CA: ComoduleAlgebra) -> Report:
     v : G(A) -> Gtilde(H)."""
     rep = Report("comparison isomorphism G(A) ~ Gtilde(H)")
     GA = regular_induced(CA)
-    GtH = induce_Gtilde(regular_comodule(CA.hopf), CA)
+    GtH = induce_Gtilde(CA)
     rep.extend(check_rel_hopf(GA), "G(A)")
     rep.extend(check_rel_hopf(GtH), "Gtilde(H)")
     u = prop31_u(CA)

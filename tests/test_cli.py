@@ -56,6 +56,12 @@ def test_catalog_emit_unknown_name(capsys):
     assert "unknown" in err
 
 
+def test_catalog_emit_without_a_name_is_exit_2(capsys):
+    code, out, err = run(capsys, "catalog", "emit")
+    assert (code, out) == (2, "")
+    assert err == "error: catalog emit needs an entry name\n"
+
+
 def test_check_passes_on_catalog_file(capsys, kc2_file):
     code, out, _ = run(capsys, "check", kc2_file)
     assert code == 0
@@ -277,6 +283,18 @@ def test_check_bool_dim_is_exit_2(capsys, tmp_path, block):
     code, out, err = run(capsys, "check", str(path))
     assert code == 2 and out == ""
     assert err == f"error: {block}: key 'dim' has wrong type bool\n"
+
+
+@pytest.mark.parametrize("block", ["hopf", "comodule_algebra", "modules.A"])
+def test_check_repeated_basis_label_is_exit_2(capsys, tmp_path, block):
+    doc = json.loads(emit_instance(entry("kC2")))
+    target = doc["modules"]["A"] if block == "modules.A" else doc[block]
+    target["basis"] = [target["basis"][0]] * len(target["basis"])
+    path = tmp_path / "repeated_label.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {block}: basis labels must be pairwise distinct\n"
 
 
 # The report of every subcommand on every emitted catalog entry: the sha256

@@ -10,13 +10,12 @@ from homhopf.catalog import (cyclic_group_hopf, entry, names, sweedler_hopf,
                              trivial_comodule_algebra)
 from homhopf.errors import CentralityViolated
 from homhopf.integrals import (QuantumIntegral, TotalIntegral,
-                               average_colinear,
                                find_quantum_integral, find_total_integral,
                                gamma_from_central_phi, lambda_M,
                                phi_from_gamma, theorem43_check, thm48_check,
                                verify_total_integral)
 from homhopf.linalg import Infeasible, LinearMap
-from homhopf.modules import induce_G, is_colinear, regular_rel_hopf
+from homhopf.modules import induce_G, is_colinear
 from homhopf.structures import regular_comodule_algebra, twist
 from test_integral_systems import _rebased
 
@@ -96,21 +95,6 @@ def test_lambda_M_splits_the_coaction(name):
         lm = lambda_M(M, res)
         assert (lm @ M.coaction).is_identity()
         assert is_colinear(lm, induce_G(M.as_module(), CA), M)
-
-
-@pytest.mark.parametrize("name", HOPF_ENTRIES)
-def test_average_colinear_produces_colinear_maps(name):
-    e = entry(name)
-    CA = e.comodule_algebra
-    res = find_total_integral(CA)
-    if not isinstance(res, TotalIntegral):
-        pytest.skip("no total integral")
-    M = regular_rel_hopf(CA)
-    GM = induce_G(M.as_module(), CA)
-    # average the section rho_M of lambda_M's retraction pair
-    u = M.coaction
-    tilde = average_colinear(u, M, GM, res)
-    assert is_colinear(tilde, M, GM)
 
 
 def test_phi_from_gamma_is_colinear_and_unital():

@@ -10,13 +10,11 @@ from homhopf.galois import xi_source_module
 from homhopf.integrals import thm48_module
 from homhopf.linalg import (LinearMap, permute_factors, tensor_after,
                             tensor_space)
-from homhopf.modules import (RelHopfModule, adjunction_counit,
-                             adjunction_unit, check_rel_hopf, induce_G,
-                             induce_Gtilde, is_alinear, is_colinear,
-                             is_morphism, prop31_check, prop31_u, prop31_v,
-                             regular_comodule, regular_induced,
-                             regular_rel_hopf, tensor_module,
-                             triangle_identities_hold)
+from homhopf.modules import (RelHopfModule, adjunction_unit,
+                             check_rel_hopf, induce_G, induce_Gtilde,
+                             is_colinear, is_morphism, prop31_check,
+                             prop31_u, prop31_v, regular_induced,
+                             regular_rel_hopf, tensor_module)
 from homhopf.structures import regular_comodule_algebra
 
 from test_integrals import _scaled_h4
@@ -40,7 +38,7 @@ def test_induced_G_passes_axioms(name):
 @pytest.mark.parametrize("name", HOPF_ENTRIES)
 def test_induced_Gtilde_passes_axioms(name):
     CA = entry(name).comodule_algebra
-    GtH = induce_Gtilde(regular_comodule(CA.hopf), CA)
+    GtH = induce_Gtilde(CA)
     assert check_rel_hopf(GtH).ok
 
 
@@ -70,30 +68,12 @@ def test_prop31_mutual_inverse_and_morphism(name):
 
 
 @pytest.mark.parametrize("name", HOPF_ENTRIES)
-def test_triangle_identities(name):
-    CA = entry(name).comodule_algebra
-    M = regular_rel_hopf(CA)
-    assert triangle_identities_hold(M, M.as_module(), CA)
-
-
-@pytest.mark.parametrize("name", HOPF_ENTRIES)
 def test_adjunction_unit_is_a_morphism(name):
     CA = entry(name).comodule_algebra
     M = regular_rel_hopf(CA)
     GFM = induce_G(M.as_module(), CA)
     eta = adjunction_unit(M)
     assert is_morphism(eta, M, GFM)
-
-
-def test_counit_kills_the_unit_trivially():
-    CA = regular_comodule_algebra(cyclic_group_hopf(2))
-    H = CA.hopf
-    M = regular_rel_hopf(CA).as_module()
-    delta = adjunction_counit(M, H)
-    idm = LinearMap.identity(M.space)
-    # m -> m (x) 1_H -> eps(1_H) mu(m)
-    assert (delta @ tensor_after(idm, H.algebra.unit_map, idm)).same_matrix(
-        M.mu)
 
 
 def test_identity_is_a_morphism():
@@ -160,6 +140,16 @@ def _ref_gtilde_action(A, nu):
         (A.space, N, A.space), (0, 2, 1)))
 
 
+def _ref_gtilde_coaction(CA, N, coaction):
+    """rho(a (x) n) = (a0 (x) n0) (x) n1 a1 on A (x) N for a right
+    H-comodule (N, coaction)."""
+    H = CA.hopf
+    return tensor_after(LinearMap.identity(tensor_space(CA.space, N)),
+                        H.algebra.mult, permute_factors(
+                            CA.coaction.tensor(coaction),
+                            (CA.space, H.space, N, H.space), (0, 2, 3, 1)))
+
+
 def _ref_xi_source_module(CA):
     """A (x) A with action (a (x) b).a' = a beta^{-1}(a') (x) beta(b) and
     coaction (a0 (x) beta^{-1}(b)) (x) alpha(a1)."""
@@ -192,8 +182,8 @@ TENSOR_MODULE_CASES = {
 
 @pytest.mark.parametrize("case", TENSOR_MODULE_CASES)
 def test_tensor_module_reproduces_the_constructions_it_replaced(case):
-    """thm48_module, xi_source_module and the A (x) N action of induction
-    and Gtilde agree map for map with their hand-written formulas."""
+    """thm48_module, xi_source_module, the A (x) N action of induction and
+    Gtilde(H) agree map for map with their hand-written formulas."""
     CA, modules = TENSOR_MODULE_CASES[case]()
     A, H = CA.algebra, CA.hopf
     assert modules
@@ -202,6 +192,8 @@ def test_tensor_module_reproduces_the_constructions_it_replaced(case):
         AM = tensor_module(regular_rel_hopf(CA), M.mu, M.mu_inv)
         assert AM.action == _ref_gtilde_action(A, M.mu)
     assert xi_source_module(CA) == _ref_xi_source_module(CA)
-    GtH = induce_Gtilde(regular_comodule(H), CA)
+    GtH = induce_Gtilde(CA)
     assert GtH.action == _ref_gtilde_action(A, H.coalgebra.gamma)
     assert GtH.mu == A.alpha.tensor(H.coalgebra.gamma)
+    assert GtH.coaction == _ref_gtilde_coaction(CA, H.space,
+                                                H.coalgebra.comult)
