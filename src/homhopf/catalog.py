@@ -190,35 +190,29 @@ def _hopf_entry(name: str, description: str, CA: ComoduleAlgebra,
     return ParsedInstance(name, "hopf", description, CA, modules, expected)
 
 
+def _regular_entry(name: str, description: str, H: HomHopfAlgebra,
+                   kernel_dim: int) -> ParsedInstance:
+    """H coacting on itself, with the values every such entry shares."""
+    return _hopf_entry(name, description, regular_comodule_algebra(H), {
+        "total_integral": True, "total_integral_kernel_dim": kernel_dim,
+        "total_quantum_integral": True, "galois": "bijective",
+        "coinvariant_dim": 1})
+
+
 def _build_entries() -> dict[str, Callable[[], ParsedInstance]]:
     return {
-        "kC2": lambda: _hopf_entry(
+        "kC2": lambda: _regular_entry(
             "kC2", "group algebra of the cyclic group of order 2, "
-            "coacting on itself",
-            regular_comodule_algebra(cyclic_group_hopf(2)),
-            {"total_integral": True, "total_integral_kernel_dim": 1,
-             "total_quantum_integral": True, "galois": "bijective",
-             "coinvariant_dim": 1}),
-        "kC3": lambda: _hopf_entry(
+            "coacting on itself", cyclic_group_hopf(2), 1),
+        "kC3": lambda: _regular_entry(
             "kC3", "group algebra of the cyclic group of order 3, "
-            "coacting on itself",
-            regular_comodule_algebra(cyclic_group_hopf(3)),
-            {"total_integral": True, "total_integral_kernel_dim": 2,
-             "total_quantum_integral": True, "galois": "bijective",
-             "coinvariant_dim": 1}),
-        "kC3-twisted": lambda: _hopf_entry(
+            "coacting on itself", cyclic_group_hopf(3), 2),
+        "kC3-twisted": lambda: _regular_entry(
             "kC3-twisted", "kC3 twisted along the automorphism g -> g^2",
-            regular_comodule_algebra(twisted_cyclic3()),
-            {"total_integral": True, "total_integral_kernel_dim": 1,
-             "total_quantum_integral": True, "galois": "bijective",
-             "coinvariant_dim": 1}),
-        "sweedler-H4": lambda: _hopf_entry(
+            twisted_cyclic3(), 1),
+        "sweedler-H4": lambda: _regular_entry(
             "sweedler-H4", "the four-dimensional Hopf algebra coacting on "
-            "itself",
-            regular_comodule_algebra(sweedler_hopf()),
-            {"total_integral": True, "total_integral_kernel_dim": 3,
-             "total_quantum_integral": True, "galois": "bijective",
-             "coinvariant_dim": 1}),
+            "itself", sweedler_hopf(), 3),
         "trivial-k-over-kC2": lambda: _hopf_entry(
             "trivial-k-over-kC2", "A = k with the trivial coaction of kC2",
             trivial_comodule_algebra(cyclic_group_hopf(2)),

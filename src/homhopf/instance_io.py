@@ -81,58 +81,33 @@ def _matrix(f: LinearMap) -> list[list[str]]:
     return [[str(x) for x in row] for row in f.matrix]
 
 
-def _vector(v: Vector) -> list[str]:
-    return [str(x) for x in v]
-
-
-def _hopf_block(H: HomHopfAlgebra) -> dict:
-    return {
-        "dim": H.dim,
-        "basis": list(H.space.labels),
-        "mult": _matrix(H.algebra.mult),
-        "unit": _vector(H.algebra.unit),
-        "comult": _matrix(H.coalgebra.comult),
-        "counit": _matrix(H.coalgebra.counit),
-        "antipode": _matrix(H.antipode),
-        "alpha": _matrix(H.algebra.alpha),
-    }
-
-
-def _comodule_algebra_block(CA: ComoduleAlgebra) -> dict:
-    A = CA.algebra
-    return {
-        "dim": A.dim,
-        "basis": list(A.space.labels),
-        "mult": _matrix(A.mult),
-        "unit": _vector(A.unit),
-        "beta": _matrix(A.alpha),
-        "coaction": _matrix(CA.coaction),
-    }
-
-
-def _module_block(M: RelHopfModule) -> dict:
-    return {
-        "dim": M.dim,
-        "basis": list(M.space.labels),
-        "mu": _matrix(M.mu),
-        "action": _matrix(M.action),
-        "coaction": _matrix(M.coaction),
-    }
+def _block(sp: Space, **data) -> dict:
+    """A block of the file: dimension, basis, then each named map (or
+    vector, such as a unit) in the order given."""
+    return {"dim": sp.dim, "basis": list(sp.labels),
+            **{key: [str(x) for x in value] if isinstance(value, tuple)
+               else _matrix(value) for key, value in data.items()}}
 
 
 def emit_instance(inst: ParsedInstance) -> str:
     """Serialize an instance, parsed or from the catalog, to the canonical
     file text.  Emission is deterministic: equal instances give
     byte-identical output."""
+    H, CA = inst.hopf, inst.comodule_algebra
+    A = CA.algebra
     doc = {
         "format": FORMAT_NAME,
         "field": "rational",
         "name": inst.name,
         "kind": inst.kind,
         "description": inst.description,
-        "hopf": _hopf_block(inst.hopf),
-        "comodule_algebra": _comodule_algebra_block(inst.comodule_algebra),
-        "modules": {name: _module_block(M)
+        "hopf": _block(H.space, mult=H.algebra.mult, unit=H.algebra.unit,
+                       comult=H.coalgebra.comult, counit=H.coalgebra.counit,
+                       antipode=H.antipode, alpha=H.algebra.alpha),
+        "comodule_algebra": _block(A.space, mult=A.mult, unit=A.unit,
+                                   beta=A.alpha, coaction=CA.coaction),
+        "modules": {name: _block(M.space, mu=M.mu, action=M.action,
+                                 coaction=M.coaction)
                     for name, M in sorted(inst.modules.items())},
         "expected": {k: inst.expected[k] for k in sorted(inst.expected)},
     }
@@ -185,8 +160,9 @@ def _bad_scalar(raw: list, where: str) -> InstanceFormatError:
     raise AssertionError(f"{where} has no bad scalar")
 
 
-def _parse_vector(raw, sp: Space, where: str) -> Vector:
-    if not isinstance(raw, list) or len(raw) != sp.dim:
+def _parse_vector(block: dict, key: str, sp: Space, where: str) -> Vector:
+    raw, where = _get(block, key, list, where), f"{where}.{key}"
+    if len(raw) != sp.dim:
         raise InstanceFormatError(
             f"expected a list of {sp.dim} scalars", where)
     try:
@@ -195,8 +171,10 @@ def _parse_vector(raw, sp: Space, where: str) -> Vector:
         raise _bad_scalar(raw, where)
 
 
-def _parse_matrix(raw, dom: Space, cod: Space, where: str) -> LinearMap:
-    if not isinstance(raw, list) or len(raw) != cod.dim:
+def _parse_matrix(block: dict, key: str, dom: Space, cod: Space,
+                  where: str) -> LinearMap:
+    raw, where = _get(block, key, list, where), f"{where}.{key}"
+    if len(raw) != cod.dim:
         raise InstanceFormatError(
             f"expected {cod.dim} rows of {dom.dim} scalars", where)
     rows = []
@@ -241,18 +219,12 @@ def _parse_hopf(block: dict, kind: str, cap: int) -> HomHopfAlgebra:
     sp = _parse_space(block, where, cap)
     sp2 = tensor_space(sp, sp)
     scalars = space("1")
-    mult = _parse_matrix(_get(block, "mult", list, where), sp2, sp,
-                         f"{where}.mult")
-    unit = _parse_vector(_get(block, "unit", list, where), sp,
-                         f"{where}.unit")
-    comult = _parse_matrix(_get(block, "comult", list, where), sp, sp2,
-                           f"{where}.comult")
-    counit = _parse_matrix(_get(block, "counit", list, where), sp, scalars,
-                           f"{where}.counit")
-    antipode = _parse_matrix(_get(block, "antipode", list, where), sp, sp,
-                             f"{where}.antipode")
-    alpha = _parse_matrix(_get(block, "alpha", list, where), sp, sp,
-                          f"{where}.alpha")
+    mult = _parse_matrix(block, "mult", sp2, sp, where)
+    unit = _parse_vector(block, "unit", sp, where)
+    comult = _parse_matrix(block, "comult", sp, sp2, where)
+    counit = _parse_matrix(block, "counit", sp, scalars, where)
+    antipode = _parse_matrix(block, "antipode", sp, sp, where)
+    alpha = _parse_matrix(block, "alpha", sp, sp, where)
     alpha_inv = _invert(alpha, "alpha", f"{where}.alpha")
     algebra = HomAlgebra(sp, mult, unit, alpha, alpha_inv)
     coalgebra = HomCoalgebra(sp, comult, counit, alpha, alpha_inv)
@@ -271,15 +243,12 @@ def _parse_comodule_algebra(block: dict, H: HomHopfAlgebra,
     where = "comodule_algebra"
     sp = _parse_space(block, where, cap)
     sp2 = tensor_space(sp, sp)
-    mult = _parse_matrix(_get(block, "mult", list, where), sp2, sp,
-                         f"{where}.mult")
-    unit = _parse_vector(_get(block, "unit", list, where), sp,
-                         f"{where}.unit")
-    beta = _parse_matrix(_get(block, "beta", list, where), sp, sp,
-                         f"{where}.beta")
+    mult = _parse_matrix(block, "mult", sp2, sp, where)
+    unit = _parse_vector(block, "unit", sp, where)
+    beta = _parse_matrix(block, "beta", sp, sp, where)
     beta_inv = _invert(beta, "beta", f"{where}.beta")
-    coaction = _parse_matrix(_get(block, "coaction", list, where), sp,
-                             tensor_space(sp, H.space), f"{where}.coaction")
+    coaction = _parse_matrix(block, "coaction", sp, tensor_space(sp, H.space),
+                             where)
     algebra = HomAlgebra(sp, mult, unit, beta, beta_inv)
     return ComoduleAlgebra(algebra, H, coaction)
 
@@ -290,13 +259,12 @@ def _parse_module(name: str, block: dict,
     # modules inherit validity from the capped base algebras; their own
     # dimension may be a tensor product exceeding the cap
     sp = _parse_space(block, where, None)
-    mu = _parse_matrix(_get(block, "mu", list, where), sp, sp, f"{where}.mu")
+    mu = _parse_matrix(block, "mu", sp, sp, where)
     mu_inv = _invert(mu, "mu", f"{where}.mu")
-    action = _parse_matrix(_get(block, "action", list, where),
-                           tensor_space(sp, CA.space), sp, f"{where}.action")
-    coaction = _parse_matrix(_get(block, "coaction", list, where), sp,
-                             tensor_space(sp, CA.hopf.space),
-                             f"{where}.coaction")
+    action = _parse_matrix(block, "action", tensor_space(sp, CA.space), sp,
+                           where)
+    coaction = _parse_matrix(block, "coaction", sp,
+                             tensor_space(sp, CA.hopf.space), where)
     return RelHopfModule(sp, mu, mu_inv, action, coaction, CA)
 
 

@@ -17,14 +17,14 @@ from typing import Sequence
 from .errors import CentralityViolated, EquivalenceViolated, NotIntertwining
 from .linalg import (ZERO, AffineSolution, Infeasible, LinearMap, Scalar,
                      Space, Vector, _sparse, permute_factors, solve_affine,
-                     swap_map, tensor_after, tensor_space, unrank,
-                     vec_is_zero)
-from .modules import (RelHopfModule, check_rel_hopf, induce_G, is_colinear,
-                      is_intertwining, is_morphism, regular_induced,
-                      regular_rel_hopf, tensor_module)
+                     swap_map, tensor_after, tensor_space, vec_is_zero)
+from .modules import (RelHopfModule, check_rel_hopf, induce_G,
+                      morphism_identities, regular_induced, regular_rel_hopf,
+                      tensor_module)
 from .records import record
 from .report import Report
 from .structures import ComoduleAlgebra
+from .verify import check_maps, record_suite
 
 
 @record(frozen=True)
@@ -139,14 +139,22 @@ def _flat(*maps: LinearMap) -> Vector:
 # Total integrals (Definition-level conditions on phi: H -> A)
 # ---------------------------------------------------------------------------
 
-def _total_integral_residual(CA: ComoduleAlgebra, phi: LinearMap) -> Vector:
-    """Stacked residuals of: rho_A phi = (phi x id) Delta, phi alpha = beta phi,
-    phi(1_H) = 1_A."""
+def total_integral_identities(CA: ComoduleAlgebra, phi: LinearMap) -> list:
+    """rho_A phi = (phi x id) Delta, phi alpha = beta phi and
+    phi(1_H) = 1_A, as (lhs, rhs, label)."""
     A, H = CA.algebra, CA.hopf
     idh = LinearMap.identity(H.space)
-    return _flat((CA.coaction @ phi) - (phi.tensor(idh) @ H.coalgebra.comult),
-                 (phi @ H.algebra.alpha) - (A.alpha @ phi),
-                 (phi @ H.algebra.unit_map) - A.unit_map)
+    return [(CA.coaction @ phi, phi.tensor(idh) @ H.coalgebra.comult,
+             "H-colinear"),
+            (phi @ H.algebra.alpha, A.alpha @ phi,
+             "intertwining alpha and beta"),
+            (phi @ H.algebra.unit_map, A.unit_map, "phi(1_H) = 1_A")]
+
+
+def _total_integral_residual(CA: ComoduleAlgebra, phi: LinearMap) -> Vector:
+    """Stacked residuals of the total integral identities."""
+    return _flat(*(lhs - rhs for lhs, rhs, _ in
+                   total_integral_identities(CA, phi)))
 
 
 def verify_total_integral(CA: ComoduleAlgebra, phi: LinearMap) -> bool:
@@ -276,10 +284,10 @@ def find_quantum_integral(CA: ComoduleAlgebra, require_total: bool = True
 
 def record_existence(rep: Report, what: str, key: str, res: object) -> bool:
     """Record whether the solver's answer res is a solution, under the check
-    "<what> exists" and the certificate key."""
+    "<what> exists" or "<what> does not exist" and the certificate key."""
     feasible = not isinstance(res, Infeasible)
-    rep.record(f"{what} exists", True,
-               detail="feasible" if feasible else "infeasible")
+    rep.record(f"{what} exists" if feasible else f"{what} does not exist",
+               True, detail="feasible" if feasible else "infeasible")
     rep.certificates[key] = feasible
     return feasible
 
@@ -308,9 +316,7 @@ def phi_from_gamma(CA: ComoduleAlgebra, gamma: QuantumIntegral) -> LinearMap:
     idh = LinearMap.identity(H.space)
     phi = A.alpha_inv @ gamma.gamma_hat @ tensor_after(
         H.algebra.unit_map, idh, idh)
-    colinear = (CA.coaction @ phi).same_matrix(
-        phi.tensor(idh) @ H.coalgebra.comult)
-    if not colinear:
+    if not check_maps(Report(""), "", total_integral_identities(CA, phi)[:1]):
         raise EquivalenceViolated("phi built from a quantum integral is not colinear")
     return phi
 
@@ -321,10 +327,9 @@ def gamma_from_central_phi(CA: ComoduleAlgebra, phi: LinearMap) -> QuantumIntegr
     A, H = CA.algebra, CA.hopf
     H.require_bijective_antipode()
     idh = LinearMap.identity(H.space)
-    if not (CA.coaction @ phi).same_matrix(phi.tensor(idh) @ H.coalgebra.comult):
-        raise NotIntertwining("phi is not H-colinear")
-    if not (phi @ H.algebra.alpha).same_matrix(CA.algebra.alpha @ phi):
-        raise NotIntertwining("phi does not intertwine alpha and beta")
+    rep = Report("")
+    if not check_maps(rep, "", total_integral_identities(CA, phi)[:2]):
+        raise NotIntertwining(f"phi is not {rep.results[0].detail}")
 
     # centrality as one equality of maps H (x) H -> H (x) A:
     # h (x) g -> g phi(h)1 (x) phi(h)0 and h (x) g -> phi(h)1 g (x) phi(h)0
@@ -333,14 +338,12 @@ def gamma_from_central_phi(CA: ComoduleAlgebra, phi: LinearMap) -> QuantumIntegr
     mult, ida = H.algebra.mult, LinearMap.identity(A.space)
     lhs = tensor_after(mult, ida, permute_factors(legs, spaces, (2, 1, 0)))
     rhs = tensor_after(mult, ida, permute_factors(legs, spaces, (1, 2, 0)))
-    if not lhs.same_matrix(rhs):
-        k = next(k for k, (a, b) in enumerate(zip(lhs.cols, rhs.cols)) if a != b)
-        hi, gi = unrank((H.dim, H.dim), k)
-        raise CentralityViolated(H.space.labels[gi], H.space.labels[hi])
+    if not check_maps(rep, "", [(lhs, rhs)]):
+        h, g = rep.results[-1].witness.basis
+        raise CentralityViolated(g, h)
 
     gh = phi @ mult @ idh.tensor(H.antipode_inv) @ swap_map(H.space, H.space)
-    if not vec_is_zero(_eq41_residual(CA, gh)) or \
-       not vec_is_zero(_beta_compat_residual(CA, gh)):
+    if not verify_quantum_integral(CA, gh, total=False):
         raise EquivalenceViolated("gamma built from central phi fails Eq-level check")
     return QuantumIntegral(gh, is_total(CA, gh), ())
 
@@ -405,10 +408,12 @@ def theorem43_check(CA: ComoduleAlgebra,
     sol = solve_affine(*_colinear_retraction_system(CA, ga).equations())
     exists3 = isinstance(sol, AffineSolution)
 
-    rep.record("condition (1): total integral exists", True,
+    rep.record("condition (1): total integral "
+               + ("exists" if exists1 else "does not exist"), True,
                detail=str(exists1))
-    rep.record("condition (3): rho_A splits colinearly", True,
-               detail=str(exists3))
+    rep.record("condition (3): rho_A "
+               + ("splits" if exists3 else "does not split") + " colinearly",
+               True, detail=str(exists3))
     if exists1 != exists3:
         raise EquivalenceViolated(
             f"integral existence ({exists1}) disagrees with splitting ({exists3})")
@@ -421,17 +426,19 @@ def theorem43_check(CA: ComoduleAlgebra,
             raise EquivalenceViolated(
                 "solved colinear retraction fails re-verification")
         idh = LinearMap.identity(H.space)
-        phi_map = lam @ tensor_after(A.unit_map, idh, idh)
-        rep.record("phi(h) = lambda_A(1 (x) h) is a total integral",
-                   verify_total_integral(CA, phi_map))
+        # phi(h) = beta^{-1}(lambda_A(1 (x) h)), shaped as phi_from_gamma by
+        # Eq. 4.1; without beta^{-1} only some retractions give a colinear phi
+        phi_map = A.alpha_inv @ lam @ tensor_after(A.unit_map, idh, idh)
+        check_maps(rep, "phi(h) = beta^{-1}(lambda_A(1 (x) h)) is a total "
+                   "integral", total_integral_identities(CA, phi_map))
         assert isinstance(res1, TotalIntegral)
         for idx, M in enumerate(test_modules):
             lm = lambda_M(M, res1)
-            retract = (lm @ M.coaction).is_identity()
-            GM = induce_G(M.as_module(), CA)
-            colin = is_colinear(lm, GM, M)
-            rep.record(f"lambda_M splits test module {idx} (dim {M.dim})",
-                       retract and colin)
+            check_maps(rep, f"lambda_M splits test module {idx} (dim {M.dim})",
+                       [(lm @ M.coaction, LinearMap.identity(M.space),
+                         "lambda_M . rho_M = id"),
+                        *morphism_identities(lm, induce_G(M.as_module(), CA),
+                                             M, "H")])
     else:
         assert isinstance(res1, Infeasible)
         rep.record("infeasibility certificate re-verifies", res1.reverify(),
@@ -495,13 +502,13 @@ def thm48_check(CA: ComoduleAlgebra,
         return rep
     for idx, M in enumerate(test_modules or [regular_rel_hopf(CA)]):
         AHM = thm48_module(CA, M)
-        rep.record(f"A (x) H (x) M is a relative Hopf module (module {idx})",
-                   check_rel_hopf(AHM).ok)
+        record_suite(rep, f"A (x) H (x) M is a relative Hopf module "
+                     f"(module {idx})", check_rel_hopf(AHM))
         f, g = generator_epi(CA, M, gamma)
-        rep.record(f"f is a relative-category morphism (module {idx})",
-                   is_morphism(f, AHM, M))
-        rep.record(f"the section g is colinear (module {idx})",
-                   is_colinear(g, M, AHM)
-                   and is_intertwining(g, M, AHM))
-        rep.record(f"f . g = id (module {idx})", (f @ g).is_identity())
+        check_maps(rep, f"f is a relative-category morphism (module {idx})",
+                   morphism_identities(f, AHM, M))
+        check_maps(rep, f"the section g is colinear (module {idx})",
+                   morphism_identities(g, M, AHM, "H mu"))
+        check_maps(rep, f"f . g = id (module {idx})",
+                   [(f @ g, LinearMap.identity(M.space))])
     return rep

@@ -57,7 +57,7 @@ class Space:
     a composite map costs no more than its dimension.
     """
 
-    __slots__ = ("dim", "_labels", "_factors")
+    __slots__ = ("dim", "_labels", "factors")
 
     def __init__(self, labels: tuple[str, ...]):
         labels = tuple(labels)
@@ -66,13 +66,14 @@ class Space:
         _require_distinct(labels)
         self.dim = len(labels)
         self._labels: Optional[tuple[str, ...]] = labels
-        self._factors: tuple[Space, ...] = ()
+        # the tensor factors; (self,) when self is not a tensor product
+        self.factors: tuple[Space, ...] = (self,)
 
     @property
     def labels(self) -> tuple[str, ...]:
         if self._labels is None:
             labels = [""]
-            for sp in self._factors:
+            for sp in self.factors:
                 labels = [a + ("⊗" if a else "") + b
                           for a in labels for b in sp.labels]
             self._labels = _require_distinct(tuple(labels))
@@ -113,13 +114,13 @@ SCALAR_SPACE = space("k")
 
 def tensor_space(*spaces: Space) -> Space:
     """Tensor product space, row-major (left factor slowest)."""
-    factors = tuple(f for sp in spaces for f in (sp._factors or (sp,)))
+    factors = tuple(f for sp in spaces for f in sp.factors)
     if not factors:
         raise ValueError("a tensor product needs at least one factor")
     out = Space.__new__(Space)
     out.dim = math.prod(f.dim for f in factors)
     out._labels = None
-    out._factors = factors
+    out.factors = factors
     return out
 
 

@@ -11,7 +11,7 @@ from .linalg import (LinearMap, Space, permute_factors, tensor_after,
 from .records import record, replace
 from .report import Report
 from .structures import ComoduleAlgebra, HomAlgebra, check_comodule_axioms
-from .verify import check_identity
+from .verify import check_identity, check_maps
 
 
 @record(frozen=True)
@@ -61,7 +61,7 @@ def check_hom_module(M: HomModule) -> Report:
     act, mu = M.action, M.mu
     idm = LinearMap.identity(sp)
 
-    rep.record("mu invertible", (M.mu @ M.mu_inv).is_identity())
+    check_maps(rep, "mu invertible", [(M.mu @ M.mu_inv, idm)])
     check_identity(rep, "Hom-associativity: (m.a).alpha(b) = mu(m).(ab)",
                    [sp, asp, asp], sp,
                    act @ act.tensor(A.alpha), act @ mu.tensor(A.mult))
@@ -78,7 +78,8 @@ def check_rel_hopf(M: RelHopfModule) -> Report:
     rep.extend(check_hom_module(M.as_module()), prefix="module: ")
     CA = M.over
     H = CA.hopf
-    rep.record("comodule: mu invertible", (M.mu @ M.mu_inv).is_identity())
+    check_maps(rep, "comodule: mu invertible",
+               [(M.mu @ M.mu_inv, LinearMap.identity(M.space))])
     check_comodule_axioms(rep, "comodule: ", M.space, M.mu, M.mu_inv,
                           M.coaction, H)
     sp, asp = M.space, CA.space
@@ -171,7 +172,7 @@ def induce_Gtilde(CA: ComoduleAlgebra) -> RelHopfModule:
 
 
 # ---------------------------------------------------------------------------
-# Adjunction unit and morphism predicates
+# Adjunction unit and morphism identities
 # ---------------------------------------------------------------------------
 
 def adjunction_unit(M: RelHopfModule) -> LinearMap:
@@ -179,27 +180,26 @@ def adjunction_unit(M: RelHopfModule) -> LinearMap:
     return M.coaction
 
 
-def is_colinear(f: LinearMap, M: RelHopfModule, N: RelHopfModule) -> bool:
-    """rho_N . f = (f x id_H) . rho_M, entry-exactly."""
-    idh = LinearMap.identity(N.over.hopf.space)
-    return (N.coaction @ f).same_matrix(f.tensor(idh) @ M.coaction)
-
-
-def is_alinear(f: LinearMap, M, N) -> bool:
-    """f . action_M = action_N . (f x id_A)."""
-    A = M.over.algebra if isinstance(M, RelHopfModule) else M.over
-    ida = LinearMap.identity(A.space)
-    return (f @ M.action).same_matrix(N.action @ f.tensor(ida))
-
-
-def is_intertwining(f: LinearMap, M, N) -> bool:
-    """nu . f = f . mu (objects of the Hom-category are pairs (M, mu))."""
-    return (N.mu @ f).same_matrix(f @ M.mu)
+def morphism_identities(f: LinearMap, M, N, laws: str = "mu A H"):
+    """A generator of the identities (lhs, rhs, label) of a morphism
+    f: M -> N, one per law in laws: "mu" nu . f = f . mu (objects of the
+    Hom-category are pairs (M, mu)), "A" f . action_M = action_N . (f x id_A)
+    and "H" rho_N . f = (f x id_H) . rho_M."""
+    for law in laws.split():
+        if law == "mu":
+            yield N.mu @ f, f @ M.mu, "intertwines mu"
+        elif law == "A":
+            A = M.over.algebra if isinstance(M, RelHopfModule) else M.over
+            yield (f @ M.action,
+                   N.action @ f.tensor(LinearMap.identity(A.space)),
+                   "A-linear")
+        else:
+            idh = LinearMap.identity(N.over.hopf.space)
+            yield N.coaction @ f, f.tensor(idh) @ M.coaction, "colinear"
 
 
 def is_morphism(f: LinearMap, M: RelHopfModule, N: RelHopfModule) -> bool:
-    return (is_intertwining(f, M, N) and is_alinear(f, M, N)
-            and is_colinear(f, M, N))
+    return check_maps(Report(""), "", morphism_identities(f, M, N))
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +251,11 @@ def prop31_check(CA: ComoduleAlgebra) -> Report:
     rep.extend(check_rel_hopf(GtH), "Gtilde(H)")
     u = prop31_u(CA)
     v = prop31_v(CA)
-    rep.record("u . v = id", (u @ v).is_identity())
-    rep.record("v . u = id", (v @ u).is_identity())
-    rep.record("u is a morphism Gtilde(H) -> G(A)", is_morphism(u, GtH, GA))
-    rep.record("v is a morphism G(A) -> Gtilde(H)", is_morphism(v, GA, GtH))
+    ident = LinearMap.identity(GA.space)
+    check_maps(rep, "u . v = id", [(u @ v, ident)])
+    check_maps(rep, "v . u = id", [(v @ u, ident)])
+    check_maps(rep, "u is a morphism Gtilde(H) -> G(A)",
+               morphism_identities(u, GtH, GA))
+    check_maps(rep, "v is a morphism G(A) -> Gtilde(H)",
+               morphism_identities(v, GA, GtH))
     return rep

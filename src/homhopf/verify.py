@@ -1,15 +1,16 @@
-"""Axioms as equalities of composite maps, with witness extraction.
+"""Identities as equalities of composite maps, with witness extraction.
 
-An axiom is stated as two linear maps on a tensor product of basis spaces.
-The maps are compared column by column; column j is the image of the j-th
-basis tuple in row-major (``itertools.product``) order, so the first
-differing column is the first violating basis tuple.
+An axiom or a theorem's conclusion is stated as two linear maps on a
+tensor product of basis spaces.  The maps are compared column by column;
+column j is the image of the j-th basis tuple in row-major
+(``itertools.product``) order, so the first differing column is the first
+violating basis tuple.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .linalg import LinearMap, Space, Vector, unrank
 from .report import Report, Witness
@@ -30,23 +31,40 @@ def format_vector(sp: Space, v: Vector) -> str:
 def check_identity(report: Report, name: str,
                    factors: Sequence[Space], out_space: Space,
                    lhs: LinearMap, rhs: LinearMap) -> None:
-    """Compare the maps lhs, rhs: (x)factors -> out_space.
+    """Compare the maps lhs, rhs: (x)factors -> out_space, with the witness
+    written over out_space's labels (the maps' own codomain labels may
+    differ, e.g. ``1`` for ``k``)."""
+    check_maps(report, name, [(lhs, rhs)], factors, out_space)
 
-    Records a single pass/fail result; on failure the witness carries the
-    first violating basis tuple and both sides, written over out_space's
-    labels (the maps' own codomain labels may differ, e.g. ``1`` for ``k``).
-    """
-    dims = [sp.dim for sp in factors]
-    for f in (lhs, rhs):
-        if (f.domain.dim, f.codomain.dim) != (math.prod(dims), out_space.dim):
-            raise ValueError(f"{name}: maps do not match the check's shape")
-    for j, (left, right) in enumerate(zip(lhs.cols, rhs.cols)):
-        if left != right:
-            labels = tuple(sp.labels[i]
-                           for sp, i in zip(factors, unrank(dims, j)))
-            report.record(name, False, Witness(
-                labels, format_vector(out_space, lhs.column(j)),
-                format_vector(out_space, rhs.column(j))))
-            return
+
+def check_maps(report: Report, name: str, identities: Iterable,
+               factors: Sequence[Space] | None = None,
+               out_space: Space | None = None) -> bool:
+    """Record one result under name for the identities (lhs, rhs) or
+    (lhs, rhs, label), in turn; the first difference fails with its basis
+    tuple over factors (default: lhs's domain factors), both sides over
+    out_space (default: lhs's codomain) and the label as detail."""
+    for lhs, rhs, *label in identities:
+        fs, out = factors or lhs.domain.factors, out_space or lhs.codomain
+        dims = [sp.dim for sp in fs]
+        for f in (lhs, rhs):
+            if (f.domain.dim, f.codomain.dim) != (math.prod(dims), out.dim):
+                raise ValueError(f"{name}: maps do not match the check's shape")
+        for j, (left, right) in enumerate(zip(lhs.cols, rhs.cols)):
+            if left != right:
+                labels = tuple(sp.labels[i]
+                               for sp, i in zip(fs, unrank(dims, j)))
+                report.record(name, False, Witness(
+                    labels, format_vector(out, lhs.column(j)),
+                    format_vector(out, rhs.column(j))), *label)
+                return False
     report.record(name, True)
+    return True
 
+
+def record_suite(report: Report, name: str, suite: Report) -> None:
+    """Record the verdict of a sub-suite under name; a failure carries the
+    suite's first failure: its witness, and its check's name as detail."""
+    first = next(iter(suite.failures), None)
+    report.record(name, first is None, first and first.witness,
+                  first and first.name)

@@ -18,9 +18,11 @@ from homhopf.integrals import (QuantumIntegral, TotalIntegral,
                                verify_total_integral)
 from homhopf.instance_io import emit_instance, parse_instance
 from homhopf.linalg import Infeasible, LinearMap, kernel_basis, swap_map
-from homhopf.modules import (adjunction_unit, induce_G, is_colinear,
+from homhopf.modules import (adjunction_unit, induce_G, morphism_identities,
                              prop31_check, regular_rel_hopf)
+from homhopf.report import Report
 from homhopf.structures import check_hom_hopf
+from homhopf.verify import check_maps
 
 HOPF_ENTRIES = [n for n in names()
                 if entry(n).kind == "hopf"
@@ -86,7 +88,8 @@ def test_criterion_04_splitting_maps():
             lm = lambda_M(M, phi)
             GM = induce_G(M.as_module(), CA)
             ok = ok and (lm @ M.coaction).is_identity()
-            ok = ok and is_colinear(lm, GM, M)
+            ok = ok and check_maps(Report(""), "lambda_M is colinear",
+                                   morphism_identities(lm, GM, M, "H"))
         # naturality square along the unit eta_M: M -> G(F(M))
         M = regular_rel_hopf(CA)
         GM = induce_G(M.as_module(), CA)

@@ -180,6 +180,21 @@ def test_machine_section_is_deterministic(capsys, kc2_file):
     assert out1.split("---\n", 1)[1] == out2.split("---\n", 1)[1]
 
 
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_theorem43_passes_on_rebased_kc3_twisted(capsys, tmp_path, seed):
+    # the benchmark's seeded change of basis of kC3-twisted, where phi
+    # without its beta^{-1} failed to be a total integral
+    subprocess.run([sys.executable, str(SRC.parent / "verdictbench" /
+                                        "make_inputs.py"),
+                    "--seed", str(seed), "--out", str(tmp_path),
+                    "kC3-twisted-rebased.json"],
+                   env=dict(os.environ, PYTHONPATH=str(SRC)), check=True,
+                   capture_output=True, timeout=60)
+    code, out, _ = run(capsys, "theorem", "--id", "4.3",
+                       str(tmp_path / "kC3-twisted-rebased.json"))
+    assert code == 0, out
+
+
 def test_theorem_needs_bijective_antipode(capsys, tmp_path):
     path = tmp_path / "datum.json"
     path.write_text(emit_instance(entry("matrix-datum-2")))
@@ -318,7 +333,7 @@ GOLDEN_STDOUT_SHA256 = {
     ("kC2", "galois"):
         "5193d79f2b81fa9cf0e2d06ac9bd5a28292e2894f43ba46e6638e803424bf8d0",
     ("kC2", "theorem --id 4.3"):
-        "89cbfca9405585ac034772a4bb2a942ae8b0edc968e9b37c6356c11c71881c6c",
+        "d02f491e7840de7c386e2f23422f69156f11776ae0433d9cbdd748d3068aca36",
     ("kC2", "theorem --id 4.8"):
         "d73ee05cc41880c86e7875b9c1be3cabd95df0dd6c526285bfb435d4437db3f4",
     ("kC2", "theorem --id 5.6"):
@@ -338,7 +353,7 @@ GOLDEN_STDOUT_SHA256 = {
     ("kC3", "galois"):
         "b0b600edbce5c302ab922e7275f06e8407efdd041ef043098086f4268f4739df",
     ("kC3", "theorem --id 4.3"):
-        "c276079aedb80781c67649ff029e61079bbea449f035220b803c56e8ca65daec",
+        "f45f23b1ef088fa908a9ccbc48a5edecc3a6b9cb3620b4f908f27b0ebdb2ce2e",
     ("kC3", "theorem --id 4.8"):
         "d73ee05cc41880c86e7875b9c1be3cabd95df0dd6c526285bfb435d4437db3f4",
     ("kC3", "theorem --id 5.6"):
@@ -358,7 +373,7 @@ GOLDEN_STDOUT_SHA256 = {
     ("kC3-twisted", "galois"):
         "bc1d2c6baf79315547aafa0108879efd37f0a0af42dd1bfeddadb1ec34f3b3f4",
     ("kC3-twisted", "theorem --id 4.3"):
-        "c276079aedb80781c67649ff029e61079bbea449f035220b803c56e8ca65daec",
+        "f45f23b1ef088fa908a9ccbc48a5edecc3a6b9cb3620b4f908f27b0ebdb2ce2e",
     ("kC3-twisted", "theorem --id 4.8"):
         "d73ee05cc41880c86e7875b9c1be3cabd95df0dd6c526285bfb435d4437db3f4",
     ("kC3-twisted", "theorem --id 5.6"):
@@ -378,21 +393,21 @@ GOLDEN_STDOUT_SHA256 = {
     ("kG-C2-datum", "galois"):
         "4c0be0b8883cf5339cbdaa8971f9a22c03526d6fec485da840f9c1a44f64f0f8",
     ("kG-C2-datum", "theorem --id 4.3"):
-        "747658e552dd05c09c29103b79cb5e46484c39da69ae6bfb7505b0777f0a7392",
+        "be6ca0e54cb57161b6310ad07b956c0d7cd232e863eab96deede4f946ef14998",
     ("kG-C2-datum", "theorem --id 4.8"):
         "a37c4bb413fd3af8e5527e1b54f98227e8787a8fc49d1c875e1419acc8b94834",
     ("kG-C2-datum", "theorem --id 5.6"):
         "3094dea2801f51e11381ba38389a21f973a24e16c5844222fb9e8b1f2ef3243d",
     ("kG-C2-datum", "theorem --id 5.7"):
-        "63b7e98ec39dd63e202ea62246f4ad32d3fae1f1860314b5c8beb78a3d838be9",
+        "07ece7ca21d550ee6d4fd76074b716c23440e88a63f48a83549d3aa6742639ba",
     ("matrix-datum-2", "check"):
         "9377fe695871d40111d7aae248a025e90a885314913a7bb34a3da3ba23491c98",
     ("matrix-datum-2", "integral"):
-        "8d88fcea82323fc67d9f51d71f12d024b80baa4a8add2f1d327a241d02d780f9",
+        "a8693f4c7f404e588bd198bdbc9f3cc59a979abee50ee492e631b20893d4fcb6",
     ("matrix-datum-2", "galois"):
         "77fcdac5407e0e7d950081eee3990dceb2df2513fafd92cf4f946606e597e7b7",
     ("matrix-datum-2", "theorem --id 4.3"):
-        "b08d2c4dcc3d5e535ddf8f1d83661d0732ed51633a40714f8ae4142c082bae79",
+        "35c6bc431f9f06e8769cb6412b4a6669f8e9f294da64a45de4343bd35ed83429",
     ("sweedler-H4", "check"):
         "57e7c043fb8257a4b719bbf80d1cca686cb63bfa391dfc5739ca03e9dbb3521d",
     ("sweedler-H4", "integral"):
@@ -404,7 +419,7 @@ GOLDEN_STDOUT_SHA256 = {
     ("sweedler-H4", "galois"):
         "969322614a2ddc2d1ab3a24d4321d4faa4e0a5ca1753ea27a24731c7f214debb",
     ("sweedler-H4", "theorem --id 4.3"):
-        "a46db03055c51450b1bc1dab59c65079e6bdd3ab7bf4298b0eeacc3ab71dab85",
+        "628fc3b19c2985329f112ca0a60c56b6075f9d11b64c86d220047b843e6035d7",
     ("sweedler-H4", "theorem --id 4.8"):
         "d73ee05cc41880c86e7875b9c1be3cabd95df0dd6c526285bfb435d4437db3f4",
     ("sweedler-H4", "theorem --id 5.6"):
@@ -416,21 +431,21 @@ GOLDEN_STDOUT_SHA256 = {
     ("trivial-k-over-H4", "check"):
         "445b43408331cf7410a965a19a6b7860557d96f042d63af6b458c30c1c2717d8",
     ("trivial-k-over-H4", "integral"):
-        "fc37500e8a174c36514534ff7e98483083c74db0f75f8631a927a02748d6455c",
+        "2461401ae63f31304396bce88f12334d8d3d5c416f675c325e7e3bc111071054",
     ("trivial-k-over-H4", "integral --quantum"):
-        "86cdacc082ce9a8f959f67d82fb96d48d12f82f7a3e3fc8214bc5319d502d66d",
+        "6584a0023740a8168c5e7d2becbfbb7e3c592f7440622ddd28986b3507d3a9a5",
     ("trivial-k-over-H4", "integral --quantum --total"):
-        "8cec5a3116fd2b38c18e78ca3e8c6fd6f49916b198d489141778eb1f45aa9726",
+        "2e756418b1f7cea2ee2153d7f8ff1f3d135aa76ae634dd3bc7cf9b35adbe478b",
     ("trivial-k-over-H4", "galois"):
         "3840d1e5449428b0f353895e6502f2418e7de08fafcb9b23200526ab0c344050",
     ("trivial-k-over-H4", "theorem --id 4.3"):
-        "1fba9d4a01aae4b742e39e8f4536a865caba8d8f9313b12e1277a5b9fa0cdd6c",
+        "5a1807dbe0e8f873915787b8b69b37304e23e87802a9b5c9bd525227a61040ca",
     ("trivial-k-over-H4", "theorem --id 4.8"):
-        "991e91527d33a4c3f0789d46fe4b39ba220cc4d70ad4a4b5dc721e99eef7337a",
+        "ca7d62b1d09c2b2423bcf09bb7bb4d767f222552d66e6b9edae3b615c7902100",
     ("trivial-k-over-H4", "theorem --id 5.6"):
-        "e1502e3b0e57d11fcae660c5ae1e8aa5ce8da7d75f5dd1906eb75073735b2c56",
+        "981a5bc1d4c061b3cc133fa6bc71c1abee99c0ddcfc77745d7458bcee3dda5dd",
     ("trivial-k-over-H4", "theorem --id 5.7"):
-        "52eeb6a6df661fbf9e7d9e0d0d46a9bc556f816e92c6b88d1eb2e44f5020ef16",
+        "8aa6b4e9275878d28fabf9c168729967288c327526152933ca3a697e6fe92628",
     ("trivial-k-over-kC2", "check"):
         "aaf5f8b9a1c7398404079e6870606fdc6190e45580101a5c23dc2a172bbd3d78",
     ("trivial-k-over-kC2", "integral"):
@@ -442,13 +457,13 @@ GOLDEN_STDOUT_SHA256 = {
     ("trivial-k-over-kC2", "galois"):
         "23668133b0957cf993b949fbd5768be95f2aab73bdbc633c47086dc8c6ed4137",
     ("trivial-k-over-kC2", "theorem --id 4.3"):
-        "747658e552dd05c09c29103b79cb5e46484c39da69ae6bfb7505b0777f0a7392",
+        "be6ca0e54cb57161b6310ad07b956c0d7cd232e863eab96deede4f946ef14998",
     ("trivial-k-over-kC2", "theorem --id 4.8"):
         "d73ee05cc41880c86e7875b9c1be3cabd95df0dd6c526285bfb435d4437db3f4",
     ("trivial-k-over-kC2", "theorem --id 5.6"):
         "263600ba112c406919500da6ca4027ee203cdac6693a909688732112688fc788",
     ("trivial-k-over-kC2", "theorem --id 5.7"):
-        "e72f1f8f981f1dcdca91f148b25ea36f51005ab06e2fac78cc2f6e80f8c000da",
+        "dc6d3063b3b092d4b85c3e34c3f918f3d66d71d8f53a12ab174f7480b24a85d7",
 }
 
 _NOT_REGULAR = ("error: modules.A: corollary 5.8 needs modules over H "

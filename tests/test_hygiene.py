@@ -238,3 +238,83 @@ def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
 
 def test_the_start_up_probe_sees_dataclasses():
     assert "dataclasses" in _fresh_modules("import dataclasses")
+
+
+# The theorem drivers decide each conclusion through verify, so that a
+# failure carries a witness; a pass argument computed from a map comparison
+# or from another verdict would fail with a bare "fail".
+_MORPHISM_PREDICATES = {"is_morphism", "is_colinear", "is_alinear",
+                        "is_intertwining"}
+DRIVERS = [SRC / name for name in ("integrals.py", "galois.py", "modules.py")]
+
+
+def _verdict_read(node: ast.AST) -> str | None:
+    """What node reads if it compares maps or reads another verdict."""
+    if isinstance(node, ast.Attribute) and node.attr == "ok":
+        return ".ok"
+    if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Attribute) and \
+                node.func.attr in ("same_matrix", "is_identity"):
+            return f".{node.func.attr}("
+        if isinstance(node.func, ast.Name) and \
+                node.func.id in _MORPHISM_PREDICATES:
+            return node.func.id
+    return None
+
+
+def _unwitnessed_records(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, what) for each x.record(name, passed, ...) whose passed
+    argument compares maps or reads another verdict, directly or through a
+    name assigned in the same function.  Literal facts and rank comparisons
+    pass."""
+    out = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        assigned: dict[str, list[ast.AST]] = {}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        assigned.setdefault(target.id, []).append(node.value)
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "record"):
+                continue
+            passed = node.args[1:2] + [k.value for k in node.keywords
+                                       if k.arg == "passed"]
+            exprs = list(passed)
+            for expr in passed:
+                for sub in ast.walk(expr):
+                    if isinstance(sub, ast.Name):
+                        exprs.extend(assigned.get(sub.id, []))
+            for expr in exprs:
+                for sub in ast.walk(expr):
+                    what = _verdict_read(sub)
+                    if what is not None:
+                        out.add((node.lineno, what))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", DRIVERS, ids=lambda p: p.name)
+def test_every_conclusion_goes_through_verify(path):
+    found = _unwitnessed_records(ast.parse(path.read_text(),
+                                           filename=str(path)))
+    assert not found, f"{path.name} records a bare verdict at {found}"
+
+
+def test_the_scan_sees_a_bare_verdict():
+    tree = ast.parse(
+        "def drive(rep, f, g, M, N, sub, xi):\n"
+        "    rep.record('a', (f @ g).is_identity())\n"
+        "    ok = f.same_matrix(g)\n"
+        "    rep.record('b', ok and True)\n"
+        "    rep.record('c', sub.ok)\n"
+        "    rep.record(name='d', passed=is_morphism(f, M, N))\n"
+        "    rep.record('e', True, detail=str(sub.ok))\n"
+        "    rep.record('f', rank(xi) == xi.codomain.dim)\n"
+        "    rep.certificates['g'] = sub.ok\n")
+    assert _unwitnessed_records(tree) == [
+        (2, ".is_identity("), (4, ".same_matrix("), (5, ".ok"),
+        (6, "is_morphism")]

@@ -6,17 +6,22 @@ from fractions import Fraction
 
 import pytest
 
+import homhopf.integrals as integrals
 from homhopf.catalog import (cyclic_group_hopf, entry, names, sweedler_hopf,
                              trivial_comodule_algebra)
 from homhopf.errors import CentralityViolated
 from homhopf.integrals import (QuantumIntegral, TotalIntegral,
+                               _colinear_retraction_system,
                                find_quantum_integral, find_total_integral,
                                gamma_from_central_phi, lambda_M,
                                phi_from_gamma, theorem43_check, thm48_check,
                                verify_total_integral)
-from homhopf.linalg import Infeasible, LinearMap
-from homhopf.modules import induce_G, is_colinear
+from homhopf.linalg import AffineSolution, Infeasible, LinearMap
+from homhopf.modules import (induce_G, morphism_identities, regular_induced,
+                             regular_rel_hopf)
+from homhopf.report import Report
 from homhopf.structures import regular_comodule_algebra, twist
+from homhopf.verify import check_maps
 from test_integral_systems import _rebased
 
 HOPF_ENTRIES = [n for n in names()
@@ -84,6 +89,38 @@ def test_theorem43_equivalence(name):
         "total_integral", rep.certificates["exists"])
 
 
+@pytest.mark.parametrize("lam", [2, 3, -1, Fraction(1, 2)], ids=str)
+def test_theorem43_on_twisted_h4(lam):
+    """H4 twisted by x -> lam x has alpha != id; phi(h) = lambda_A(1 (x) h)
+    without its beta^{-1} is not a total integral there."""
+    CA = _scaled_h4(lam)
+    rep = theorem43_check(CA, [regular_rel_hopf(CA), regular_induced(CA)])
+    assert rep.ok, rep.pretty()
+
+
+def test_theorem43_phi_holds_for_every_retraction_of_kc3_twisted(
+        monkeypatch):
+    """The retraction solve is made to return the particular solution plus
+    (or minus twice) each kernel vector in turn; phi built from each one is
+    a total integral."""
+    CA = entry("kC3-twisted").comodule_algebra
+    real = integrals.solve_affine
+    sol = real(*_colinear_retraction_system(
+        CA, regular_induced(CA).coaction).equations())
+    assert sol.kernel
+    unknowns = len(sol.particular)
+    for k in sol.kernel:
+        for c in (1, -2):
+            shifted = AffineSolution(
+                tuple(p + c * x for p, x in zip(sol.particular, k)), ())
+            monkeypatch.setattr(integrals, "solve_affine",
+                                lambda coeff, rhs, shifted=shifted:
+                                shifted if coeff.domain.dim == unknowns
+                                else real(coeff, rhs))
+            rep = theorem43_check(CA)
+            assert rep.ok, rep.pretty()
+
+
 @pytest.mark.parametrize("name", HOPF_ENTRIES)
 def test_lambda_M_splits_the_coaction(name):
     e = entry(name)
@@ -94,7 +131,9 @@ def test_lambda_M_splits_the_coaction(name):
     for M in e.modules.values():
         lm = lambda_M(M, res)
         assert (lm @ M.coaction).is_identity()
-        assert is_colinear(lm, induce_G(M.as_module(), CA), M)
+        assert check_maps(Report(""), "lambda_M is colinear",
+                          morphism_identities(lm, induce_G(M.as_module(), CA),
+                                              M, "H"))
 
 
 def test_phi_from_gamma_is_colinear_and_unital():

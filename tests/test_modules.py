@@ -12,10 +12,12 @@ from homhopf.linalg import (LinearMap, permute_factors, tensor_after,
                             tensor_space)
 from homhopf.modules import (RelHopfModule, adjunction_unit,
                              check_rel_hopf, induce_G, induce_Gtilde,
-                             is_colinear, is_morphism, prop31_check,
+                             is_morphism, morphism_identities, prop31_check,
                              prop31_u, prop31_v, regular_induced,
                              regular_rel_hopf, tensor_module)
+from homhopf.report import Report
 from homhopf.structures import regular_comodule_algebra
+from homhopf.verify import check_maps
 
 from test_integrals import _scaled_h4
 
@@ -88,7 +90,8 @@ def test_coaction_is_colinear_but_counit_collapse_is_not():
     CA = regular_comodule_algebra(sweedler_hopf())
     M = regular_rel_hopf(CA)
     GA = induce_G(M.as_module(), CA)
-    assert is_colinear(M.coaction, M, GA)
+    assert check_maps(Report(""), "rho is colinear",
+                      morphism_identities(M.coaction, M, GA, "H"))
     # eps: H -> k with the trivial coaction on k is not colinear
     from homhopf.catalog import trivial_comodule_algebra
     triv = trivial_comodule_algebra(CA.hopf)
@@ -97,7 +100,8 @@ def test_coaction_is_colinear_but_counit_collapse_is_not():
     eps_map = LinearMap(M.space, K.space, CA.hopf.coalgebra.counit.cols)
     from homhopf.records import replace
     HM = replace(M, over=CA)
-    assert not is_colinear(eps_map, HM, replace(K, over=CA))
+    assert not check_maps(Report(""), "eps is colinear", morphism_identities(
+        eps_map, HM, replace(K, over=CA), "H"))
 
 
 @pytest.mark.parametrize("name", HOPF_ENTRIES)
