@@ -199,7 +199,7 @@ def balanced_tensor(B: CoinvariantAlgebra, act_right: LinearMap,
 
 
 def _require_descends(f: LinearMap, rel: LinearMap, what: str) -> None:
-    if any((f @ rel).cols):
+    if any((f @ rel).scaled[1]):
         raise StructureDoesNotDescend(
             f"{what} does not vanish on a balancing relation")
 

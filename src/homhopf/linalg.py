@@ -9,21 +9,21 @@ that form.  An int and a Fraction of the same value compare and hash equal
 and print the same, so the form never shows in a comparison or a report.
 Every zero a helper creates is the shared ZERO, so the helpers skip zero
 entries by identity; any other zero goes through the same exact arithmetic
-as a nonzero entry.  There is no floating point anywhere: a division builds
-a Fraction, in _rref by a pivot and in _sparse by the common denominator of
-a map product (@, tensor, tensor_after), once per output entry.
-
-The one elimination, _rref, works on sparse rows (column -> nonzero
-coefficient) read straight off the sparse columns, so its cost follows the
-nonzeros, not m x n.  It returns the reduced row echelon form, which is
-unique: pivots, particular solutions, kernel bases and ranks do not depend
-on the order in which rows are met.
+as a nonzero entry.  There is no floating point anywhere, and the
+arithmetic runs on ints: each map caches its least common denominator d
+with its columns times d, the products multiply those ints, and Fractions
+are built only when entries are read.  The one elimination, _rref, is
+fraction-free on sparse rows read off those int columns, so its cost
+follows the nonzeros, not m x n.  It returns the reduced row echelon form,
+which is unique: pivots, solutions, kernel bases and ranks do not depend on
+the order in which rows are met.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .records import record
@@ -148,31 +148,26 @@ def unrank(dims: Sequence[int], k: int) -> tuple[int, ...]:
 Column = tuple[tuple[int, Scalar], ...]
 
 
-def _sparse(acc: dict[int, Scalar], d: int = 1) -> Column:
-    """The canonical column of a row -> coefficient accumulator divided by
-    d: nonzero entries, rows ascending, scalars in frac's form.  A product
-    divides here: one gcd per output entry, not one per multiply-add."""
-    if d != 1:
-        return tuple(sorted((i, Fraction(c, d) if c % d else c // d)
-                            for i, c in acc.items() if c))
-    return tuple(sorted((i, c if type(c) is int else frac(c))
-                        for i, c in acc.items() if c))
+_INTS = frozenset((int,))
 
 
-def _over_common_denominator(cols: tuple[Column, ...]) -> tuple[int, tuple]:
-    """(d, cols times d), d the lcm of the denominators in cols, so that a
-    product over them multiplies ints and divides once per output entry.
-    An all-int map gives (1, cols), not a copy."""
-    d = 1
-    for col in cols:
-        for _, c in col:
-            if type(c) is not int:
-                d = math.lcm(d, c.denominator)
-    if d == 1:
-        return 1, cols
-    return d, tuple(tuple((i, c * d if type(c) is int
-                           else c.numerator * (d // c.denominator))
-                          for i, c in col) for col in cols)
+def _sparse(acc: dict[int, Scalar], _nonzero=itemgetter(1)) -> Column:
+    """The canonical column of a row -> coefficient accumulator: nonzero
+    entries, rows ascending, scalars in frac's form."""
+    if not _INTS.issuperset(map(type, acc.values())):
+        acc = {i: frac(c) for i, c in acc.items()}
+    return tuple(sorted(filter(_nonzero, acc.items())))
+
+
+def _times(pairs, d: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (i, c) as (i, c * d), d a multiple of each denominator."""
+    return tuple((i, c * d if type(c) is int
+                  else c.numerator * (d // c.denominator)) for i, c in pairs)
+
+
+# Stores past the frozen LinearMap's __setattr__: the scaled form of a map
+# given by cols, the cols of a product, and a product's other fields.
+_set = object.__setattr__
 
 
 @record(frozen=True)
@@ -180,7 +175,8 @@ class LinearMap:
     """A linear map in fixed bases, stored as domain.dim sparse columns.
 
     Column j holds the nonzero entries of the image of basis vector j.  The
-    form is canonical, so two maps with the same matrix have equal cols.
+    form is canonical, as is the scaled form (d, cols times d) that products
+    hold until their cols are read: equal matrices have equal forms.
     """
 
     domain: Space
@@ -191,7 +187,38 @@ class LinearMap:
         if len(self.cols) != self.domain.dim:
             raise ValueError("column count does not match domain dim")
 
+    def __getattr__(self, name):
+        # called only for the one of cols and scaled not stored yet
+        if name == "cols":
+            d, cols = self.scaled
+            value = cols if d == 1 else tuple(
+                tuple(_over(dict(col), d).items()) for col in cols)
+        elif name == "scaled":
+            dens = [c.denominator for col in self.cols for _, c in col
+                    if type(c) is not int]
+            d = math.lcm(*dens)
+            value = ((d, tuple(_times(col, d) for col in self.cols)) if dens
+                     else (1, self.cols))
+        else:
+            raise AttributeError(name)
+        _set(self, name, value)
+        return value
+
     # -- constructors -------------------------------------------------------
+
+    @staticmethod
+    def _from_scaled(domain: Space, codomain: Space, d: int,
+                     cols: tuple[Column, ...]) -> "LinearMap":
+        """The map cols / d (int columns), over its least denominator."""
+        g = math.gcd(d, *(c for col in cols for _, c in col)) if d != 1 else 1
+        if g != 1:
+            d //= g
+            cols = tuple(tuple((i, c // g) for i, c in col) for col in cols)
+        f = LinearMap.__new__(LinearMap)
+        _set(f, "domain", domain)
+        _set(f, "codomain", codomain)
+        _set(f, "scaled", (d, cols))
+        return f
 
     @staticmethod
     def from_rows(domain: Space, codomain: Space, rows) -> "LinearMap":
@@ -259,9 +286,8 @@ class LinearMap:
         """Composition self after other."""
         if other.codomain.dim != self.domain.dim:
             raise ValueError("maps are not composable")
-        dm, mine = _over_common_denominator(self.cols)
-        do, theirs = _over_common_denominator(other.cols)
-        d = dm * do
+        dm, mine = self.scaled
+        do, theirs = other.scaled
         cols = []
         for col in theirs:
             acc: dict[int, int] = {}
@@ -270,37 +296,37 @@ class LinearMap:
                     p = c * v
                     o = acc.get(i)
                     acc[i] = p if o is None else o + p
-            cols.append(_sparse(acc, d))
-        return LinearMap(other.domain, self.codomain, tuple(cols))
+            cols.append(_sparse(acc))
+        return LinearMap._from_scaled(other.domain, self.codomain, dm * do,
+                                      tuple(cols))
 
     def tensor(self, other: "LinearMap") -> "LinearMap":
         """Tensor product f (x) g with row-major basis ordering."""
         dom = tensor_space(self.domain, other.domain)
         cod = tensor_space(self.codomain, other.codomain)
         n = other.codomain.dim
-        dm, mine = _over_common_denominator(self.cols)
-        do, theirs = _over_common_denominator(other.cols)
-        d = dm * do
+        dm, mine = self.scaled
+        do, theirs = other.scaled
         # a product of nonzero ints is a nonzero int, already canonical
-        cols = (tuple((i * n + k, a * b) for i, a in c1 for k, b in c2)
-                for c1 in mine for c2 in theirs)
-        return LinearMap(dom, cod, tuple(cols) if d == 1 else
-                         tuple(_sparse(dict(col), d) for col in cols))
+        return LinearMap._from_scaled(dom, cod, dm * do, tuple(
+            tuple((i * n + k, a * b) for i, a in c1 for k, b in c2)
+            for c1 in mine for c2 in theirs))
 
     def _merge(self, other: "LinearMap", negate: bool) -> "LinearMap":
         if (self.domain.dim, self.codomain.dim) != \
            (other.domain.dim, other.codomain.dim):
             raise ValueError("maps have different shapes")
+        (da, mine), (db, theirs) = self.scaled, other.scaled
+        d = math.lcm(da, db)
+        sa, sb = d // da, -(d // db) if negate else d // db
         cols = []
-        for a, b in zip(self.cols, other.cols):
-            acc = dict(a)
+        for a, b in zip(mine, theirs):
+            acc = {i: c * sa for i, c in a}
             for i, c in b:
-                if negate:
-                    c = -c
-                o = acc.get(i)
-                acc[i] = c if o is None else o + c
+                acc[i] = acc.get(i, 0) + c * sb
             cols.append(_sparse(acc))
-        return LinearMap(self.domain, self.codomain, tuple(cols))
+        return LinearMap._from_scaled(self.domain, self.codomain, d,
+                                      tuple(cols))
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         return self._merge(other, negate=False)
@@ -310,21 +336,19 @@ class LinearMap:
 
     def same_matrix(self, other: "LinearMap") -> bool:
         return (self.codomain.dim == other.codomain.dim
-                and self.cols == other.cols)
+                and self.scaled == other.scaled)
 
     def is_identity(self) -> bool:
-        if self.domain.dim != self.codomain.dim:
-            return False
-        return all(col == ((j, ONE),) for j, col in enumerate(self.cols))
+        return self.same_matrix(LinearMap.identity(self.domain))
 
     def inverse(self) -> "LinearMap":
         """Exact inverse; raises ValueError if the map is not invertible."""
         n = self.domain.dim
         if self.codomain.dim != n:
             raise ValueError("only square maps can be inverted")
-        aug = _rows(self)
+        aug, d = _rows(self)
         for i, row in enumerate(aug):
-            row[n + i] = ONE
+            row[n + i] = d
         rows, pivots = _rref(aug)
         if pivots != list(range(n)):
             raise ValueError("map is not invertible")
@@ -348,24 +372,39 @@ class LinearMap:
 Row = dict[int, Scalar]
 
 
-def _rows(f: LinearMap) -> list[Row]:
-    """The rows of f, read off its sparse columns in O(nnz)."""
+def _rows(f: LinearMap) -> tuple[list[Row], int]:
+    """(the rows of f's scaled int columns, read off in O(nnz), d)."""
+    d, cols = f.scaled
     rows: list[Row] = [{} for _ in range(f.codomain.dim)]
-    for j, col in enumerate(f.cols):
+    for j, col in enumerate(cols):
         for i, c in col:
             rows[i][j] = c
-    return rows
+    return rows, d
 
 
-def _add_multiple(row: Row, a: Scalar, other: Row) -> None:
-    """row += a * other, dropping the entries that cancel."""
+def _combine(row: Row, a: int, b: Scalar, other: Row) -> int:
+    """row = a * row - b * other, a and b first divided by their gcd when b
+    is an int; drops the entries that cancel and returns the a used."""
+    if a != 1 and type(b) is int:
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+    if a != 1:
+        for c in row:
+            row[c] *= a
     for c, v in other.items():
-        o = row.get(c)
-        o = a * v if o is None else o + a * v
-        if not o:
-            del row[c]
+        if o := row.get(c, 0) - b * v:
+            row[c] = o
         else:
-            row[c] = o if type(o) is int else frac(o)
+            del row[c]
+    return a
+
+
+def _primitive(row: Row, negate: bool = False) -> None:
+    """Divide row by the gcd of its entries, negated if negate, in place."""
+    g = -math.gcd(*row.values()) if negate else math.gcd(*row.values())
+    if g != 1:
+        for c in row:
+            row[c] //= g
 
 
 def _rref(rows: Iterable) -> tuple[list[Row], list[int]]:
@@ -373,37 +412,46 @@ def _rref(rows: Iterable) -> tuple[list[Row], list[int]]:
     columns), both sorted by pivot column.
 
     Each row is a Row or an iterable of (column, nonzero) pairs; it is
-    copied, not changed.  An incoming row is reduced by the pivot rows found
-    so far.  If anything is left, its first column becomes a new pivot, the
-    row is scaled to 1 there, and that column is eliminated from the earlier
-    pivot rows.  The reduced row echelon form of a matrix is unique, so the
-    result is the dense Gauss-Jordan one with its zero rows dropped,
-    whatever the order of the rows.
+    copied, not changed.  A row is reduced by the pivot rows found so far,
+    each step a * row - b * pivot_row.  What is left becomes a pivot row of
+    coprime ints with a positive pivot, which is eliminated from the earlier
+    pivot rows the same way; int rows meeting only pivots 1 take no gcd.
+    Pivot rows are divided by their pivots only when returned.  The RREF is
+    unique, so the result does not depend on the order of the rows.
     """
     pivot_rows: dict[int, Row] = {}
     for row in rows:
         row = dict(row)
         for c in [c for c in row if c in pivot_rows]:
-            _add_multiple(row, -row[c], pivot_rows[c])
+            prow = pivot_rows[c]
+            _combine(row, prow[c], row[c], prow)
         if not row:
             continue
+        if not _INTS.issuperset(map(type, row.values())):
+            row = dict(_times(row.items(), math.lcm(*(
+                v.denominator for v in row.values() if type(v) is not int))))
         p = min(row)
+        if row[p] != 1:
+            _primitive(row, row[p] < 0)
         pv = row[p]
-        if pv != 1:
-            row = {c: frac(Fraction(v, pv)) for c, v in row.items()}
         for prow in pivot_rows.values():
-            f = prow.get(p)
-            if f is not None:
-                _add_multiple(prow, -f, row)
+            if (x := prow.get(p)) and _combine(prow, pv, x, row) != 1:
+                _primitive(prow)
         pivot_rows[p] = row
     pivots = sorted(pivot_rows)
-    return [pivot_rows[p] for p in pivots], pivots
+    return [_over(pivot_rows[p], pivot_rows[p][p]) for p in pivots], pivots
+
+
+def _over(row: Row, d: int) -> Row:
+    """row / d in frac's form."""
+    return row if d == 1 else {c: Fraction(v, d) if v % d else v // d
+                               for c, v in row.items()}
 
 
 def rank(f: LinearMap) -> int:
     """Exact rank, by eliminating the columns of f as rows (rank f = rank
     f^T)."""
-    return len(_rref(f.cols)[1])
+    return len(_rref(f.scaled[1])[1])
 
 
 @record(frozen=True)
@@ -446,10 +494,10 @@ def solve_affine(coeff: LinearMap, rhs: Vector) -> AffineSolution | Infeasible:
     m, n = coeff.codomain.dim, coeff.domain.dim
     if len(rhs) != m:
         raise ValueError("rhs length does not match codomain dim")
-    aug = _rows(coeff)
+    aug, d = _rows(coeff)
     for row, b in zip(aug, rhs):
         if b:
-            row[n] = frac(b)
+            row[n] = frac(b * d)
     rows, pivots = _rref(aug)
     if n in pivots:
         return Infeasible(len(pivots) - 1, len(pivots), coeff, rhs)
@@ -593,9 +641,10 @@ def permute_factors(x: LinearMap, spaces: Sequence[Space],
     new_row = [0]
     for d, stride in zip(dims, strides):
         new_row = [r + i * stride for r in new_row for i in range(d)]
-    return LinearMap(x.domain, tensor_space(*(spaces[p] for p in perm)),
-                     tuple(tuple(sorted((new_row[i], c) for i, c in col))
-                           for col in x.cols))
+    d, cols = x.scaled
+    return LinearMap._from_scaled(
+        x.domain, tensor_space(*(spaces[p] for p in perm)), d,
+        tuple(tuple(sorted((new_row[i], c) for i, c in col)) for col in cols))
 
 
 def swap_map(left: Space, right: Space) -> LinearMap:
@@ -613,10 +662,7 @@ def tensor_after(f: LinearMap, g: LinearMap, x: LinearMap) -> LinearMap:
     if x.codomain.dim != f.domain.dim * n:
         raise ValueError("maps are not composable")
     m = g.codomain.dim
-    df, fcols = _over_common_denominator(f.cols)
-    dg, gcols = _over_common_denominator(g.cols)
-    dx, xcols = _over_common_denominator(x.cols)
-    d = df * dg * dx
+    (df, fcols), (dg, gcols), (dx, xcols) = f.scaled, g.scaled, x.scaled
     cols = []
     for col in xcols:
         acc: dict[int, int] = {}
@@ -630,7 +676,8 @@ def tensor_after(f: LinearMap, g: LinearMap, x: LinearMap) -> LinearMap:
                     p = ca * b
                     o = acc.get(base + gi)
                     acc[base + gi] = p if o is None else o + p
-        cols.append(_sparse(acc, d))
-    return LinearMap(x.domain, tensor_space(f.codomain, g.codomain),
-                     tuple(cols))
+        cols.append(_sparse(acc))
+    return LinearMap._from_scaled(x.domain,
+                                  tensor_space(f.codomain, g.codomain),
+                                  df * dg * dx, tuple(cols))
 

@@ -369,6 +369,67 @@ def test_products_over_a_common_denominator_match_dense_reference(data):
           _ref_compose(fk, x_rows))
 
 
+# Entries over large coprime denominators, next to ints that are multiples
+# of them, so that a product's d has big prime factors and its gcd pass has
+# something to remove: a/p times a multiple of p, or a sum that cancels a
+# denominator, comes out over less than its operands' denominators.
+large_coprime = st.sampled_from((7919, 999983, 1000003, 2 ** 31 - 1))
+large_entries = st.one_of(
+    st.just(ZERO), st.integers(-10 ** 6, 10 ** 6),
+    st.builds(lambda a, b: la.frac(Fraction(a, b)),
+              st.integers(-10 ** 12, 10 ** 12), large_coprime),
+    st.builds(lambda b, c: b * c, large_coprime, st.integers(-3, 3)))
+
+
+def _large_map(draw, n, m):
+    rows = draw(st.lists(st.lists(large_entries, min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+    return LinearMap.from_rows(_space(m), _space(n), rows)
+
+
+def _assert_least_scaled_form(f):
+    """f's scaled form is the one computed afresh from its materialized
+    cols: d is the least common denominator, and cols are in frac form."""
+    _assert_canonical(f)
+    d, cols = f.scaled
+    assert (d, cols) == LinearMap(f.domain, f.codomain, f.cols).scaled
+    assert d >= 1 and math.gcd(d, *(c for col in cols for _, c in col)) == 1
+    assert d == math.lcm(1, *(c.denominator for col in f.cols
+                              for _, c in col))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_products_keep_the_least_scaled_form(data):
+    """Every product of maps over large coprime denominators carries the
+    scaled form of the map its materialized cols describe, and same_matrix
+    agrees with comparing cols."""
+    draw = data.draw
+    dims = st.integers(1, 3)
+    p, q, r, s = (draw(dims) for _ in range(4))
+    f, h = _large_map(draw, q, p), _large_map(draw, q, p)
+    g, k = _large_map(draw, r, q), _large_map(draw, s, r)
+    x = LinearMap.from_rows(_space(2), tensor_space(_space(p), _space(r)),
+                            draw(st.lists(st.lists(large_entries, min_size=2,
+                                                   max_size=2),
+                                          min_size=p * r, max_size=p * r)))
+    gf = g @ f
+    products = [gf, f.tensor(k), tensor_after(f, k, x), f + h, f - h,
+                permute_factors(x, (_space(p), _space(r)), (1, 0)),
+                g @ (f + h) - g @ h]
+    for out in products:
+        _assert_least_scaled_form(out)
+    same = products[-1]
+    assert gf.same_matrix(same) and gf.cols == same.cols
+    # a second denominator in one entry changes the matrix, not the shape
+    bump = LinearMap.from_rows(f.domain, g.codomain, [
+        [Fraction(1, 1000033) if (i, j) == (0, 0) else 0 for j in range(p)]
+        for i in range(r)])
+    for other in (gf + bump, gf - bump, same + bump - bump):
+        _assert_least_scaled_form(other)
+        assert gf.same_matrix(other) == (gf.cols == other.cols)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_zero_skipping_vector_helpers_match_dense_reference(data):
@@ -438,7 +499,8 @@ def tall_rows(draw, max_cols=5):
     base = draw(st.lists(st.lists(sparse_entries, min_size=n, max_size=n),
                          min_size=1, max_size=5))
     scales = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2),
-                              Fraction(1, 3)])
+                              Fraction(1, 3), Fraction(7, 3),
+                              Fraction(-5, 11)])
     copies = draw(st.lists(st.tuples(st.integers(0, len(base) - 1), scales),
                            max_size=12))
     zeros = draw(st.lists(st.sampled_from([ZERO, Fraction(0)]), max_size=4))

@@ -11,7 +11,6 @@ import homhopf.structures as structures
 from homhopf.catalog import cyclic_group_hopf, entry, sweedler_hopf
 from homhopf.instance_io import ParsedInstance, emit_instance, parse_instance
 from homhopf.integrals import thm48_module
-from homhopf.linalg import _over_common_denominator
 from homhopf.modules import check_rel_hopf, regular_rel_hopf
 from homhopf.structures import (check_comodule_algebra, check_hom_hopf,
                                 regular_comodule_algebra)
@@ -94,11 +93,13 @@ def test_rebased_instance_stores_exact_scalars_in_one_form():
 
 
 def test_integer_maps_skip_the_common_denominator():
-    """An all-int map takes the products' d == 1 path: no lcm, no copy."""
+    """An all-int map's cached scaled form is (1, cols): the products take
+    their d == 1 path on the very columns, with no copy."""
     CA = regular_comodule_algebra(cyclic_group_hopf(12))
     for f in _structure_maps(CA, [regular_rel_hopf(CA)]):
-        d, cols = _over_common_denominator(f.cols)
+        d, cols = f.scaled
         assert d == 1 and cols is f.cols
+        assert f.scaled is f.scaled
 
 
 def test_rebased_axiom_composites_keep_one_scalar_form(monkeypatch):

@@ -7,6 +7,8 @@ failing identity's label as its detail.  A sub-suite conclusion carries the
 sub-suite's first failure instead.
 """
 
+from fractions import Fraction
+
 import pytest
 
 import homhopf.galois as galois
@@ -17,9 +19,11 @@ from homhopf.galois import (coinvariants, free_module, galois_psi_ambient,
                             prop51_check, thm56_check, thm57_check)
 from homhopf.integrals import (find_quantum_integral, theorem43_check,
                                thm48_check)
-from homhopf.linalg import tensor_space
+from homhopf.linalg import LinearMap, space, tensor_space, unrank
 from homhopf.modules import prop31_check, regular_induced
 from homhopf.records import replace
+from homhopf.report import Report, Witness
+from homhopf.verify import check_maps, format_vector
 
 
 def _doubled(fn):
@@ -110,3 +114,72 @@ def test_prop51_witness(monkeypatch, CA):
     _assert_witnessed(prop51_check(CA, gamma),
                       "t^l restricts to the identity on B",
                       coinvariants(CA).algebra.space)
+
+
+# f: A (x) B -> C over the denominators 3 and 7, least common denominator 21
+_A, _B, _C = space("a0", "a1"), space("b0", "b1"), space("c0", "c1", "c2")
+_F = [[Fraction(1, 3), 0, Fraction(-4, 3), 0],
+      [0, 5, 1, 0],
+      [2, 0, 0, Fraction(1, 7)]]
+
+
+def _cols_loop_witness(lhs, rhs):
+    """The witness of the first difference, found by comparing the
+    materialized Fraction columns one by one."""
+    fs = lhs.domain.factors
+    dims = [sp.dim for sp in fs]
+    for j, (left, right) in enumerate(zip(lhs.cols, rhs.cols)):
+        if left != right:
+            return Witness(tuple(sp.labels[i]
+                                 for sp, i in zip(fs, unrank(dims, j))),
+                           format_vector(lhs.codomain, lhs.column(j)),
+                           format_vector(rhs.codomain, rhs.column(j)))
+    return None
+
+
+@pytest.mark.parametrize("row, col, value, basis, d", [
+    # a new denominator in column 2: d 21 -> 231; columns 0 and 1 are equal
+    # maps although their scaled ints differ
+    (1, 2, Fraction(1, 11), ("a1", "b0"), 231),
+    # the only 7 leaves column 3: d 21 -> 3
+    (2, 3, 2, ("a1", "b1"), 3),
+    # the same scaled int 3 over d 21 and d 231
+    (2, 3, Fraction(1, 77), ("a1", "b1"), 231),
+    # an entry where f has none
+    (1, 0, Fraction(2, 5), ("a0", "b0"), 105),
+])
+def test_rational_witness_matches_the_cols_loop(row, col, value, basis, d):
+    """Two maps that differ in one entry and have different least
+    denominators: check_maps names the first differing basis tuple and
+    both sides exactly as a comparison of the Fraction columns does."""
+    dom = tensor_space(_A, _B)
+    f = LinearMap.from_rows(dom, _C, _F)
+    rows = [list(r) for r in _F]
+    rows[row][col] = value
+    # g is a product, so it holds only its scaled form until it is read
+    g = LinearMap.identity(_C) @ LinearMap.from_rows(dom, _C, rows)
+    assert "cols" not in vars(g)
+    assert (f.scaled[0], g.scaled[0]) == (21, d)
+    rep = Report("witness")
+    assert not check_maps(rep, "f = g", [(f, g, "one entry")])
+    result = rep.results[0]
+    assert result.witness == _cols_loop_witness(f, g)
+    assert result.witness.basis == basis
+    assert result.detail == "one entry"
+    rep = Report("witness")
+    assert check_maps(rep, "f = f", [(f, LinearMap.identity(_C) @ f)])
+
+
+def test_equal_scaled_ints_over_different_denominators_differ():
+    """f / 2 and f / 3 share their scaled int columns; the comparison
+    reads the denominators too, and the witness is the first column."""
+    dom = tensor_space(_A, _B)
+    half, third = (LinearMap.from_rows(dom, _C, [
+        [Fraction(x, k) for x in row] for row in ([1, 0, 0, 1], [0, 1, 0, 0],
+                                                  [0, 0, 1, 1])])
+        for k in (2, 3))
+    assert half.scaled[1] == third.scaled[1] and not half.same_matrix(third)
+    rep = Report("witness")
+    assert not check_maps(rep, "half = third", [(half, third)])
+    assert rep.results[0].witness == _cols_loop_witness(half, third)
+    assert rep.results[0].witness.basis == ("a0", "b0")
