@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .records import record
@@ -148,15 +147,11 @@ def unrank(dims: Sequence[int], k: int) -> tuple[int, ...]:
 Column = tuple[tuple[int, Scalar], ...]
 
 
-_INTS = frozenset((int,))
-
-
-def _sparse(acc: dict[int, Scalar], _nonzero=itemgetter(1)) -> Column:
+def _sparse(acc: dict[int, Scalar]) -> Column:
     """The canonical column of a row -> coefficient accumulator: nonzero
     entries, rows ascending, scalars in frac's form."""
-    if not _INTS.issuperset(map(type, acc.values())):
-        acc = {i: frac(c) for i, c in acc.items()}
-    return tuple(sorted(filter(_nonzero, acc.items())))
+    return tuple(sorted((i, c if type(c) is int else frac(c))
+                        for i, c in acc.items() if c))
 
 
 def _times(pairs, d: int) -> tuple[tuple[int, int], ...]:
@@ -168,6 +163,21 @@ def _times(pairs, d: int) -> tuple[tuple[int, int], ...]:
 # Stores past the frozen LinearMap's __setattr__: the scaled form of a map
 # given by cols, the cols of a product, and a product's other fields.
 _set = object.__setattr__
+
+
+class _Once:
+    """An attribute computed on first read and stored on the instance, where
+    later reads find it; a __getattr__ would slow every attribute read."""
+
+    def __init__(self, name: str, compute):
+        self.name, self.compute = name, compute
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.compute(obj)
+        _set(obj, self.name, value)
+        return value
 
 
 @record(frozen=True)
@@ -187,38 +197,7 @@ class LinearMap:
         if len(self.cols) != self.domain.dim:
             raise ValueError("column count does not match domain dim")
 
-    def __getattr__(self, name):
-        # called only for the one of cols and scaled not stored yet
-        if name == "cols":
-            d, cols = self.scaled
-            value = cols if d == 1 else tuple(
-                tuple(_over(dict(col), d).items()) for col in cols)
-        elif name == "scaled":
-            dens = [c.denominator for col in self.cols for _, c in col
-                    if type(c) is not int]
-            d = math.lcm(*dens)
-            value = ((d, tuple(_times(col, d) for col in self.cols)) if dens
-                     else (1, self.cols))
-        else:
-            raise AttributeError(name)
-        _set(self, name, value)
-        return value
-
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def _from_scaled(domain: Space, codomain: Space, d: int,
-                     cols: tuple[Column, ...]) -> "LinearMap":
-        """The map cols / d (int columns), over its least denominator."""
-        g = math.gcd(d, *(c for col in cols for _, c in col)) if d != 1 else 1
-        if g != 1:
-            d //= g
-            cols = tuple(tuple((i, c // g) for i, c in col) for col in cols)
-        f = LinearMap.__new__(LinearMap)
-        _set(f, "domain", domain)
-        _set(f, "codomain", codomain)
-        _set(f, "scaled", (d, cols))
-        return f
 
     @staticmethod
     def from_rows(domain: Space, codomain: Space, rows) -> "LinearMap":
@@ -297,8 +276,7 @@ class LinearMap:
                     o = acc.get(i)
                     acc[i] = p if o is None else o + p
             cols.append(_sparse(acc))
-        return LinearMap._from_scaled(other.domain, self.codomain, dm * do,
-                                      tuple(cols))
+        return _scaled_map(other.domain, self.codomain, dm * do, tuple(cols))
 
     def tensor(self, other: "LinearMap") -> "LinearMap":
         """Tensor product f (x) g with row-major basis ordering."""
@@ -308,7 +286,7 @@ class LinearMap:
         dm, mine = self.scaled
         do, theirs = other.scaled
         # a product of nonzero ints is a nonzero int, already canonical
-        return LinearMap._from_scaled(dom, cod, dm * do, tuple(
+        return _scaled_map(dom, cod, dm * do, tuple(
             tuple((i * n + k, a * b) for i, a in c1 for k, b in c2)
             for c1 in mine for c2 in theirs))
 
@@ -325,8 +303,7 @@ class LinearMap:
             for i, c in b:
                 acc[i] = acc.get(i, 0) + c * sb
             cols.append(_sparse(acc))
-        return LinearMap._from_scaled(self.domain, self.codomain, d,
-                                      tuple(cols))
+        return _scaled_map(self.domain, self.codomain, d, tuple(cols))
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         return self._merge(other, negate=False)
@@ -362,6 +339,39 @@ class LinearMap:
 
     def __repr__(self):
         return f"LinearMap({self.domain.dim}->{self.codomain.dim})"
+
+
+def _scaled_map(domain: Space, codomain: Space, d: int,
+                cols: tuple[Column, ...]) -> LinearMap:
+    """The map cols / d (int columns), over its least denominator."""
+    g = math.gcd(d, *(c for col in cols for _, c in col)) if d != 1 else 1
+    if g != 1:
+        d //= g
+        cols = tuple(tuple((i, c // g) for i, c in col) for col in cols)
+    f = LinearMap.__new__(LinearMap)
+    _set(f, "domain", domain)
+    _set(f, "codomain", codomain)
+    _set(f, "scaled", (d, cols))
+    return f
+
+
+def _scaled_form(f: LinearMap) -> tuple[int, tuple[Column, ...]]:
+    dens = [c.denominator for col in f.cols for _, c in col
+            if type(c) is not int]
+    d = math.lcm(*dens)
+    return (d, tuple(_times(col, d) for col in f.cols)) if dens else (1, f.cols)
+
+
+def _frac_cols(f: LinearMap) -> tuple[Column, ...]:
+    d, cols = f.scaled
+    return cols if d == 1 else tuple(
+        tuple(_over(dict(col), d).items()) for col in cols)
+
+
+# Set after @record, which would take a class attribute named like the field
+# cols for its default.
+LinearMap.scaled = _Once("scaled", _scaled_form)
+LinearMap.cols = _Once("cols", _frac_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +430,7 @@ def _rref(rows: Iterable) -> tuple[list[Row], list[int]]:
     unique, so the result does not depend on the order of the rows.
     """
     pivot_rows: dict[int, Row] = {}
+    ints = {int}
     for row in rows:
         row = dict(row)
         for c in [c for c in row if c in pivot_rows]:
@@ -427,7 +438,7 @@ def _rref(rows: Iterable) -> tuple[list[Row], list[int]]:
             _combine(row, prow[c], row[c], prow)
         if not row:
             continue
-        if not _INTS.issuperset(map(type, row.values())):
+        if not ints.issuperset(map(type, row.values())):
             row = dict(_times(row.items(), math.lcm(*(
                 v.denominator for v in row.values() if type(v) is not int))))
         p = min(row)
@@ -642,9 +653,9 @@ def permute_factors(x: LinearMap, spaces: Sequence[Space],
     for d, stride in zip(dims, strides):
         new_row = [r + i * stride for r in new_row for i in range(d)]
     d, cols = x.scaled
-    return LinearMap._from_scaled(
-        x.domain, tensor_space(*(spaces[p] for p in perm)), d,
-        tuple(tuple(sorted((new_row[i], c) for i, c in col)) for col in cols))
+    return _scaled_map(x.domain, tensor_space(*(spaces[p] for p in perm)), d,
+                       tuple(tuple(sorted((new_row[i], c) for i, c in col))
+                             for col in cols))
 
 
 def swap_map(left: Space, right: Space) -> LinearMap:
@@ -677,7 +688,6 @@ def tensor_after(f: LinearMap, g: LinearMap, x: LinearMap) -> LinearMap:
                     o = acc.get(base + gi)
                     acc[base + gi] = p if o is None else o + p
         cols.append(_sparse(acc))
-    return LinearMap._from_scaled(x.domain,
-                                  tensor_space(f.codomain, g.codomain),
-                                  df * dg * dx, tuple(cols))
+    return _scaled_map(x.domain, tensor_space(f.codomain, g.codomain),
+                       df * dg * dx, tuple(cols))
 
