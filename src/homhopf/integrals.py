@@ -78,8 +78,8 @@ class _MapSystem:
         The RREF is unique, so the row order changes no result, and with the
         fraction-free elimination no cost either: in-process medians of 21
         alternated rounds (Python 3.11.7, 2 vCPUs) on rebased kC4, block
-        against row-major, are 2.8/2.8 ms (total integral), 69.6/71.6 ms
-        (total quantum integral) and 13.7/13.7 ms (4.3 retraction)."""
+        against row-major, are 2.5/2.6 ms (total integral), 70.9/71.1 ms
+        (total quantum integral) and 8.6/8.4 ms (4.3 retraction)."""
         nd, nc = self.dom.dim, self.cod.dim
         _, L0, R0, _ = terms[0]
         ne, nf = R0.domain.dim, L0.codomain.dim
