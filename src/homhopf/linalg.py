@@ -165,19 +165,19 @@ def _times(pairs, d: int) -> tuple[tuple[int, int], ...]:
 _set = object.__setattr__
 
 
-class _Once:
-    """An attribute computed on first read and stored on the instance, where
-    later reads find it; a __getattr__ would slow every attribute read."""
+class _ProductCols:
+    """The cols of a product, which stores only its scaled form: built on
+    first read and stored on the map, where later reads find them.  (A
+    __getattr__ would slow every attribute read of the class.)"""
 
-    def __init__(self, name: str, compute):
-        self.name, self.compute = name, compute
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
+    def __get__(self, f, owner=None):
+        if f is None:
             return self
-        value = self.compute(obj)
-        _set(obj, self.name, value)
-        return value
+        d, cols = f.scaled
+        if d != 1:
+            cols = tuple(tuple(_over(dict(col), d).items()) for col in cols)
+        _set(f, "cols", cols)
+        return cols
 
 
 @record(frozen=True)
@@ -185,8 +185,8 @@ class LinearMap:
     """A linear map in fixed bases, stored as domain.dim sparse columns.
 
     Column j holds the nonzero entries of the image of basis vector j.  The
-    form is canonical, as is the scaled form (d, cols times d) that products
-    hold until their cols are read: equal matrices have equal forms.
+    form is canonical, as is the scaled form (d, cols times d), which the
+    constructor computes and a product holds alone until cols is read.
     """
 
     domain: Space
@@ -196,6 +196,11 @@ class LinearMap:
     def __post_init__(self):
         if len(self.cols) != self.domain.dim:
             raise ValueError("column count does not match domain dim")
+        dens = [c.denominator for col in self.cols for _, c in col
+                if type(c) is not int]
+        d = math.lcm(*dens)
+        _set(self, "scaled", (d, tuple(_times(col, d) for col in self.cols))
+             if dens else (1, self.cols))
 
     # -- constructors -------------------------------------------------------
 
@@ -355,23 +360,9 @@ def _scaled_map(domain: Space, codomain: Space, d: int,
     return f
 
 
-def _scaled_form(f: LinearMap) -> tuple[int, tuple[Column, ...]]:
-    dens = [c.denominator for col in f.cols for _, c in col
-            if type(c) is not int]
-    d = math.lcm(*dens)
-    return (d, tuple(_times(col, d) for col in f.cols)) if dens else (1, f.cols)
-
-
-def _frac_cols(f: LinearMap) -> tuple[Column, ...]:
-    d, cols = f.scaled
-    return cols if d == 1 else tuple(
-        tuple(_over(dict(col), d).items()) for col in cols)
-
-
 # Set after @record, which would take a class attribute named like the field
 # cols for its default.
-LinearMap.scaled = _Once("scaled", _scaled_form)
-LinearMap.cols = _Once("cols", _frac_cols)
+LinearMap.cols = _ProductCols()
 
 
 # ---------------------------------------------------------------------------
