@@ -13,13 +13,14 @@ from typing import Callable
 
 from .errors import UnknownEntry
 from .instance_io import ParsedInstance
-from .integrals import _beta_compat_residual, _eq41_residual, is_total
+from .integrals import is_total, quantum_integral_identities
 from .linalg import (SCALAR_SPACE, ZERO, LinearMap, Space, frac, space,
-                     tensor_space, vec_is_zero)
+                     tensor_space)
 from .modules import prop31_check, regular_induced, regular_rel_hopf
 from .report import Report
 from .structures import (ComoduleAlgebra, HomAlgebra, HomCoalgebra,
                          HomHopfAlgebra, regular_comodule_algebra, twist)
+from .verify import check_maps
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +170,9 @@ def example_family_verify(CA: ComoduleAlgebra, gamma_map: LinearMap,
     """Check the two integral equations for an explicit parameterised gamma
     and confirm that totality matches the trace criterion."""
     rep = Report("parameterised quantum integral family")
-    rep.record("the integral equation holds",
-               vec_is_zero(_eq41_residual(CA, gamma_map)))
-    rep.record("gamma intertwines the twisting maps",
-               vec_is_zero(_beta_compat_residual(CA, gamma_map)))
+    beta, eq41 = quantum_integral_identities(CA, gamma_map, total=False)
+    check_maps(rep, "the integral equation holds", [eq41])
+    check_maps(rep, "gamma intertwines the twisting maps", [beta])
     rep.record("totality matches the trace criterion",
                is_total(CA, gamma_map) == expect_total,
                detail=f"expected total={expect_total}")

@@ -14,8 +14,8 @@ import os
 from typing import Optional
 
 from .errors import InstanceFormatError
-from .linalg import (LinearMap, Scalar, Space, Vector, frac, space,
-                     tensor_space)
+from .linalg import (SCALAR_SPACE, LinearMap, Scalar, Space, Vector, frac,
+                     space, tensor_space)
 from .modules import RelHopfModule, check_rel_hopf
 from .records import field, record
 from .report import Report
@@ -218,24 +218,20 @@ def _parse_hopf(block: dict, kind: str, cap: int) -> HomHopfAlgebra:
     where = "hopf"
     sp = _parse_space(block, where, cap)
     sp2 = tensor_space(sp, sp)
-    scalars = space("1")
     mult = _parse_matrix(block, "mult", sp2, sp, where)
     unit = _parse_vector(block, "unit", sp, where)
     comult = _parse_matrix(block, "comult", sp, sp2, where)
-    counit = _parse_matrix(block, "counit", sp, scalars, where)
+    counit = _parse_matrix(block, "counit", sp, SCALAR_SPACE, where)
     antipode = _parse_matrix(block, "antipode", sp, sp, where)
     alpha = _parse_matrix(block, "alpha", sp, sp, where)
     alpha_inv = _invert(alpha, "alpha", f"{where}.alpha")
     algebra = HomAlgebra(sp, mult, unit, alpha, alpha_inv)
     coalgebra = HomCoalgebra(sp, comult, counit, alpha, alpha_inv)
-    try:
-        antipode_inv: Optional[LinearMap] = antipode.inverse()
-    except ValueError:
-        if kind == "hopf":
-            raise InstanceFormatError("antipode is not invertible",
-                                      f"{where}.antipode")
-        antipode_inv = None
-    return HomHopfAlgebra(algebra, coalgebra, antipode, antipode_inv)
+    H = HomHopfAlgebra.build(algebra, coalgebra, antipode)
+    if kind == "hopf" and H.antipode_inv is None:
+        raise InstanceFormatError("antipode is not invertible",
+                                  f"{where}.antipode")
+    return H
 
 
 def _parse_comodule_algebra(block: dict, H: HomHopfAlgebra,

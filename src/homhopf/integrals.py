@@ -5,19 +5,19 @@ and the generator epimorphism on A (x) H (x) M.
 Each existence question is an affine system in the entries of one unknown
 map.  Its coefficients are assembled directly from the sparse columns of the
 maps in its conditions, each condition a short sum of terms
-L . (id (x) X (x) id) . R; every solution is then re-verified by a
-residual, the difference of the two sides of each condition as composite
-maps, written apart from the assembly's terms.
+L . (id (x) X (x) id) . R.  Every solution is then re-verified with
+verify.check_maps against the condition's identities, each a pair of
+composite maps written apart from the assembly's terms.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import CentralityViolated, EquivalenceViolated, NotIntertwining
-from .linalg import (ZERO, AffineSolution, Infeasible, LinearMap, Scalar,
-                     Space, Vector, _sparse, permute_factors, solve_affine,
-                     swap_map, tensor_after, tensor_space, vec_is_zero)
+from .linalg import (ZERO, Infeasible, LinearMap, Scalar, Space, Vector,
+                     _sparse, permute_factors, solve_affine, swap_map,
+                     tensor_after, tensor_space)
 from .modules import (RelHopfModule, check_rel_hopf, induce_G,
                       morphism_identities, regular_induced, regular_rel_hopf,
                       tensor_module)
@@ -114,27 +114,26 @@ class _MapSystem:
                           tuple(_sparse(acc) for acc in self.cols)),
                 tuple(self.rhs))
 
+    def as_map(self, flat: Vector) -> LinearMap:
+        """The map X with entry (c, d) at flat[c * dom.dim + d], in frac's
+        form."""
+        n = self.dom.dim
+        return LinearMap(self.dom, self.cod, tuple(
+            tuple((c, x) for c, x in enumerate(flat[d::n]) if x)
+            for d in range(n)))
 
-def _map_from_flat(dom: Space, cod: Space, flat: Vector) -> LinearMap:
-    """The map with entry (c, d) at flat[c * dom.dim + d], in frac's form."""
-    n = dom.dim
-    return LinearMap(dom, cod, tuple(
-        tuple((c, x) for c, x in enumerate(flat[d::n]) if x)
-        for d in range(n)))
-
-
-def _flat(*maps: LinearMap) -> Vector:
-    """The entries of the maps in turn.  Entry (f, e) of a map E -> F is at
-    e * dim F + f, one block of F per basis vector of E."""
-    out: list = []
-    for m in maps:
-        nf = m.codomain.dim
-        flat = [ZERO] * (m.domain.dim * nf)
-        for e, col in enumerate(m.cols):
-            for f, c in col:
-                flat[e * nf + f] = c
-        out.extend(flat)
-    return tuple(out)
+    def solve(self, identities: Callable[[LinearMap], list], what: str
+              ) -> tuple[LinearMap, Iterator[LinearMap]] | Infeasible:
+        """The particular solution X, re-verified against identities(X),
+        and the kernel basis as maps, each built when it is read;
+        Infeasible when there is no solution."""
+        sol = solve_affine(*self.equations())
+        if isinstance(sol, Infeasible):
+            return sol
+        x = self.as_map(sol.particular)
+        if not check_maps(Report(""), "", identities(x)):
+            raise EquivalenceViolated(f"solved {what} fails re-verification")
+        return x, map(self.as_map, sol.kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +152,8 @@ def total_integral_identities(CA: ComoduleAlgebra, phi: LinearMap) -> list:
             (phi @ H.algebra.unit_map, A.unit_map, "phi(1_H) = 1_A")]
 
 
-def _total_integral_residual(CA: ComoduleAlgebra, phi: LinearMap) -> Vector:
-    """Stacked residuals of the total integral identities."""
-    return _flat(*(lhs - rhs for lhs, rhs, _ in
-                   total_integral_identities(CA, phi)))
-
-
 def verify_total_integral(CA: ComoduleAlgebra, phi: LinearMap) -> bool:
-    return vec_is_zero(_total_integral_residual(CA, phi))
+    return check_maps(Report(""), "", total_integral_identities(CA, phi))
 
 
 def _total_integral_system(CA: ComoduleAlgebra) -> _MapSystem:
@@ -178,65 +171,57 @@ def _total_integral_system(CA: ComoduleAlgebra) -> _MapSystem:
 
 def find_total_integral(CA: ComoduleAlgebra) -> TotalIntegral | Infeasible:
     """Decide existence of a total integral phi: H -> A exactly."""
-    A, H = CA.algebra, CA.hopf
-    sol = solve_affine(*_total_integral_system(CA).equations())
-    if isinstance(sol, Infeasible):
-        return sol
-    phi = _map_from_flat(H.space, A.space, sol.particular)
-    if not verify_total_integral(CA, phi):
-        raise EquivalenceViolated("solved total integral fails re-verification")
-    family = tuple(_map_from_flat(H.space, A.space, v) for v in sol.kernel)
-    return TotalIntegral(phi, family)
+    res = _total_integral_system(CA).solve(
+        lambda phi: total_integral_identities(CA, phi), "total integral")
+    if isinstance(res, Infeasible):
+        return res
+    phi, family = res
+    return TotalIntegral(phi, tuple(family))
 
 
 # ---------------------------------------------------------------------------
 # Quantum integrals (gamma: H -> Hom(H, A), curried as H (x) H -> A)
 # ---------------------------------------------------------------------------
 
-def _eq41_residual(CA: ComoduleAlgebra, gh: LinearMap) -> Vector:
-    """Residual of the quantum-integral compatibility equation, per basis
-    pair (g, h), valued in A (x) H.
+def quantum_integral_identities(CA: ComoduleAlgebra, gh: LinearMap,
+                                total: bool) -> list:
+    """beta-compatibility, Eq. 4.1 and, if total, Eq. 4.2 on the curried
+    gamma_hat: H (x) H -> A, as (lhs, rhs, label).
 
-    LHS: gamma(alpha^{-1}(g))(h1) (x) alpha(h2).
-    RHS: with w = gamma(g2)(alpha^{-1}(h)):  beta(w0) (x) g1 w1, using
-    gamma(alpha(g2))(h) = beta(w) and rho(beta(w)) = beta(w0) (x) alpha(w1),
-    so the two bracketed occurrences are coaction legs of the same element.
+    Eq. 4.1 per basis pair (g, h), valued in A (x) H:
+    gamma(alpha^{-1}(g))(h1) (x) alpha(h2) = beta(w0) (x) g1 w1 with
+    w = gamma(g2)(alpha^{-1}(h)), using gamma(alpha(g2))(h) = beta(w) and
+    rho(beta(w)) = beta(w0) (x) alpha(w1), so the two bracketed occurrences
+    are coaction legs of the same element.
     """
     A, H = CA.algebra, CA.hopf
     al, al_inv = H.algebra.alpha, H.algebra.alpha_inv
     delta, idh = H.coalgebra.comult, LinearMap.identity(H.space)
-    lhs = tensor_after(gh, al, al_inv.tensor(delta))
     # g (x) h -> g1 (x) w -> g1 (x) w0 (x) w1 -> beta(w0) (x) g1 w1
     w = tensor_after(idh, gh, delta.tensor(al_inv))
     legs = permute_factors(tensor_after(idh, CA.coaction, w),
                            (H.space, A.space, H.space), (1, 0, 2))
-    rhs = tensor_after(A.alpha, H.algebra.mult, legs)
-    return _flat(lhs - rhs)
+    identities = [(gh @ al.tensor(al), A.alpha @ gh, "beta-compatible"),
+                  (tensor_after(gh, al, al_inv.tensor(delta)),
+                   tensor_after(A.alpha, H.algebra.mult, legs), "Eq. 4.1")]
+    return identities + [_eq42_identity(CA, gh)] if total else identities
 
 
-def _beta_compat_residual(CA: ComoduleAlgebra, gh: LinearMap) -> Vector:
+def _eq42_identity(CA: ComoduleAlgebra, gh: LinearMap) -> tuple:
+    """Eq. 4.2, per basis h: gamma(h1)(h2) = eps(h) 1_A."""
     A, H = CA.algebra, CA.hopf
-    aa = H.algebra.alpha
-    return _flat((gh @ aa.tensor(aa)) - (A.alpha @ gh))
-
-
-def _eq42_residual(CA: ComoduleAlgebra, gh: LinearMap) -> Vector:
-    """gamma(h1)(h2) - eps(h) 1_A, per basis h."""
-    A, H = CA.algebra, CA.hopf
-    return _flat((gh @ H.coalgebra.comult) - (A.unit_map @ H.coalgebra.counit))
+    return (gh @ H.coalgebra.comult, A.unit_map @ H.coalgebra.counit,
+            "Eq. 4.2")
 
 
 def verify_quantum_integral(CA: ComoduleAlgebra, gh: LinearMap,
                             total: bool) -> bool:
-    ok = (vec_is_zero(_beta_compat_residual(CA, gh))
-          and vec_is_zero(_eq41_residual(CA, gh)))
-    if total:
-        ok = ok and vec_is_zero(_eq42_residual(CA, gh))
-    return ok
+    return check_maps(Report(""), "",
+                      quantum_integral_identities(CA, gh, total))
 
 
 def is_total(CA: ComoduleAlgebra, gh: LinearMap) -> bool:
-    return vec_is_zero(_eq42_residual(CA, gh))
+    return check_maps(Report(""), "", [_eq42_identity(CA, gh)])
 
 
 def _quantum_integral_system(CA: ComoduleAlgebra,
@@ -271,17 +256,15 @@ def _quantum_integral_system(CA: ComoduleAlgebra,
 def find_quantum_integral(CA: ComoduleAlgebra, require_total: bool = True
                           ) -> QuantumIntegral | Infeasible:
     """Decide existence of a (total) quantum integral exactly."""
-    A, H = CA.algebra, CA.hopf
-    H.require_bijective_antipode()
-    hh = tensor_space(H.space, H.space)
-    sol = solve_affine(*_quantum_integral_system(CA, require_total).equations())
-    if isinstance(sol, Infeasible):
-        return sol
-    gh = _map_from_flat(hh, A.space, sol.particular)
-    if not verify_quantum_integral(CA, gh, require_total):
-        raise EquivalenceViolated("solved quantum integral fails re-verification")
-    family = tuple(_map_from_flat(hh, A.space, v) for v in sol.kernel)
-    return QuantumIntegral(gh, is_total(CA, gh), family)
+    CA.hopf.require_bijective_antipode()
+    res = _quantum_integral_system(CA, require_total).solve(
+        lambda gh: quantum_integral_identities(CA, gh, require_total),
+        "quantum integral")
+    if isinstance(res, Infeasible):
+        return res
+    gh, family = res
+    return QuantumIntegral(gh, require_total or is_total(CA, gh),
+                           tuple(family))
 
 
 def record_existence(rep: Report, what: str, key: str, res: object) -> bool:
@@ -368,16 +351,17 @@ def lambda_M(M: RelHopfModule, phi: TotalIntegral) -> LinearMap:
 # Existence equivalence: total integral <-> rho_A splits colinearly
 # ---------------------------------------------------------------------------
 
-def _colinear_retraction_residual(CA: ComoduleAlgebra, ga: LinearMap,
-                                  lam: LinearMap) -> Vector:
-    """Conditions on lambda_A: A (x) H -> A: retraction of rho_A, H-colinear
-    against the induced coaction ga on A (x) H, and
-    automorphism-intertwining."""
+def colinear_retraction_identities(CA: ComoduleAlgebra, ga: LinearMap,
+                                   lam: LinearMap) -> list:
+    """lambda_A: A (x) H -> A is a retraction of rho_A, H-colinear against
+    the induced coaction ga on A (x) H, and automorphism-intertwining, as
+    (lhs, rhs, label)."""
     A, H = CA.algebra, CA.hopf
     idh = LinearMap.identity(H.space)
-    return _flat((lam @ CA.coaction) - LinearMap.identity(A.space),
-                 (CA.coaction @ lam) - (lam.tensor(idh) @ ga),
-                 (lam @ A.alpha.tensor(H.algebra.alpha)) - (A.alpha @ lam))
+    return [(lam @ CA.coaction, LinearMap.identity(A.space), "retraction"),
+            (CA.coaction @ lam, lam.tensor(idh) @ ga, "H-colinear"),
+            (lam @ A.alpha.tensor(H.algebra.alpha), A.alpha @ lam,
+             "intertwining beta (x) alpha and beta")]
 
 
 def _colinear_retraction_system(CA: ComoduleAlgebra,
@@ -407,8 +391,10 @@ def theorem43_check(CA: ComoduleAlgebra,
     exists1 = isinstance(res1, TotalIntegral)
 
     ga = regular_induced(CA).coaction
-    sol = solve_affine(*_colinear_retraction_system(CA, ga).equations())
-    exists3 = isinstance(sol, AffineSolution)
+    res3 = _colinear_retraction_system(CA, ga).solve(
+        lambda lam: colinear_retraction_identities(CA, ga, lam),
+        "colinear retraction")
+    exists3 = not isinstance(res3, Infeasible)
 
     rep.record("condition (1): total integral "
                + ("exists" if exists1 else "does not exist"), True,
@@ -423,10 +409,7 @@ def theorem43_check(CA: ComoduleAlgebra,
     rep.certificates["exists"] = exists1
 
     if exists3:
-        lam = _map_from_flat(tensor_space(A.space, H.space), A.space, sol.particular)
-        if not vec_is_zero(_colinear_retraction_residual(CA, ga, lam)):
-            raise EquivalenceViolated(
-                "solved colinear retraction fails re-verification")
+        lam, _ = res3
         idh = LinearMap.identity(H.space)
         # phi(h) = beta^{-1}(lambda_A(1 (x) h)), shaped as phi_from_gamma by
         # Eq. 4.1; without beta^{-1} only some retractions give a colinear phi

@@ -127,9 +127,6 @@ def tensor_space(*spaces: Space) -> Space:
 # Vector helpers
 # ---------------------------------------------------------------------------
 
-def vec_is_zero(x: Vector) -> bool:
-    return all(a is ZERO or not a for a in x)
-
 def unrank(dims: Sequence[int], k: int) -> tuple[int, ...]:
     """Split a composite (row-major) basis index into per-factor indices."""
     out = []

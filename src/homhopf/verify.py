@@ -33,7 +33,7 @@ def check_identity(report: Report, name: str,
                    lhs: LinearMap, rhs: LinearMap) -> None:
     """Compare the maps lhs, rhs: (x)factors -> out_space, with the witness
     written over out_space's labels (the maps' own codomain labels may
-    differ, e.g. ``1`` for ``k``)."""
+    differ, e.g. ``k⊗g`` for ``g``)."""
     check_maps(report, name, [(lhs, rhs)], factors, out_space)
 
 

@@ -16,7 +16,7 @@ from homhopf.galois import (balanced_tensor_AA, beta_evaluation,
                             xi_source_module)
 from homhopf.integrals import QuantumIntegral, find_quantum_integral
 from homhopf.linalg import (LinearMap, kernel_basis, rank, span, swap_map,
-                            tensor_after, tensor_space, vec_is_zero)
+                            tensor_after, tensor_space)
 from homhopf.modules import (RelHopfModule, check_rel_hopf, is_morphism,
                              regular_rel_hopf)
 from homhopf.records import replace
@@ -224,7 +224,7 @@ def _reference_relations(B, act_right, mu_left, act_left, mu_right_inv):
                     _kron(act_right(m, b), n),
                     _kron(mu_left.apply(m),
                           act_left(bj, mu_right_inv.apply(n)))))
-                if not vec_is_zero(rel):
+                if any(rel):
                     out.append(rel)
     return out
 

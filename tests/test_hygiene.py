@@ -240,12 +240,11 @@ def test_the_start_up_probe_sees_dataclasses():
     assert "dataclasses" in _fresh_modules("import dataclasses")
 
 
-# The theorem drivers decide each conclusion through verify, so that a
-# failure carries a witness; a pass argument computed from a map comparison
-# or from another verdict would fail with a bare "fail".
+# Every module decides each map identity it records through verify, so
+# that a failure carries a witness; a pass argument computed from a map
+# comparison or from another verdict would fail with a bare "fail".
 _MORPHISM_PREDICATES = {"is_morphism", "is_colinear", "is_alinear",
                         "is_intertwining"}
-DRIVERS = [SRC / name for name in ("integrals.py", "galois.py", "modules.py")]
 
 
 def _verdict_read(node: ast.AST) -> str | None:
@@ -297,7 +296,8 @@ def _unwitnessed_records(tree: ast.AST) -> list[tuple[int, str]]:
     return sorted(out)
 
 
-@pytest.mark.parametrize("path", DRIVERS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_every_conclusion_goes_through_verify(path):
     found = _unwitnessed_records(ast.parse(path.read_text(),
                                            filename=str(path)))

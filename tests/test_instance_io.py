@@ -9,6 +9,9 @@ from homhopf.catalog import entry, names
 from homhopf.errors import InstanceFormatError
 from homhopf.instance_io import (emit_instance, load_instance, max_dim,
                                  parse_instance)
+from homhopf.linalg import SCALAR_SPACE, LinearMap
+from homhopf.records import replace
+from homhopf.structures import check_hom_hopf
 
 
 @pytest.mark.parametrize("name", names())
@@ -98,6 +101,33 @@ def test_singular_automorphism_is_rejected():
     doc["hopf"]["alpha"] = [["1", "1"], ["1", "1"]]
     with pytest.raises(InstanceFormatError, match="not invertible"):
         parse_instance(json.dumps(doc))
+
+
+def test_singular_antipode_is_rejected_in_a_hopf_file_only():
+    doc = json.loads(emit_instance(entry("kC2")))
+    doc["hopf"]["antipode"] = [["1", "1"], ["1", "1"]]
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance(json.dumps(doc))
+    assert str(exc.value) == "hopf.antipode: antipode is not invertible"
+    doc["kind"] = "coalgebra-datum"
+    assert parse_instance(json.dumps(doc)).hopf.antipode_inv is None
+
+
+def test_a_file_and_the_catalog_write_the_counit_over_one_scalar_space():
+    """With eps(1) = 2 on kC2, the catalog's maps and the parsed file give
+    one witness text for eps(1) = 1."""
+    H = entry("kC2").hopf
+    rows = [list(r) for r in H.coalgebra.counit.matrix]
+    rows[0][0] = 2
+    catalog = replace(H, coalgebra=replace(
+        H.coalgebra, counit=LinearMap.from_rows(H.space, SCALAR_SPACE, rows)))
+    doc = json.loads(emit_instance(entry("kC2")))
+    doc["hopf"]["counit"][0][0] = "2"
+    parsed = parse_instance(json.dumps(doc)).hopf
+    for hopf in (catalog, parsed):
+        lines = check_hom_hopf(hopf).pretty().splitlines()
+        assert lines[lines.index("  [FAIL] eps(1) = 1") + 1] == \
+            "         at k: 2·k != k"
 
 
 def test_dimension_cap_from_environment(monkeypatch):

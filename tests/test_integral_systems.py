@@ -1,6 +1,6 @@
 """The integral solvers' linear systems, assembled from map terms, against a
 reference that linearizes each condition by evaluating its hand-written
-residual on every elementary matrix."""
+identities on every elementary matrix."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -9,14 +9,14 @@ import pytest
 
 import homhopf.integrals as integrals
 from homhopf.catalog import cyclic_group_hopf, entry, names
-from homhopf.integrals import (_beta_compat_residual,
-                               _colinear_retraction_residual,
-                               _colinear_retraction_system, _eq41_residual,
-                               _eq42_residual, _quantum_integral_system,
-                               _total_integral_residual,
-                               _total_integral_system, find_quantum_integral,
-                               find_total_integral, theorem43_check)
-from homhopf.linalg import (Infeasible, LinearMap, Space, solve_affine,
+from homhopf.integrals import (_colinear_retraction_system,
+                               _quantum_integral_system,
+                               _total_integral_system,
+                               colinear_retraction_identities,
+                               find_quantum_integral, find_total_integral,
+                               quantum_integral_identities, theorem43_check,
+                               total_integral_identities)
+from homhopf.linalg import (ZERO, Infeasible, LinearMap, Space, solve_affine,
                             tensor_space)
 from homhopf.modules import induce_G, regular_rel_hopf
 from homhopf.structures import (ComoduleAlgebra, HomAlgebra, HomCoalgebra,
@@ -72,16 +72,32 @@ def _case(name: str) -> ComoduleAlgebra:
     return _EXTRA[name]() if name in _EXTRA else entry(name).comodule_algebra
 
 
-def _probe(dom: Space, cod: Space, residual):
+def _residual(identities) -> tuple:
+    """The entries of lhs - rhs for each identity in turn, in the solver's
+    row order: entry (f, e) of a map E -> F is at e * dim F + f, one block
+    of F per basis vector of E."""
+    out: list = []
+    for lhs, rhs, _ in identities:
+        nf = lhs.codomain.dim
+        flat = [ZERO] * (lhs.domain.dim * nf)
+        for e, col in enumerate((lhs - rhs).cols):
+            for f, c in col:
+                flat[e * nf + f] = c
+        out.extend(flat)
+    return tuple(out)
+
+
+def _probe(dom: Space, cod: Space, identities):
     """Reference: coefficient column k is residual(E_k) - residual(0), where
-    E_k is the elementary map with entry 1 at (k // dom.dim, k % dom.dim)."""
-    offset = residual(LinearMap.zero(dom, cod))
+    E_k is the elementary map with entry 1 at (k // dom.dim, k % dom.dim)
+    and residual(X) flattens identities(X)."""
+    offset = _residual(identities(LinearMap.zero(dom, cod)))
     cols = []
     for k in range(dom.dim * cod.dim):
         i, j = divmod(k, dom.dim)
         unit_cols = [()] * dom.dim
         unit_cols[j] = ((i, Fraction(1)),)
-        value = residual(LinearMap(dom, cod, tuple(unit_cols)))
+        value = _residual(identities(LinearMap(dom, cod, tuple(unit_cols))))
         cols.append(tuple(a - b for a, b in zip(value, offset)))
     coeff = LinearMap.from_columns(
         Space(tuple(f"u{k}" for k in range(len(cols)))),
@@ -89,10 +105,10 @@ def _probe(dom: Space, cod: Space, residual):
     return coeff, tuple(-x for x in offset)
 
 
-def _assert_matches_probing(system, dom: Space, cod: Space, residual):
+def _assert_matches_probing(system, dom: Space, cod: Space, identities):
     coeff, rhs = system.equations()
     sol = solve_affine(coeff, rhs)
-    ref_coeff, ref_rhs = _probe(dom, cod, residual)
+    ref_coeff, ref_rhs = _probe(dom, cod, identities)
     assert coeff.codomain.dim == ref_coeff.codomain.dim
     assert coeff.cols == ref_coeff.cols
     assert rhs == ref_rhs
@@ -112,7 +128,7 @@ def test_total_integral_system_matches_probing(name):
     CA = _case(name)
     sol = _assert_matches_probing(
         _total_integral_system(CA), CA.hopf.space, CA.algebra.space,
-        lambda f: _total_integral_residual(CA, f))
+        lambda f: total_integral_identities(CA, f))
     # the comatrix datum's "algebra" is k, so phi(1_H) = 1_A has no solution
     assert isinstance(sol, Infeasible) == (
         name in ("trivial-k-over-H4", "matrix-datum-2"))
@@ -123,16 +139,10 @@ def test_total_integral_system_matches_probing(name):
 def test_quantum_integral_system_matches_probing(name, require_total):
     CA = _case(name)
     H = CA.hopf
-
-    def residual(gh):
-        parts = [_beta_compat_residual(CA, gh), _eq41_residual(CA, gh)]
-        if require_total:
-            parts.append(_eq42_residual(CA, gh))
-        return tuple(x for p in parts for x in p)
-
     sol = _assert_matches_probing(
         _quantum_integral_system(CA, require_total),
-        tensor_space(H.space, H.space), CA.algebra.space, residual)
+        tensor_space(H.space, H.space), CA.algebra.space,
+        lambda gh: quantum_integral_identities(CA, gh, require_total))
     assert isinstance(sol, Infeasible) == (
         require_total and name == "trivial-k-over-H4")
 
@@ -144,7 +154,7 @@ def test_colinear_retraction_system_matches_probing(name):
     sol = _assert_matches_probing(
         _colinear_retraction_system(CA, ga),
         tensor_space(CA.algebra.space, CA.hopf.space), CA.algebra.space,
-        lambda f: _colinear_retraction_residual(CA, ga, f))
+        lambda f: colinear_retraction_identities(CA, ga, f))
     assert isinstance(sol, Infeasible) == (name == "trivial-k-over-H4")
 
 
@@ -161,21 +171,21 @@ def _count_calls(monkeypatch, name: str) -> list:
 
 
 def test_quantum_solver_evaluates_eq41_a_bounded_number_of_times(monkeypatch):
-    # the residual only re-verifies the solution: a constant number of
-    # evaluations, not one per unknown (kC5 has 125)
-    calls = _count_calls(monkeypatch, "_eq41_residual")
+    # the identities (Eq. 4.1 among them) only re-verify the solution: a
+    # constant number of builds, not one per unknown (kC5 has 125)
+    calls = _count_calls(monkeypatch, "quantum_integral_identities")
     find_quantum_integral(_case("kC5"), require_total=True)
     assert 1 <= len(calls) <= 2
 
 
 def test_total_solver_evaluates_its_residual_a_bounded_number_of_times(
         monkeypatch):
-    calls = _count_calls(monkeypatch, "_total_integral_residual")
+    calls = _count_calls(monkeypatch, "total_integral_identities")
     find_total_integral(regular_comodule_algebra(cyclic_group_hopf(8)))
     assert 1 <= len(calls) <= 2
 
 
 def test_theorem43_evaluates_the_retraction_residual_once(monkeypatch):
-    calls = _count_calls(monkeypatch, "_colinear_retraction_residual")
+    calls = _count_calls(monkeypatch, "colinear_retraction_identities")
     assert theorem43_check(_case("kC4")).ok
     assert len(calls) == 1

@@ -11,7 +11,7 @@ from homhopf import linalg as la
 from homhopf.linalg import (ZERO, AffineSolution, Infeasible, LinearMap,
                             Space, kernel_basis, permute_factors, quotient_by,
                             rank, solve_affine, span, swap_map, tensor_after,
-                            tensor_space, space, unrank, vec_is_zero)
+                            tensor_space, space, unrank)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
@@ -33,7 +33,7 @@ def matrices(draw, max_dim=4):
 @given(matrices())
 def test_kernel_vectors_are_killed(f):
     for v in kernel_basis(f):
-        assert vec_is_zero(f.apply(v))
+        assert not any(f.apply(v))
     assert len(kernel_basis(f)) == f.domain.dim - rank(f)
 
 
@@ -46,7 +46,7 @@ def test_solve_affine_resubstitutes(f, raw):
     if isinstance(sol, AffineSolution):
         assert f.apply(sol.particular) == rhs
         for h in sol.kernel:
-            assert vec_is_zero(f.apply(h))
+            assert not any(f.apply(h))
     else:
         assert isinstance(sol, Infeasible)
         assert sol.augmented_rank == sol.system_rank + 1
@@ -428,13 +428,6 @@ def test_products_keep_the_least_scaled_form(data):
     for other in (gf + bump, gf - bump, same + bump - bump):
         _assert_least_scaled_form(other)
         assert gf.same_matrix(other) == (gf.cols == other.cols)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_zero_skipping_vector_helpers_match_dense_reference(data):
-    x = _vector(data.draw, data.draw(st.integers(1, 4)))
-    assert vec_is_zero(x) == all(a == 0 for a in x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""A failing theorem conclusion carries a witness.
+"""A failing theorem conclusion or structure axiom carries a witness.
 
 For each driver one construction is broken, so that one conclusion fails.
 The failing result must name a basis tuple with one label per tensor factor
@@ -19,10 +19,13 @@ from homhopf.galois import (coinvariants, free_module, galois_psi_ambient,
                             prop51_check, thm56_check, thm57_check)
 from homhopf.integrals import (find_quantum_integral, theorem43_check,
                                thm48_check)
-from homhopf.linalg import LinearMap, space, tensor_space, unrank
+from homhopf.linalg import (SCALAR_SPACE, LinearMap, space, tensor_space,
+                            unrank)
 from homhopf.modules import prop31_check, regular_induced
 from homhopf.records import replace
 from homhopf.report import Report, Witness
+from homhopf.structures import (check_comodule_algebra, check_hom_algebra,
+                                check_hom_coalgebra, check_hom_hopf)
 from homhopf.verify import check_maps, format_vector
 
 
@@ -114,6 +117,45 @@ def test_prop51_witness(monkeypatch, CA):
     _assert_witnessed(prop51_check(CA, gamma),
                       "t^l restricts to the identity on B",
                       coinvariants(CA).algebra.space)
+
+
+def _twice(f):
+    return f + f
+
+
+def _double_coalgebra_map(H, key):
+    C = H.coalgebra
+    return replace(H, coalgebra=replace(C, **{key: _twice(getattr(C, key))}))
+
+
+# (check, name, mutant of CA, domain of the failing identity)
+_STRUCTURE_MUTANTS = [
+    (check_hom_algebra, "alpha(1) = 1",
+     lambda CA: replace(CA.algebra, alpha=_twice(CA.algebra.alpha)),
+     lambda CA: SCALAR_SPACE),
+    (check_hom_algebra, "alpha invertible",
+     lambda CA: replace(CA.algebra, alpha_inv=_twice(CA.algebra.alpha_inv)),
+     lambda CA: CA.space),
+    (check_hom_coalgebra, "gamma invertible",
+     lambda CA: replace(CA.hopf.coalgebra,
+                        gamma_inv=_twice(CA.hopf.coalgebra.gamma_inv)),
+     lambda CA: CA.hopf.space),
+    (check_hom_hopf, "Delta(1) = 1 (x) 1",
+     lambda CA: _double_coalgebra_map(CA.hopf, "comult"),
+     lambda CA: SCALAR_SPACE),
+    (check_hom_hopf, "eps(1) = 1",
+     lambda CA: _double_coalgebra_map(CA.hopf, "counit"),
+     lambda CA: SCALAR_SPACE),
+    (check_comodule_algebra, "unitality: rho(1) = 1 (x) 1",
+     lambda CA: replace(CA, coaction=_twice(CA.coaction)),
+     lambda CA: SCALAR_SPACE),
+]
+
+
+@pytest.mark.parametrize("check, name, mutant, domain", _STRUCTURE_MUTANTS,
+                         ids=[m[1] for m in _STRUCTURE_MUTANTS])
+def test_structure_axiom_witness(CA, check, name, mutant, domain):
+    _assert_witnessed(check(mutant(CA)), name, domain(CA))
 
 
 # f: A (x) B -> C over the denominators 3 and 7, least common denominator 21
