@@ -5,13 +5,12 @@ prose report followed by a machine-readable JSON document (separated by a
 "---" line) whose content is byte-deterministic for identical inputs.
 
 Exit codes: 0 all checks pass, 1 a property check failed or an expected
-result disagreed with the recomputed one, 2 input error (unparseable file,
-missing block, unknown name).
+result disagreed with the recomputed one, 2 input error (a command line
+outside USAGE, unparseable file, missing block, unknown name).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -138,69 +137,97 @@ def _emit_output(rep: Report, started_ns: int) -> int:
     return 0 if rep.ok else 1
 
 
+USAGE = """\
+usage: homhopf check FILE
+       homhopf integral FILE [--quantum] [--total]
+       homhopf galois FILE
+       homhopf theorem --id {4.3,4.8,5.6,5.7,5.8} FILE
+       homhopf catalog {list,emit} [NAME]
+       homhopf -h | --help
+"""
+# subcommand -> (its arguments, a bracketed one optional; its flags)
+_GRAMMAR = {"check": (("FILE",), ()), "galois": (("FILE",), ()),
+            "integral": (("FILE",), ("--quantum", "--total")),
+            "theorem": (("FILE",), ("--id",)),
+            "catalog": (("{list,emit}", "[NAME]"), ())}
+
+
+def _parse(argv: list[str]) -> tuple[str, list[str], dict]:
+    """(subcommand, arguments, flags) of a command line in USAGE, flags
+    anywhere after the subcommand; ValueError names the word at fault."""
+    # Not argparse: its import, its gettext lookups (which import locale) and
+    # building its parsers took about 4.5 ms of the 53 ms of CPU of a small
+    # verdict in a fresh process (Python 3.11.7), the largest start-up cost
+    # the package could shed.
+    if not argv or argv[0] not in _GRAMMAR:
+        raise ValueError(f"unknown subcommand {argv[0]!r}" if argv
+                         else "missing subcommand")
+    (names, known), words = _GRAMMAR[argv[0]], iter(argv[1:])
+    args, flags = [], {}
+    for word in words:
+        flag, eq, value = word.partition("=")
+        if not word.startswith("-"):
+            args.append(word)
+        elif flag not in known or eq and flag != "--id":
+            raise ValueError(f"unknown flag {word!r} for {argv[0]}")
+        else:
+            flags[flag] = (value if eq else next(words, "")) \
+                if flag == "--id" else True
+    if len(args) < len(names) and not names[len(args)].startswith("["):
+        raise ValueError(f"{argv[0]} needs {names[len(args)]}")
+    if len(args) > len(names):
+        raise ValueError(f"unexpected argument {args[len(names)]!r}")
+    if argv[0] == "theorem" and flags.get("--id") not in THEOREM_IDS:
+        raise ValueError(f"theorem needs --id in {{{','.join(THEOREM_IDS)}}}"
+                         f", got {flags.get('--id', 'none')}")
+    if argv[0] == "catalog" and args[0] not in ("list", "emit"):
+        raise ValueError(f"catalog needs list or emit, got {args[0]!r}")
+    return argv[0], args, flags
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="homhopf",
-        description="exact checks, integral solvers, and theorem "
-                    "verification for monoidal Hom-Hopf algebra instances")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="run all structural axiom checks")
-    p_check.add_argument("file")
-
-    p_int = sub.add_parser("integral", help="decide integral existence")
-    p_int.add_argument("file")
-    p_int.add_argument("--quantum", action="store_true",
-                       help="also decide quantum integrals")
-    p_int.add_argument("--total", action="store_true",
-                       help="with --quantum, require it to be total")
-
-    p_gal = sub.add_parser("galois", help="classify the canonical Galois map")
-    p_gal.add_argument("file")
-
-    p_thm = sub.add_parser("theorem", help="verify a structure theorem")
-    p_thm.add_argument("--id", required=True, choices=THEOREM_IDS,
-                       dest="theorem_id")
-    p_thm.add_argument("file")
-
-    p_cat = sub.add_parser("catalog", help="list or emit built-in instances")
-    p_cat.add_argument("action", choices=["list", "emit"])
-    p_cat.add_argument("name", nargs="?")
-
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        _write(USAGE)
+        return 0
+    try:
+        command, args, flags = _parse(argv)
+    except ValueError as exc:
+        sys.stderr.write(f"{USAGE}homhopf: error: {exc}\n")
+        return 2
     started = time.monotonic_ns()
 
     try:
-        if args.command == "catalog":
-            if args.action == "list":
+        if command == "catalog":
+            if args[0] == "list":
                 _write("".join(name + "\n" for name in names()))
                 return 0
-            if not args.name:
+            if len(args) == 1:
                 print("error: catalog emit needs an entry name",
                       file=sys.stderr)
                 return 2
-            _write(emit_instance(entry(args.name)))
+            _write(emit_instance(entry(args[1])))
             return 0
 
-        if args.command == "integral" and args.total and not args.quantum:
+        quantum, theorem_id = "--quantum" in flags, flags.get("--id")
+        if "--total" in flags and not quantum:
             print("error: --total needs --quantum", file=sys.stderr)
             return 2
-        inst = load_instance(args.file)
+        inst = load_instance(args[0])
         # quantum integrals and theorems 4.8-5.8 use S^{-1}: refuse up front
-        op = (f"theorem {args.theorem_id}" if args.command == "theorem"
-              and args.theorem_id != "4.3" else "integral --quantum"
-              if args.command == "integral" and args.quantum else None)
+        op = (f"theorem {theorem_id}" if theorem_id not in (None, "4.3")
+              else "integral --quantum" if quantum else None)
         if op and inst.hopf.antipode_inv is None:
             raise InstanceFormatError(f"{op} needs a bijective antipode",
                                       "hopf.antipode")
-        if args.command == "check":
+        if command == "check":
             rep = inst.validate()
-        elif args.command == "integral":
-            rep = cmd_integral(inst, args.quantum, args.total)
-        elif args.command == "galois":
+        elif command == "integral":
+            rep = cmd_integral(inst, quantum, "--total" in flags)
+        elif command == "galois":
             rep = cmd_galois(inst)
         else:
-            rep = cmd_theorem(inst, args.theorem_id)
+            rep = cmd_theorem(inst, theorem_id)
         return _emit_output(rep, started)
     except (InstanceFormatError, UnknownEntry) as exc:
         print(f"error: {exc}", file=sys.stderr)

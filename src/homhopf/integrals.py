@@ -12,11 +12,12 @@ composite maps written apart from the assembly's terms.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterator, Sequence
 
 from .errors import CentralityViolated, EquivalenceViolated, NotIntertwining
 from .linalg import (ZERO, Infeasible, LinearMap, Scalar, Space, Vector,
-                     _sparse, permute_factors, solve_affine, swap_map,
+                     _over, _sparse, permute_factors, solve_affine, swap_map,
                      tensor_after, tensor_space)
 from .modules import (RelHopfModule, check_rel_hopf, induce_G,
                       morphism_identities, regular_induced, regular_rel_hopf,
@@ -59,8 +60,9 @@ class _MapSystem:
     Unknown k = c * dom.dim + d is the entry of X sending basis vector d of
     dom to basis vector c of cod.  Each condition equates a sum of linear
     terms with a constant map; its coefficients are read off the terms'
-    sparse columns through vec(L X R) = (L (x) R^T) vec(X), so no residual
-    is evaluated while the system is built.
+    scaled int columns through vec(L X R) = (L (x) R^T) vec(X), one common
+    scale per condition divided out once per coefficient, so no residual is
+    evaluated and no Fraction multiplied while the system is built.
     """
 
     def __init__(self, dom: Space, cod: Space):
@@ -84,21 +86,25 @@ class _MapSystem:
         _, L0, R0, _ = terms[0]
         ne, nf = R0.domain.dim, L0.codomain.dim
         base = len(self.rhs)
+        scale = math.lcm(*(L.scaled[0] * R.scaled[0] for _, L, R, _ in terms))
+        accs: list[dict[int, int]] = [{} for _ in self.cols]
         for sign, L, R, w in terms:
-            lcols = L.cols
-            for e, col in enumerate(R.cols):
+            (dl, lcols), (dr, rcols) = L.scaled, R.scaled
+            m = sign * (scale // (dl * dr))
+            for e, col in enumerate(rcols):
                 for r, rv in col:
                     ui, rest = divmod(r, nd * w)
                     d, wi = divmod(rest, w)
-                    if sign < 0:
-                        rv = -rv
+                    rv *= m
                     for c in range(nc):
-                        acc = self.cols[c * nd + d]
+                        acc = accs[c * nd + d]
                         for f, lv in lcols[(ui * nc + c) * w + wi]:
                             i = base + e * nf + f
                             p = rv * lv
                             o = acc.get(i)
                             acc[i] = p if o is None else o + p
+        for col, acc in zip(self.cols, accs):
+            col.update(_over(acc, scale))
         rhs = [ZERO] * (ne * nf)
         if target is not None:
             for e, col in enumerate(target.cols):

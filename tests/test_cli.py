@@ -62,6 +62,50 @@ def test_catalog_emit_without_a_name_is_exit_2(capsys):
     assert err == "error: catalog emit needs an entry name\n"
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["frob", "{f}"], ["check"], ["theorem", "{f}"],
+    ["theorem", "--id", "9.9", "{f}"], ["theorem", "{f}", "--id"],
+    ["integral", "{f}", "--quantum=yes"],
+    # argparse's prefix abbreviations are not accepted
+    ["integral", "{f}", "--quan"], ["check", "{f}", "{f}"],
+    ["catalog", "frob"]],
+    ids=["none", "unknown-subcommand", "missing-file", "theorem-without-id",
+         "bad-id", "id-without-value", "value-on-a-switch", "abbreviation",
+         "extra-positional", "unknown-catalog-action"])
+def test_malformed_command_line_is_exit_2_with_the_usage(capsys, kc2_file,
+                                                         argv):
+    code, out, err = run(capsys, *(a.format(f=kc2_file) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(cli.USAGE)
+    assert err[len(cli.USAGE):].startswith("homhopf: error: ")
+    assert err.count("\n") == cli.USAGE.count("\n") + 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["check", "-h"]])
+def test_help_prints_the_usage_and_exits_0(capsys, argv):
+    assert run(capsys, *argv) == (0, cli.USAGE, "")
+
+
+def test_readme_grammar_block_is_the_usage():
+    readme = (SRC.parent / "README.md").read_text()
+    assert f"```\n{cli.USAGE}```\n" in readme
+
+
+@pytest.mark.parametrize("argv, same", [
+    (["theorem", "--id=5.7", "{f}"], ["theorem", "--id", "5.7", "{f}"]),
+    (["integral", "--total", "--quantum", "{f}"],
+     ["integral", "{f}", "--quantum", "--total"])])
+def test_flag_spelling_and_place_do_not_change_the_report(capsys, kc2_file,
+                                                          argv, same):
+    outs = []
+    for words in (argv, same):
+        code, out, err = run(capsys, *(a.format(f=kc2_file) for a in words))
+        assert (code, err) == (0, "")
+        outs.append([line for line in out.splitlines()
+                     if not line.startswith("wall-time: ")])
+    assert outs[0] == outs[1]
+
+
 def test_check_passes_on_catalog_file(capsys, kc2_file):
     code, out, _ = run(capsys, "check", kc2_file)
     assert code == 0

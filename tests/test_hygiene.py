@@ -2,8 +2,8 @@
 imports is used in that module, every import is at module level, every
 module-level function, class and assignment in the package is named
 somewhere in the package or its tests, arithmetic is exact, no code is
-generated at run time, and starting the CLI loads neither dataclasses nor
-inspect."""
+generated at run time, and a CLI run loads none of dataclasses, inspect,
+argparse, gettext and locale."""
 
 import ast
 import os
@@ -219,21 +219,25 @@ def test_the_scan_sees_exec_eval_and_compile():
 
 
 def _fresh_modules(prelude: str) -> set[str]:
-    """sys.modules of a fresh interpreter (no site) after prelude and
-    ``import homhopf.cli``."""
+    """sys.modules of a fresh interpreter (no site) after prelude,
+    ``import homhopf.cli`` and ``homhopf catalog list``."""
     code = (f"{prelude}\nimport sys\nimport homhopf.cli\n"
-            "print(' '.join(sys.modules))")
+            "homhopf.cli.main(['catalog', 'list'])\n"
+            "print(' '.join(sys.modules), file=sys.stderr)")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+    err = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True,
-                         timeout=60).stdout
-    return set(out.split())
+                         timeout=60).stderr
+    return set(err.split())
 
 
 def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
     loaded = _fresh_modules("")
     assert "homhopf.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+    # the command line is read without argparse: its import and gettext
+    # lookups (which import locale) cost a small verdict about 4.5 ms
+    assert not loaded & {"argparse", "gettext", "locale"}
 
 
 def test_the_start_up_probe_sees_dataclasses():
