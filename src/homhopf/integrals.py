@@ -3,11 +3,11 @@ problems, the splitting maps lambda_M, the integral existence equivalence,
 and the generator epimorphism on A (x) H (x) M.
 
 Each existence question is an affine system in the entries of one unknown
-map.  Its coefficients are assembled directly from the sparse columns of the
-maps in its conditions, each condition a short sum of terms
-L . (id (x) X (x) id) . R.  Every solution is then re-verified with
-verify.check_maps against the condition's identities, each a pair of
-composite maps written apart from the assembly's terms.
+map.  Its coefficients are read off the scaled int columns of the maps in
+its conditions, each a term L . (id (x) X (x) id) . R against a second term
+or a constant map, and kept as ints over one scale.  Every solution is then
+re-verified with verify.check_maps against the condition's identities, each
+a pair of composite maps written apart from the assembly's terms.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import CentralityViolated, EquivalenceViolated, NotIntertwining
 from .linalg import (ZERO, Infeasible, LinearMap, Scalar, Space, Vector,
-                     _over, _sparse, permute_factors, solve_affine, swap_map,
-                     tensor_after, tensor_space)
+                     _scaled_map, _sparse, permute_factors, solve_affine,
+                     swap_map, tensor_after, tensor_space)
 from .modules import (RelHopfModule, check_rel_hopf, induce_G,
                       morphism_identities, regular_induced, regular_rel_hopf,
                       tensor_module)
@@ -49,33 +49,33 @@ class QuantumIntegral:
 # Affine systems in the entries of an unknown map, assembled from map terms
 # ---------------------------------------------------------------------------
 
-# A linear term sign * L . (id_U (x) X (x) id_W) . R in the unknown map
-# X: D -> C, given as (sign, L, R, dim W); dim U follows from R's codomain.
-_Term = tuple[int, LinearMap, LinearMap, int]
+# A linear term L . (id_U (x) X (x) id_W) . R in the unknown map X: D -> C,
+# given as (L, R, dim W); dim U follows from R's codomain.
+_Term = tuple[LinearMap, LinearMap, int]
 
 
 class _MapSystem:
-    """Affine conditions on the entries of an unknown map X: dom -> cod.
+    """Affine conditions on the entries of an unknown map X: dom -> cod,
+    each a term against a term or a constant map, in ints over one scale.
 
     Unknown k = c * dom.dim + d is the entry of X sending basis vector d of
-    dom to basis vector c of cod.  Each condition equates a sum of linear
-    terms with a constant map; its coefficients are read off the terms'
-    scaled int columns through vec(L X R) = (L (x) R^T) vec(X), one common
-    scale per condition divided out once per coefficient, so no residual is
-    evaluated and no Fraction multiplied while the system is built.
+    dom to basis vector c of cod.  The coefficients are read off the terms'
+    scaled int columns through vec(L X R) = (L (x) R^T) vec(X) and kept as
+    ints times the system's scale, the lcm of the terms' scales so far, so
+    no residual is evaluated and no Fraction built while the system is.
     """
 
     def __init__(self, dom: Space, cod: Space):
         self.dom, self.cod = dom, cod
-        self.cols: list[dict[int, Scalar]] = [
+        self.scale = 1
+        self.cols: list[dict[int, int]] = [
             {} for _ in range(dom.dim * cod.dim)]
         self.rhs: list[Scalar] = []
 
-    def condition(self, terms: Sequence[_Term],
-                  target: LinearMap | None = None) -> None:
-        """Append the rows of sum(terms) = target (zero if None), both maps
-        E -> F.  Entry (f, e) is row e * dim F + f: one block of F per basis
-        vector of E.
+    def condition(self, lhs: _Term, rhs: _Term | LinearMap) -> None:
+        """Append the rows of lhs = rhs, a term against a term or a constant
+        map, each E -> F.  Entry (f, e) is row e * dim F + f: one block of F
+        per basis vector of E.
 
         The RREF is unique, so the row order changes no result, and with the
         fraction-free elimination no cost either: in-process medians of 21
@@ -83,11 +83,16 @@ class _MapSystem:
         against row-major, are 2.5/2.6 ms (total integral), 70.9/71.1 ms
         (total quantum integral) and 8.6/8.4 ms (4.3 retraction)."""
         nd, nc = self.dom.dim, self.cod.dim
-        _, L0, R0, _ = terms[0]
-        ne, nf = R0.domain.dim, L0.codomain.dim
+        terms = [(1, *lhs)] + ([(-1, *rhs)] if isinstance(rhs, tuple) else [])
+        ne, nf = lhs[1].domain.dim, lhs[0].codomain.dim
         base = len(self.rhs)
-        scale = math.lcm(*(L.scaled[0] * R.scaled[0] for _, L, R, _ in terms))
-        accs: list[dict[int, int]] = [{} for _ in self.cols]
+        scale = math.lcm(self.scale,
+                         *(L.scaled[0] * R.scaled[0] for _, L, R, _ in terms))
+        if scale != self.scale:
+            up, self.scale = scale // self.scale, scale
+            for col in self.cols:
+                for i in col:
+                    col[i] *= up
         for sign, L, R, w in terms:
             (dl, lcols), (dr, rcols) = L.scaled, R.scaled
             m = sign * (scale // (dl * dr))
@@ -97,27 +102,23 @@ class _MapSystem:
                     d, wi = divmod(rest, w)
                     rv *= m
                     for c in range(nc):
-                        acc = accs[c * nd + d]
+                        acc = self.cols[c * nd + d]
                         for f, lv in lcols[(ui * nc + c) * w + wi]:
                             i = base + e * nf + f
-                            p = rv * lv
-                            o = acc.get(i)
-                            acc[i] = p if o is None else o + p
-        for col, acc in zip(self.cols, accs):
-            col.update(_over(acc, scale))
-        rhs = [ZERO] * (ne * nf)
-        if target is not None:
-            for e, col in enumerate(target.cols):
+                            acc[i] = acc.get(i, 0) + rv * lv
+        out = [ZERO] * (ne * nf)
+        if isinstance(rhs, LinearMap):
+            for e, col in enumerate(rhs.cols):
                 for f, v in col:
-                    rhs[e * nf + f] = v
-        self.rhs.extend(rhs)
+                    out[e * nf + f] = v
+        self.rhs.extend(out)
 
     def equations(self) -> tuple[LinearMap, Vector]:
-        """(coeff, rhs) of the system coeff . x = rhs."""
+        """(coeff, rhs) of coeff . x = rhs, coeff built in its scaled form."""
         unknowns = Space(tuple(f"u{k}" for k in range(len(self.cols))))
         eqspace = Space(tuple(f"eq{r}" for r in range(len(self.rhs))))
-        return (LinearMap(unknowns, eqspace,
-                          tuple(_sparse(acc) for acc in self.cols)),
+        return (_scaled_map(unknowns, eqspace, self.scale,
+                            tuple(_sparse(acc) for acc in self.cols)),
                 tuple(self.rhs))
 
     def as_map(self, flat: Vector) -> LinearMap:
@@ -167,11 +168,11 @@ def _total_integral_system(CA: ComoduleAlgebra) -> _MapSystem:
     A, H = CA.algebra, CA.hopf
     ida, idh = LinearMap.identity(A.space), LinearMap.identity(H.space)
     system = _MapSystem(H.space, A.space)
-    system.condition([(1, CA.coaction, idh, 1),
-                      (-1, LinearMap.identity(tensor_space(A.space, H.space)),
-                       H.coalgebra.comult, H.dim)])
-    system.condition([(1, ida, H.algebra.alpha, 1), (-1, A.alpha, idh, 1)])
-    system.condition([(1, ida, H.algebra.unit_map, 1)], A.unit_map)
+    system.condition((CA.coaction, idh, 1),
+                     (LinearMap.identity(tensor_space(A.space, H.space)),
+                      H.coalgebra.comult, H.dim))
+    system.condition((ida, H.algebra.alpha, 1), (A.alpha, idh, 1))
+    system.condition((ida, H.algebra.unit_map, 1), A.unit_map)
     return system
 
 
@@ -241,21 +242,20 @@ def _quantum_integral_system(CA: ComoduleAlgebra,
     delta = H.coalgebra.comult
     system = _MapSystem(hh, A.space)
     # gamma_hat (alpha (x) alpha) = beta gamma_hat
-    system.condition([(1, ida, al.tensor(al), 1),
-                      (-1, A.alpha, LinearMap.identity(hh), 1)])
+    system.condition((ida, al.tensor(al), 1),
+                     (A.alpha, LinearMap.identity(hh), 1))
     # Eq. 4.1, one block of A (x) H per pair (g, h):
     # gamma(alpha^{-1}(g))(h1) (x) alpha(h2) = beta(w0) (x) g1 w1 with
     # w = gamma(g2)(alpha^{-1}(h)); the right side sends g1 (x) w to
     # (beta (x) m_H)(w0 (x) g1 (x) w1)
     w_legs = permute_factors(idh.tensor(CA.coaction),
                              (H.space, A.space, H.space), (1, 0, 2))
-    system.condition([(1, ida.tensor(al), al_inv.tensor(delta), H.dim),
-                      (-1, tensor_after(A.alpha, H.algebra.mult, w_legs),
-                       delta.tensor(al_inv), 1)])
+    system.condition((ida.tensor(al), al_inv.tensor(delta), H.dim),
+                     (tensor_after(A.alpha, H.algebra.mult, w_legs),
+                      delta.tensor(al_inv), 1))
     if require_total:
         # Eq. 4.2, one block of A per h: gamma(h1)(h2) = eps(h) 1_A
-        system.condition([(1, ida, delta, 1)],
-                         A.unit_map @ H.coalgebra.counit)
+        system.condition((ida, delta, 1), A.unit_map @ H.coalgebra.counit)
     return system
 
 
@@ -378,10 +378,10 @@ def _colinear_retraction_system(CA: ComoduleAlgebra,
     ah = tensor_space(A.space, H.space)
     ida, idah = LinearMap.identity(A.space), LinearMap.identity(ah)
     system = _MapSystem(ah, A.space)
-    system.condition([(1, ida, CA.coaction, 1)], ida)
-    system.condition([(1, CA.coaction, idah, 1), (-1, idah, ga, H.dim)])
-    system.condition([(1, ida, A.alpha.tensor(H.algebra.alpha), 1),
-                      (-1, A.alpha, idah, 1)])
+    system.condition((ida, CA.coaction, 1), ida)
+    system.condition((CA.coaction, idah, 1), (idah, ga, H.dim))
+    system.condition((ida, A.alpha.tensor(H.algebra.alpha), 1),
+                     (A.alpha, idah, 1))
     return system
 
 

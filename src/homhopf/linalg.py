@@ -472,12 +472,12 @@ class Infeasible:
     rhs: Vector
 
     def reverify(self) -> bool:
-        """Recompute both ranks from the transpose: eliminate the columns of
-        coeff and of [coeff | rhs], where solve_affine eliminated their
-        rows (row rank = column rank)."""
-        cols = self.coeff.cols
-        sys_rank = len(_rref(cols)[1])
-        aug_rank = len(_rref(cols + (_sparse(dict(enumerate(self.rhs))),))[1])
+        """Recompute both ranks from the transpose: eliminate coeff's scaled
+        int columns, then those and rhs, where solve_affine eliminated rows
+        (row rank = column rank; a scale on coeff changes neither rank)."""
+        sys_rank = rank(self.coeff)
+        aug_rank = len(_rref(self.coeff.scaled[1]
+                             + (_sparse(dict(enumerate(self.rhs))),))[1])
         return (sys_rank == self.system_rank
                 and aug_rank == self.augmented_rank
                 and aug_rank == sys_rank + 1)

@@ -266,10 +266,10 @@ def twist(H: HomHopfAlgebra, aut: LinearMap) -> HomHopfAlgebra:
         raise NotAutomorphism(f"aut does not {rep.results[0].detail}")
 
     new_alpha = aut @ A.alpha
-    algebra = HomAlgebra(A.space, aut @ A.mult, A.unit, new_alpha,
-                         new_alpha.inverse())
+    alphas = (new_alpha, new_alpha.inverse())
+    algebra = HomAlgebra(A.space, aut @ A.mult, A.unit, *alphas)
     coalgebra = HomCoalgebra(C.space, C.comult @ aut_inv_candidate, C.counit,
-                             new_alpha, new_alpha.inverse())
+                             *alphas)
     return HomHopfAlgebra.build(algebra, coalgebra, H.antipode)
 
 

@@ -61,7 +61,12 @@ _EXTRA = {
     "kC4": lambda: regular_comodule_algebra(cyclic_group_hopf(4)),
     "kC5": lambda: regular_comodule_algebra(cyclic_group_hopf(5)),
     "rebased kC3-twisted": lambda: _rebased(entry("kC3-twisted").comodule_algebra),
+    "rebased trivial-k-over-H4":
+        lambda: _rebased(entry("trivial-k-over-H4").comodule_algebra),
 }
+# k has no total integral over H4: every one of the three systems is
+# infeasible, the rebased one on non-integer constants
+_NO_INTEGRAL = ("trivial-k-over-H4", "rebased trivial-k-over-H4")
 CASES = names() + list(_EXTRA)
 HOPF_CASES = [n for n in CASES if n not in names()
               or entry(n).hopf.antipode_inv is not None]
@@ -113,6 +118,8 @@ def _assert_matches_probing(system, dom: Space, cod: Space, identities):
     assert coeff.cols == ref_coeff.cols
     assert rhs == ref_rhs
     assert sol == solve_affine(ref_coeff, ref_rhs)
+    if isinstance(sol, Infeasible):
+        assert sol.reverify()
     return sol
 
 
@@ -131,7 +138,7 @@ def test_total_integral_system_matches_probing(name):
         lambda f: total_integral_identities(CA, f))
     # the comatrix datum's "algebra" is k, so phi(1_H) = 1_A has no solution
     assert isinstance(sol, Infeasible) == (
-        name in ("trivial-k-over-H4", "matrix-datum-2"))
+        name in _NO_INTEGRAL + ("matrix-datum-2",))
 
 
 @pytest.mark.parametrize("require_total", [True, False])
@@ -144,7 +151,7 @@ def test_quantum_integral_system_matches_probing(name, require_total):
         tensor_space(H.space, H.space), CA.algebra.space,
         lambda gh: quantum_integral_identities(CA, gh, require_total))
     assert isinstance(sol, Infeasible) == (
-        require_total and name == "trivial-k-over-H4")
+        require_total and name in _NO_INTEGRAL)
 
 
 @pytest.mark.parametrize("name", HOPF_CASES)
@@ -155,7 +162,28 @@ def test_colinear_retraction_system_matches_probing(name):
         _colinear_retraction_system(CA, ga),
         tensor_space(CA.algebra.space, CA.hopf.space), CA.algebra.space,
         lambda f: colinear_retraction_identities(CA, ga, f))
-    assert isinstance(sol, Infeasible) == (name == "trivial-k-over-H4")
+    assert isinstance(sol, Infeasible) == (name in _NO_INTEGRAL)
+
+
+@pytest.mark.parametrize("system", ["total", "quantum", "retraction"])
+@pytest.mark.parametrize(
+    "name", ["kC4", "rebased kC3-twisted", "rebased trivial-k-over-H4"])
+def test_system_reaches_the_solver_without_fraction_columns(name, system):
+    # coeff stays in its scaled int form through the solve and the
+    # certificate check: its Fraction columns are never built
+    CA = _case(name)
+    if system == "total":
+        built = _total_integral_system(CA)
+    elif system == "quantum":
+        built = _quantum_integral_system(CA, require_total=True)
+    else:
+        ga = induce_G(regular_rel_hopf(CA).as_module(), CA).coaction
+        built = _colinear_retraction_system(CA, ga)
+    coeff, rhs = built.equations()
+    sol = solve_affine(coeff, rhs)
+    if isinstance(sol, Infeasible):
+        assert sol.reverify()
+    assert "cols" not in vars(coeff)
 
 
 def _count_calls(monkeypatch, name: str) -> list:
