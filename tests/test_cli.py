@@ -101,8 +101,7 @@ def test_flag_spelling_and_place_do_not_change_the_report(capsys, kc2_file,
     for words in (argv, same):
         code, out, err = run(capsys, *(a.format(f=kc2_file) for a in words))
         assert (code, err) == (0, "")
-        outs.append([line for line in out.splitlines()
-                     if not line.startswith("wall-time: ")])
+        outs.append(_without_wall_time(out))
     assert outs[0] == outs[1]
 
 
@@ -329,6 +328,49 @@ def test_closed_stdout_keeps_the_verdicts_exit_code(tmp_path, mismatch):
     assert code == (1 if mismatch else 0)
     code, err = _run_with_closed_stdout("catalog", "emit", "kC2")
     assert (code, err) == (0, "")
+
+
+def _without_wall_time(text: str) -> str:
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("wall-time: "))
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["check", "{kc2}"], 0), (["theorem", "--id", "5.8", "{mismatch}"], 1),
+    (["theorem", "--id", "9.9", "{kc2}"], 2), (["check", "{missing}"], 2),
+    (["catalog", "emit"], 2)],
+    ids=["pass", "expected-mismatch", "bad-id", "missing-file",
+         "emit-without-a-name"])
+def test_no_byte_is_lost_at_exit(capsys, tmp_path, kc2_file, argv, want):
+    # run() ends the process with os._exit; stdout and stderr go to regular
+    # files and PYTHONUNBUFFERED is dropped, so stdout is block-buffered
+    doc = json.loads(emit_instance(entry("kC2")))
+    doc["expected"]["galois"] = "neither"
+    (tmp_path / "mismatch.json").write_text(json.dumps(doc))
+    argv = [a.format(kc2=kc2_file, mismatch=tmp_path / "mismatch.json",
+                     missing=tmp_path / "missing.json") for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == want
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open(tmp_path / "out", "wb") as fout, \
+            open(tmp_path / "err", "wb") as ferr:
+        proc = subprocess.run([sys.executable, "-m", "homhopf.cli", *argv],
+                              stdout=fout, stderr=ferr, timeout=60,
+                              env=dict(env, PYTHONPATH=str(SRC)))
+    assert proc.returncode == want
+    assert _without_wall_time((tmp_path / "out").read_bytes().decode()) \
+        == _without_wall_time(out)
+    assert (tmp_path / "err").read_bytes() == err.encode()
+
+
+def test_console_script_is_run():
+    # pyproject.toml is read as text: tomllib is not in Python 3.10
+    lines = (SRC.parent / "pyproject.toml").read_text().splitlines()
+    name, _, target = lines[lines.index("[project.scripts]") + 1] \
+        .partition(" = ")
+    module, _, attr = target.strip('"').partition(":")
+    assert name == "homhopf"
+    assert getattr(importlib.import_module(module), attr) is cli.run
 
 
 @pytest.mark.parametrize("block", ["hopf", "comodule_algebra"])
@@ -559,7 +601,5 @@ def test_report_is_byte_identical_to_golden(capsys, catalog_files, name,
     if (name, subcommand) in GOLDEN_REFUSALS:
         assert (code, out, err) == (2, "", GOLDEN_REFUSALS[name, subcommand])
         return
-    kept = "".join(line for line in out.splitlines(keepends=True)
-                   if not line.startswith("wall-time: "))
     assert (code, err) == (0, "")
-    assert _sha256(kept) == GOLDEN_STDOUT_SHA256[name, subcommand]
+    assert _sha256(_without_wall_time(out)) == GOLDEN_STDOUT_SHA256[name, subcommand]

@@ -2,7 +2,8 @@
 imports is used in that module, every import is at module level, every
 module-level function, class and assignment in the package is named
 somewhere in the package or its tests, arithmetic is exact, no code is
-generated at run time, and a CLI run loads none of dataclasses, inspect,
+generated at run time, nothing relies on the interpreter teardown that
+``cli.run`` skips, and a CLI run loads none of dataclasses, inspect,
 argparse, gettext and locale."""
 
 import ast
@@ -216,6 +217,46 @@ def test_the_scan_sees_exec_eval_and_compile():
                      "y = eval(compile('1', '<s>', 'eval'))\n"
                      "re.compile('a')\n")
     assert _generated(tree) == [(1, "exec"), (2, "compile"), (2, "eval")]
+
+
+# cli.run ends the process with os._exit: no atexit hook, no thread join,
+# no temporary file removal and no finalizer runs after the report
+_TEARDOWN_MODULES = {"atexit", "threading", "tempfile"}
+
+
+def _skipped_cleanup(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, what) for each import of a module whose cleanup runs at
+    interpreter exit and each definition of __del__."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.extend((node.lineno, a.name) for a in node.names
+                       if a.name.split(".")[0] in _TEARDOWN_MODULES)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and \
+                node.module.split(".")[0] in _TEARDOWN_MODULES:
+            out.append((node.lineno, node.module))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                node.name == "__del__":
+            out.append((node.lineno, "__del__"))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_nothing_relies_on_interpreter_teardown(path):
+    found = _skipped_cleanup(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name} relies on teardown at {found}"
+
+
+def test_the_scan_sees_teardown_cleanup():
+    tree = ast.parse("import atexit, json\n"
+                     "from threading import Thread\n"
+                     "import tempfile as tf\n"
+                     "from .tempfile import x\n"
+                     "class C:\n"
+                     "    def __del__(self): pass\n")
+    assert _skipped_cleanup(tree) == [(1, "atexit"), (2, "threading"),
+                                      (3, "tempfile"), (6, "__del__")]
 
 
 def _fresh_modules(prelude: str) -> set[str]:

@@ -2,13 +2,18 @@
 reference that linearizes each condition by evaluating its hand-written
 identities on every elementary matrix."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
 import homhopf.integrals as integrals
 from homhopf.catalog import cyclic_group_hopf, entry, names
+from homhopf.instance_io import load_instance
 from homhopf.integrals import (_colinear_retraction_system,
                                _quantum_integral_system,
                                _total_integral_system,
@@ -22,6 +27,8 @@ from homhopf.modules import induce_G, regular_rel_hopf
 from homhopf.structures import (ComoduleAlgebra, HomAlgebra, HomCoalgebra,
                                 HomHopfAlgebra, check_comodule_algebra,
                                 check_hom_hopf, regular_comodule_algebra)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _hilbert(n: int, shift: int) -> list[list[Fraction]]:
@@ -184,6 +191,45 @@ def test_system_reaches_the_solver_without_fraction_columns(name, system):
     if isinstance(sol, Infeasible):
         assert sol.reverify()
     assert "cols" not in vars(coeff)
+
+
+# (system, its unknowns' domain, its identities) for the two systems that
+# decide a total and a total quantum integral
+_TOTAL_SYSTEMS = {
+    "total": lambda CA: (_total_integral_system(CA), CA.hopf.space,
+                         lambda f: total_integral_identities(CA, f)),
+    "quantum": lambda CA: (
+        _quantum_integral_system(CA, require_total=True),
+        tensor_space(CA.hopf.space, CA.hopf.space),
+        lambda gh: quantum_integral_identities(CA, gh, True)),
+}
+
+
+@pytest.fixture(scope="module")
+def seeded_no_integral(tmp_path_factory) -> ComoduleAlgebra:
+    """The benchmark's trivial-k-over-H4-rebased.json for seed 1."""
+    out = tmp_path_factory.mktemp("seeded")
+    subprocess.run([sys.executable, str(ROOT / "verdictbench" /
+                                        "make_inputs.py"),
+                    "--seed", "1", "--out", str(out),
+                    "trivial-k-over-H4-rebased.json"],
+                   env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                   check=True, capture_output=True, timeout=60)
+    return load_instance(str(out / "trivial-k-over-H4-rebased.json")) \
+        .comodule_algebra
+
+
+@pytest.mark.parametrize("system", list(_TOTAL_SYSTEMS))
+def test_infeasible_system_over_a_scale_above_1(seeded_no_integral, system):
+    # "rebased trivial-k-over-H4" keeps scale 1 (only its rhs is rational);
+    # the seeded file's coefficients are not integers
+    CA = seeded_no_integral
+    built, dom, identities = _TOTAL_SYSTEMS[system](CA)
+    tier1 = _TOTAL_SYSTEMS[system](_case("rebased trivial-k-over-H4"))[0]
+    assert (built.scale, tier1.scale) == (32, 1)
+    sol = _assert_matches_probing(built, dom, CA.algebra.space, identities)
+    assert isinstance(sol, Infeasible)
+    assert sol.reverify()
 
 
 def _count_calls(monkeypatch, name: str) -> list:
