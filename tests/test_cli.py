@@ -38,6 +38,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _without_wall_time(text: str) -> str:
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("wall-time: "))
+
+
 def test_catalog_list(capsys):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0
@@ -330,11 +335,6 @@ def test_closed_stdout_keeps_the_verdicts_exit_code(tmp_path, mismatch):
     assert (code, err) == (0, "")
 
 
-def _without_wall_time(text: str) -> str:
-    return "".join(line for line in text.splitlines(keepends=True)
-                   if not line.startswith("wall-time: "))
-
-
 @pytest.mark.parametrize("argv, want", [
     (["check", "{kc2}"], 0), (["theorem", "--id", "5.8", "{mismatch}"], 1),
     (["theorem", "--id", "9.9", "{kc2}"], 2), (["check", "{missing}"], 2),
@@ -602,4 +602,5 @@ def test_report_is_byte_identical_to_golden(capsys, catalog_files, name,
         assert (code, out, err) == (2, "", GOLDEN_REFUSALS[name, subcommand])
         return
     assert (code, err) == (0, "")
-    assert _sha256(_without_wall_time(out)) == GOLDEN_STDOUT_SHA256[name, subcommand]
+    assert _sha256(_without_wall_time(out)) == \
+        GOLDEN_STDOUT_SHA256[name, subcommand]

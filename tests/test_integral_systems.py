@@ -161,48 +161,45 @@ def test_quantum_integral_system_matches_probing(name, require_total):
         require_total and name in _NO_INTEGRAL)
 
 
-@pytest.mark.parametrize("name", HOPF_CASES)
-def test_colinear_retraction_system_matches_probing(name):
-    CA = _case(name)
+def _retraction(CA: ComoduleAlgebra) -> tuple:
     ga = induce_G(regular_rel_hopf(CA).as_module(), CA).coaction
-    sol = _assert_matches_probing(
-        _colinear_retraction_system(CA, ga),
-        tensor_space(CA.algebra.space, CA.hopf.space), CA.algebra.space,
-        lambda f: colinear_retraction_identities(CA, ga, f))
-    assert isinstance(sol, Infeasible) == (name in _NO_INTEGRAL)
+    return (_colinear_retraction_system(CA, ga),
+            tensor_space(CA.algebra.space, CA.hopf.space),
+            lambda f: colinear_retraction_identities(CA, ga, f))
 
 
-@pytest.mark.parametrize("system", ["total", "quantum", "retraction"])
-@pytest.mark.parametrize(
-    "name", ["kC4", "rebased kC3-twisted", "rebased trivial-k-over-H4"])
-def test_system_reaches_the_solver_without_fraction_columns(name, system):
-    # coeff stays in its scaled int form through the solve and the
-    # certificate check: its Fraction columns are never built
-    CA = _case(name)
-    if system == "total":
-        built = _total_integral_system(CA)
-    elif system == "quantum":
-        built = _quantum_integral_system(CA, require_total=True)
-    else:
-        ga = induce_G(regular_rel_hopf(CA).as_module(), CA).coaction
-        built = _colinear_retraction_system(CA, ga)
-    coeff, rhs = built.equations()
-    sol = solve_affine(coeff, rhs)
-    if isinstance(sol, Infeasible):
-        assert sol.reverify()
-    assert "cols" not in vars(coeff)
-
-
-# (system, its unknowns' domain, its identities) for the two systems that
-# decide a total and a total quantum integral
-_TOTAL_SYSTEMS = {
+# (system, its unknowns' domain, its identities) for the three systems a
+# comodule algebra with no total integral leaves without a solution
+_SYSTEMS = {
     "total": lambda CA: (_total_integral_system(CA), CA.hopf.space,
                          lambda f: total_integral_identities(CA, f)),
     "quantum": lambda CA: (
         _quantum_integral_system(CA, require_total=True),
         tensor_space(CA.hopf.space, CA.hopf.space),
         lambda gh: quantum_integral_identities(CA, gh, True)),
+    "retraction": _retraction,
 }
+
+
+@pytest.mark.parametrize("name", HOPF_CASES)
+def test_colinear_retraction_system_matches_probing(name):
+    CA = _case(name)
+    built, dom, identities = _retraction(CA)
+    sol = _assert_matches_probing(built, dom, CA.algebra.space, identities)
+    assert isinstance(sol, Infeasible) == (name in _NO_INTEGRAL)
+
+
+@pytest.mark.parametrize("system", list(_SYSTEMS))
+@pytest.mark.parametrize(
+    "name", ["kC4", "rebased kC3-twisted", "rebased trivial-k-over-H4"])
+def test_system_reaches_the_solver_without_fraction_columns(name, system):
+    # coeff stays in its scaled int form through the solve and the
+    # certificate check: its Fraction columns are never built
+    coeff, rhs = _SYSTEMS[system](_case(name))[0].equations()
+    sol = solve_affine(coeff, rhs)
+    if isinstance(sol, Infeasible):
+        assert sol.reverify()
+    assert "cols" not in vars(coeff)
 
 
 @pytest.fixture(scope="module")
@@ -219,13 +216,13 @@ def seeded_no_integral(tmp_path_factory) -> ComoduleAlgebra:
         .comodule_algebra
 
 
-@pytest.mark.parametrize("system", list(_TOTAL_SYSTEMS))
+@pytest.mark.parametrize("system", list(_SYSTEMS))
 def test_infeasible_system_over_a_scale_above_1(seeded_no_integral, system):
     # "rebased trivial-k-over-H4" keeps scale 1 (only its rhs is rational);
     # the seeded file's coefficients are not integers
     CA = seeded_no_integral
-    built, dom, identities = _TOTAL_SYSTEMS[system](CA)
-    tier1 = _TOTAL_SYSTEMS[system](_case("rebased trivial-k-over-H4"))[0]
+    built, dom, identities = _SYSTEMS[system](CA)
+    tier1 = _SYSTEMS[system](_case("rebased trivial-k-over-H4"))[0]
     assert (built.scale, tier1.scale) == (32, 1)
     sol = _assert_matches_probing(built, dom, CA.algebra.space, identities)
     assert isinstance(sol, Infeasible)
