@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: check, integral, galois, theorem, catalog.  Each run prints a
-prose report followed by a machine-readable JSON document (separated by a
-"---" line) whose content is byte-deterministic for identical inputs.
+Subcommands: check, integral, galois, theorem (one THEOREMS row per --id),
+catalog.  Each run prints a prose report and a machine-readable JSON document,
+after a "---" line, whose content is byte-deterministic for identical inputs.
 
 Exit codes: 0 all checks pass, 1 a property check failed or an expected
 result disagreed with the recomputed one, 2 input error (a command line
@@ -25,19 +25,26 @@ from .instance_io import ParsedInstance, _matrix, emit_instance, load_instance
 from .integrals import (find_quantum_integral, find_total_integral,
                         record_existence, theorem43_check, thm48_check)
 from .report import Report
+from .structures import HomHopfAlgebra
 
-THEOREM_IDS = ("4.3", "4.8", "5.6", "5.7", "5.8")
+# theorem id -> (its driver on the file and its test modules, whether it needs
+# S^{-1}); a lambda looks its driver up when called, so a patched one runs
+THEOREMS = {
+    "4.3": (lambda inst, ms: theorem43_check(inst.comodule_algebra, ms), False),
+    "4.8": (lambda inst, ms: thm48_check(inst.comodule_algebra, ms), True),
+    "5.6": (lambda inst, ms: thm56_check(inst.comodule_algebra), True),
+    "5.7": (lambda inst, ms: thm57_check(inst.comodule_algebra, ms), True),
+    "5.8": (lambda inst, ms: cor58_check(_regular_hopf(inst), ms), True),
+}
 
 
 def _compare_expected(rep: Report, expected: dict) -> None:
     """Fold the file's expected block into the report: any certificate the
     run recomputed must match the declared value."""
-    for key in sorted(expected):
-        if key in rep.certificates:
-            got = rep.certificates[key]
-            want = expected[key]
-            rep.record(f"expected {key} = {want!r}", got == want,
-                       detail=f"recomputed {got!r}")
+    for key in sorted(expected.keys() & rep.certificates.keys()):
+        got, want = rep.certificates[key], expected[key]
+        rep.record(f"expected {key} = {want!r}", got == want,
+                   detail=f"recomputed {got!r}")
 
 
 def cmd_integral(inst: ParsedInstance, quantum: bool, total: bool) -> Report:
@@ -63,7 +70,6 @@ def cmd_integral(inst: ParsedInstance, quantum: bool, total: bool) -> Report:
             rep.certificates["quantum_ranks"] = [qres.system_rank,
                                                  qres.augmented_rank]
             rep.record("infeasibility certificate re-verifies", qres.reverify())
-    _compare_expected(rep, inst.expected)
     return rep
 
 
@@ -81,13 +87,12 @@ def cmd_galois(inst: ParsedInstance) -> Report:
     rep.record("canonical map classified", True,
                detail=f"{gal.classification}, rank {gal.rank}/"
                       f"{gal.psi.codomain.dim}")
-    _compare_expected(rep, inst.expected)
     return rep
 
 
-def _require_regular_coaction(inst: ParsedInstance) -> None:
-    """Corollary 5.8 tests the file's modules against H coacting on itself;
-    refuse them when they live over another comodule algebra."""
+def _regular_hopf(inst: ParsedInstance) -> HomHopfAlgebra:
+    """The H of Corollary 5.8, which tests the file's modules over H coacting
+    on itself; refuse them when they live over another comodule algebra."""
     CA, H = inst.comodule_algebra, inst.hopf
     regular = (CA.algebra.mult.same_matrix(H.algebra.mult)
                and CA.algebra.alpha.same_matrix(H.algebra.alpha)
@@ -98,24 +103,7 @@ def _require_regular_coaction(inst: ParsedInstance) -> None:
             "corollary 5.8 needs modules over H coacting on itself, but this "
             "module lives over the file's comodule algebra",
             f"modules.{min(inst.modules)}")
-
-
-def cmd_theorem(inst: ParsedInstance, which: str) -> Report:
-    CA = inst.comodule_algebra
-    modules = [inst.modules[k] for k in sorted(inst.modules)]
-    if which == "4.3":
-        rep = theorem43_check(CA, modules)
-    elif which == "4.8":
-        rep = thm48_check(CA, modules)
-    elif which == "5.6":
-        rep = thm56_check(CA)
-    elif which == "5.7":
-        rep = thm57_check(CA, modules)
-    else:
-        _require_regular_coaction(inst)
-        rep = cor58_check(inst.hopf, modules)
-    _compare_expected(rep, inst.expected)
-    return rep
+    return H
 
 
 def _write(text: str) -> None:
@@ -138,12 +126,12 @@ def _emit_output(rep: Report, started_ns: int) -> int:
     return 0 if rep.ok else 1
 
 
-USAGE = """\
+USAGE = f"""\
 usage: homhopf check FILE
        homhopf integral FILE [--quantum] [--total]
        homhopf galois FILE
-       homhopf theorem --id {4.3,4.8,5.6,5.7,5.8} FILE
-       homhopf catalog {list,emit} [NAME]
+       homhopf theorem --id {{{','.join(THEOREMS)}}} FILE
+       homhopf catalog {{list,emit}} [NAME]
        homhopf -h | --help
 """
 # subcommand -> (its arguments, a bracketed one optional; its flags)
@@ -178,8 +166,8 @@ def _parse(argv: list[str]) -> tuple[str, list[str], dict]:
         raise ValueError(f"{argv[0]} needs {names[len(args)]}")
     if len(args) > len(names):
         raise ValueError(f"unexpected argument {args[len(names)]!r}")
-    if argv[0] == "theorem" and flags.get("--id") not in THEOREM_IDS:
-        raise ValueError(f"theorem needs --id in {{{','.join(THEOREM_IDS)}}}"
+    if argv[0] == "theorem" and flags.get("--id") not in THEOREMS:
+        raise ValueError(f"theorem needs --id in {{{','.join(THEOREMS)}}}"
                          f", got {flags.get('--id', 'none')}")
     if argv[0] == "catalog" and args[0] not in ("list", "emit"):
         raise ValueError(f"catalog needs list or emit, got {args[0]!r}")
@@ -215,8 +203,9 @@ def main(argv: list[str] | None = None) -> int:
             print("error: --total needs --quantum", file=sys.stderr)
             return 2
         inst = load_instance(args[0])
-        # quantum integrals and theorems 4.8-5.8 use S^{-1}: refuse up front
-        op = (f"theorem {theorem_id}" if theorem_id not in (None, "4.3")
+        driver, needs_s_inv = THEOREMS.get(theorem_id, (None, False))
+        # quantum integrals and the theorems that need S^{-1}: refuse up front
+        op = (f"theorem {theorem_id}" if needs_s_inv
               else "integral --quantum" if quantum else None)
         if op and inst.hopf.antipode_inv is None:
             raise InstanceFormatError(f"{op} needs a bijective antipode",
@@ -228,17 +217,15 @@ def main(argv: list[str] | None = None) -> int:
         elif command == "galois":
             rep = cmd_galois(inst)
         else:
-            rep = cmd_theorem(inst, theorem_id)
+            rep = driver(inst, [inst.modules[k] for k in sorted(inst.modules)])
+        _compare_expected(rep, inst.expected)
         return _emit_output(rep, started)
-    except (InstanceFormatError, UnknownEntry) as exc:
+    except (InstanceFormatError, UnknownEntry, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HomHopfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def run() -> None:

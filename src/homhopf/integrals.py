@@ -283,15 +283,14 @@ def record_existence(rep: Report, what: str, key: str, res: object) -> bool:
     return feasible
 
 
-def total_quantum_hypothesis(rep: Report, CA: ComoduleAlgebra
-                             ) -> QuantumIntegral | None:
-    """The hypothesis of Theorems 4.8, 5.6 and 5.7: a total quantum integral,
-    recorded in rep; None when there is none."""
+def total_quantum_hypothesis(rep: Report, CA: ComoduleAlgebra,
+                             *gated: str) -> QuantumIntegral | None:
+    """The hypothesis of Theorems 4.8, 5.6 and 5.7, a total quantum integral,
+    recorded in rep; None if there is none, each conclusion in gated skipped."""
     gamma = find_quantum_integral(CA, require_total=True)
-    if record_existence(rep, "hypothesis: a total quantum integral",
-                        "total_quantum_integral", gamma):
-        return gamma
-    return None
+    feasible = record_existence(rep, "hypothesis: a total quantum integral",
+                                "total_quantum_integral", gamma)
+    return gamma if rep.skip_unless(feasible, gated) else None
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +485,9 @@ def thm48_check(CA: ComoduleAlgebra,
     a quotient of the induced module A (x) H (x) M via a split epimorphism
     with a colinear section; verified on the test modules (A if none)."""
     rep = Report("generator epimorphism")
-    gamma = total_quantum_hypothesis(rep, CA)
+    gamma = total_quantum_hypothesis(
+        rep, CA, "conclusion: split epimorphism onto each test module")
     if gamma is None:
-        rep.skip("conclusion: split epimorphism onto each test module",
-                 "hypothesis not satisfied")
         return rep
     for idx, M in enumerate(test_modules or [regular_rel_hopf(CA)]):
         AHM = thm48_module(CA, M)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from .records import field, record
 
@@ -52,6 +52,14 @@ class Report:
 
     def skip(self, name: str, detail: Optional[str] = None) -> None:
         self.results.append(CheckResult(name, "skipped", detail=detail))
+
+    def skip_unless(self, met: bool, gated: Sequence[str],
+                    reason: str = "hypothesis not satisfied") -> bool:
+        """Skip each gated conclusion, for reason, unless met; return met."""
+        if not met:
+            for name in gated:
+                self.skip(name, reason)
+        return met
 
     def extend(self, other: "Report", prefix: str = "") -> None:
         for r in other.results:

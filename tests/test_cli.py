@@ -96,6 +96,15 @@ def test_readme_grammar_block_is_the_usage():
     assert f"```\n{cli.USAGE}```\n" in readme
 
 
+def test_usage_parser_and_theorem_table_agree():
+    line = next(w for w in cli.USAGE.splitlines() if " theorem --id " in w)
+    listed = line.split("{", 1)[1].split("}", 1)[0].split(",")
+    assert listed == list(cli.THEOREMS)
+    for theorem_id in cli.THEOREMS:
+        assert cli._parse(["theorem", "--id", theorem_id, "f.json"]) \
+            == ("theorem", ["f.json"], {"--id": theorem_id})
+
+
 @pytest.mark.parametrize("argv, same", [
     (["theorem", "--id=5.7", "{f}"], ["theorem", "--id", "5.7", "{f}"]),
     (["integral", "--total", "--quantum", "{f}"],
@@ -306,12 +315,32 @@ def test_traced_benchmark_hooks_resolve():
     assert params[0] == "report" and params[2] == "factors"
 
 
+@pytest.mark.parametrize("theorem_id, span", [
+    ("4.3", "integrals.theorem43_check"), ("5.7", "galois.thm57_check"),
+    ("5.8", "galois.cor58_check")])
+def test_traced_benchmark_sees_each_driver_through_the_table(
+        tmp_path, kc2_file, theorem_id, span):
+    # traced_cli.py replaces each driver where a module holds it, so the
+    # table must look its drivers up in cli when a row is run
+    traced = SRC.parent / "verdictbench" / "traced_cli.py"
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run([sys.executable, str(traced), str(spans), "theorem",
+                           "--id", theorem_id, kc2_file],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert span in {s[0] for s in json.loads(spans.read_text())["spans"]}
+
+
 def _run_with_closed_stdout(*argv):
     """Run the CLI in a fresh process whose stdout is a pipe with no
     reader; return (exit code, stderr)."""
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    # without PYTHONUNBUFFERED stdout is block-buffered, so the write that
+    # meets the closed pipe is a flush, in _write or at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
     try:
         proc = subprocess.run([sys.executable, "-m", "homhopf.cli", *argv],
                               stdout=write_end, stderr=subprocess.PIPE,
