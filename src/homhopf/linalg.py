@@ -145,10 +145,10 @@ Column = tuple[tuple[int, Scalar], ...]
 
 
 def _sparse(acc: dict[int, Scalar]) -> Column:
-    """The canonical column of a row -> coefficient accumulator: nonzero
-    entries, rows ascending, scalars in frac's form."""
-    return tuple(sorted((i, c if type(c) is int else frac(c))
-                        for i, c in acc.items() if c))
+    """The canonical column of a row -> coefficient accumulator whose
+    scalars are ints or in frac's form: nonzero entries, rows ascending."""
+    return tuple(sorted(acc.items() if 0 not in acc.values()
+                        else [(i, c) for i, c in acc.items() if c]))
 
 
 def _times(pairs, d: int) -> tuple[tuple[int, int], ...]:
@@ -288,9 +288,9 @@ class LinearMap:
         dm, mine = self.scaled
         do, theirs = other.scaled
         # a product of nonzero ints is a nonzero int, already canonical
-        return _scaled_map(dom, cod, dm * do, tuple(
-            tuple((i * n + k, a * b) for i, a in c1 for k, b in c2)
-            for c1 in mine for c2 in theirs))
+        return _scaled_map(dom, cod, dm * do, tuple([
+            tuple([(i * n + k, a * b) for i, a in c1 for k, b in c2])
+            for c1 in mine for c2 in theirs]))
 
     def _merge(self, other: "LinearMap", negate: bool) -> "LinearMap":
         if (self.domain.dim, self.codomain.dim) != \
@@ -642,8 +642,8 @@ def permute_factors(x: LinearMap, spaces: Sequence[Space],
         new_row = [r + i * stride for r in new_row for i in range(d)]
     d, cols = x.scaled
     return _scaled_map(x.domain, tensor_space(*(spaces[p] for p in perm)), d,
-                       tuple(tuple(sorted((new_row[i], c) for i, c in col))
-                             for col in cols))
+                       tuple([tuple(sorted([(new_row[i], c) for i, c in col]))
+                              for col in cols]))
 
 
 def swap_map(left: Space, right: Space) -> LinearMap:

@@ -1,6 +1,6 @@
 """Structure-constant Hom-algebras, Hom-coalgebras, Hom-Hopf algebras and
-Hom-comodule algebras, with exhaustive axiom checkers and a twisting
-constructor.
+Hom-comodule algebras (whose suite includes their algebra's), with axiom
+checkers, a twisting constructor and algebra generators (algebra_generators).
 
 Every structure is a bundle of linear maps over a fixed labelled basis, and
 every axiom is an equality of composites of those maps.  Checkers return a
@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import NotAutomorphism
-from .linalg import (LinearMap, SCALAR_SPACE, Space, Vector, permute_factors,
-                     tensor_after, tensor_space)
+from .linalg import (LinearMap, SCALAR_SPACE, Space, Subspace, Vector,
+                     permute_factors, span, tensor_after, tensor_space)
 from .records import record
 from .report import Report
 from .verify import check_identity, check_maps
@@ -227,6 +227,7 @@ def check_comodule_algebra(CA: ComoduleAlgebra) -> Report:
     sp = A.space
     rho = CA.coaction
 
+    rep.extend(check_hom_algebra(A), prefix="algebra: ")
     check_comodule_axioms(rep, "comodule: ", sp, A.alpha, A.alpha_inv,
                           CA.coaction, H)
     check_identity(rep, "multiplicativity: rho(ab) = a0 b0 (x) a1 b1", [sp, sp],
@@ -237,6 +238,24 @@ def check_comodule_algebra(CA: ComoduleAlgebra) -> Report:
     check_maps(rep, "unitality: rho(1) = 1 (x) 1",
                [(rho @ A.unit_map, A.unit_map.tensor(H.algebra.unit_map))])
     return rep
+
+
+def algebra_generators(A: HomAlgebra) -> tuple[int, ...]:
+    """Basis indices S that generate A, which passes check_hom_algebra, as a
+    unital algebra, which is alpha^{+-1}-stable (alpha(a) = a1, and dim A is
+    finite): basis element i is kept when the subalgebra generated by the
+    ones kept so far does not hold it.  kC_n gives (g), H4 (g, x), k ()."""
+    def closure(sub: Subspace) -> Subspace:
+        E = sub.embedding(Space(tuple(map(str, range(sub.dim)))))
+        products = A.mult @ E.tensor(E)
+        grown = span(A.space, [*sub.basis, *zip(*products.matrix)])
+        return sub if grown.dim == sub.dim else closure(grown)
+
+    sub, gens = closure(span(A.space, [A.unit])), ()
+    for i, e in enumerate(LinearMap.identity(A.space).matrix):
+        if (grown := span(A.space, sub.basis + (e,))).dim > sub.dim:
+            sub, gens = closure(grown), gens + (i,)
+    return gens
 
 
 # ---------------------------------------------------------------------------

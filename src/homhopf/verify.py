@@ -30,11 +30,11 @@ def format_vector(sp: Space, v: Vector) -> str:
 
 def check_identity(report: Report, name: str,
                    factors: Sequence[Space], out_space: Space,
-                   lhs: LinearMap, rhs: LinearMap) -> None:
+                   lhs: LinearMap, rhs: LinearMap) -> bool:
     """Compare the maps lhs, rhs: (x)factors -> out_space, with the witness
     written over out_space's labels (the maps' own codomain labels may
-    differ, e.g. ``k⊗g`` for ``g``)."""
-    check_maps(report, name, [(lhs, rhs)], factors, out_space)
+    differ, e.g. ``k⊗g`` for ``g``); return the verdict."""
+    return check_maps(report, name, [(lhs, rhs)], factors, out_space)
 
 
 def check_maps(report: Report, name: str, identities: Iterable,

@@ -137,6 +137,33 @@ def test_check_reports_corruption_with_exit_1(capsys, tmp_path):
     assert any(" at " in l for l in out.splitlines())
 
 
+def test_check_runs_the_comodule_algebras_own_algebra_suite(capsys, tmp_path):
+    """A = span(1, x, y) with xy = 1 and yx = x^2 = y^2 = 0 passes the
+    comodule, multiplicativity and unitality lines under the trivial kC2
+    coaction, but (xx)y = 0 while alpha(x)(xy) = x."""
+    doc = json.loads(emit_instance(entry("kC2")))
+    doc["comodule_algebra"] = {
+        "dim": 3, "basis": ["1", "x", "y"],
+        "mult": [["1", "0", "0", "0", "0", "1", "0", "0", "0"],
+                 ["0", "1", "0", "1", "0", "0", "0", "0", "0"],
+                 ["0", "0", "1", "0", "0", "0", "1", "0", "0"]],
+        "unit": ["1", "0", "0"],
+        "beta": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "coaction": [["1", "0", "0"], ["0", "0", "0"], ["0", "1", "0"],
+                     ["0", "0", "0"], ["0", "0", "1"], ["0", "0", "0"]]}
+    doc["modules"], doc["expected"] = {}, {}
+    path = tmp_path / "nonassoc.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 1
+    lines = out.splitlines()
+    fails = [i for i, l in enumerate(lines) if "[FAIL]" in l]
+    assert [lines[i] for i in fails] == [
+        "  [FAIL] comodule algebra: algebra: Hom-associativity: "
+        "alpha(a)(bc) = (ab)alpha(c)"]
+    assert lines[fails[0] + 1] == "         at x, x, y: x != 0"
+
+
 def test_check_truncated_file_is_exit_2(capsys, tmp_path):
     path = tmp_path / "trunc.json"
     path.write_text('{"format": "homhopf-instance"')
@@ -438,7 +465,7 @@ GOLDEN_SUBCOMMANDS = (
 
 GOLDEN_STDOUT_SHA256 = {
     ("kC2", "check"):
-        "0e408aa10b89320179cda95f1bad2e0aa3db2cb5bcf3993867d3377dac7d70ff",
+        "969bc71f3e87ffd5e05f3ab262db1d0c4886ad745f513213344b9c835fdbbb1f",
     ("kC2", "integral"):
         "7591407385e7494d446744dffea84e8f148107c9e615d4f708e70e63a1d2b4fd",
     ("kC2", "integral --quantum"):
@@ -458,7 +485,7 @@ GOLDEN_STDOUT_SHA256 = {
     ("kC2", "theorem --id 5.8"):
         "d75e5717d9dc2846a04c52f5a990ba75834ff6e953ce5ce9dfe9f1662402d27f",
     ("kC3", "check"):
-        "a68e37b192da64d2497105d955b2af21820908e217e91c4f25a45dbac64bfcfa",
+        "fe22ca0bbbdb0e708965288778659aca8d38cbe362b370e57d163710421775cb",
     ("kC3", "integral"):
         "d2c14244798adddab8ae3dff70fca856a6e526615b6bde9e6474247281cbb578",
     ("kC3", "integral --quantum"):
@@ -478,7 +505,7 @@ GOLDEN_STDOUT_SHA256 = {
     ("kC3", "theorem --id 5.8"):
         "d4d37969faa04d6a1a8b93d1c928f538b5557488afb8c56b84879677f1df8d93",
     ("kC3-twisted", "check"):
-        "41d228f124d4b904cca23f079a80f976f1f52db2a238958cee0a640c3ee3e8a4",
+        "1ab0af919898a885e7d549242ed297ef7cf17077300490759d46f397a04c48e8",
     ("kC3-twisted", "integral"):
         "e31ba01e6a60cba85539246273b3525c2d5b98e37a0347f3c9d2254a208d969b",
     ("kC3-twisted", "integral --quantum"):
@@ -498,7 +525,7 @@ GOLDEN_STDOUT_SHA256 = {
     ("kC3-twisted", "theorem --id 5.8"):
         "d4d37969faa04d6a1a8b93d1c928f538b5557488afb8c56b84879677f1df8d93",
     ("kG-C2-datum", "check"):
-        "a4dae3aaa6f9c973c6ae27b24556b1ecd6608e55b41d636e004b2b95f2fdd455",
+        "1a28bc1a058884901f947b8f0e89680e15910d96fd1173799cf68a8b31addd40",
     ("kG-C2-datum", "integral"):
         "21bf92399c712caac0bb6090427e98aac6512a7282b36d9984e7415b9ab2f7c8",
     ("kG-C2-datum", "integral --quantum"):
@@ -524,7 +551,7 @@ GOLDEN_STDOUT_SHA256 = {
     ("matrix-datum-2", "theorem --id 4.3"):
         "35c6bc431f9f06e8769cb6412b4a6669f8e9f294da64a45de4343bd35ed83429",
     ("sweedler-H4", "check"):
-        "57e7c043fb8257a4b719bbf80d1cca686cb63bfa391dfc5739ca03e9dbb3521d",
+        "db21aaa97afd99ddf41b543c3389190c486afbf1da1bafa4a7bff5042e900158",
     ("sweedler-H4", "integral"):
         "ac63b65688657a5a0a92c8c2bd20478695d206a13f62cac9b42e29cc83e15a77",
     ("sweedler-H4", "integral --quantum"):
@@ -544,7 +571,7 @@ GOLDEN_STDOUT_SHA256 = {
     ("sweedler-H4", "theorem --id 5.8"):
         "e79f478809b9022f3c17a21bf028b8039f63a266c43cfe23f534337b7b0b5e7a",
     ("trivial-k-over-H4", "check"):
-        "445b43408331cf7410a965a19a6b7860557d96f042d63af6b458c30c1c2717d8",
+        "5ee3d0d57afb9aa1f3e00d2635c7bc1f522375237d34180d6ac8476ccfd88c9c",
     ("trivial-k-over-H4", "integral"):
         "2461401ae63f31304396bce88f12334d8d3d5c416f675c325e7e3bc111071054",
     ("trivial-k-over-H4", "integral --quantum"):
@@ -562,7 +589,7 @@ GOLDEN_STDOUT_SHA256 = {
     ("trivial-k-over-H4", "theorem --id 5.7"):
         "8aa6b4e9275878d28fabf9c168729967288c327526152933ca3a697e6fe92628",
     ("trivial-k-over-kC2", "check"):
-        "aaf5f8b9a1c7398404079e6870606fdc6190e45580101a5c23dc2a172bbd3d78",
+        "a2713219421cbb838ed27621400b1b536a215d083ae8a3b89251dfcc8c606d9c",
     ("trivial-k-over-kC2", "integral"):
         "730a9eabd19cc24b28b7b9adedd57679384f8e575c5a2daa151186f1eb12f4c8",
     ("trivial-k-over-kC2", "integral --quantum"):

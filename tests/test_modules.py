@@ -5,19 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from homhopf.catalog import cyclic_group_hopf, entry, names
+from homhopf import modules
+from homhopf.catalog import cyclic_group_hopf, entry, names, sweedler_hopf
 from homhopf.galois import xi_source_module
 from homhopf.integrals import thm48_module
-from homhopf.linalg import (LinearMap, permute_factors, tensor_after,
+from homhopf.linalg import (LinearMap, Space, permute_factors, tensor_after,
                             tensor_space)
-from homhopf.modules import (RelHopfModule, adjunction_unit,
-                             check_rel_hopf, induce_G, induce_Gtilde,
-                             is_morphism, morphism_identities, prop31_check,
-                             prop31_u, prop31_v, regular_induced,
-                             regular_rel_hopf, tensor_module)
+from homhopf.modules import (HomModule, RelHopfModule, adjunction_unit,
+                             check_hom_module, check_rel_hopf, induce_G,
+                             induce_Gtilde, is_morphism, morphism_identities,
+                             prop31_check, prop31_u, prop31_v,
+                             regular_induced, regular_rel_hopf,
+                             tensor_module)
+from homhopf.records import replace
 from homhopf.report import Report
-from homhopf.structures import regular_comodule_algebra
-from homhopf.verify import check_maps
+from homhopf.structures import algebra_generators, regular_comodule_algebra
+from homhopf.verify import check_identity, check_maps
 
 from test_integrals import _scaled_h4
 
@@ -201,3 +204,137 @@ def test_tensor_module_reproduces_the_constructions_it_replaced(case):
     assert GtH.mu == A.alpha.tensor(H.coalgebra.gamma)
     assert GtH.coaction == _ref_gtilde_coaction(CA, H.space,
                                                 H.coalgebra.comult)
+
+
+# ---------------------------------------------------------------------------
+# Hom-associativity decided on algebra generators
+# ---------------------------------------------------------------------------
+
+def _full_hom_module(M: HomModule) -> Report:
+    """check_hom_module as it reads with no reduction: every identity on
+    its whole domain, Hom-associativity on M (x) A (x) A."""
+    rep = Report(f"Hom-module axioms on dim {M.dim}")
+    A, sp, act, mu = M.over, M.space, M.action, M.mu
+    asp, idm = A.space, LinearMap.identity(M.space)
+    check_maps(rep, "mu invertible", [(mu @ M.mu_inv, idm)])
+    check_identity(rep, "Hom-associativity: (m.a).alpha(b) = mu(m).(ab)",
+                   [sp, asp, asp], sp,
+                   act @ act.tensor(A.alpha), act @ mu.tensor(A.mult))
+    check_identity(rep, "unit law: m.1 = mu(m)", [sp], sp,
+                   act @ tensor_after(idm, A.unit_map, idm), mu)
+    check_identity(rep, "action intertwines: mu(m.a) = mu(m).alpha(a)",
+                   [sp, asp], sp, mu @ act, act @ mu.tensor(A.alpha))
+    return rep
+
+
+def _assert_same_as_full(M: HomModule) -> None:
+    assert check_hom_module(M).to_dict() == _full_hom_module(M).to_dict()
+
+
+def _identity_calls(monkeypatch) -> list:
+    """(factor dims, verdict) of each check_identity call in modules."""
+    calls = []
+
+    def recording(report, name, factors, out_space, lhs, rhs):
+        ok = check_identity(report, name, factors, out_space, lhs, rhs)
+        calls.append((tuple(sp.dim for sp in factors), ok))
+        return ok
+
+    monkeypatch.setattr(modules, "check_identity", recording)
+    return calls
+
+
+def _kcn_ca(n: int):
+    return regular_comodule_algebra(cyclic_group_hopf(n))
+
+
+def _generator_labels(A) -> tuple[str, ...]:
+    return tuple(A.space.labels[i] for i in algebra_generators(A))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_generators_of_kcn(n):
+    assert _generator_labels(cyclic_group_hopf(n).algebra) == ("g",)
+
+
+def test_generators_of_h4_and_of_the_base_field():
+    assert _generator_labels(sweedler_hopf().algebra) == ("g", "x")
+    assert _generator_labels(
+        entry("trivial-k-over-H4").comodule_algebra.algebra) == ()
+
+
+@pytest.mark.parametrize("name", names())
+def test_reduced_check_matches_full_on_catalog_modules(name):
+    inst = entry(name)
+    for M in inst.modules.values():
+        _assert_same_as_full(M.as_module())
+    if inst.kind == "hopf":
+        CA = inst.comodule_algebra
+        _assert_same_as_full(
+            thm48_module(CA, regular_rel_hopf(CA)).as_module())
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_reduced_check_matches_full_on_kcn_thm48_module(n):
+    CA = _kcn_ca(n)
+    _assert_same_as_full(thm48_module(CA, regular_rel_hopf(CA)).as_module())
+
+
+def test_reduced_path_sees_generators_only(monkeypatch):
+    """On G(A) of H4 (dim 16 > dim A = 4), Hom-associativity is one
+    identity on M (x) A (x) span(g, x)."""
+    calls = _identity_calls(monkeypatch)
+    rep = check_hom_module(regular_induced(
+        regular_comodule_algebra(sweedler_hopf())).as_module())
+    assert rep.ok
+    assert calls == [((16,), True), ((16, 4), True), ((16, 4, 2), True)]
+
+
+def test_module_over_itself_keeps_the_full_identity(monkeypatch):
+    """dim M = dim A: the full identity is no larger than A's own suite."""
+    calls = _identity_calls(monkeypatch)
+    assert check_hom_module(regular_rel_hopf(_kcn_ca(5)).as_module()).ok
+    assert (5, 5, 5) in [dims for dims, _ in calls]
+
+
+def test_non_associative_action_fails_through_the_reduced_path(monkeypatch):
+    """kC3 acting on two copies of itself through phi, phi(1) = 1,
+    phi(g) = g, phi(g2) = g: mu invertible, the unit law and the
+    intertwining law hold, (m.g).g = m g2 but m.(g g) = m g.  The reduced
+    identity fails, and the report is the full check's, witness included."""
+    A = cyclic_group_hopf(3).algebra
+    V = Space(("u", "v"))
+    phi = LinearMap.from_rows(A.space, A.space,
+                              [[1, 0, 0], [0, 1, 1], [0, 0, 0]])
+    ida = LinearMap.identity(A.space)
+    sp = tensor_space(A.space, V)
+    act = (A.mult @ ida.tensor(phi)).tensor(LinearMap.identity(V)) \
+        @ permute_factors(LinearMap.identity(tensor_space(sp, A.space)),
+                          (A.space, V, A.space), (0, 2, 1))
+    idm = LinearMap.identity(sp)
+    M = HomModule(sp, idm, idm, act, A)
+    calls = _identity_calls(monkeypatch)
+    rep = check_hom_module(M)
+    assert calls == [((6,), True), ((6, 3), True), ((6, 3, 1), False),
+                     ((6, 3, 3), False)]
+    assert [r.name for r in rep.failures] == [
+        "Hom-associativity: (m.a).alpha(b) = mu(m).(ab)"]
+    assert rep.to_dict() == _full_hom_module(M).to_dict()
+
+
+@pytest.mark.parametrize("hopf", [cyclic_group_hopf(2), sweedler_hopf()],
+                         ids=["kC2", "H4"])
+def test_single_corruptions_of_the_action_give_the_full_report(hopf):
+    """A single-constant corruption of G(A)'s action gives the report of
+    the full check: at every position for kC2, and at every fourth one
+    ((i + j) % 4 == 0, so four in each column) for H4's 16 x 64."""
+    GA = regular_induced(regular_comodule_algebra(hopf)).as_module()
+    rows = [list(r) for r in GA.action.matrix]
+    step = 1 if len(rows) < 16 else 4
+    for i, row in enumerate(rows):
+        for j in range(-i % step, len(row), step):
+            row[j] += 1
+            bad = replace(GA, action=LinearMap.from_rows(
+                GA.action.domain, GA.space, rows))
+            row[j] -= 1
+            _assert_same_as_full(bad)

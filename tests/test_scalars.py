@@ -46,12 +46,12 @@ def _assert_one_form(scalars):
 
 def _recorded(monkeypatch, module):
     """The (lhs, rhs) maps that module compares with check_identity from
-    now on."""
+    now on; each call still returns its verdict."""
     compared = []
 
     def recording(report, name, factors, out_space, lhs, rhs):
         compared.append((lhs, rhs))
-        check_identity(report, name, factors, out_space, lhs, rhs)
+        return check_identity(report, name, factors, out_space, lhs, rhs)
 
     monkeypatch.setattr(module, "check_identity", recording)
     return compared
