@@ -40,10 +40,13 @@ THEOREMS = {
 
 def _compare_expected(rep: Report, expected: dict) -> None:
     """Fold the file's expected block into the report: any certificate the
-    run recomputed must match the declared value."""
+    run recomputed must match the declared value as JSON text, so true is
+    not 1 and 3.0 is not 3 (Python's == says they are), at any depth."""
     for key in sorted(expected.keys() & rep.certificates.keys()):
         got, want = rep.certificates[key], expected[key]
-        rep.record(f"expected {key} = {want!r}", got == want,
+        rep.record(f"expected {key} = {want!r}",
+                   json.dumps(got, sort_keys=True)
+                   == json.dumps(want, sort_keys=True),
                    detail=f"recomputed {got!r}")
 
 

@@ -3,9 +3,10 @@ Galois map, and the adjunction machinery behind the affineness criterion.
 
 Everything here is built from maps.  A structure map of the coinvariants
 is a composite with the embedding B -> A, read in B's coordinates off the
-pivots of its RREF basis (Subspace.coordinates).  A balanced tensor product
-is the quotient by the columns of one relation map, and a map descends to
-it when its composite with that relation map is zero.
+pivots of its RREF basis (Subspace.coordinates).  The one balanced tensor
+product, N (x)_B A for a right B-module N, is the quotient by the columns of
+one relation map, and a map descends to it when its composite with that
+relation map is zero.
 """
 
 from __future__ import annotations
@@ -164,9 +165,9 @@ def prop51_maps(CA: ComoduleAlgebra,
 
 @record(frozen=True)
 class BalancedTensor:
-    """A quotient of left (x) right by the Hom-twisted balancing relations
-    (m.b) (x) n - mu(m) (x) (b . nu^{-1}(n)): the columns of rel, a map
-    left (x) B (x) right -> left (x) right."""
+    """N (x)_B A, the quotient of N (x) A by the Hom-twisted balancing
+    relations (n.b) (x) a - nu(n) (x) b beta^{-1}(a): the columns of rel, a
+    map N (x) B (x) A -> N (x) A."""
 
     rel: LinearMap
     quotient: QuotientSpace
@@ -184,17 +185,14 @@ class BalancedTensor:
         return self.quotient.dim
 
 
-def balanced_tensor(B: CoinvariantAlgebra, act_right: LinearMap,
-                    mu_left: LinearMap, act_left: LinearMap,
-                    mu_right_inv: LinearMap) -> BalancedTensor:
-    """Build left (x)_B right from the right B-action left (x) B -> left
-    and the left B-action B (x) right -> right, B in its own coordinates."""
+def balanced_tensor(N: HomModule, B: CoinvariantAlgebra) -> BalancedTensor:
+    """N (x)_B A for a right B-module N, B in its own coordinates."""
+    A = B.of.algebra
     idb = LinearMap.identity(B.algebra.space)
-    right = mu_right_inv.domain
-    rel = (act_right.tensor(LinearMap.identity(right))
-           - mu_left.tensor(act_left @ idb.tensor(mu_right_inv)))
+    rel = (N.action.tensor(LinearMap.identity(A.space))
+           - N.mu.tensor(B.left_action @ idb.tensor(A.alpha_inv)))
     return BalancedTensor(rel, quotient_by(
-        tensor_space(mu_left.domain, right),
+        tensor_space(N.space, A.space),
         [rel.column(k) for k, col in enumerate(rel.cols) if col]))
 
 
@@ -235,19 +233,10 @@ def descend_module(amb: RelHopfModule, bt: BalancedTensor,
 
 def balanced_tensor_AA(CA: ComoduleAlgebra, B: CoinvariantAlgebra
                        ) -> tuple[BalancedTensor, RelHopfModule]:
-    """A (x)_B A with action (a (x) b).a' = beta(a) (x) b beta^{-1}(a') and
-    coaction (beta^{-1}(a) (x) b0) (x) alpha(b1); descent is verified."""
+    """A (x)_B A, the induction of A as a right B-module."""
     A = CA.algebra
-    bt = balanced_tensor(B, act_right=B.right_action, mu_left=A.alpha,
-                         act_left=B.left_action, mu_right_inv=A.alpha_inv)
-    ida = LinearMap.identity(A.space)
-    amb = RelHopfModule(
-        tensor_space(A.space, A.space), A.alpha.tensor(A.alpha),
-        A.alpha_inv.tensor(A.alpha_inv),
-        A.alpha.tensor(A.mult @ ida.tensor(A.alpha_inv)),
-        A.alpha_inv.tensor(tensor_after(ida, CA.hopf.algebra.alpha,
-                                        CA.coaction)), CA)
-    return bt, descend_module(amb, bt, "the balanced tensor square")
+    return induction(HomModule(A.space, A.alpha, A.alpha_inv, B.right_action,
+                               B.algebra), B)
 
 
 def galois_psi_ambient(CA: ComoduleAlgebra) -> LinearMap:
@@ -306,28 +295,30 @@ def xi_source_module(CA: ComoduleAlgebra) -> RelHopfModule:
 
 
 # ---------------------------------------------------------------------------
-# Induction A (x)_B N and the adjunction of the structure theorem
+# Induction N (x)_B A and the adjunction of the structure theorem
 # ---------------------------------------------------------------------------
 
 def induction(N: HomModule, B: CoinvariantAlgebra
               ) -> tuple[BalancedTensor, RelHopfModule]:
-    """A (x)_B N, the quotient of tensor_module(A, N): action
-    (a (x) n).a' = a beta^{-1}(a') (x) nu(n) and coaction
-    (a0 (x) nu^{-1}(n)) (x) alpha(a1)."""
+    """N (x)_B A with automorphism nu (x) beta, action
+    (n (x) a).a' = nu(n) (x) a beta^{-1}(a') and coaction
+    (nu^{-1}(n) (x) a0) (x) alpha(a1); descent is verified."""
     CA = B.of
-
-    # the left B-action on the right B-module N is n.b read backwards
-    bt = balanced_tensor(B, act_right=B.right_action, mu_left=CA.algebra.alpha,
-                         act_left=N.action @ swap_map(B.algebra.space,
-                                                      N.space),
-                         mu_right_inv=N.mu_inv)
-    amb = tensor_module(regular_rel_hopf(CA), N.mu, N.mu_inv)
+    A = CA.algebra
+    ida = LinearMap.identity(A.space)
+    amb = RelHopfModule(
+        tensor_space(N.space, A.space), N.mu.tensor(A.alpha),
+        N.mu_inv.tensor(A.alpha_inv),
+        N.mu.tensor(A.mult @ ida.tensor(A.alpha_inv)),
+        N.mu_inv.tensor(tensor_after(ida, CA.hopf.algebra.alpha,
+                                     CA.coaction)), CA)
+    bt = balanced_tensor(N, B)
     return bt, descend_module(amb, bt, "the induced module")
 
 
 @record(frozen=True)
 class AdjunctionPair:
-    """eta_N: N -> (A (x)_B N)^{coH} and theta_N back."""
+    """eta_N: N -> (N (x)_B A)^{coH} and theta_N back."""
 
     eta: LinearMap
     theta: LinearMap
@@ -341,22 +332,21 @@ class AdjunctionPair:
 
 def thm56_adjunction(N: HomModule, B: CoinvariantAlgebra,
                      gamma: QuantumIntegral) -> AdjunctionPair:
-    """eta_N(n) = 1_A (x)_B n into the coinvariants of A (x)_B N, and
-    theta_N(sum a_i (x)_B n_i) = sum t^l(a_i) . n_i."""
+    """eta_N(n) = n (x)_B 1_A into the coinvariants of N (x)_B A, and
+    theta_N(sum n_i (x)_B a_i) = sum n_i . t^l(a_i)."""
     CA = B.of
-    A = CA.algebra
     bt, ind = induction(N, B)
     coinv_mod, sub = coinvariant_module(ind, B)
     tl = quantum_trace_left(CA, gamma)
     idn = LinearMap.identity(N.space)
-    unit_tensor = bt.quotient.projection @ tensor_after(A.unit_map, idn, idn)
+    unit_tensor = bt.quotient.projection @ tensor_after(
+        idn, CA.algebra.unit_map, idn)
     eta = _restrict(sub, unit_tensor, coinv_mod.space,
-                    "1_A (x) n is not coinvariant in A (x)_B N")
+                    "n (x) 1_A is not coinvariant in N (x)_B A")
     tl_b = _restrict(B.subspace, tl, B.algebra.space,
                      "the left quantum trace does not land in B")
     amb = bt.quotient.section @ sub.embedding(coinv_mod.space)
-    theta = N.action @ tensor_after(idn, tl_b, permute_factors(
-        amb, (A.space, N.space), (1, 0)))
+    theta = N.action @ tensor_after(idn, tl_b, amb)
     return AdjunctionPair(eta, theta, coinv_mod)
 
 
@@ -370,12 +360,10 @@ def free_adjunctions(B: CoinvariantAlgebra, gamma: QuantumIntegral
 def beta_evaluation(M: RelHopfModule, B: CoinvariantAlgebra
                     ) -> tuple[BalancedTensor, LinearMap]:
     """beta_M: M^{coH} (x)_B A -> M, m (x)_B a -> m.a, with descent checked."""
-    A = B.of.algebra
     coinv_mod, sub = coinvariant_module(M, B)
-    bt = balanced_tensor(B, act_right=coinv_mod.action, mu_left=coinv_mod.mu,
-                         act_left=B.left_action, mu_right_inv=A.alpha_inv)
+    bt = balanced_tensor(coinv_mod, B)
     amb = M.action @ sub.embedding(coinv_mod.space).tensor(
-        LinearMap.identity(A.space))
+        LinearMap.identity(B.of.algebra.space))
     beta_m = descend_linear(amb, bt,
                             "the evaluation of coinvariants against A")
     return bt, beta_m
@@ -442,10 +430,10 @@ def thm57_check(CA: ComoduleAlgebra,
 
     for idx, M in enumerate(test_modules or [regular_rel_hopf(CA)]):
         btm, beta_m = beta_evaluation(M, B)
-        ok = rank(beta_m) == M.dim and btm.dim == M.dim
-        rep.record(f"evaluation counit is an isomorphism (module {idx})", ok,
-                   detail=f"rank {rank(beta_m)}, source dim {btm.dim}, "
-                          f"target dim {M.dim}")
+        r = rank(beta_m)
+        rep.record(f"evaluation counit is an isomorphism (module {idx})",
+                   r == btm.dim == M.dim, detail=f"rank {r}, source dim "
+                   f"{btm.dim}, target dim {M.dim}")
     rep.certificates["equivalence"] = rep.ok
     return rep
 

@@ -637,12 +637,21 @@ def permute_factors(x: LinearMap, spaces: Sequence[Space],
     for p in reversed(perm):
         strides[p] = step
         step *= dims[p]
-    new_row = [0]
-    for d, stride in zip(dims, strides):
-        new_row = [r + i * stride for r in new_row for i in range(d)]
+    # a row's new index is linear in its factor indices: high[i // n] +
+    # low[i % n], with tables over the leading k factors and over the n rows
+    # of the rest, each near sqrt(codomain) in size, not the whole codomain
+    k = next(t for t in range(len(dims) + 1)
+             if math.prod(dims[:t]) ** 2 >= step)
+    tables = [[0], [0]]
+    for t, (d, stride) in enumerate(zip(dims, strides)):
+        tables[t >= k] = [r + i * stride for r in tables[t >= k]
+                          for i in range(d)]
+    high, low = tables
+    n = len(low)
     d, cols = x.scaled
     return _scaled_map(x.domain, tensor_space(*(spaces[p] for p in perm)), d,
-                       tuple([tuple(sorted([(new_row[i], c) for i, c in col]))
+                       tuple([tuple(sorted([(high[i // n] + low[i % n], c)
+                                            for i, c in col]))
                               for col in cols]))
 
 

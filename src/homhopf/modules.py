@@ -154,8 +154,8 @@ def tensor_module(X: RelHopfModule, nu: LinearMap,
 
     The twists come from reassociating (x (x) n) (x) b and
     (x0 (x) x1) (x) n through the Hom-associator.  Theorem 4.8's
-    A (x) H (x) M is G(A) (x) M, the source of Theorem 5.7's xi is
-    A (x) A, and the ambient of the induction A (x)_B N is A (x) N.
+    A (x) H (x) M is G(A) (x) M and the source of Theorem 5.7's xi is
+    A (x) A.  The induction N (x)_B A builds its own ambient N (x) A.
     """
     CA = X.over
     sp, N = X.space, nu.domain

@@ -236,6 +236,22 @@ def test_integral_expected_mismatch_is_exit_1(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("name, argv, key, declared", [
+    ("kC2", ["galois"], "coinvariant_dim", True),
+    ("kC2", ["integral"], "total_integral", 1),
+    ("trivial-k-over-H4", ["integral"], "ranks", [3.0, 4])])
+def test_expected_value_of_another_json_type_is_a_mismatch(
+        capsys, tmp_path, name, argv, key, declared):
+    """true is not 1 and 3.0 is not 3, in a list as at the top."""
+    doc = json.loads(emit_instance(entry(name)))
+    doc["expected"][key] = declared
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, *argv, str(path))
+    assert code == 1
+    assert f"  [FAIL] expected {key} = {declared!r}  (recomputed " in out
+
+
 def test_galois_classification(capsys, kc2_file):
     code, out, _ = run(capsys, "galois", kc2_file)
     assert code == 0

@@ -17,8 +17,8 @@ from homhopf.galois import (balanced_tensor_AA, beta_evaluation,
 from homhopf.integrals import QuantumIntegral, find_quantum_integral
 from homhopf.linalg import (LinearMap, kernel_basis, rank, span, swap_map,
                             tensor_after, tensor_space)
-from homhopf.modules import (RelHopfModule, check_rel_hopf, is_morphism,
-                             regular_rel_hopf)
+from homhopf.modules import (HomModule, RelHopfModule, check_rel_hopf,
+                             is_morphism, regular_rel_hopf)
 from homhopf.records import replace
 from homhopf.structures import ComoduleAlgebra
 
@@ -208,22 +208,22 @@ def _kron(x, y):
     return tuple(a * b for a in x for b in y)
 
 
-def _reference_relations(B, act_right, mu_left, act_left, mu_right_inv):
-    """The relations (m.b) (x) n - mu(m) (x) (b . nu^{-1}(n)), one per basis
-    triple (m, b, n) with b running over B's basis inside A, m outermost,
-    zeros dropped."""
-    left, right = mu_left.domain, mu_right_inv.domain
+def _reference_relations(N, B):
+    """The relations (n.b) (x) a - nu(n) (x) b beta^{-1}(a) of N (x)_B A,
+    one per basis triple (n, b, a) with n outermost, b running over B's
+    basis (inside A on the right), zeros dropped."""
+    A = B.of.algebra
     out = []
-    for i in range(left.dim):
-        m = left.basis_vector(i)
+    for i in range(N.dim):
+        n = N.space.basis_vector(i)
         for bj in range(B.dim):
-            b = B.subspace.basis[bj]
-            for j in range(right.dim):
-                n = right.basis_vector(j)
+            nb = N.action.apply(_kron(n, B.algebra.space.basis_vector(bj)))
+            for j in range(A.dim):
+                a = A.space.basis_vector(j)
+                ba = A.mult.apply(_kron(B.subspace.basis[bj],
+                                        A.alpha_inv.apply(a)))
                 rel = tuple(x - y for x, y in zip(
-                    _kron(act_right(m, b), n),
-                    _kron(mu_left.apply(m),
-                          act_left(bj, mu_right_inv.apply(n)))))
+                    _kron(nb, a), _kron(N.mu.apply(n), ba)))
                 if any(rel):
                     out.append(rel)
     return out
@@ -245,10 +245,11 @@ def test_balanced_square_over_B_equal_to_A_matches_the_reference(name):
     B = coinvariants(CA)
     assert B.dim == A.dim
     bt, module = balanced_tensor_AA(CA, B)
-    _assert_relations(bt, _reference_relations(
-        B, lambda m, b: A.mult.apply(_kron(m, b)), A.alpha,
-        lambda bj, n: A.mult.apply(_kron(B.subspace.basis[bj], n)),
-        A.alpha_inv))
+    # A as a right B-module: a.b = ab, with b read inside A
+    A_over_B = HomModule(A.space, A.alpha, A.alpha_inv,
+                         A.mult @ LinearMap.identity(A.space).tensor(B.embed),
+                         B.algebra)
+    _assert_relations(bt, _reference_relations(A_over_B, B))
     # A (x)_A A = A
     assert bt.dim == A.dim
     assert check_rel_hopf(module).ok
@@ -256,24 +257,29 @@ def test_balanced_square_over_B_equal_to_A_matches_the_reference(name):
 
 @pytest.mark.parametrize("name", TRIVIAL)
 def test_induction_over_B_equal_to_A_matches_the_reference(name):
+    """N (x)_B A for N = B^2, with N's right B-action on the left factor."""
     CA = _trivial_coaction(name)
-    A = CA.algebra
     B = coinvariants(CA)
     N = free_module(B, 2)
     bt, _ = induction(N, B)
+    _assert_relations(bt, _reference_relations(N, B))
 
-    def act_left(bj, n):
-        return N.action.apply(_kron(n, B.algebra.space.basis_vector(bj)))
 
-    _assert_relations(bt, _reference_relations(
-        B, lambda m, b: A.mult.apply(_kron(m, b)), A.alpha, act_left,
-        N.mu_inv))
+@pytest.mark.parametrize("name", TRIVIAL)
+@pytest.mark.parametrize("copies", [1, 2])
+def test_induction_over_B_equal_to_A_has_dim_A_times_copies(name, copies):
+    """B^n (x)_B A = A^n: dim 4n for H4, where reading B^n's right
+    B-action as a left one gave half that."""
+    CA = _trivial_coaction(name)
+    B = coinvariants(CA)
+    _, ind = induction(free_module(B, copies), B)
+    assert ind.dim == copies * CA.algebra.dim
+    assert check_rel_hopf(ind).ok
 
 
 @pytest.mark.parametrize("name", TRIVIAL)
 def test_beta_evaluation_over_B_equal_to_A_matches_the_reference(name):
     CA = _trivial_coaction(name)
-    A = CA.algebra
     B = coinvariants(CA)
     M = regular_rel_hopf(CA)
     bt, beta_m = beta_evaluation(M, B)
@@ -281,10 +287,9 @@ def test_beta_evaluation_over_B_equal_to_A_matches_the_reference(name):
     # B-action is M's action
     standard = tuple(M.space.basis_vector(i) for i in range(M.dim))
     assert coinvariant_module(M, B)[1].basis == standard
-    _assert_relations(bt, _reference_relations(
-        B, lambda m, b: M.action.apply(_kron(m, b)), M.mu,
-        lambda bj, n: A.mult.apply(_kron(B.subspace.basis[bj], n)),
-        A.alpha_inv))
+    _assert_relations(bt, _reference_relations(HomModule(
+        M.space, M.mu, M.mu_inv,
+        M.action @ LinearMap.identity(M.space).tensor(B.embed), B.algebra), B))
     # M^{coH} (x)_B A = A (x)_A A = A, and beta_M is onto
     assert rank(beta_m) == M.dim == bt.dim
 

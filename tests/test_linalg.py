@@ -430,6 +430,47 @@ def test_products_keep_the_least_scaled_form(data):
         assert gf.same_matrix(other) == (gf.cols == other.cols)
 
 
+def _full_table_permute(x, spaces, perm):
+    """permute_factors with one row table over the whole codomain."""
+    dims = [sp.dim for sp in spaces]
+    strides = [0] * len(dims)
+    step = 1
+    for p in reversed(perm):
+        strides[p] = step
+        step *= dims[p]
+    new_row = [0]
+    for d, stride in zip(dims, strides):
+        new_row = [r + i * stride for r in new_row for i in range(d)]
+    d, cols = x.scaled
+    return la._scaled_map(x.domain, tensor_space(*(spaces[p] for p in perm)),
+                          d, tuple([tuple(sorted([(new_row[i], c)
+                                                  for i, c in col]))
+                                    for col in cols]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_permute_factors_matches_the_full_row_table(data):
+    """The two half tables give every entry the row the full table gives,
+    on sparse maps into up to five factors, unit factors included."""
+    draw = data.draw
+    fdims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    spaces = [space(*[f"{chr(97 + n)}{i}" for i in range(d)])
+              for n, d in enumerate(fdims)]
+    perm = draw(st.permutations(range(len(fdims))))
+    total = math.prod(fdims)
+    nonzero = st.one_of(st.integers(-6, 6), rationals).filter(bool)
+    cols = draw(st.lists(st.dictionaries(st.integers(0, total - 1), nonzero,
+                                         max_size=4), min_size=1, max_size=4))
+    x = LinearMap(_space(len(cols)), tensor_space(*spaces), tuple(
+        tuple(sorted((i, la.frac(c)) for i, c in col.items()))
+        for col in cols))
+    got, want = permute_factors(x, spaces, perm), _full_table_permute(
+        x, spaces, perm)
+    assert got.codomain == want.codomain
+    assert got.scaled == want.scaled and got.cols == want.cols
+
+
 # ---------------------------------------------------------------------------
 # The sparse elimination against a dense Gauss-Jordan reference
 # ---------------------------------------------------------------------------

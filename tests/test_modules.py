@@ -189,8 +189,8 @@ TENSOR_MODULE_CASES = {
 
 @pytest.mark.parametrize("case", TENSOR_MODULE_CASES)
 def test_tensor_module_reproduces_the_constructions_it_replaced(case):
-    """thm48_module, xi_source_module, the A (x) N action of induction and
-    Gtilde(H) agree map for map with their hand-written formulas."""
+    """thm48_module, xi_source_module, the A (x) N action and Gtilde(H)
+    agree map for map with their hand-written formulas."""
     CA, modules = TENSOR_MODULE_CASES[case]()
     A, H = CA.algebra, CA.hopf
     assert modules
