@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 from .errors import StructureDoesNotDescend
 from .integrals import QuantumIntegral, total_quantum_hypothesis
-from .linalg import (LinearMap, QuotientSpace, Space, Subspace, Vector,
+from .linalg import (Column, LinearMap, QuotientSpace, Space, Subspace,
                      kernel_basis, permute_factors, quotient_by, rank, span,
                      swap_map, tensor_after, tensor_space)
 from .modules import (HomModule, RelHopfModule, check_rel_hopf,
@@ -173,7 +173,7 @@ class BalancedTensor:
     quotient: QuotientSpace
 
     @property
-    def relations(self) -> tuple[Vector, ...]:
+    def relations(self) -> tuple[Column, ...]:
         return self.quotient.relations.basis
 
     @property
@@ -191,9 +191,8 @@ def balanced_tensor(N: HomModule, B: CoinvariantAlgebra) -> BalancedTensor:
     idb = LinearMap.identity(B.algebra.space)
     rel = (N.action.tensor(LinearMap.identity(A.space))
            - N.mu.tensor(B.left_action @ idb.tensor(A.alpha_inv)))
-    return BalancedTensor(rel, quotient_by(
-        tensor_space(N.space, A.space),
-        [rel.column(k) for k, col in enumerate(rel.cols) if col]))
+    return BalancedTensor(rel, quotient_by(tensor_space(N.space, A.space),
+                                           rel.cols))
 
 
 def _require_descends(f: LinearMap, rel: LinearMap, what: str) -> None:

@@ -204,6 +204,10 @@ def _parse_space(block: dict, where: str, cap: Optional[int]) -> Space:
     if len(set(labels)) != dim:
         raise InstanceFormatError("basis labels must be pairwise distinct",
                                   where)
+    # so that a tensor product's label splits into its factors one way only
+    if len({x.count("⊗") for x in labels}) != 1:
+        raise InstanceFormatError(
+            "basis labels must all contain ⊗ the same number of times", where)
     return space(*labels)
 
 

@@ -16,9 +16,9 @@ import math
 from typing import Callable, Iterator, Sequence
 
 from .errors import CentralityViolated, EquivalenceViolated, NotIntertwining
-from .linalg import (ZERO, Infeasible, LinearMap, Scalar, Space, Vector,
-                     _scaled_map, _sparse, permute_factors, solve_affine,
-                     swap_map, tensor_after, tensor_space)
+from .linalg import (ZERO, Column, Infeasible, LinearMap, Scalar, Space,
+                     Vector, _scaled_map, _sparse, permute_factors,
+                     solve_affine, swap_map, tensor_after, tensor_space)
 from .modules import (RelHopfModule, check_rel_hopf, induce_G,
                       morphism_identities, regular_induced, regular_rel_hopf,
                       tensor_module)
@@ -121,13 +121,14 @@ class _MapSystem:
                             tuple(_sparse(acc) for acc in self.cols)),
                 tuple(self.rhs))
 
-    def as_map(self, flat: Vector) -> LinearMap:
-        """The map X with entry (c, d) at flat[c * dom.dim + d], in frac's
-        form."""
+    def as_map(self, flat: Column) -> LinearMap:
+        """The map X with entry (c, d) at unknown c * dom.dim + d of the
+        sparse column flat."""
         n = self.dom.dim
-        return LinearMap(self.dom, self.cod, tuple(
-            tuple((c, x) for c, x in enumerate(flat[d::n]) if x)
-            for d in range(n)))
+        cols = [[] for _ in range(n)]
+        for k, x in flat:
+            cols[k % n].append((k // n, x))
+        return LinearMap(self.dom, self.cod, tuple(map(tuple, cols)))
 
     def solve(self, identities: Callable[[LinearMap], list], what: str
               ) -> tuple[LinearMap, Iterator[LinearMap]] | Infeasible:

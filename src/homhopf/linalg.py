@@ -2,7 +2,7 @@
 
 Everything downstream (algebra structure maps, coactions, integrals,
 Galois maps) is a matrix of exact scalars over a fixed basis, stored as
-sparse columns; vectors are dense tuples.  A scalar is an int when its
+sparse columns, as is each returned vector.  A scalar is an int when its
 denominator is 1 and a Fraction otherwise (frac gives that form), so
 integer constants stay in int arithmetic.  Every helper returns scalars in
 that form.  An int and a Fraction of the same value compare and hash equal
@@ -16,7 +16,8 @@ are built only when entries are read.  The one elimination, _rref, is
 fraction-free on sparse rows read off those int columns, so its cost
 follows the nonzeros, not m x n.  It returns the reduced row echelon form,
 which is unique: pivots, solutions, kernel bases and ranks do not depend on
-the order in which rows are met.
+the order in which rows are met.  Dense tuples remain only at the file
+boundary: an algebra's unit, solve_affine's rhs and LinearMap.matrix.
 """
 
 from __future__ import annotations
@@ -82,9 +83,6 @@ class Space:
         out = [ZERO] * self.dim
         out[i] = ONE
         return tuple(out)
-
-    def zero(self) -> Vector:
-        return (ZERO,) * self.dim
 
     def __eq__(self, other):
         if not isinstance(other, Space):
@@ -457,8 +455,8 @@ def rank(f: LinearMap) -> int:
 class AffineSolution:
     """A certified solution of coeff . x = rhs together with ker(coeff)."""
 
-    particular: Vector
-    kernel: tuple[Vector, ...]
+    particular: Column
+    kernel: tuple[Column, ...]
 
 
 @record(frozen=True)
@@ -487,7 +485,7 @@ def solve_affine(coeff: LinearMap, rhs: Vector) -> AffineSolution | Infeasible:
     """Solve coeff . x = rhs exactly.
 
     Returns a particular solution (free variables set to zero) plus a
-    kernel basis, or an Infeasible certificate with
+    kernel basis, as sparse columns, or an Infeasible certificate with
     augmented_rank = system_rank + 1.
     """
     m, n = coeff.codomain.dim, coeff.domain.dim
@@ -501,28 +499,22 @@ def solve_affine(coeff: LinearMap, rhs: Vector) -> AffineSolution | Infeasible:
     if n in pivots:
         return Infeasible(len(pivots) - 1, len(pivots), coeff, rhs)
     pivot_set = set(pivots)
-    particular = [ZERO] * n
-    # free column -> (pivot, -entry) over the pivot rows that hold it
+    particular = []
+    # free column -> its 1 and (pivot, -entry) over the pivot rows holding it
     free: dict[int, list[tuple[int, Scalar]]] = {
-        c: [] for c in range(n) if c not in pivot_set}
+        c: [(c, ONE)] for c in range(n) if c not in pivot_set}
     for row, p in zip(rows, pivots):
         for c, x in row.items():
             if c == n:
-                particular[p] = x
+                particular.append((p, x))
             elif c != p:
                 free[c].append((p, -x))
-    kernel = []
-    for fc, entries in free.items():
-        v = [ZERO] * n
-        v[fc] = ONE
-        for p, x in entries:
-            v[p] = x
-        kernel.append(tuple(v))
-    return AffineSolution(tuple(particular), tuple(kernel))
+    return AffineSolution(tuple(particular),
+                          tuple(tuple(sorted(v)) for v in free.values()))
 
 
-def kernel_basis(f: LinearMap) -> tuple[Vector, ...]:
-    sol = solve_affine(f, f.codomain.zero())
+def kernel_basis(f: LinearMap) -> tuple[Column, ...]:
+    sol = solve_affine(f, (ZERO,) * f.codomain.dim)
     assert isinstance(sol, AffineSolution)
     return sol.kernel
 
@@ -533,12 +525,12 @@ def kernel_basis(f: LinearMap) -> tuple[Vector, ...]:
 
 @record(frozen=True)
 class Subspace:
-    """A subspace of an ambient space with its RREF basis: basis vector r
-    has a 1 in column pivots[r] and 0 in every other pivot column, so the
-    coordinates of a vector in the subspace are its entries at the pivots."""
+    """A subspace of ambient with its RREF basis, sparse columns: basis
+    vector r has a 1 in row pivots[r] and 0 in every other pivot row, so
+    a vector's coordinates in the subspace are its entries at the pivots."""
 
     ambient: Space
-    basis: tuple[Vector, ...]
+    basis: tuple[Column, ...]
     pivots: tuple[int, ...]
 
     @property
@@ -547,7 +539,7 @@ class Subspace:
 
     def embedding(self, space: Space) -> LinearMap:
         """The inclusion space -> ambient, space labelling the basis."""
-        return LinearMap.from_columns(space, self.ambient, self.basis)
+        return LinearMap(space, self.ambient, self.basis)
 
     def coordinates(self, f: LinearMap, space: Space) -> Optional[LinearMap]:
         """g: f.domain -> space with embedding(space) @ g == f, or None when
@@ -558,23 +550,11 @@ class Subspace:
         return g if (self.embedding(space) @ g).same_matrix(f) else None
 
 
-def _span(ambient: Space,
-          vectors: Iterable[Vector]) -> tuple[Subspace, list[Row]]:
-    """span(ambient, vectors) and its RREF basis as sparse rows."""
-    rows, pivots = _rref({j: frac(c) for j, c in enumerate(v) if c}
-                         for v in vectors)
-    basis = []
-    for row in rows:
-        v = [ZERO] * ambient.dim
-        for c, x in row.items():
-            v[c] = x
-        basis.append(tuple(v))
-    return Subspace(ambient, tuple(basis), tuple(pivots)), rows
-
-
-def span(ambient: Space, vectors: Iterable[Vector]) -> Subspace:
-    """Canonical (RREF) basis of the span of the given vectors."""
-    return _span(ambient, vectors)[0]
+def span(ambient: Space, columns: Iterable[Column]) -> Subspace:
+    """Canonical (RREF) basis of the span of the given sparse columns."""
+    rows, pivots = _rref(columns)
+    return Subspace(ambient, tuple(tuple(sorted(row.items())) for row in rows),
+                    tuple(pivots))
 
 
 @record(frozen=True)
@@ -592,31 +572,30 @@ class QuotientSpace:
         return self.quotient.dim
 
 
-def quotient_by(ambient: Space, relations: Iterable[Vector]) -> QuotientSpace:
-    """Quotient of ambient by the span of the relation vectors.
+def quotient_by(ambient: Space, relations: Iterable[Column]) -> QuotientSpace:
+    """Quotient of ambient by the span of the sparse relation columns.
 
     The section sends quotient basis vectors to the free-coordinate unit
     vectors of the ambient space; projection reduces modulo the RREF of
     the relations, so projection . section = id and
     ker(projection) = span(relations).
     """
-    rel, rows = _span(ambient, relations)
-    pivot_row = dict(zip(rel.pivots, rows))
+    rel = span(ambient, relations)
+    pivot_row = dict(zip(rel.pivots, rel.basis))
     free_cols = [c for c in range(ambient.dim) if c not in pivot_row]
     qlabels = tuple(f"[{ambient.labels[c]}]" for c in free_cols)
     if not free_cols:
         raise ValueError("relations span the whole space; zero quotient unsupported")
     qspace = Space(qlabels)
     free_index = {c: i for i, c in enumerate(free_cols)}
-    # a pivot row holds its pivot and free columns only
+    # a basis column is its pivot's 1, then free rows, ascending
     proj_cols = []
     for j in range(ambient.dim):
         row = pivot_row.get(j)
         if row is None:
             proj_cols.append(((free_index[j], ONE),))
         else:
-            proj_cols.append(tuple(sorted(
-                (free_index[c], -x) for c, x in row.items() if c != j)))
+            proj_cols.append(tuple((free_index[c], -x) for c, x in row[1:]))
     projection = LinearMap(ambient, qspace, tuple(proj_cols))
     section = LinearMap(qspace, ambient,
                         tuple(((fc, ONE),) for fc in free_cols))

@@ -247,13 +247,12 @@ def algebra_generators(A: HomAlgebra) -> tuple[int, ...]:
     ones kept so far does not hold it.  kC_n gives (g), H4 (g, x), k ()."""
     def closure(sub: Subspace) -> Subspace:
         E = sub.embedding(Space(tuple(map(str, range(sub.dim)))))
-        products = A.mult @ E.tensor(E)
-        grown = span(A.space, [*sub.basis, *zip(*products.matrix)])
+        grown = span(A.space, sub.basis + (A.mult @ E.tensor(E)).cols)
         return sub if grown.dim == sub.dim else closure(grown)
 
-    sub, gens = closure(span(A.space, [A.unit])), ()
-    for i, e in enumerate(LinearMap.identity(A.space).matrix):
-        if (grown := span(A.space, sub.basis + (e,))).dim > sub.dim:
+    sub, gens = closure(span(A.space, A.unit_map.cols)), ()
+    for i in range(A.dim):
+        if (grown := span(A.space, sub.basis + (((i, 1),),))).dim > sub.dim:
             sub, gens = closure(grown), gens + (i,)
     return gens
 

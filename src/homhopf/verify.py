@@ -12,20 +12,14 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .linalg import LinearMap, Space, Vector, unrank
+from .linalg import Column, LinearMap, Space, unrank
 from .report import Report, Witness
 
 
-def format_vector(sp: Space, v: Vector) -> str:
-    terms = []
-    for c, label in zip(v, sp.labels):
-        if c == 0:
-            continue
-        if c == 1:
-            terms.append(label)
-        else:
-            terms.append(f"{c}·{label}")
-    return " + ".join(terms) if terms else "0"
+def format_vector(sp: Space, col: Column) -> str:
+    labels = sp.labels
+    return " + ".join(labels[i] if c == 1 else f"{c}·{labels[i]}"
+                      for i, c in col) or "0"
 
 
 def check_identity(report: Report, name: str,
@@ -55,8 +49,8 @@ def check_maps(report: Report, name: str, identities: Iterable,
                      if a != b)
             labels = tuple(sp.labels[i] for sp, i in zip(fs, unrank(dims, j)))
             report.record(name, False, Witness(
-                labels, format_vector(out, lhs.column(j)),
-                format_vector(out, rhs.column(j))), *label)
+                labels, format_vector(out, lhs.cols[j]),
+                format_vector(out, rhs.cols[j])), *label)
             return False
     report.record(name, True)
     return True

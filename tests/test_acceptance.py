@@ -167,8 +167,8 @@ def test_criterion_09_affineness():
             psi_t @ swap_map(A.space, A.space))
         B = coinvariants(CA)
         bt, _ = balanced_tensor_AA(CA, B)
-        ok = ok and all(all(c == 0 for c in psi_t.apply(r))
-                        for r in bt.relations)
+        ok = ok and (psi_t @ bt.rel).same_matrix(
+            LinearMap.zero(bt.rel.domain, psi_t.codomain))
         if rep.certificates["equivalence"]:
             M = regular_rel_hopf(CA)
             btm, beta_m = beta_evaluation(M, B)

@@ -460,6 +460,8 @@ def test_check_bool_dim_is_exit_2(capsys, tmp_path, block):
 
 @pytest.mark.parametrize("block", ["hopf", "comodule_algebra", "modules.A"])
 def test_check_repeated_basis_label_is_exit_2(capsys, tmp_path, block):
+    """A repeated label is refused at its block, and so are the labels e
+    and e⊗e, with which A (x) A spells (e, e⊗e) and (e⊗e, e) both e⊗e⊗e."""
     doc = json.loads(emit_instance(entry("kC2")))
     target = doc["modules"]["A"] if block == "modules.A" else doc[block]
     target["basis"] = [target["basis"][0]] * len(target["basis"])
@@ -468,6 +470,13 @@ def test_check_repeated_basis_label_is_exit_2(capsys, tmp_path, block):
     code, out, err = run(capsys, "check", str(path))
     assert code == 2 and out == ""
     assert err == f"error: {block}: basis labels must be pairwise distinct\n"
+    target["basis"] = ["e", "e⊗e"]
+    path.write_text(json.dumps(doc))
+    for command in ("check", "galois"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err == (f"error: {block}: basis labels must all contain ⊗ "
+                       "the same number of times\n")
 
 
 # The report of every subcommand on every emitted catalog entry: the sha256

@@ -85,21 +85,6 @@ def test_balanced_square_dimension_over_scalar_coinvariants(name):
 
 
 @pytest.mark.parametrize("name", HOPF_ENTRIES)
-def test_xi_is_psi_after_flip_and_kills_relations(name):
-    CA = entry(name).comodule_algebra
-    from homhopf.galois import galois_psi_ambient
-    A = CA.algebra
-    xi = galois_xi(CA)
-    psi_t = galois_psi_ambient(CA)
-    tau = swap_map(A.space, A.space)
-    assert xi.same_matrix(psi_t @ tau)
-    B = coinvariants(CA)
-    bt, _ = balanced_tensor_AA(CA, B)
-    for rel in bt.relations:
-        assert all(c == 0 for c in psi_t.apply(rel))
-
-
-@pytest.mark.parametrize("name", HOPF_ENTRIES)
 def test_xi_is_a_relative_morphism(name):
     CA = entry(name).comodule_algebra
     assert is_morphism(galois_xi(CA), xi_source_module(CA),
@@ -204,34 +189,56 @@ def _trivial_coaction(name: str) -> ComoduleAlgebra:
                            tensor_after(ida, H.algebra.unit_map, ida))
 
 
+@pytest.mark.parametrize("name", HOPF_ENTRIES
+                         + [f"{n}-over-itself" for n in TRIVIAL])
+def test_xi_is_psi_after_flip_and_kills_relations(name):
+    """On the catalog, where B = k and every relation is zero, and on H
+    coacting trivially on itself, where B = A and the relations are not."""
+    over_itself = name.endswith("-over-itself")
+    CA = (_trivial_coaction(name.removesuffix("-over-itself")) if over_itself
+          else entry(name).comodule_algebra)
+    from homhopf.galois import galois_psi_ambient
+    A = CA.algebra
+    xi = galois_xi(CA)
+    psi_t = galois_psi_ambient(CA)
+    tau = swap_map(A.space, A.space)
+    assert xi.same_matrix(psi_t @ tau)
+    B = coinvariants(CA)
+    bt, _ = balanced_tensor_AA(CA, B)
+    if over_itself:
+        assert bt.relations, "B = A should have nonzero relations"
+    assert (psi_t @ bt.rel).same_matrix(
+        LinearMap.zero(bt.rel.domain, psi_t.codomain))
+
+
 def _kron(x, y):
     return tuple(a * b for a in x for b in y)
 
 
 def _reference_relations(N, B):
-    """The relations (n.b) (x) a - nu(n) (x) b beta^{-1}(a) of N (x)_B A,
-    one per basis triple (n, b, a) with n outermost, b running over B's
-    basis (inside A on the right), zeros dropped."""
+    """The relations (n.b) (x) a - nu(n) (x) b beta^{-1}(a) of N (x)_B A
+    as sparse columns, one per basis triple (n, b, a) with n outermost, b
+    running over B's basis (inside A on the right), zeros dropped."""
     A = B.of.algebra
     out = []
     for i in range(N.dim):
         n = N.space.basis_vector(i)
         for bj in range(B.dim):
             nb = N.action.apply(_kron(n, B.algebra.space.basis_vector(bj)))
+            b = B.embed.column(bj)
             for j in range(A.dim):
                 a = A.space.basis_vector(j)
-                ba = A.mult.apply(_kron(B.subspace.basis[bj],
-                                        A.alpha_inv.apply(a)))
+                ba = A.mult.apply(_kron(b, A.alpha_inv.apply(a)))
                 rel = tuple(x - y for x, y in zip(
                     _kron(nb, a), _kron(N.mu.apply(n), ba)))
                 if any(rel):
-                    out.append(rel)
+                    out.append(tuple((k, linalg.frac(x))
+                                     for k, x in enumerate(rel) if x))
     return out
 
 
 def _assert_relations(bt, ref):
-    assert [bt.rel.column(k) for k, col in enumerate(bt.rel.cols) if col] \
-        == ref
+    assert [col for col in bt.rel.cols if col] == ref
     assert ref, "the relations should not all be zero"
     ambient = bt.quotient.ambient
     assert bt.relations == span(ambient, ref).basis
@@ -285,7 +292,7 @@ def test_beta_evaluation_over_B_equal_to_A_matches_the_reference(name):
     bt, beta_m = beta_evaluation(M, B)
     # every m is coinvariant, so M^{coH} = M in its own basis and its
     # B-action is M's action
-    standard = tuple(M.space.basis_vector(i) for i in range(M.dim))
+    standard = tuple(((i, 1),) for i in range(M.dim))
     assert coinvariant_module(M, B)[1].basis == standard
     _assert_relations(bt, _reference_relations(HomModule(
         M.space, M.mu, M.mu_inv,

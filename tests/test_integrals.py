@@ -16,7 +16,7 @@ from homhopf.integrals import (QuantumIntegral, TotalIntegral,
                                gamma_from_central_phi, lambda_M,
                                phi_from_gamma, theorem43_check, thm48_check,
                                verify_total_integral)
-from homhopf.linalg import AffineSolution, Infeasible, LinearMap
+from homhopf.linalg import AffineSolution, Infeasible, LinearMap, frac
 from homhopf.modules import (induce_G, morphism_identities, regular_induced,
                              regular_rel_hopf)
 from homhopf.report import Report
@@ -105,20 +105,32 @@ def test_theorem43_phi_holds_for_every_retraction_of_kc3_twisted(
     a total integral."""
     CA = entry("kC3-twisted").comodule_algebra
     real = integrals.solve_affine
-    sol = real(*_colinear_retraction_system(
-        CA, regular_induced(CA).coaction).equations())
+    coeff, rhs = _colinear_retraction_system(
+        CA, regular_induced(CA).coaction).equations()
+    sol = real(coeff, rhs)
     assert sol.kernel
-    unknowns = len(sol.particular)
+    unknowns = coeff.domain.dim
+    shifts, served = [], []
     for k in sol.kernel:
         for c in (1, -2):
-            shifted = AffineSolution(
-                tuple(p + c * x for p, x in zip(sol.particular, k)), ())
-            monkeypatch.setattr(integrals, "solve_affine",
-                                lambda coeff, rhs, shifted=shifted:
-                                shifted if coeff.domain.dim == unknowns
-                                else real(coeff, rhs))
+            acc = dict(sol.particular)
+            for i, x in k:
+                acc[i] = acc.get(i, 0) + c * x
+            shifted = AffineSolution(tuple(
+                (i, frac(x)) for i, x in sorted(acc.items()) if x), ())
+            shifts.append(shifted)
+
+            def solve(coeff, rhs, shifted=shifted):
+                if coeff.domain.dim != unknowns:
+                    return real(coeff, rhs)
+                served.append(shifted)
+                return shifted
+
+            monkeypatch.setattr(integrals, "solve_affine", solve)
             rep = theorem43_check(CA)
             assert rep.ok, rep.pretty()
+    # the patched solver served each shifted solution exactly once
+    assert served == shifts
 
 
 @pytest.mark.parametrize("name", HOPF_ENTRIES)

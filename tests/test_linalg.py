@@ -33,7 +33,8 @@ def matrices(draw, max_dim=4):
 @given(matrices())
 def test_kernel_vectors_are_killed(f):
     for v in kernel_basis(f):
-        assert not any(f.apply(v))
+        _assert_column(v)
+        assert not _apply(f, v)
     assert len(kernel_basis(f)) == f.domain.dim - rank(f)
 
 
@@ -44,9 +45,11 @@ def test_solve_affine_resubstitutes(f, raw):
     rhs = rhs + (Fraction(0),) * (f.codomain.dim - len(rhs))
     sol = solve_affine(f, rhs)
     if isinstance(sol, AffineSolution):
-        assert f.apply(sol.particular) == rhs
+        for v in (sol.particular, *sol.kernel):
+            _assert_column(v)
+        assert _apply(f, sol.particular) == _col(rhs)
         for h in sol.kernel:
-            assert not any(f.apply(h))
+            assert not _apply(f, h)
     else:
         assert isinstance(sol, Infeasible)
         assert sol.augmented_rank == sol.system_rank + 1
@@ -73,12 +76,11 @@ def test_swap_is_an_involutive_permutation():
 
 def test_quotient_projection_splits():
     sp = _space(4)
-    rels = [(1, -1, 0, 0)]
+    rels = [((0, 1), (1, -1))]
     q = quotient_by(sp, rels)
     assert q.dim == 3
     assert (q.projection @ q.section).is_identity()
-    assert q.projection.apply(sp.basis_vector(0)) == q.projection.apply(
-        sp.basis_vector(1))
+    assert q.projection.cols[0] == q.projection.cols[1]
 
 
 def test_quotient_by_nothing_is_the_identity():
@@ -91,8 +93,9 @@ def test_quotient_by_nothing_is_the_identity():
 
 def test_span_and_coords_roundtrip():
     sp = _space(3)
-    sub = span(sp, [sp.basis_vector(0), sp.basis_vector(2), (1, 0, 1)])
+    sub = span(sp, [((0, 1),), ((2, 1),), ((0, 1), (2, 1))])
     assert sub.dim == 2 and sub.pivots == (0, 2)
+    assert sub.basis == (((0, 1),), ((2, 1),))
     v = (1, 0, 7)
     sub_space, one = _space(2), _space(1)
     f = LinearMap.from_columns(one, sp, [v])
@@ -108,7 +111,9 @@ def test_span_and_coords_roundtrip():
 def test_coordinates_of_a_map_into_its_image(f):
     """Each map lands in the span of its own columns, its coordinates
     reproduce it, and a vector outside the span is refused."""
-    sub = span(f.codomain, [f.column(j) for j in range(f.domain.dim)])
+    sub = span(f.codomain, f.cols)
+    for v in sub.basis:
+        _assert_column(v)
     if sub.dim == 0:
         return
     coords = _space(sub.dim)
@@ -191,13 +196,29 @@ def _is_scalar(x):
     return type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
+def _assert_column(col):
+    """A sparse column in canonical form: rows strictly ascending, no zero
+    entries, scalars in frac's form."""
+    rows = [i for i, _ in col]
+    assert rows == sorted(set(rows))
+    assert all(c != 0 and _is_scalar(c) for _, c in col)
+
+
 def _assert_canonical(f):
     assert len(f.cols) == f.domain.dim
     for col in f.cols:
-        rows = [i for i, _ in col]
-        assert rows == sorted(set(rows))
-        assert all(0 <= i < f.codomain.dim for i in rows)
-        assert all(c != 0 and _is_scalar(c) for _, c in col)
+        _assert_column(col)
+        assert all(0 <= i < f.codomain.dim for i, _ in col)
+
+
+def _col(v):
+    """The sparse column of the dense vector v."""
+    return tuple((i, la.frac(x)) for i, x in enumerate(v) if x)
+
+
+def _apply(f, col):
+    """f applied to the sparse column col, as a sparse column."""
+    return (f @ LinearMap(_space(1), f.domain, (col,))).cols[0]
 
 
 # mostly zeros, both the kernel's shared ZERO, which the helpers skip by
@@ -557,9 +578,11 @@ def test_sparse_elimination_matches_dense_gauss_jordan(rows, data):
     f = LinearMap.from_rows(_space(n), _space(m), rows)
     assert rank(f) == len(ref_pivots)
 
-    sub = span(_space(n), [tuple(row) for row in rows])
-    assert sub.basis == tuple(map(tuple, ref_red))
+    sub = span(_space(n), [_col(row) for row in rows])
+    assert [_from_row_dict(dict(v), n) for v in sub.basis] == ref_red
     assert sub.pivots == tuple(ref_pivots)
+    for v in sub.basis:
+        _assert_column(v)
 
     rhs = _vector(data.draw, m)
     sol = solve_affine(f, rhs)
@@ -569,9 +592,11 @@ def test_sparse_elimination_matches_dense_gauss_jordan(rows, data):
         assert (sol.coeff, sol.rhs) == (f, rhs)
         assert sol.reverify()
     else:
-        assert (sol.particular, sol.kernel) == want
-        assert all(_is_scalar(x) for v in (sol.particular, *sol.kernel)
-                   for x in v)
+        assert (tuple(_from_row_dict(dict(sol.particular), n)),
+                tuple(tuple(_from_row_dict(dict(v), n))
+                      for v in sol.kernel)) == want
+        for v in (sol.particular, *sol.kernel):
+            _assert_column(v)
 
 
 @st.composite
@@ -615,9 +640,11 @@ def test_quotient_projection_matches_dense_reference(rows):
     free = [c for c in range(n) if c not in pivots]
     if not free:
         with pytest.raises(ValueError):
-            quotient_by(_space(n), [tuple(row) for row in rows])
+            quotient_by(_space(n), [_col(row) for row in rows])
         return
-    q = quotient_by(_space(n), [tuple(row) for row in rows])
+    q = quotient_by(_space(n), [_col(row) for row in rows])
+    for v in q.relations.basis:
+        _assert_column(v)
     want = [[Fraction(int(j == fc)) for j in range(n)] for fc in free]
     for row, p in zip(red, pivots):
         for i, fc in enumerate(free):

@@ -174,8 +174,8 @@ def _cols_loop_witness(lhs, rhs):
         if left != right:
             return Witness(tuple(sp.labels[i]
                                  for sp, i in zip(fs, unrank(dims, j))),
-                           format_vector(lhs.codomain, lhs.column(j)),
-                           format_vector(rhs.codomain, rhs.column(j)))
+                           format_vector(lhs.codomain, left),
+                           format_vector(rhs.codomain, right))
     return None
 
 
