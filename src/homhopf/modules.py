@@ -156,6 +156,31 @@ def tensor_module(X: RelHopfModule, nu: LinearMap,
     (x0 (x) x1) (x) n through the Hom-associator.  Theorem 4.8's
     A (x) H (x) M is G(A) (x) M and the source of Theorem 5.7's xi is
     A (x) A.  The induction N (x)_B A builds its own ambient N (x) A.
+
+    Whether X (x) N passes check_rel_hopf does not depend on the object
+    (N, nu), nu^{-1} being nu's inverse, once it passes for (k, 2) and
+    (k, 3).  The action, coaction, mu and mu^{-1} of X (x) N are maps on X
+    tensored with nu, nu^{-1}, nu and nu^{-1}.  Every identity that
+    check_rel_hopf decides (the full ones; check_hom_module's reduced
+    Hom-associativity is equivalent to its full one) is one composite
+    against one composite of these, of A's and H's maps and of
+    permutations that carry N's leg along.  With N's leg moved last, its
+    sides are f (x) nu^a and g (x) nu^b, f and g maps on X, a and b the
+    signed count of structure maps that N's leg passes:
+      mu invertible (module, comodule)  mu mu^{-1} = id              (0, 0)
+      Hom-associativity        (m.a).alpha(b) = mu(m).(ab)           (2, 2)
+      unit law                 m.1 = mu(m)                           (1, 1)
+      action intertwines       mu(m.a) = mu(m).alpha(a)              (2, 2)
+      Hom-coassociativity      (rho x alpha^{-1}) rho
+                               = (mu^{-1} x Delta) rho             (-2, -2)
+      counit law               m0 eps(m1) = mu^{-1}(m)             (-1, -1)
+      coaction intertwines     rho mu = (mu x alpha) rho             (0, 0)
+      compatibility            rho(m.a) = m0.a0 (x) m1 a1            (0, 0)
+    On (k, c) an identity reads f c^a = g c^b.  If it holds for c = 2 and
+    c = 3, then either a = b and f = g, or a != b and f = g = 0 (2^d != 3^d
+    for d != 0); either way f (x) nu^a = g (x) nu^b for every (N, nu).  So
+    integrals.thm48_check decides Theorem 4.8's A (x) H (x) M for every M
+    at once.
     """
     CA = X.over
     sp, N = X.space, nu.domain

@@ -1,27 +1,35 @@
 """Total integrals, quantum integrals, the splitting maps, and the
 generator epimorphism."""
 
+import json
 import time
 from fractions import Fraction
 
 import pytest
 
 import homhopf.integrals as integrals
+import homhopf.modules as modules
+import homhopf.structures as structures
 from homhopf.catalog import (cyclic_group_hopf, entry, names, sweedler_hopf,
                              trivial_comodule_algebra)
 from homhopf.errors import CentralityViolated
+from homhopf.instance_io import emit_instance, parse_instance
 from homhopf.integrals import (QuantumIntegral, TotalIntegral,
                                _colinear_retraction_system,
                                find_quantum_integral, find_total_integral,
-                               gamma_from_central_phi, lambda_M,
-                               phi_from_gamma, theorem43_check, thm48_check,
+                               gamma_from_central_phi, generator_epi,
+                               lambda_M, phi_from_gamma, theorem43_check,
+                               thm48_check, total_quantum_hypothesis,
                                verify_total_integral)
-from homhopf.linalg import AffineSolution, Infeasible, LinearMap, frac
-from homhopf.modules import (induce_G, morphism_identities, regular_induced,
-                             regular_rel_hopf)
+from homhopf.linalg import (SCALAR_SPACE, AffineSolution, Infeasible,
+                            LinearMap, frac)
+from homhopf.modules import (check_rel_hopf, induce_G, morphism_identities,
+                             regular_induced, regular_rel_hopf,
+                             tensor_module)
+from homhopf.records import replace
 from homhopf.report import Report
 from homhopf.structures import regular_comodule_algebra, twist
-from homhopf.verify import check_maps
+from homhopf.verify import check_maps, record_suite
 from test_integral_systems import _rebased
 
 HOPF_ENTRIES = [n for n in names()
@@ -237,6 +245,169 @@ def test_thm48_on_the_induced_module_of_sweedler_h4():
     e = entry("sweedler-H4")
     rep = thm48_check(e.comodule_algebra, [e.modules["G(A)"]])
     assert rep.ok, rep.pretty()
+
+
+
+# ---------------------------------------------------------------------------
+# Theorem 4.8's A (x) H (x) M decided once, on (k, 2) and (k, 3)
+# ---------------------------------------------------------------------------
+
+def _full_thm48_check(CA, test_modules=()):
+    """thm48_check as it reads with no reduction: one check_rel_hopf on
+    A (x) H (x) M per test module."""
+    rep = Report("generator epimorphism")
+    gamma = total_quantum_hypothesis(
+        rep, CA, "conclusion: split epimorphism onto each test module")
+    if gamma is None:
+        return rep
+    for idx, M in enumerate(test_modules or [regular_rel_hopf(CA)]):
+        AHM = integrals.thm48_module(CA, M.mu, M.mu_inv)
+        record_suite(rep, f"A (x) H (x) M is a relative Hopf module "
+                     f"(module {idx})", check_rel_hopf(AHM))
+        f, g = generator_epi(CA, M, gamma)
+        check_maps(rep, f"f is a relative-category morphism (module {idx})",
+                   morphism_identities(f, AHM, M))
+        check_maps(rep, f"the section g is colinear (module {idx})",
+                   morphism_identities(g, M, AHM, "H mu"))
+        check_maps(rep, f"f . g = id (module {idx})",
+                   [(f @ g, LinearMap.identity(M.space))])
+    return rep
+
+
+def _assert_thm48_same_as_full(CA, test_modules) -> Report:
+    rep = thm48_check(CA, test_modules)
+    assert rep.to_dict() == _full_thm48_check(CA, test_modules).to_dict()
+    return rep
+
+
+def _reduced_thm48_ok(CA) -> bool:
+    """check_rel_hopf on A (x) H (x) (k, c), c = 2 and 3."""
+    return all(check_rel_hopf(integrals.thm48_module(
+        CA, nu, nu.inverse())).ok for nu in (
+            LinearMap(SCALAR_SPACE, SCALAR_SPACE, (((0, c),),))
+            for c in (2, 3)))
+
+
+def _modules_of(inst):
+    return [inst.modules[k] for k in sorted(inst.modules)]
+
+
+@pytest.mark.parametrize("name", [n for n in names()
+                                  if entry(n).kind == "hopf"])
+def test_thm48_matches_full_check_on_catalog_entries(name):
+    inst = entry(name)
+    assert len(inst.modules) == 2
+    _assert_thm48_same_as_full(inst.comodule_algebra, _modules_of(inst))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_thm48_matches_full_check_on_kcn(n):
+    CA = regular_comodule_algebra(cyclic_group_hopf(n))
+    _assert_thm48_same_as_full(CA, [regular_rel_hopf(CA),
+                                    regular_induced(CA)])
+
+
+def _corrupted(name, keys, step=1):
+    """Each instance parsed from name's emitted file with one constant of
+    comodule_algebra.<key> raised by 1, every step-th in row-major order."""
+    doc = json.loads(emit_instance(entry(name)))
+    for key in keys:
+        rows = doc["comodule_algebra"][key]
+        for k in range(0, len(rows) * len(rows[0]), step):
+            row, j = rows[k // len(rows[0])], k % len(rows[0])
+            old = row[j]
+            row[j] = str(frac(old) + 1)
+            yield parse_instance(json.dumps(doc))
+            row[j] = old
+
+
+def _ahm_lines(rep):
+    return [r for r in rep.results
+            if r.name.startswith("A (x) H (x) M is a relative Hopf module")]
+
+
+def test_thm48_matches_full_check_on_corrupted_kc2():
+    """Every single-constant corruption of kC2's coaction and product; the
+    A (x) H (x) M lines that fail come from the full check's fallback."""
+    failed = 0
+    for inst in _corrupted("kC2", ["coaction", "mult"]):
+        CA = inst.comodule_algebra
+        lines = _ahm_lines(_assert_thm48_same_as_full(CA, _modules_of(inst)))
+        failed += sum(r.status == "fail" for r in lines)
+        assert not lines or _reduced_thm48_ok(CA) == all(
+            r.ok for r in lines)
+    assert failed >= 19
+
+
+def test_thm48_matches_full_check_on_corrupted_h4():
+    """Every seventh constant of H4's coaction and product."""
+    failed = 0
+    for inst in _corrupted("sweedler-H4", ["coaction", "mult"], step=7):
+        rep = _assert_thm48_same_as_full(inst.comodule_algebra,
+                                         _modules_of(inst))
+        failed += sum(r.status == "fail" for r in _ahm_lines(rep))
+    assert failed > 0
+
+
+def _mutant(*fields):
+    """tensor_module with fields taken from the X (x) N built with nu =
+    id_N: the nu, the nu^{-1} or both dropped from those maps."""
+    def mutant(X, nu, nu_inv):
+        plain = tensor_module(X, *[LinearMap.identity(nu.domain)] * 2)
+        return replace(tensor_module(X, nu, nu_inv),
+                       **{f: getattr(plain, f) for f in fields})
+    return mutant
+
+
+@pytest.mark.parametrize("fields", [("action",), ("coaction",),
+                                    ("mu", "mu_inv")],
+                         ids=["no nu in the action",
+                              "no nu^-1 in the coaction",
+                              "mu_X (x) id_N for mu_X (x) nu"])
+def test_thm48_mutants_of_tensor_module_take_the_full_check(monkeypatch,
+                                                            fields):
+    """kC3-twisted's alpha is not the identity, so each mutant's
+    A (x) H (x) M fails for M = A and G(A).  The reduced check fails too,
+    and each line carries the full check's witness."""
+    # thm48_module reaches tensor_module through integrals' namespace
+    monkeypatch.setattr(integrals, "tensor_module", _mutant(*fields))
+    inst = entry("kC3-twisted")
+    CA, ms = inst.comodule_algebra, _modules_of(inst)
+    assert not _reduced_thm48_ok(CA)
+    rep = thm48_check(CA, ms)
+    lines = _ahm_lines(rep)
+    assert len(lines) == 2
+    assert all(r.status == "fail" and r.witness is not None for r in lines)
+    assert rep.to_dict() == _full_thm48_check(CA, ms).to_dict()
+
+
+def test_thm48_module_whose_mu_inv_is_no_inverse_takes_the_full_check():
+    """The reduction holds for objects (N, nu) with nu^{-1} nu's inverse;
+    a test module with a doubled mu_inv gets the full check's witness."""
+    inst = entry("kC3-twisted")
+    CA = inst.comodule_algebra
+    ms = [replace(M, mu_inv=M.mu_inv + M.mu_inv) for M in _modules_of(inst)]
+    assert _reduced_thm48_ok(CA)
+    lines = _ahm_lines(_assert_thm48_same_as_full(CA, ms))
+    assert [r.detail for r in lines] == ["module: mu invertible"] * 2
+
+def test_thm48_checks_no_identity_on_the_whole_of_a_h_g_a(monkeypatch):
+    """On sweedler-H4 with G(A), A (x) H (x) G(A) has dim 256; no identity
+    of the module suites is checked over a factor wider than
+    A (x) H (x) (k, c), of dim 16."""
+    dims = []
+    for module in (modules, structures):
+        real = module.check_identity
+
+        def recording(report, name, factors, out_space, lhs, rhs,
+                      real=real):
+            dims.extend(sp.dim for sp in factors)
+            return real(report, name, factors, out_space, lhs, rhs)
+        monkeypatch.setattr(module, "check_identity", recording)
+    inst = entry("sweedler-H4")
+    rep = thm48_check(inst.comodule_algebra, [inst.modules["G(A)"]])
+    assert rep.ok, rep.pretty()
+    assert dims and max(dims) == 16
 
 
 def test_kc12_quantum_integral_and_theorem43_finish_in_seconds():

@@ -195,7 +195,7 @@ def test_tensor_module_reproduces_the_constructions_it_replaced(case):
     A, H = CA.algebra, CA.hopf
     assert modules
     for M in modules:
-        assert thm48_module(CA, M) == _ref_thm48_module(CA, M)
+        assert thm48_module(CA, M.mu, M.mu_inv) == _ref_thm48_module(CA, M)
         AM = tensor_module(regular_rel_hopf(CA), M.mu, M.mu_inv)
         assert AM.action == _ref_gtilde_action(A, M.mu)
     assert xi_source_module(CA) == _ref_xi_source_module(CA)
@@ -270,14 +270,15 @@ def test_reduced_check_matches_full_on_catalog_modules(name):
         _assert_same_as_full(M.as_module())
     if inst.kind == "hopf":
         CA = inst.comodule_algebra
-        _assert_same_as_full(
-            thm48_module(CA, regular_rel_hopf(CA)).as_module())
+        _assert_same_as_full(thm48_module(
+            CA, CA.algebra.alpha, CA.algebra.alpha_inv).as_module())
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_reduced_check_matches_full_on_kcn_thm48_module(n):
     CA = _kcn_ca(n)
-    _assert_same_as_full(thm48_module(CA, regular_rel_hopf(CA)).as_module())
+    _assert_same_as_full(thm48_module(
+        CA, CA.algebra.alpha, CA.algebra.alpha_inv).as_module())
 
 
 def test_reduced_path_sees_generators_only(monkeypatch):
