@@ -12,12 +12,15 @@ entries by identity; any other zero goes through the same exact arithmetic
 as a nonzero entry.  There is no floating point anywhere, and the
 arithmetic runs on ints: each map caches its least common denominator d
 with its columns times d, the products multiply those ints, and Fractions
-are built only when entries are read.  The one elimination, _rref, is
-fraction-free on sparse rows read off those int columns, so its cost
-follows the nonzeros, not m x n.  It returns the reduced row echelon form,
-which is unique: pivots, solutions, kernel bases and ranks do not depend on
-the order in which rows are met.  Dense tuples remain only at the file
-boundary: an algebra's unit, solve_affine's rhs and LinearMap.matrix.
+are built only when entries are read.  One kernel, product_after, builds
+each leg product (f (x) g)(1 (x) flip (x) 1)(x (x) y) without x (x) y: a
+column costs nnz(x)·nnz(y)·nnz(g) at most, plus nnz(f) per distinct index.
+The one elimination, _rref, is fraction-free on sparse rows read off those
+int columns, so its cost follows the nonzeros, not m x n.  It returns the
+reduced row echelon form, which is unique: pivots, solutions, kernel bases
+and ranks do not depend on the order in which rows are met.  Dense tuples
+remain only at the file boundary: an algebra's unit, solve_affine's rhs and
+LinearMap.matrix.
 """
 
 from __future__ import annotations
@@ -667,3 +670,43 @@ def tensor_after(f: LinearMap, g: LinearMap, x: LinearMap) -> LinearMap:
     return _scaled_map(x.domain, tensor_space(f.codomain, g.codomain),
                        df * dg * dx, tuple(cols))
 
+
+def product_after(f: LinearMap, g: LinearMap, x: LinearMap, y: LinearMap,
+                  spaces: Sequence[Space]) -> LinearMap:
+    """(f (x) g) . (1 (x) flip (x) 1) . (x (x) y), spaces = (P, Q, R, S) for
+    x: V -> P (x) Q, y: W -> R (x) S, f on P (x) R and g on Q (x) S, one leg
+    at a time and without x (x) y or the flip: g is applied to e_j (x) y(w)
+    for each Q index j, once for all of x's columns, then f once for each
+    distinct (P (x) R, g row) index of a column."""
+    p, q, r, s = (sp.dim for sp in spaces)
+    if (x.codomain.dim, y.codomain.dim, f.domain.dim, g.domain.dim) != \
+       (p * q, r * s, p * r, q * s):
+        raise ValueError("maps are not composable")
+    m, (df, fcols), (dg, gcols) = g.codomain.dim, f.scaled, g.scaled
+    (dx, xcols), (dy, ycols) = x.scaled, y.scaled
+    # gy[j][w]: R index * m + g row -> coefficient in (1 (x) g)(e_j (x) y(w))
+    gy = [[{} for _ in ycols] for _ in range(q)]
+    for j, gj in enumerate(gy):
+        for acc, col in zip(gj, ycols):
+            for i, c in col:
+                for t, v in gcols[j * s + i % s]:
+                    o = acc.get(i // s * m + t)
+                    acc[i // s * m + t] = c * v if o is None else o + c * v
+    cols = []
+    for col in xcols:
+        legs = [(i // q * r * m, gy[i % q], c) for i, c in col]
+        for w in range(len(ycols)):
+            inner: dict[int, int] = {}
+            for base, gw, a in legs:
+                for k, c in gw[w].items():
+                    o = inner.get(base + k)
+                    inner[base + k] = a * c if o is None else o + a * c
+            acc = {}
+            for k, c in inner.items():
+                for fi, a in fcols[k // m]:
+                    o = acc.get(fi * m + k % m)
+                    acc[fi * m + k % m] = c * a if o is None else o + c * a
+            cols.append(_sparse(acc))
+    return _scaled_map(tensor_space(x.domain, y.domain),
+                       tensor_space(f.codomain, g.codomain),
+                       df * dg * dx * dy, tuple(cols))

@@ -6,8 +6,8 @@ the comparison isomorphism between the two module structures on A (x) H.
 
 from __future__ import annotations
 
-from .linalg import (LinearMap, Space, permute_factors, tensor_after,
-                     tensor_space)
+from .linalg import (LinearMap, Space, permute_factors, product_after,
+                     tensor_after, tensor_space)
 from .records import record, replace
 from .report import Report
 from .structures import (ComoduleAlgebra, HomAlgebra, algebra_generators,
@@ -107,9 +107,8 @@ def check_rel_hopf(M: RelHopfModule) -> Report:
     check_identity(rep, "compatibility: rho(m.a) = m0.a0 (x) m1 a1",
                    [sp, asp], tensor_space(sp, H.space),
                    M.coaction @ M.action,
-                   tensor_after(M.action, H.algebra.mult, permute_factors(
-                       M.coaction.tensor(CA.coaction),
-                       (sp, H.space, asp, H.space), (0, 2, 1, 3))))
+                   product_after(M.action, H.algebra.mult, M.coaction,
+                                 CA.coaction, (sp, H.space, asp, H.space)))
     return rep
 
 
@@ -130,9 +129,8 @@ def induce_G(M: HomModule, CA: ComoduleAlgebra) -> RelHopfModule:
     if M.over is not CA.algebra and not M.over.mult.same_matrix(CA.algebra.mult):
         raise ValueError("module must live over the comodule algebra's algebra")
     sp = tensor_space(M.space, H.space)
-    action = tensor_after(M.action, H.algebra.mult, permute_factors(
-        LinearMap.identity(sp).tensor(CA.coaction),
-        (M.space, H.space, CA.space, H.space), (0, 2, 1, 3)))
+    action = product_after(M.action, H.algebra.mult, LinearMap.identity(sp),
+                           CA.coaction, (M.space, H.space, CA.space, H.space))
     coaction = M.mu_inv.tensor(tensor_after(
         LinearMap.identity(H.space), H.algebra.alpha, H.coalgebra.comult))
     mu = M.mu.tensor(H.algebra.alpha)

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import NotAutomorphism
 from .linalg import (LinearMap, SCALAR_SPACE, Space, Subspace, Vector,
-                     permute_factors, span, tensor_after, tensor_space)
+                     product_after, span, tensor_after, tensor_space)
 from .records import record
 from .report import Report
 from .verify import check_identity, check_maps
@@ -173,8 +173,7 @@ def check_hom_hopf(H: HomHopfAlgebra) -> Report:
 
     check_identity(rep, "Delta(ab) = a1 b1 (x) a2 b2", [sp, sp],
                    tensor_space(sp, sp), d @ m,
-                   tensor_after(m, m, permute_factors(
-                       d.tensor(d), (sp, sp, sp, sp), (0, 2, 1, 3))))
+                   product_after(m, m, d, d, (sp, sp, sp, sp)))
     unit = A.unit_map
     check_maps(rep, "Delta(1) = 1 (x) 1", [(d @ unit, unit.tensor(unit))])
     check_identity(rep, "eps(ab) = eps(a)eps(b)", [sp, sp], SCALAR_SPACE,
@@ -232,9 +231,8 @@ def check_comodule_algebra(CA: ComoduleAlgebra) -> Report:
                           CA.coaction, H)
     check_identity(rep, "multiplicativity: rho(ab) = a0 b0 (x) a1 b1", [sp, sp],
                    tensor_space(sp, H.space), rho @ A.mult,
-                   tensor_after(A.mult, H.algebra.mult, permute_factors(
-                       rho.tensor(rho), (sp, H.space, sp, H.space),
-                       (0, 2, 1, 3))))
+                   product_after(A.mult, H.algebra.mult, rho, rho,
+                                 (sp, H.space, sp, H.space)))
     check_maps(rep, "unitality: rho(1) = 1 (x) 1",
                [(rho @ A.unit_map, A.unit_map.tensor(H.algebra.unit_map))])
     return rep

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -685,3 +686,52 @@ def test_report_is_byte_identical_to_golden(capsys, catalog_files, name,
     assert (code, err) == (0, "")
     assert _sha256(_without_wall_time(out)) == \
         GOLDEN_STDOUT_SHA256[name, subcommand]
+
+
+# check on the benchmark's seed-1 change of basis, whose constants are dense
+# non-integer rationals (14-15 nonzeros per column of Delta and rho), and on
+# a copy of the H4 file with 1 added to comodule_algebra.coaction[0][0]:
+# (exit code, sha256 of stdout without wall-time:)
+GOLDEN_DENSE_CHECK = {
+    "sweedler-H4-rebased.json": (
+        0, "f0a4027c37fbe89b4fd818b901099c91443af21ec0402855bfada806885eedbe"),
+    "kC4-rebased.json": (
+        0, "9e4a0b980f835a1d2fda87972edc18098cf0cb6ac4441da98be01717510368ff"),
+    "sweedler-H4-bad-coaction.json": (
+        1, "0571fd2b8a7a0d762f09f16f095e2ebc405969d645c6c68cd5ad8c88ee99eae3"),
+}
+
+
+@pytest.fixture(scope="module")
+def dense_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("dense")
+    subprocess.run([sys.executable, str(SRC.parent / "verdictbench" /
+                                        "make_inputs.py"),
+                    "--seed", "1", "--out", str(folder),
+                    "sweedler-H4-rebased.json", "kC4-rebased.json"],
+                   env=dict(os.environ, PYTHONPATH=str(SRC)), check=True,
+                   capture_output=True, timeout=60)
+    doc = json.loads((folder / "sweedler-H4-rebased.json").read_text())
+    coaction = doc["comodule_algebra"]["coaction"]
+    coaction[0][0] = str(Fraction(coaction[0][0]) + 1)
+    (folder / "sweedler-H4-bad-coaction.json").write_text(json.dumps(doc))
+    return folder
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_DENSE_CHECK))
+def test_check_on_dense_constants_is_byte_identical_to_golden(
+        capsys, dense_files, name):
+    code, out, err = run(capsys, "check", str(dense_files / name))
+    assert err == ""
+    assert (code, _sha256(_without_wall_time(out))) == GOLDEN_DENSE_CHECK[name]
+
+
+def test_dense_coaction_fault_fails_multiplicativity_with_a_witness(
+        capsys, dense_files):
+    code, out, _ = run(capsys, "check",
+                       str(dense_files / "sweedler-H4-bad-coaction.json"))
+    lines = out.splitlines()
+    i = lines.index("  [FAIL] comodule algebra: multiplicativity: "
+                    "rho(ab) = a0 b0 (x) a1 b1")
+    assert code == 1
+    assert lines[i + 1].startswith("         at 1, 1: ")

@@ -3,8 +3,9 @@ imports is used in that module, every import is at module level, every
 module-level function, class and assignment in the package is named
 somewhere in the package or its tests, arithmetic is exact, no code is
 generated at run time, nothing relies on the interpreter teardown that
-``cli.run`` skips, and a CLI run loads none of dataclasses, inspect,
-argparse, gettext and locale."""
+``cli.run`` skips, a CLI run loads none of dataclasses, inspect,
+argparse, gettext and locale, and no leg product flips its middle legs
+with permute_factors."""
 
 import ast
 import os
@@ -363,3 +364,44 @@ def test_the_scan_sees_a_bare_verdict():
     assert _unwitnessed_records(tree) == [
         (2, ".is_identity("), (4, ".same_matrix("), (5, ".ok"),
         (6, "is_morphism")]
+
+
+# The leg product (f (x) g) . (1 (x) flip (x) 1) . (x (x) y) has one
+# construction, linalg.product_after, which builds neither x (x) y nor the
+# flip; a middle-legs flip through permute_factors would build both.
+_LEG_FLIP = [0, 2, 1, 3]
+
+
+def _leg_flips(tree: ast.AST) -> list[int]:
+    """Lines of each permute_factors call whose perm is (0, 2, 1, 3)."""
+    out = []
+    for node in ast.walk(tree):
+        func = node.func if isinstance(node, ast.Call) else None
+        if "permute_factors" not in (getattr(func, "id", None),
+                                     getattr(func, "attr", None)):
+            continue
+        perm = node.args[2:3] + [k.value for k in node.keywords
+                                 if k.arg == "perm"]
+        if any(isinstance(p, (ast.Tuple, ast.List)) and
+               [getattr(e, "value", None) for e in p.elts] == _LEG_FLIP
+               for p in perm):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_leg_products_go_through_product_after(path):
+    found = _leg_flips(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, (f"{path.name} flips the middle legs with "
+                       f"permute_factors at lines {found}; use product_after")
+
+
+def test_the_scan_sees_a_middle_legs_flip():
+    tree = ast.parse(
+        "a = tensor_after(m, m, permute_factors(\n"
+        "    d.tensor(d), (s, s, s, s), (0, 2, 1, 3)))\n"
+        "b = la.permute_factors(x, spaces, perm=[0, 2, 1, 3])\n"
+        "c = permute_factors(x, (s, t, u), (0, 2, 1))\n"
+        "e = permute_factors(x, spaces, (0, 1, 2, 3))\n")
+    assert _leg_flips(tree) == [1, 3]

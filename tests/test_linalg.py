@@ -492,6 +492,47 @@ def test_permute_factors_matches_the_full_row_table(data):
     assert got.scaled == want.scaled and got.cols == want.cols
 
 
+def _sparse_map(draw, dom, cod, den):
+    """A map dom -> cod with entries k/den, each column drawn sparse and
+    possibly zero."""
+    entries = st.integers(-9, 9).filter(bool).map(
+        lambda k: la.frac(Fraction(k, den)))
+    cols = draw(st.lists(st.dictionaries(st.integers(0, cod.dim - 1),
+                                         entries, max_size=4),
+                         min_size=dom.dim, max_size=dom.dim))
+    return LinearMap(dom, cod, tuple(tuple(sorted(c.items())) for c in cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_leg_product_matches_tensor_then_flip(data):
+    """product_after(f, g, x, y, (P, Q, R, S)) is the composite it replaces,
+    (f (x) g) . (1 (x) flip (x) 1) . (x (x) y), as the same canonical scaled
+    map, on uneven legs (dim 1 included), zero columns and a different
+    denominator on each operand; a leg of the wrong size is refused."""
+    draw = data.draw
+    P, Q, R, S, V, W, X, Y = (_space(draw(st.integers(1, 3)))
+                              for _ in range(8))
+    x = _sparse_map(draw, V, tensor_space(P, Q), 2)
+    y = _sparse_map(draw, W, tensor_space(R, S), 3)
+    f = _sparse_map(draw, tensor_space(P, R), X, 5)
+    g = _sparse_map(draw, tensor_space(Q, S), Y, 7)
+    spaces = (P, Q, R, S)
+    got = la.product_after(f, g, x, y, spaces)
+    want = tensor_after(f, g, permute_factors(x.tensor(y), spaces,
+                                              (0, 2, 1, 3)))
+    assert (got.domain, got.codomain) == (want.domain, want.codomain)
+    assert got.scaled == want.scaled and got.cols == want.cols
+    bumped = list(spaces)
+    t = draw(st.integers(0, 3))
+    bumped[t] = _space(bumped[t].dim + 1)
+    with pytest.raises(ValueError):
+        la.product_after(f, g, x, y, bumped)
+    with pytest.raises(ValueError):
+        la.product_after(f.tensor(LinearMap.identity(_space(2))), g, x, y,
+                         spaces)
+
+
 # ---------------------------------------------------------------------------
 # The sparse elimination against a dense Gauss-Jordan reference
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Relative Hom-Hopf modules: induced structures, the adjunction, and the
 comparison isomorphism between the two module structures on A (x) H."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from homhopf import modules
 from homhopf.catalog import cyclic_group_hopf, entry, names, sweedler_hopf
 from homhopf.galois import xi_source_module
+from homhopf.instance_io import load_instance
 from homhopf.integrals import thm48_module
 from homhopf.linalg import (LinearMap, Space, permute_factors, tensor_after,
                             tensor_space)
@@ -19,11 +24,13 @@ from homhopf.modules import (HomModule, RelHopfModule, adjunction_unit,
                              tensor_module)
 from homhopf.records import replace
 from homhopf.report import Report
-from homhopf.structures import algebra_generators, regular_comodule_algebra
+from homhopf.structures import (algebra_generators, check_comodule_algebra,
+                                check_hom_hopf, regular_comodule_algebra)
 from homhopf.verify import check_identity, check_maps
 
 from test_integrals import _scaled_h4
 
+ROOT = Path(__file__).resolve().parents[1]
 HOPF_ENTRIES = [n for n in names() if entry(n).kind == "hopf"]
 
 
@@ -339,3 +346,42 @@ def test_single_corruptions_of_the_action_give_the_full_report(hopf):
                 GA.action.domain, GA.space, rows))
             row[j] -= 1
             _assert_same_as_full(bad)
+
+
+def test_leg_products_build_no_tensor_of_two_coactions(monkeypatch,
+                                                      tmp_path):
+    """Delta(ab), rho(ab), rho(m.a) and G(M)'s action contract one leg at a
+    time (linalg.product_after): on the benchmark's seed-1 change of basis
+    of H4, whose Delta and rho have 14-15 nonzeros per column, none of
+    check_hom_hopf, check_comodule_algebra, check_rel_hopf and induce_G
+    builds Delta (x) Delta, rho_A (x) rho_A, rho_M (x) rho_A or
+    id_{M (x) H} (x) rho_A."""
+    subprocess.run([sys.executable, str(ROOT / "verdictbench" /
+                                        "make_inputs.py"),
+                    "--seed", "1", "--out", str(tmp_path),
+                    "sweedler-H4-rebased.json"],
+                   env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                   check=True, capture_output=True, timeout=60)
+    inst = load_instance(str(tmp_path / "sweedler-H4-rebased.json"))
+    CA = inst.comodule_algebra
+    H, rho = CA.hopf, CA.coaction
+    calls = []
+    tensor = LinearMap.tensor
+
+    def recording(f, g):
+        calls.append((f, g))
+        return tensor(f, g)
+
+    monkeypatch.setattr(LinearMap, "tensor", recording)
+    assert check_hom_hopf(H).ok
+    assert check_comodule_algebra(CA).ok
+    modules_ = list(inst.modules.values())
+    GA = induce_G(modules_[0].as_module(), CA)
+    for M in modules_ + [GA]:
+        assert check_rel_hopf(M).ok
+    d = H.coalgebra.comult
+    forbidden = [(d, d), (LinearMap.identity(GA.space), rho)] + [
+        (M.coaction, rho) for M in [CA] + modules_ + [GA]]
+    assert calls
+    assert not [(f, g) for f, g in calls for a, b in forbidden
+                if f.same_matrix(a) and g.same_matrix(b)]
