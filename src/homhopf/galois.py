@@ -15,9 +15,9 @@ from typing import Iterator, Sequence
 
 from .errors import StructureDoesNotDescend
 from .integrals import QuantumIntegral, total_quantum_hypothesis
-from .linalg import (Column, LinearMap, QuotientSpace, Space, Subspace,
-                     kernel_basis, permute_factors, quotient_by, rank, span,
-                     swap_map, tensor_after, tensor_space)
+from .linalg import (SCALAR_SPACE, Column, LinearMap, QuotientSpace, Space,
+                     Subspace, kernel_basis, product_after, quotient_by, rank,
+                     span, swap_map, tensor_after, tensor_space)
 from .modules import (HomModule, RelHopfModule, check_rel_hopf,
                       morphism_identities, regular_induced, regular_rel_hopf,
                       tensor_module)
@@ -132,11 +132,10 @@ def quantum_trace_right(CA: ComoduleAlgebra, gamma: QuantumIntegral) -> LinearMa
     A, H = CA.algebra, CA.hopf
     H.require_bijective_antipode()
     al = H.algebra.alpha
-    from_unit = gamma.gamma_hat @ tensor_after(
-        H.algebra.unit_map, H.antipode_inv @ al @ al,
-        LinearMap.identity(H.space))
-    return A.mult @ tensor_after(from_unit, A.alpha, permute_factors(
-        CA.coaction, (A.space, H.space), (1, 0)))
+    from_unit = gamma.gamma_hat @ H.algebra.unit_map.tensor(
+        H.antipode_inv @ al @ al)
+    return A.mult @ tensor_after(from_unit, A.alpha,
+                                 swap_map(A.space, H.space) @ CA.coaction)
 
 
 def prop51_maps(CA: ComoduleAlgebra,
@@ -146,16 +145,15 @@ def prop51_maps(CA: ComoduleAlgebra,
     both maps A (x) H -> A."""
     A, H = CA.algebra, CA.hopf
     H.require_bijective_antipode()
-    idh = LinearMap.identity(H.space)
-    rho_h = CA.coaction.tensor(idh)                  # a0 (x) a1 (x) h
+    idh, flip = LinearMap.identity(H.space), swap_map(H.space, H.space)
     lam = A.mult @ tensor_after(LinearMap.identity(A.space), gamma.gamma_hat,
-                                rho_h)
-    arg = H.algebra.mult @ H.algebra.alpha_inv.tensor(H.antipode_inv)
-    inner = lam @ tensor_after(A.unit_map, arg,
-                               LinearMap.identity(tensor_space(H.space,
-                                                               H.space)))
-    big = A.mult @ tensor_after(inner, A.alpha, permute_factors(
-        rho_h, (A.space, H.space, H.space), (2, 1, 0)))
+                                CA.coaction.tensor(idh))
+    # a (x) h -> a1 (x) h (x) a0 -> lam(1_A (x) arg(a1 (x) h)) (x) beta(a0)
+    arg = H.algebra.mult @ H.algebra.alpha_inv.tensor(H.antipode_inv) @ flip
+    big = A.mult @ product_after(
+        lam @ A.unit_map.tensor(arg), A.alpha,
+        swap_map(A.space, H.space) @ CA.coaction, idh,
+        (H.space, A.space, H.space, SCALAR_SPACE))
     return lam, big
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Sequence
 from .errors import CentralityViolated, EquivalenceViolated, NotIntertwining
 from .linalg import (SCALAR_SPACE, ZERO, Column, Infeasible, LinearMap,
                      Scalar, Space, Vector, _scaled_map, _sparse,
-                     permute_factors, solve_affine, swap_map, tensor_after,
+                     product_after, solve_affine, swap_map, tensor_after,
                      tensor_space)
 from .modules import (RelHopfModule, check_rel_hopf, induce_G,
                       morphism_identities, regular_induced, regular_rel_hopf,
@@ -206,13 +206,13 @@ def quantum_integral_identities(CA: ComoduleAlgebra, gh: LinearMap,
     A, H = CA.algebra, CA.hopf
     al, al_inv = H.algebra.alpha, H.algebra.alpha_inv
     delta, idh = H.coalgebra.comult, LinearMap.identity(H.space)
-    # g (x) h -> g1 (x) w -> g1 (x) w0 (x) w1 -> beta(w0) (x) g1 w1
+    # g (x) h -> g1 (x) w -> beta(w0) (x) g1 w1
     w = tensor_after(idh, gh, delta.tensor(al_inv))
-    legs = permute_factors(tensor_after(idh, CA.coaction, w),
-                           (H.space, A.space, H.space), (1, 0, 2))
+    legs = product_after(A.alpha, H.algebra.mult, idh, CA.coaction,
+                         (SCALAR_SPACE, H.space, A.space, H.space))
     identities = [(gh @ al.tensor(al), A.alpha @ gh, "beta-compatible"),
-                  (tensor_after(gh, al, al_inv.tensor(delta)),
-                   tensor_after(A.alpha, H.algebra.mult, legs), "Eq. 4.1")]
+                  (tensor_after(gh, al, al_inv.tensor(delta)), legs @ w,
+                   "Eq. 4.1")]
     return identities + [_eq42_identity(CA, gh)] if total else identities
 
 
@@ -249,11 +249,10 @@ def _quantum_integral_system(CA: ComoduleAlgebra,
     # Eq. 4.1, one block of A (x) H per pair (g, h):
     # gamma(alpha^{-1}(g))(h1) (x) alpha(h2) = beta(w0) (x) g1 w1 with
     # w = gamma(g2)(alpha^{-1}(h)); the right side sends g1 (x) w to
-    # (beta (x) m_H)(w0 (x) g1 (x) w1)
-    w_legs = permute_factors(idh.tensor(CA.coaction),
-                             (H.space, A.space, H.space), (1, 0, 2))
+    # beta(w0) (x) g1 w1
     system.condition((ida.tensor(al), al_inv.tensor(delta), H.dim),
-                     (tensor_after(A.alpha, H.algebra.mult, w_legs),
+                     (product_after(A.alpha, H.algebra.mult, idh, CA.coaction,
+                                    (SCALAR_SPACE, H.space, A.space, H.space)),
                       delta.tensor(al_inv), 1))
     if require_total:
         # Eq. 4.2, one block of A per h: gamma(h1)(h2) = eps(h) 1_A
@@ -325,16 +324,16 @@ def gamma_from_central_phi(CA: ComoduleAlgebra, phi: LinearMap) -> QuantumIntegr
 
     # centrality as one equality of maps H (x) H -> H (x) A:
     # h (x) g -> g phi(h)1 (x) phi(h)0 and h (x) g -> phi(h)1 g (x) phi(h)0
-    legs = (CA.coaction @ phi).tensor(idh)
-    spaces = (A.space, H.space, H.space)
-    mult, ida = H.algebra.mult, LinearMap.identity(A.space)
-    lhs = tensor_after(mult, ida, permute_factors(legs, spaces, (2, 1, 0)))
-    rhs = tensor_after(mult, ida, permute_factors(legs, spaces, (1, 2, 0)))
+    legs = swap_map(A.space, H.space) @ CA.coaction @ phi
+    mult, flip = H.algebra.mult, swap_map(H.space, H.space)
+    lhs, rhs = (product_after(m, LinearMap.identity(A.space), legs, idh,
+                              (H.space, A.space, H.space, SCALAR_SPACE))
+                for m in (mult @ flip, mult))
     if not check_maps(rep, "", [(lhs, rhs)]):
         h, g = rep.results[-1].witness.basis
         raise CentralityViolated(g, h)
 
-    gh = phi @ mult @ idh.tensor(H.antipode_inv) @ swap_map(H.space, H.space)
+    gh = phi @ mult @ idh.tensor(H.antipode_inv) @ flip
     if not verify_quantum_integral(CA, gh, total=False):
         raise EquivalenceViolated("gamma built from central phi fails Eq-level check")
     return QuantumIntegral(gh, is_total(CA, gh), ())
@@ -464,22 +463,19 @@ def generator_epi(CA: ComoduleAlgebra, M: RelHopfModule,
         raise ValueError("the generator epimorphism needs a total quantum integral")
     A, H = CA.algebra, CA.hopf
     H.require_bijective_antipode()
-    a_inv = H.algebra.alpha_inv
+    a_inv, flip = H.algebra.alpha_inv, swap_map(H.space, H.space)
     idh, idm = LinearMap.identity(H.space), LinearMap.identity(M.space)
-    # gamma(alpha^{-1}(m1))(alpha^{-2}(h) S^{-1}(alpha^{-1}(a1))): H^3 -> A
+    # a (x) h -> beta(a0) (x) t, t = alpha^{-2}(h) S^{-1}(alpha^{-1}(a1))
     arg = H.algebra.mult @ (a_inv @ a_inv).tensor(H.antipode_inv @ a_inv)
-    gval = gamma.gamma_hat @ a_inv.tensor(arg)
-    # a (x) h (x) m -> beta(a0) (x) mu(m0) (x) gval, then reordered to
-    # mu(m0) (x) gval (x) beta(a0)
-    legs = permute_factors(
-        CA.coaction.tensor(idh).tensor(M.coaction),
-        (A.space, H.space, H.space, M.space, H.space), (0, 3, 4, 2, 1))
-    terms = permute_factors(tensor_after(A.alpha.tensor(M.mu), gval, legs),
-                            (A.space, M.space, A.space), (1, 2, 0))
-    f = M.action @ tensor_after(idm, A.mult, terms)
-    m1_first = permute_factors(tensor_after(idm, a_inv, M.coaction),
-                               (M.space, H.space), (1, 0))
-    g = tensor_after(A.unit_map, m1_first, idm)
+    ah = product_after(A.alpha, arg @ flip, CA.coaction, idh,
+                       (A.space, H.space, SCALAR_SPACE, H.space))
+    # b (x) t (x) m1 -> gamma(alpha^{-1}(m1))(t) b
+    gval = A.mult @ (gamma.gamma_hat @ a_inv.tensor(idh) @ flip).tensor(
+        LinearMap.identity(A.space)) @ swap_map(A.space, flip.domain)
+    f = M.action @ product_after(M.mu, gval, ah, M.coaction,
+                                 (SCALAR_SPACE, ah.codomain, M.space, H.space))
+    g = tensor_after(A.unit_map, swap_map(M.space, H.space)
+                     @ tensor_after(idm, a_inv, M.coaction), idm)
     return f, g
 
 

@@ -12,9 +12,10 @@ entries by identity; any other zero goes through the same exact arithmetic
 as a nonzero entry.  There is no floating point anywhere, and the
 arithmetic runs on ints: each map caches its least common denominator d
 with its columns times d, the products multiply those ints, and Fractions
-are built only when entries are read.  One kernel, product_after, builds
-each leg product (f (x) g)(1 (x) flip (x) 1)(x (x) y) without x (x) y: a
-column costs nnz(x)·nnz(y)·nnz(g) at most, plus nnz(f) per distinct index.
+are built only when entries are read.  Legs are reordered two ways only:
+swap_map flips x (x) y, product_after builds (f (x) g)(1 (x) flip (x) 1)
+(x (x) y) without x (x) y, a scalar leg given as SCALAR_SPACE; a column
+costs nnz(x)·nnz(y)·nnz(g) at most, plus nnz(f) per distinct index.
 The one elimination, _rref, is fraction-free on sparse rows read off those
 int columns, so its cost follows the nonzeros, not m x n.  It returns the
 reduced row echelon form, which is unique: pivots, solutions, kernel bases
@@ -605,42 +606,11 @@ def quotient_by(ambient: Space, relations: Iterable[Column]) -> QuotientSpace:
     return QuotientSpace(ambient, rel, qspace, projection, section)
 
 
-def permute_factors(x: LinearMap, spaces: Sequence[Space],
-                    perm: Sequence[int]) -> LinearMap:
-    """P . x, where x's codomain is the tensor product of spaces and P puts
-    factor perm[t] in position t.  Only rows are re-indexed."""
-    dims = [sp.dim for sp in spaces]
-    if sorted(perm) != list(range(len(dims))):
-        raise ValueError("perm is not a permutation of the factors")
-    if math.prod(dims) != x.codomain.dim:
-        raise ValueError("factors do not match the codomain dim")
-    strides = [0] * len(dims)
-    step = 1
-    for p in reversed(perm):
-        strides[p] = step
-        step *= dims[p]
-    # a row's new index is linear in its factor indices: high[i // n] +
-    # low[i % n], with tables over the leading k factors and over the n rows
-    # of the rest, each near sqrt(codomain) in size, not the whole codomain
-    k = next(t for t in range(len(dims) + 1)
-             if math.prod(dims[:t]) ** 2 >= step)
-    tables = [[0], [0]]
-    for t, (d, stride) in enumerate(zip(dims, strides)):
-        tables[t >= k] = [r + i * stride for r in tables[t >= k]
-                          for i in range(d)]
-    high, low = tables
-    n = len(low)
-    d, cols = x.scaled
-    return _scaled_map(x.domain, tensor_space(*(spaces[p] for p in perm)), d,
-                       tuple([tuple(sorted([(high[i // n] + low[i % n], c)
-                                            for i, c in col]))
-                              for col in cols]))
-
-
 def swap_map(left: Space, right: Space) -> LinearMap:
-    """The flip x (x) y -> y (x) x."""
-    return permute_factors(LinearMap.identity(tensor_space(left, right)),
-                           (left, right), (1, 0))
+    """The flip x (x) y -> y (x) x, basis column by basis column."""
+    m, n = left.dim, right.dim
+    return LinearMap(tensor_space(left, right), tensor_space(right, left),
+                     tuple(((j % n * m + j // n, ONE),) for j in range(m * n)))
 
 
 def tensor_after(f: LinearMap, g: LinearMap, x: LinearMap) -> LinearMap:

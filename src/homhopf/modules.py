@@ -6,8 +6,8 @@ the comparison isomorphism between the two module structures on A (x) H.
 
 from __future__ import annotations
 
-from .linalg import (LinearMap, Space, permute_factors, product_after,
-                     tensor_after, tensor_space)
+from .linalg import (SCALAR_SPACE, LinearMap, Space, product_after,
+                     swap_map, tensor_after, tensor_space)
 from .records import record, replace
 from .report import Report
 from .structures import (ComoduleAlgebra, HomAlgebra, algebra_generators,
@@ -161,8 +161,9 @@ def tensor_module(X: RelHopfModule, nu: LinearMap,
     tensored with nu, nu^{-1}, nu and nu^{-1}.  Every identity that
     check_rel_hopf decides (the full ones; check_hom_module's reduced
     Hom-associativity is equivalent to its full one) is one composite
-    against one composite of these, of A's and H's maps and of
-    permutations that carry N's leg along.  With N's leg moved last, its
+    against one composite of these, of A's and H's maps and of leg
+    products product_after(f, g, x, y, (P, Q, R, S)) that carry N's leg
+    along.  With N's leg moved last, its
     sides are f (x) nu^a and g (x) nu^b, f and g maps on X, a and b the
     signed count of structure maps that N's leg passes:
       mu invertible (module, comodule)  mu mu^{-1} = id              (0, 0)
@@ -182,13 +183,11 @@ def tensor_module(X: RelHopfModule, nu: LinearMap,
     """
     CA = X.over
     sp, N = X.space, nu.domain
-    action = tensor_after(X.action, nu, permute_factors(
-        LinearMap.identity(tensor_space(sp, N)).tensor(CA.algebra.alpha_inv),
-        (sp, N, CA.space), (0, 2, 1)))
-    coaction = permute_factors(
-        tensor_after(LinearMap.identity(sp), CA.hopf.algebra.alpha,
-                     X.coaction).tensor(nu_inv),
-        (sp, CA.hopf.space, N), (0, 2, 1))
+    idxn = LinearMap.identity(tensor_space(sp, N))
+    action = product_after(X.action, nu, idxn, CA.algebra.alpha_inv,
+                           (sp, N, CA.space, SCALAR_SPACE))
+    coaction = product_after(idxn, CA.hopf.algebra.alpha, X.coaction, nu_inv,
+                             (sp, CA.hopf.space, N, SCALAR_SPACE))
     return RelHopfModule(tensor_space(sp, N), X.mu.tensor(nu),
                          X.mu_inv.tensor(nu_inv), action, coaction, CA)
 
@@ -207,11 +206,10 @@ def induce_Gtilde(CA: ComoduleAlgebra) -> RelHopfModule:
     H = CA.hopf
     amb = tensor_module(regular_rel_hopf(CA), H.algebra.alpha,
                         H.algebra.alpha_inv)
-    coaction = tensor_after(LinearMap.identity(amb.space), H.algebra.mult,
-                            permute_factors(
-                                CA.coaction.tensor(H.coalgebra.comult),
-                                (CA.space, H.space, H.space, H.space),
-                                (0, 2, 3, 1)))
+    coaction = product_after(LinearMap.identity(amb.space),
+                             H.algebra.mult @ swap_map(H.space, H.space),
+                             CA.coaction, H.coalgebra.comult,
+                             (CA.space, H.space, H.space, H.space))
     return replace(amb, coaction=coaction)
 
 
@@ -278,10 +276,10 @@ def prop31_v(CA: ComoduleAlgebra) -> LinearMap:
 def _prop31_map(CA: ComoduleAlgebra, t: LinearMap) -> LinearMap:
     """a (x) h -> beta(a0) (x) alpha(h) t(a1)."""
     A, H = CA.algebra, CA.hopf
-    return tensor_after(
-        A.alpha, H.algebra.mult @ H.algebra.alpha.tensor(t),
-        permute_factors(CA.coaction.tensor(LinearMap.identity(H.space)),
-                        (A.space, H.space, H.space), (0, 2, 1)))
+    return product_after(
+        A.alpha, H.algebra.mult @ H.algebra.alpha.tensor(t)
+        @ swap_map(H.space, H.space), CA.coaction,
+        LinearMap.identity(H.space), (A.space, H.space, SCALAR_SPACE, H.space))
 
 
 def prop31_check(CA: ComoduleAlgebra) -> Report:

@@ -15,7 +15,7 @@ from typing import Optional
 from .errors import NotAutomorphism
 from .linalg import (LinearMap, SCALAR_SPACE, Space, Subspace, Vector,
                      product_after, span, tensor_after, tensor_space)
-from .records import record
+from .records import _set, record
 from .report import Report
 from .verify import check_identity, check_maps
 
@@ -121,7 +121,10 @@ class ComoduleAlgebra:
 # ---------------------------------------------------------------------------
 
 def check_hom_algebra(A: HomAlgebra) -> Report:
-    """Exhaustive Definition-level check of the Hom-algebra axioms."""
+    """Exhaustive Definition-level check of the Hom-algebra axioms, run once
+    per algebra object: A keeps the report, which its callers only read."""
+    if "axioms" in vars(A):
+        return A.axioms
     rep = Report(f"Hom-algebra axioms on {A.space.labels}")
     sp = A.space
     m, al = A.mult, A.alpha
@@ -137,6 +140,7 @@ def check_hom_algebra(A: HomAlgebra) -> Report:
                    m @ tensor_after(ida, A.unit_map, ida), al)
     check_identity(rep, "unit law: 1·a = alpha(a)", [sp], sp,
                    m @ tensor_after(A.unit_map, ida, ida), al)
+    _set(A, "axioms", rep)
     return rep
 
 
@@ -242,7 +246,11 @@ def algebra_generators(A: HomAlgebra) -> tuple[int, ...]:
     """Basis indices S that generate A, which passes check_hom_algebra, as a
     unital algebra, which is alpha^{+-1}-stable (alpha(a) = a1, and dim A is
     finite): basis element i is kept when the subalgebra generated by the
-    ones kept so far does not hold it.  kC_n gives (g), H4 (g, x), k ()."""
+    ones kept so far does not hold it.  kC_n gives (g), H4 (g, x), k ().
+    A keeps the result, as it keeps check_hom_algebra's report."""
+    if "generators" in vars(A):
+        return A.generators
+
     def closure(sub: Subspace) -> Subspace:
         E = sub.embedding(Space(tuple(map(str, range(sub.dim)))))
         grown = span(A.space, sub.basis + (A.mult @ E.tensor(E)).cols)
@@ -252,6 +260,7 @@ def algebra_generators(A: HomAlgebra) -> tuple[int, ...]:
     for i in range(A.dim):
         if (grown := span(A.space, sub.basis + (((i, 1),),))).dim > sub.dim:
             sub, gens = closure(grown), gens + (i,)
+    _set(A, "generators", gens)
     return gens
 
 

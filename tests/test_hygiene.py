@@ -366,9 +366,11 @@ def test_the_scan_sees_a_bare_verdict():
         (6, "is_morphism")]
 
 
-# The leg product (f (x) g) . (1 (x) flip (x) 1) . (x (x) y) has one
-# construction, linalg.product_after, which builds neither x (x) y nor the
-# flip; a middle-legs flip through permute_factors would build both.
+# Legs are reordered by two routes only: linalg.product_after builds the
+# leg product (f (x) g) . (1 (x) flip (x) 1) . (x (x) y) without x (x) y or
+# the flip, and swap_map is the plain flip.  The factor permutation
+# permute_factors, which built both, is gone from linalg; the scan keeps a
+# middle-legs flip through it, or a kernel of that name, from coming back.
 _LEG_FLIP = [0, 2, 1, 3]
 
 

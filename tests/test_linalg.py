@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from homhopf import linalg as la
 from homhopf.linalg import (ZERO, AffineSolution, Infeasible, LinearMap,
-                            Space, kernel_basis, permute_factors, quotient_by,
-                            rank, solve_affine, span, swap_map, tensor_after,
+                            Space, kernel_basis, quotient_by, rank,
+                            solve_affine, span, swap_map, tensor_after,
                             tensor_space, space, unrank)
+
+from leg_reference import permute_legs
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
@@ -62,6 +64,17 @@ def test_tensor_of_maps_acts_on_tensors(f, g):
     y = g.domain.basis_vector(g.domain.dim - 1)
     assert list((f.tensor(g)).apply(tuple(_ref_kron_vec(x, y)))) == \
         _ref_kron_vec(f.apply(x), g.apply(y))
+
+
+@pytest.mark.parametrize("m", range(1, 4))
+@pytest.mark.parametrize("n", range(1, 4))
+def test_swap_map_is_the_two_leg_reorder(m, n):
+    a = space(*[f"a{i}" for i in range(m)])
+    b = space(*[f"b{i}" for i in range(n)])
+    want = permute_legs(LinearMap.identity(tensor_space(a, b)), (a, b), (1, 0))
+    got = swap_map(a, b)
+    assert (got.domain, got.codomain) == (want.domain, want.codomain)
+    assert got.scaled == want.scaled and got.cols == want.cols
 
 
 def test_swap_is_an_involutive_permutation():
@@ -299,14 +312,14 @@ def test_sparse_kernel_matches_dense_reference(data):
     assert fkx.codomain == tensor_space(Q, S)
     assert _dense(fkx) == _ref_compose(_ref_kron(f_rows, k_rows), x_rows)
 
-    # permute_factors against an explicit permutation matrix
+    # the leg-reorder reference against an explicit permutation matrix
     fdims = draw(st.lists(dims, min_size=1, max_size=3))
     spaces = [space(*[f"{chr(97 + n)}{i}" for i in range(d)])
               for n, d in enumerate(fdims)]
     perm = draw(st.permutations(range(len(fdims))))
     y_rows = draw(sparse_rows(math.prod(fdims), t))
     y = LinearMap.from_rows(_space(t), tensor_space(*spaces), y_rows)
-    py = permute_factors(y, spaces, perm)
+    py = permute_legs(y, spaces, perm)
     _assert_canonical(py)
     assert py.codomain == tensor_space(*(spaces[i] for i in perm))
     moved = [[Fraction(0)] * len(y_rows) for _ in y_rows]
@@ -436,7 +449,7 @@ def test_products_keep_the_least_scaled_form(data):
                                           min_size=p * r, max_size=p * r)))
     gf = g @ f
     products = [gf, f.tensor(k), tensor_after(f, k, x), f + h, f - h,
-                permute_factors(x, (_space(p), _space(r)), (1, 0)),
+                swap_map(_space(p), _space(r)) @ x,
                 g @ (f + h) - g @ h]
     for out in products:
         _assert_least_scaled_form(out)
@@ -449,47 +462,6 @@ def test_products_keep_the_least_scaled_form(data):
     for other in (gf + bump, gf - bump, same + bump - bump):
         _assert_least_scaled_form(other)
         assert gf.same_matrix(other) == (gf.cols == other.cols)
-
-
-def _full_table_permute(x, spaces, perm):
-    """permute_factors with one row table over the whole codomain."""
-    dims = [sp.dim for sp in spaces]
-    strides = [0] * len(dims)
-    step = 1
-    for p in reversed(perm):
-        strides[p] = step
-        step *= dims[p]
-    new_row = [0]
-    for d, stride in zip(dims, strides):
-        new_row = [r + i * stride for r in new_row for i in range(d)]
-    d, cols = x.scaled
-    return la._scaled_map(x.domain, tensor_space(*(spaces[p] for p in perm)),
-                          d, tuple([tuple(sorted([(new_row[i], c)
-                                                  for i, c in col]))
-                                    for col in cols]))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_permute_factors_matches_the_full_row_table(data):
-    """The two half tables give every entry the row the full table gives,
-    on sparse maps into up to five factors, unit factors included."""
-    draw = data.draw
-    fdims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
-    spaces = [space(*[f"{chr(97 + n)}{i}" for i in range(d)])
-              for n, d in enumerate(fdims)]
-    perm = draw(st.permutations(range(len(fdims))))
-    total = math.prod(fdims)
-    nonzero = st.one_of(st.integers(-6, 6), rationals).filter(bool)
-    cols = draw(st.lists(st.dictionaries(st.integers(0, total - 1), nonzero,
-                                         max_size=4), min_size=1, max_size=4))
-    x = LinearMap(_space(len(cols)), tensor_space(*spaces), tuple(
-        tuple(sorted((i, la.frac(c)) for i, c in col.items()))
-        for col in cols))
-    got, want = permute_factors(x, spaces, perm), _full_table_permute(
-        x, spaces, perm)
-    assert got.codomain == want.codomain
-    assert got.scaled == want.scaled and got.cols == want.cols
 
 
 def _sparse_map(draw, dom, cod, den):
@@ -519,8 +491,8 @@ def test_leg_product_matches_tensor_then_flip(data):
     g = _sparse_map(draw, tensor_space(Q, S), Y, 7)
     spaces = (P, Q, R, S)
     got = la.product_after(f, g, x, y, spaces)
-    want = tensor_after(f, g, permute_factors(x.tensor(y), spaces,
-                                              (0, 2, 1, 3)))
+    want = tensor_after(f, g, permute_legs(x.tensor(y), spaces,
+                                           (0, 2, 1, 3)))
     assert (got.domain, got.codomain) == (want.domain, want.codomain)
     assert got.scaled == want.scaled and got.cols == want.cols
     bumped = list(spaces)

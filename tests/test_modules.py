@@ -1,21 +1,25 @@
 """Relative Hom-Hopf modules: induced structures, the adjunction, and the
 comparison isomorphism between the two module structures on A (x) H."""
 
+import contextlib
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from homhopf import modules
+from homhopf import integrals, modules
 from homhopf.catalog import cyclic_group_hopf, entry, names, sweedler_hopf
-from homhopf.galois import xi_source_module
+from homhopf.errors import HomHopfError
+from homhopf.galois import prop51_maps, quantum_trace_right, xi_source_module
 from homhopf.instance_io import load_instance
-from homhopf.integrals import thm48_module
-from homhopf.linalg import (LinearMap, Space, permute_factors, tensor_after,
-                            tensor_space)
+from homhopf.integrals import (QuantumIntegral, generator_epi,
+                               gamma_from_central_phi,
+                               quantum_integral_identities, thm48_module)
+from homhopf.linalg import LinearMap, Space, tensor_after, tensor_space
 from homhopf.modules import (HomModule, RelHopfModule, adjunction_unit,
                              check_hom_module, check_rel_hopf, induce_G,
                              induce_Gtilde, is_morphism, morphism_identities,
@@ -28,6 +32,7 @@ from homhopf.structures import (algebra_generators, check_comodule_algebra,
                                 check_hom_hopf, regular_comodule_algebra)
 from homhopf.verify import check_identity, check_maps
 
+from leg_reference import permute_legs
 from test_integrals import _scaled_h4
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,7 +68,7 @@ def test_wrong_action_breaks_compatibility():
 
     # a (x) h (x) b -> a (x) b (x) h -> ab (x) h
     bad_action = tensor_after(A.mult, LinearMap.identity(H.space),
-                              permute_factors(
+                              permute_legs(
                                   LinearMap.identity(tensor_space(sp, A.space)),
                                   (A.space, H.space, A.space), (0, 2, 1)))
     from homhopf.records import replace
@@ -132,13 +137,13 @@ def _ref_thm48_module(CA, M):
     A, H = CA.algebra, CA.hopf
     sp = tensor_space(A.space, H.space, M.space)
     rho_inv = tensor_after(A.alpha_inv, H.algebra.alpha_inv, CA.coaction)
-    action = tensor_after(A.mult, H.algebra.mult.tensor(M.mu), permute_factors(
+    action = tensor_after(A.mult, H.algebra.mult.tensor(M.mu), permute_legs(
         LinearMap.identity(sp).tensor(rho_inv),
         (A.space, H.space, M.space, A.space, H.space), (0, 3, 1, 4, 2)))
     alpha2 = H.algebra.alpha @ H.algebra.alpha
     delta2 = tensor_after(LinearMap.identity(H.space), alpha2,
                           H.coalgebra.comult)
-    coaction = permute_factors(
+    coaction = permute_legs(
         A.alpha_inv.tensor(delta2).tensor(M.mu_inv),
         (A.space, H.space, H.space, M.space), (0, 1, 3, 2))
     mu = A.alpha.tensor(H.algebra.alpha).tensor(M.mu)
@@ -149,7 +154,7 @@ def _ref_thm48_module(CA, M):
 def _ref_gtilde_action(A, nu):
     """(a (x) n).b = a beta^{-1}(b) (x) nu(n) on A (x) N."""
     N = nu.domain
-    return tensor_after(A.mult, nu, permute_factors(
+    return tensor_after(A.mult, nu, permute_legs(
         LinearMap.identity(tensor_space(A.space, N)).tensor(A.alpha_inv),
         (A.space, N, A.space), (0, 2, 1)))
 
@@ -159,7 +164,7 @@ def _ref_gtilde_coaction(CA, N, coaction):
     H-comodule (N, coaction)."""
     H = CA.hopf
     return tensor_after(LinearMap.identity(tensor_space(CA.space, N)),
-                        H.algebra.mult, permute_factors(
+                        H.algebra.mult, permute_legs(
                             CA.coaction.tensor(coaction),
                             (CA.space, H.space, N, H.space), (0, 2, 3, 1)))
 
@@ -170,8 +175,8 @@ def _ref_xi_source_module(CA):
     A, H = CA.algebra, CA.hopf
     twisted = tensor_after(LinearMap.identity(A.space), H.algebra.alpha,
                            CA.coaction)
-    coaction = permute_factors(twisted.tensor(A.alpha_inv),
-                               (A.space, H.space, A.space), (0, 2, 1))
+    coaction = permute_legs(twisted.tensor(A.alpha_inv),
+                            (A.space, H.space, A.space), (0, 2, 1))
     mu = A.alpha.tensor(A.alpha)
     return RelHopfModule(tensor_space(A.space, A.space), mu, mu.inverse(),
                          _ref_gtilde_action(A, A.alpha), coaction, CA)
@@ -179,6 +184,17 @@ def _ref_xi_source_module(CA):
 
 def _with_A_and_GA(CA):
     return CA, [regular_rel_hopf(CA), regular_induced(CA)]
+
+
+def _seed1(name):
+    """The benchmark's input file name for seed 1, made by make_inputs.py."""
+    with tempfile.TemporaryDirectory() as out:
+        subprocess.run([sys.executable, str(ROOT / "verdictbench" /
+                                            "make_inputs.py"),
+                        "--seed", "1", "--out", out, name],
+                       env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                       check=True, capture_output=True, timeout=60)
+        return load_instance(os.path.join(out, name))
 
 
 TENSOR_MODULE_CASES = {
@@ -191,13 +207,108 @@ TENSOR_MODULE_CASES = {
        for lam in (2, 3, -1, Fraction(1, 2))},
     **{f"kC{n} on itself": (lambda n=n: _with_A_and_GA(
         regular_comodule_algebra(cyclic_group_hopf(n)))) for n in range(1, 9)},
+    "kC3-twisted-rebased, seed 1": lambda: _with_A_and_GA(
+        _seed1("kC3-twisted-rebased.json").comodule_algebra),
 }
 
 
+def _arbitrary(dom, cod, seed):
+    """A dense map dom -> cod over the denominators 1, 2 and 3."""
+    return LinearMap.from_rows(dom, cod, [
+        [Fraction((3 * i + 5 * j + seed) % 7 - 3, 1 + (i + 2 * j) % 3)
+         for j in range(dom.dim)] for i in range(cod.dim)])
+
+
+def _leg_routes(CA, modules, monkeypatch):
+    """(site, map, its form before product_after and swap_map) for each leg
+    route of modules, integrals and galois; the old form permuted the legs
+    of a tensor product, written here with permute_legs.  gamma and phi are
+    arbitrary dense maps, so no integral has to exist."""
+    A, H = CA.algebra, CA.hopf
+    ida, idh = LinearMap.identity(A.space), LinearMap.identity(H.space)
+    al, al_inv, mult, rho = (H.algebra.alpha, H.algebra.alpha_inv,
+                             H.algebra.mult, CA.coaction)
+    X, hh = regular_induced(CA), tensor_space(H.space, H.space)
+    for M in modules:
+        T = thm48_module(CA, M.mu, M.mu_inv)
+        yield "tensor_module action", T.action, tensor_after(
+            X.action, M.mu, permute_legs(
+                LinearMap.identity(T.space).tensor(A.alpha_inv),
+                (X.space, M.space, A.space), (0, 2, 1)))
+        yield "tensor_module coaction", T.coaction, permute_legs(
+            tensor_after(LinearMap.identity(X.space), al,
+                         X.coaction).tensor(M.mu_inv),
+            (X.space, H.space, M.space), (0, 2, 1))
+    yield "Gtilde(H) coaction", induce_Gtilde(CA).coaction, \
+        _ref_gtilde_coaction(CA, H.space, H.coalgebra.comult)
+    for t, uv in ((idh, prop31_u(CA)), (H.antipode_inv, prop31_v(CA))):
+        yield "_prop31_map", uv, tensor_after(
+            A.alpha, mult @ al.tensor(t), permute_legs(
+                rho.tensor(idh), (A.space, H.space, H.space), (0, 2, 1)))
+    gh = _arbitrary(hh, A.space, 1)
+    w = tensor_after(idh, gh, H.coalgebra.comult.tensor(al_inv))
+    yield "Eq. 4.1 identity", quantum_integral_identities(
+        CA, gh, False)[1][1], tensor_after(A.alpha, mult, permute_legs(
+            tensor_after(idh, rho, w), (H.space, A.space, H.space),
+            (1, 0, 2)))
+    terms = []
+    with monkeypatch.context() as mp:
+        mp.setattr(integrals._MapSystem, "condition",
+                   lambda system, lhs, rhs: terms.append(rhs))
+        integrals._quantum_integral_system(CA, False)
+    yield "Eq. 4.1 system", terms[1][0], tensor_after(
+        A.alpha, mult, permute_legs(idh.tensor(rho),
+                                    (H.space, A.space, H.space), (1, 0, 2)))
+    gamma = QuantumIntegral(gh, True, ())
+    arg = mult @ (al_inv @ al_inv).tensor(H.antipode_inv @ al_inv)
+    for M in modules:
+        f, g = generator_epi(CA, M, gamma)
+        idm = LinearMap.identity(M.space)
+        legs = permute_legs(rho.tensor(idh).tensor(M.coaction),
+                            (A.space, H.space, H.space, M.space, H.space),
+                            (0, 3, 4, 2, 1))
+        terms = permute_legs(tensor_after(A.alpha.tensor(M.mu),
+                                          gh @ al_inv.tensor(arg), legs),
+                             (A.space, M.space, A.space), (1, 2, 0))
+        yield "generator_epi f", f, \
+            M.action @ tensor_after(idm, A.mult, terms)
+        yield "generator_epi g", g, tensor_after(A.unit_map, permute_legs(
+            tensor_after(idm, al_inv, M.coaction), (M.space, H.space),
+            (1, 0)), idm)
+    lam, big = prop51_maps(CA, gamma)
+    inner = lam @ tensor_after(A.unit_map, mult @ al_inv.tensor(
+        H.antipode_inv), LinearMap.identity(hh))
+    yield "prop51_maps Lam", big, A.mult @ tensor_after(
+        inner, A.alpha, permute_legs(rho.tensor(idh),
+                                     (A.space, H.space, H.space), (2, 1, 0)))
+    from_unit = gh @ tensor_after(H.algebra.unit_map,
+                                  H.antipode_inv @ al @ al, idh)
+    yield "quantum_trace_right", quantum_trace_right(CA, gamma), \
+        A.mult @ tensor_after(from_unit, A.alpha, permute_legs(
+            rho, (A.space, H.space), (1, 0)))
+    phi, checked = _arbitrary(H.space, A.space, 2), []
+
+    def recording(rep, name, identities, *rest):
+        checked.append(list(identities))
+        return check_maps(rep, name, checked[-1], *rest)
+
+    with monkeypatch.context() as mp:  # phi skips its colinearity gate
+        mp.setattr(integrals, "total_integral_identities", lambda *a: [])
+        mp.setattr(integrals, "check_maps", recording)
+        with contextlib.suppress(HomHopfError):  # central or not
+            gamma_from_central_phi(CA, phi)
+    legs = (rho @ phi).tensor(idh)
+    for side, perm in zip(checked[1][0], ((2, 1, 0), (1, 2, 0))):
+        yield "centrality", side, tensor_after(mult, ida, permute_legs(
+            legs, (A.space, H.space, H.space), perm))
+
+
 @pytest.mark.parametrize("case", TENSOR_MODULE_CASES)
-def test_tensor_module_reproduces_the_constructions_it_replaced(case):
+def test_tensor_module_reproduces_the_constructions_it_replaced(
+        case, monkeypatch):
     """thm48_module, xi_source_module, the A (x) N action and Gtilde(H)
-    agree map for map with their hand-written formulas."""
+    agree map for map with their hand-written formulas, and each leg route
+    with the permuted form it replaced (same matrix, same domain labels)."""
     CA, modules = TENSOR_MODULE_CASES[case]()
     A, H = CA.algebra, CA.hopf
     assert modules
@@ -211,6 +322,12 @@ def test_tensor_module_reproduces_the_constructions_it_replaced(case):
     assert GtH.mu == A.alpha.tensor(H.coalgebra.gamma)
     assert GtH.coaction == _ref_gtilde_coaction(CA, H.space,
                                                 H.coalgebra.comult)
+    sites = []
+    for site, got, want in _leg_routes(CA, modules, monkeypatch):
+        assert got.same_matrix(want), site
+        assert got.domain.labels == want.domain.labels, site
+        sites.append(site)
+    assert len(set(sites)) == 11
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +434,8 @@ def test_non_associative_action_fails_through_the_reduced_path(monkeypatch):
     ida = LinearMap.identity(A.space)
     sp = tensor_space(A.space, V)
     act = (A.mult @ ida.tensor(phi)).tensor(LinearMap.identity(V)) \
-        @ permute_factors(LinearMap.identity(tensor_space(sp, A.space)),
-                          (A.space, V, A.space), (0, 2, 1))
+        @ permute_legs(LinearMap.identity(tensor_space(sp, A.space)),
+                       (A.space, V, A.space), (0, 2, 1))
     idm = LinearMap.identity(sp)
     M = HomModule(sp, idm, idm, act, A)
     calls = _identity_calls(monkeypatch)
@@ -348,21 +465,14 @@ def test_single_corruptions_of_the_action_give_the_full_report(hopf):
             _assert_same_as_full(bad)
 
 
-def test_leg_products_build_no_tensor_of_two_coactions(monkeypatch,
-                                                      tmp_path):
+def test_leg_products_build_no_tensor_of_two_coactions(monkeypatch):
     """Delta(ab), rho(ab), rho(m.a) and G(M)'s action contract one leg at a
     time (linalg.product_after): on the benchmark's seed-1 change of basis
     of H4, whose Delta and rho have 14-15 nonzeros per column, none of
     check_hom_hopf, check_comodule_algebra, check_rel_hopf and induce_G
     builds Delta (x) Delta, rho_A (x) rho_A, rho_M (x) rho_A or
     id_{M (x) H} (x) rho_A."""
-    subprocess.run([sys.executable, str(ROOT / "verdictbench" /
-                                        "make_inputs.py"),
-                    "--seed", "1", "--out", str(tmp_path),
-                    "sweedler-H4-rebased.json"],
-                   env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-                   check=True, capture_output=True, timeout=60)
-    inst = load_instance(str(tmp_path / "sweedler-H4-rebased.json"))
+    inst = _seed1("sweedler-H4-rebased.json")
     CA = inst.comodule_algebra
     H, rho = CA.hopf, CA.coaction
     calls = []

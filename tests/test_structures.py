@@ -3,13 +3,18 @@ and Hom-comodule algebras on the built-in instances."""
 
 import pytest
 
+from homhopf import structures
 from homhopf.catalog import (cyclic_group_hopf, entry, matrix_coalgebra,
                              names, sweedler_hopf, twisted_cyclic3)
+from homhopf.cli import main
 from homhopf.errors import NotAutomorphism
-from homhopf.linalg import LinearMap
-from homhopf.structures import (check_comodule_algebra, check_hom_algebra,
-                                check_hom_coalgebra, check_hom_hopf,
-                                regular_comodule_algebra, twist)
+from homhopf.instance_io import emit_instance
+from homhopf.linalg import LinearMap, span
+from homhopf.structures import (algebra_generators, check_comodule_algebra,
+                                check_hom_algebra, check_hom_coalgebra,
+                                check_hom_hopf, regular_comodule_algebra,
+                                twist)
+from homhopf.verify import check_identity
 
 
 @pytest.mark.parametrize("name", names())
@@ -112,3 +117,39 @@ def test_kc12_axiom_checks_build_no_wide_tensor(monkeypatch):
     assert check_hom_hopf(CA.hopf).ok
     assert check_comodule_algebra(CA).ok
     assert widest and max(widest) <= 12 ** 3
+
+
+HOM_ASSOCIATIVITY = "Hom-associativity: alpha(a)(bc) = (ab)alpha(c)"
+
+
+@pytest.mark.parametrize("argv, decided", [
+    (["check", "{}"], 2), (["theorem", "--id", "4.8", "{}"], 1)])
+def test_an_algebra_object_decides_its_axioms_once(monkeypatch, tmp_path,
+                                                   capsys, argv, decided):
+    """On the emitted sweedler-H4, check decides Hom-associativity for H's
+    algebra and for A; check_hom_module's gate for G(A) reads A's kept
+    report.  theorem 4.8 decides it for A once, for both of its probes
+    (3 and 2 before the report was kept on the algebra object)."""
+    path = tmp_path / "sweedler-H4.json"
+    path.write_text(emit_instance(entry("sweedler-H4")))
+    names_ = []
+
+    def recording(report, name, *rest):
+        names_.append(name)
+        return check_identity(report, name, *rest)
+
+    monkeypatch.setattr(structures, "check_identity", recording)
+    assert main([word.format(path) for word in argv]) == 0
+    capsys.readouterr()
+    assert names_.count(HOM_ASSOCIATIVITY) == decided
+
+
+def test_algebra_generators_are_found_once_per_algebra_object(monkeypatch):
+    spans = []
+    monkeypatch.setattr(structures, "span",
+                        lambda *a: spans.append(1) or span(*a))
+    A, B = sweedler_hopf().algebra, sweedler_hopf().algebra
+    assert algebra_generators(A) == algebra_generators(A) == (1, 2)
+    once = len(spans)
+    assert once and algebra_generators(B) == (1, 2)
+    assert len(spans) == 2 * once
