@@ -14,8 +14,7 @@ from typing import Callable
 from .errors import UnknownEntry
 from .instance_io import ParsedInstance
 from .integrals import is_total, quantum_integral_identities
-from .linalg import (SCALAR_SPACE, ZERO, LinearMap, Space, frac, space,
-                     tensor_space)
+from .linalg import SCALAR_SPACE, LinearMap, Space, frac, space, tensor_space
 from .modules import prop31_check, regular_induced, regular_rel_hopf
 from .report import Report
 from .structures import (ComoduleAlgebra, HomAlgebra, HomCoalgebra,
@@ -38,9 +37,10 @@ def cyclic_group_hopf(n: int) -> HomHopfAlgebra:
     comult = LinearMap(sp, tensor_space(sp, sp),
                        tuple(((i * n + i, 1),) for i in range(n)))
     counit = LinearMap(sp, SCALAR_SPACE, (((0, 1),),) * n)
+    unit = LinearMap(SCALAR_SPACE, sp, (((0, 1),),))
     antipode = LinearMap(sp, sp, tuple((((-i) % n, 1),) for i in range(n)))
     ident = LinearMap.identity(sp)
-    algebra = HomAlgebra(sp, mult, sp.basis_vector(0), ident, ident)
+    algebra = HomAlgebra(sp, mult, unit, ident, ident)
     coalgebra = HomCoalgebra(sp, comult, counit, ident, ident)
     return HomHopfAlgebra.build(algebra, coalgebra, antipode)
 
@@ -62,10 +62,11 @@ def sweedler_hopf() -> HomHopfAlgebra:
         ((g * 4 + x, 1), (x * 4 + one, 1)),
         ((one * 4 + gx, 1), (gx * 4 + g, 1))))
     counit = LinearMap(sp, SCALAR_SPACE, (((0, 1),), ((0, 1),), (), ()))
+    unit = LinearMap(SCALAR_SPACE, sp, (((one, 1),),))
     antipode = LinearMap(sp, sp, (((one, 1),), ((g, 1),), ((gx, -1),),
                                   ((x, 1),)))
     ident = LinearMap.identity(sp)
-    algebra = HomAlgebra(sp, mult, sp.basis_vector(one), ident, ident)
+    algebra = HomAlgebra(sp, mult, unit, ident, ident)
     coalgebra = HomCoalgebra(sp, comult, counit, ident, ident)
     return HomHopfAlgebra.build(algebra, coalgebra, antipode)
 
@@ -83,10 +84,11 @@ def trivial_comodule_algebra(H: HomHopfAlgebra) -> ComoduleAlgebra:
     sp = space("1")
     ident = LinearMap.identity(sp)
     mult = LinearMap(tensor_space(sp, sp), sp, ident.cols)
-    algebra = HomAlgebra(sp, mult, sp.basis_vector(0), ident, ident)
+    unit = LinearMap(SCALAR_SPACE, sp, (((0, 1),),))
+    algebra = HomAlgebra(sp, mult, unit, ident, ident)
     # 1 (x) 1_H has the coordinates of 1_H, as A (x) H has H's basis
     coaction = LinearMap(sp, tensor_space(sp, H.space),
-                         H.algebra.unit_map.cols)
+                         H.algebra.unit.cols)
     return ComoduleAlgebra(algebra, H, coaction)
 
 
@@ -119,7 +121,8 @@ def matrix_datum(n: int) -> ComoduleAlgebra:
         ((i * n + s, 1),) if j == r else ()
         for i in range(n) for j in range(n)
         for r in range(n) for s in range(n)))
-    unit = tuple(1 if i == j else ZERO for i in range(n) for j in range(n))
+    unit = LinearMap(SCALAR_SPACE, sp,
+                     (tuple((i * n + i, 1) for i in range(n)),))
     ident = LinearMap.identity(sp)
     algebra = HomAlgebra(sp, mult, unit, ident, ident)
     antipode = LinearMap.zero(sp, sp)
@@ -141,10 +144,10 @@ def matrix_family_gamma(CA: ComoduleAlgebra,
     if n * n != H.dim:
         raise ValueError(f"a comatrix datum has square dimension, got {H.dim}")
     # D(c_ij (x) c_rs) = delta_is mu_rj, one row
-    D = _scalar_table(H, [frac(mu[r][j]) if i == s else ZERO
+    D = _scalar_table(H, [frac(mu[r][j]) if i == s else 0
                           for i in range(n) for j in range(n)
                           for r in range(n) for s in range(n)])
-    return A.alpha @ A.unit_map @ D
+    return A.alpha @ A.unit @ D
 
 
 def group_family_gamma(CA: ComoduleAlgebra,
@@ -154,9 +157,9 @@ def group_family_gamma(CA: ComoduleAlgebra,
     H = CA.hopf
     A = CA.algebra
     # D(x (x) y) = delta_xy mu_x, one row
-    D = _scalar_table(H, [frac(mu[x]) if x == y else ZERO
+    D = _scalar_table(H, [frac(mu[x]) if x == y else 0
                           for x in range(H.dim) for y in range(H.dim)])
-    return A.alpha @ A.unit_map @ D
+    return A.alpha @ A.unit @ D
 
 
 def _scalar_table(H: HomHopfAlgebra, values) -> LinearMap:

@@ -99,7 +99,7 @@ def _regular_hopf(inst: ParsedInstance) -> HomHopfAlgebra:
     CA, H = inst.comodule_algebra, inst.hopf
     regular = (CA.algebra.mult.same_matrix(H.algebra.mult)
                and CA.algebra.alpha.same_matrix(H.algebra.alpha)
-               and CA.algebra.unit == H.unit
+               and CA.algebra.unit.same_matrix(H.algebra.unit)
                and CA.coaction.same_matrix(H.coalgebra.comult))
     if inst.modules and not regular:
         raise InstanceFormatError(

@@ -35,7 +35,7 @@ from .verify import check_maps, record_suite
 def coinvariant_subspace(space: Space, mu_inv: LinearMap,
                          coaction: LinearMap, H: HomHopfAlgebra) -> Subspace:
     """Exact kernel of rho(m) - mu^{-1}(m) (x) 1_H."""
-    insert_unit = tensor_after(mu_inv, H.algebra.unit_map,
+    insert_unit = tensor_after(mu_inv, H.algebra.unit,
                                LinearMap.identity(space))
     return span(space, kernel_basis(coaction - insert_unit))
 
@@ -84,14 +84,13 @@ def coinvariants(CA: ComoduleAlgebra) -> CoinvariantAlgebra:
         raise ValueError("coinvariants are zero; B must contain 1_A")
     bspace = Space(tuple(f"b{i}" for i in range(sub.dim)))
     embed = sub.embedding(bspace)
-    unit = _restrict(sub, A.unit_map, bspace,
+    unit = _restrict(sub, A.unit, bspace,
                      "1_A is not coinvariant; coaction is not unital")
     mult = _restrict(sub, A.mult @ embed.tensor(embed), bspace,
                      "coinvariants are not closed under multiplication")
     beta_b = _restrict(sub, A.alpha @ embed, bspace,
                        "coinvariants are not beta-stable")
-    algebra = HomAlgebra(bspace, mult, unit.column(0), beta_b,
-                         beta_b.inverse())
+    algebra = HomAlgebra(bspace, mult, unit, beta_b, beta_b.inverse())
     return CoinvariantAlgebra(CA, sub, algebra, embed)
 
 
@@ -123,7 +122,7 @@ def quantum_trace_left(CA: ComoduleAlgebra, gamma: QuantumIntegral) -> LinearMap
     them, and for none after a change of basis."""
     A, H = CA.algebra, CA.hopf
     idh = LinearMap.identity(H.space)
-    at_unit = gamma.gamma_hat @ tensor_after(idh, H.algebra.unit_map, idh)
+    at_unit = gamma.gamma_hat @ tensor_after(idh, H.algebra.unit, idh)
     return A.mult @ tensor_after(A.alpha, at_unit, CA.coaction)
 
 
@@ -132,7 +131,7 @@ def quantum_trace_right(CA: ComoduleAlgebra, gamma: QuantumIntegral) -> LinearMa
     A, H = CA.algebra, CA.hopf
     H.require_bijective_antipode()
     al = H.algebra.alpha
-    from_unit = gamma.gamma_hat @ H.algebra.unit_map.tensor(
+    from_unit = gamma.gamma_hat @ H.algebra.unit.tensor(
         H.antipode_inv @ al @ al)
     return A.mult @ tensor_after(from_unit, A.alpha,
                                  swap_map(A.space, H.space) @ CA.coaction)
@@ -151,7 +150,7 @@ def prop51_maps(CA: ComoduleAlgebra,
     # a (x) h -> a1 (x) h (x) a0 -> lam(1_A (x) arg(a1 (x) h)) (x) beta(a0)
     arg = H.algebra.mult @ H.algebra.alpha_inv.tensor(H.antipode_inv) @ flip
     big = A.mult @ product_after(
-        lam @ A.unit_map.tensor(arg), A.alpha,
+        lam @ A.unit.tensor(arg), A.alpha,
         swap_map(A.space, H.space) @ CA.coaction, idh,
         (H.space, A.space, H.space, SCALAR_SPACE))
     return lam, big
@@ -252,10 +251,6 @@ class GaloisMap:
     rank: int
 
     @property
-    def bijective(self) -> bool:
-        return self.classification == "bijective"
-
-    @property
     def surjective(self) -> bool:
         return self.classification in ("bijective", "surjective-only")
 
@@ -337,7 +332,7 @@ def thm56_adjunction(N: HomModule, B: CoinvariantAlgebra,
     tl = quantum_trace_left(CA, gamma)
     idn = LinearMap.identity(N.space)
     unit_tensor = bt.quotient.projection @ tensor_after(
-        idn, CA.algebra.unit_map, idn)
+        idn, CA.algebra.unit, idn)
     eta = _restrict(sub, unit_tensor, coinv_mod.space,
                     "n (x) 1_A is not coinvariant in N (x)_B A")
     tl_b = _restrict(B.subspace, tl, B.algebra.space,
@@ -473,7 +468,7 @@ def prop51_check(CA: ComoduleAlgebra, gamma: QuantumIntegral) -> Report:
     for tag, t in (("t^l", tl), ("t^r", tr)):
         # B is the kernel of rho_A - (beta^{-1} (x) 1_H)
         check_maps(rep, f"{tag} lands in the coinvariants", [(
-            CA.coaction @ t, tensor_after(A.alpha_inv, H.algebra.unit_map, t))])
+            CA.coaction @ t, tensor_after(A.alpha_inv, H.algebra.unit, t))])
         check_maps(rep, f"{tag} restricts to the identity on B",
                    [(t @ B.embed, B.embed)])
         check_maps(rep, f"{tag} is idempotent", [(t @ t, t)])

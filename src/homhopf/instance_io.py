@@ -2,6 +2,8 @@
 
 Every scalar is an exact rational written as a string ("p/q", or just "p"
 for integers), so files are human-diffable and round-trip bit-exactly.
+A scalar whose numerator or denominator would have more digits than int()
+takes (sys.get_int_max_str_digits()) is refused before it is built.
 A file carries a Hopf (or coalgebra-datum) block, an optional comodule
 algebra block, an optional block of named relative modules, and an
 optional block of expected results.
@@ -11,11 +13,13 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import sys
 from typing import Optional
 
 from .errors import InstanceFormatError
-from .linalg import (SCALAR_SPACE, LinearMap, Scalar, Space, Vector, frac,
-                     space, tensor_space)
+from .linalg import (SCALAR_SPACE, LinearMap, Scalar, Space, frac, space,
+                     tensor_space)
 from .modules import RelHopfModule, check_rel_hopf
 from .records import field, record
 from .report import Report
@@ -81,12 +85,12 @@ def _matrix(f: LinearMap) -> list[list[str]]:
     return [[str(x) for x in row] for row in f.matrix]
 
 
-def _block(sp: Space, **data) -> dict:
-    """A block of the file: dimension, basis, then each named map (or
-    vector, such as a unit) in the order given."""
+def _block(sp: Space, **maps) -> dict:
+    """A block of the file: dimension, basis, then each named map in the
+    order given, a unit k -> A as the flat list of its one column."""
     return {"dim": sp.dim, "basis": list(sp.labels),
-            **{key: [str(x) for x in value] if isinstance(value, tuple)
-               else _matrix(value) for key, value in data.items()}}
+            **{key: [str(x) for x, in f.matrix] if key == "unit"
+               else _matrix(f) for key, f in maps.items()}}
 
 
 def emit_instance(inst: ParsedInstance) -> str:
@@ -140,10 +144,18 @@ def _parse_scalar(x) -> Scalar:
     try:
         return int(x)
     except ValueError:
-        return frac(x)
+        pass
+    if m := _DECIMAL.fullmatch(x):
+        # digits of the numerator and denominator Fraction builds, unreduced
+        e, limit = int(m[3] or 0), getattr(sys, "get_int_max_str_digits", int)()
+        if limit and max(len(m[1] + m[2]) + e, len(m[2]) - e + 1) > limit:
+            raise ValueError(f"numerator or denominator over {limit} digits")
+    return frac(x)
 
 
 _SCALAR_ERRORS = (TypeError, ValueError, ZeroDivisionError)
+# a decimal string as Fraction reads it; it builds 10**exponent in full
+_DECIMAL = re.compile(r"\s*[-+]?([\d_]*)\.?([\d_]*)(?:[eE]([-+]?[\d_]+))?\s*")
 
 
 def _bad_scalar(raw: list, where: str) -> InstanceFormatError:
@@ -160,13 +172,15 @@ def _bad_scalar(raw: list, where: str) -> InstanceFormatError:
     raise AssertionError(f"{where} has no bad scalar")
 
 
-def _parse_vector(block: dict, key: str, sp: Space, where: str) -> Vector:
-    raw, where = _get(block, key, list, where), f"{where}.{key}"
+def _parse_unit(block: dict, sp: Space, where: str) -> LinearMap:
+    """The block's unit, a flat list of sp.dim scalars, as a map k -> sp."""
+    raw, where = _get(block, "unit", list, where), f"{where}.unit"
     if len(raw) != sp.dim:
         raise InstanceFormatError(
             f"expected a list of {sp.dim} scalars", where)
     try:
-        return tuple(map(_parse_scalar, raw))
+        return LinearMap.from_rows(SCALAR_SPACE, sp,
+                                   [[_parse_scalar(x)] for x in raw])
     except _SCALAR_ERRORS:
         raise _bad_scalar(raw, where)
 
@@ -223,7 +237,7 @@ def _parse_hopf(block: dict, kind: str, cap: int) -> HomHopfAlgebra:
     sp = _parse_space(block, where, cap)
     sp2 = tensor_space(sp, sp)
     mult = _parse_matrix(block, "mult", sp2, sp, where)
-    unit = _parse_vector(block, "unit", sp, where)
+    unit = _parse_unit(block, sp, where)
     comult = _parse_matrix(block, "comult", sp, sp2, where)
     counit = _parse_matrix(block, "counit", sp, SCALAR_SPACE, where)
     antipode = _parse_matrix(block, "antipode", sp, sp, where)
@@ -244,7 +258,7 @@ def _parse_comodule_algebra(block: dict, H: HomHopfAlgebra,
     sp = _parse_space(block, where, cap)
     sp2 = tensor_space(sp, sp)
     mult = _parse_matrix(block, "mult", sp2, sp, where)
-    unit = _parse_vector(block, "unit", sp, where)
+    unit = _parse_unit(block, sp, where)
     beta = _parse_matrix(block, "beta", sp, sp, where)
     beta_inv = _invert(beta, "beta", f"{where}.beta")
     coaction = _parse_matrix(block, "coaction", sp, tensor_space(sp, H.space),
@@ -275,6 +289,9 @@ def parse_instance(text: str) -> ParsedInstance:
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(
             f"not valid JSON: {exc.msg}", f"line {exc.lineno} col {exc.colno}")
+    except ValueError:  # from int(), on a JSON integer of too many digits
+        raise InstanceFormatError("not valid JSON: an integer has more than "
+                                  f"{sys.get_int_max_str_digits()} digits")
     if not isinstance(doc, dict):
         raise InstanceFormatError("top level must be an object")
     if doc.get("format") != FORMAT_NAME:

@@ -16,10 +16,9 @@ import math
 from typing import Callable, Iterator, Sequence
 
 from .errors import CentralityViolated, EquivalenceViolated, NotIntertwining
-from .linalg import (SCALAR_SPACE, ZERO, Column, Infeasible, LinearMap,
-                     Scalar, Space, Vector, _scaled_map, _sparse,
-                     product_after, solve_affine, swap_map, tensor_after,
-                     tensor_space)
+from .linalg import (SCALAR_SPACE, Column, Infeasible, LinearMap, Scalar,
+                     Space, Vector, _scaled_map, _sparse, product_after,
+                     solve_affine, swap_map, tensor_after, tensor_space)
 from .modules import (RelHopfModule, check_rel_hopf, induce_G,
                       morphism_identities, regular_induced, regular_rel_hopf,
                       tensor_module)
@@ -107,7 +106,7 @@ class _MapSystem:
                         for f, lv in lcols[(ui * nc + c) * w + wi]:
                             i = base + e * nf + f
                             acc[i] = acc.get(i, 0) + rv * lv
-        out = [ZERO] * (ne * nf)
+        out = [0] * (ne * nf)
         if isinstance(rhs, LinearMap):
             for e, col in enumerate(rhs.cols):
                 for f, v in col:
@@ -158,7 +157,7 @@ def total_integral_identities(CA: ComoduleAlgebra, phi: LinearMap) -> list:
              "H-colinear"),
             (phi @ H.algebra.alpha, A.alpha @ phi,
              "intertwining alpha and beta"),
-            (phi @ H.algebra.unit_map, A.unit_map, "phi(1_H) = 1_A")]
+            (phi @ H.algebra.unit, A.unit, "phi(1_H) = 1_A")]
 
 
 def verify_total_integral(CA: ComoduleAlgebra, phi: LinearMap) -> bool:
@@ -174,7 +173,7 @@ def _total_integral_system(CA: ComoduleAlgebra) -> _MapSystem:
                      (LinearMap.identity(tensor_space(A.space, H.space)),
                       H.coalgebra.comult, H.dim))
     system.condition((ida, H.algebra.alpha, 1), (A.alpha, idh, 1))
-    system.condition((ida, H.algebra.unit_map, 1), A.unit_map)
+    system.condition((ida, H.algebra.unit, 1), A.unit)
     return system
 
 
@@ -219,7 +218,7 @@ def quantum_integral_identities(CA: ComoduleAlgebra, gh: LinearMap,
 def _eq42_identity(CA: ComoduleAlgebra, gh: LinearMap) -> tuple:
     """Eq. 4.2, per basis h: gamma(h1)(h2) = eps(h) 1_A."""
     A, H = CA.algebra, CA.hopf
-    return (gh @ H.coalgebra.comult, A.unit_map @ H.coalgebra.counit,
+    return (gh @ H.coalgebra.comult, A.unit @ H.coalgebra.counit,
             "Eq. 4.2")
 
 
@@ -256,7 +255,7 @@ def _quantum_integral_system(CA: ComoduleAlgebra,
                       delta.tensor(al_inv), 1))
     if require_total:
         # Eq. 4.2, one block of A per h: gamma(h1)(h2) = eps(h) 1_A
-        system.condition((ida, delta, 1), A.unit_map @ H.coalgebra.counit)
+        system.condition((ida, delta, 1), A.unit @ H.coalgebra.counit)
     return system
 
 
@@ -306,7 +305,7 @@ def phi_from_gamma(CA: ComoduleAlgebra, gamma: QuantumIntegral) -> LinearMap:
     A, H = CA.algebra, CA.hopf
     idh = LinearMap.identity(H.space)
     phi = A.alpha_inv @ gamma.gamma_hat @ tensor_after(
-        H.algebra.unit_map, idh, idh)
+        H.algebra.unit, idh, idh)
     if not check_maps(Report(""), "", total_integral_identities(CA, phi)[:1]):
         raise EquivalenceViolated("phi built from a quantum integral is not colinear")
     return phi
@@ -419,7 +418,7 @@ def theorem43_check(CA: ComoduleAlgebra,
         idh = LinearMap.identity(H.space)
         # phi(h) = beta^{-1}(lambda_A(1 (x) h)), shaped as phi_from_gamma by
         # Eq. 4.1; without beta^{-1} only some retractions give a colinear phi
-        phi_map = A.alpha_inv @ lam @ tensor_after(A.unit_map, idh, idh)
+        phi_map = A.alpha_inv @ lam @ tensor_after(A.unit, idh, idh)
         check_maps(rep, "phi(h) = beta^{-1}(lambda_A(1 (x) h)) is a total "
                    "integral", total_integral_identities(CA, phi_map))
         assert isinstance(res1, TotalIntegral)
@@ -474,7 +473,7 @@ def generator_epi(CA: ComoduleAlgebra, M: RelHopfModule,
         LinearMap.identity(A.space)) @ swap_map(A.space, flip.domain)
     f = M.action @ product_after(M.mu, gval, ah, M.coaction,
                                  (SCALAR_SPACE, ah.codomain, M.space, H.space))
-    g = tensor_after(A.unit_map, swap_map(M.space, H.space)
+    g = tensor_after(A.unit, swap_map(M.space, H.space)
                      @ tensor_after(idm, a_inv, M.coaction), idm)
     return f, g
 

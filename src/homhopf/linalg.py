@@ -7,21 +7,19 @@ denominator is 1 and a Fraction otherwise (frac gives that form), so
 integer constants stay in int arithmetic.  Every helper returns scalars in
 that form.  An int and a Fraction of the same value compare and hash equal
 and print the same, so the form never shows in a comparison or a report.
-Every zero a helper creates is the shared ZERO, so the helpers skip zero
-entries by identity; any other zero goes through the same exact arithmetic
-as a nonzero entry.  There is no floating point anywhere, and the
-arithmetic runs on ints: each map caches its least common denominator d
-with its columns times d, the products multiply those ints, and Fractions
-are built only when entries are read.  Legs are reordered two ways only:
-swap_map flips x (x) y, product_after builds (f (x) g)(1 (x) flip (x) 1)
-(x (x) y) without x (x) y, a scalar leg given as SCALAR_SPACE; a column
-costs nnz(x)·nnz(y)·nnz(g) at most, plus nnz(f) per distinct index.
-The one elimination, _rref, is fraction-free on sparse rows read off those
+There is no floating point anywhere, and the arithmetic runs on ints: each
+map caches its least common denominator d with its columns times d, the
+products multiply those ints, and Fractions are built only when entries
+are read.  Legs are reordered two ways only: swap_map flips x (x) y,
+product_after builds (f (x) g)(1 (x) flip (x) 1)(x (x) y) without
+x (x) y, a scalar leg given as SCALAR_SPACE; a column costs
+nnz(x)·nnz(y)·nnz(g) at most, plus nnz(f) per distinct index.  The one
+elimination, _rref, is fraction-free on sparse rows read off those
 int columns, so its cost follows the nonzeros, not m x n.  It returns the
 reduced row echelon form, which is unique: pivots, solutions, kernel bases
 and ranks do not depend on the order in which rows are met.  Dense tuples
-remain only at the file boundary: an algebra's unit, solve_affine's rhs and
-LinearMap.matrix.
+remain only at the file boundary: the rhs of solve_affine, and .matrix for
+emission.
 """
 
 from __future__ import annotations
@@ -35,9 +33,6 @@ from .records import record
 # An exact scalar: an int when integral, a Fraction otherwise.
 Scalar = int | Fraction
 Vector = tuple[Scalar, ...]
-
-ZERO = 0
-ONE = 1
 
 
 def frac(x) -> Scalar:
@@ -82,11 +77,6 @@ class Space:
                           for a in labels for b in sp.labels]
             self._labels = _require_distinct(tuple(labels))
         return self._labels
-
-    def basis_vector(self, i: int) -> Vector:
-        out = [ZERO] * self.dim
-        out[i] = ONE
-        return tuple(out)
 
     def __eq__(self, other):
         if not isinstance(other, Space):
@@ -215,18 +205,8 @@ class LinearMap:
             for j in range(domain.dim)))
 
     @staticmethod
-    def from_columns(domain: Space, codomain: Space, cols: Iterable[Vector]) -> "LinearMap":
-        sparse = []
-        for col in cols:
-            if len(col) != codomain.dim:
-                raise ValueError("column length does not match codomain dim")
-            sparse.append(tuple((i, frac(c)) for i, c in enumerate(col)
-                                if c is not ZERO and c))
-        return LinearMap(domain, codomain, tuple(sparse))
-
-    @staticmethod
     def identity(sp: Space) -> "LinearMap":
-        return LinearMap(sp, sp, tuple(((j, ONE),) for j in range(sp.dim)))
+        return LinearMap(sp, sp, tuple(((j, 1),) for j in range(sp.dim)))
 
     @staticmethod
     def zero(domain: Space, codomain: Space) -> "LinearMap":
@@ -236,32 +216,11 @@ class LinearMap:
     def matrix(self) -> tuple[Vector, ...]:
         """Dense rows, rebuilt on every access; for emission, never for
         elimination."""
-        rows = [[ZERO] * self.domain.dim for _ in range(self.codomain.dim)]
+        rows = [[0] * self.domain.dim for _ in range(self.codomain.dim)]
         for j, col in enumerate(self.cols):
             for i, c in col:
                 rows[i][j] = c
         return tuple(map(tuple, rows))
-
-    # -- evaluation ---------------------------------------------------------
-
-    def column(self, j: int) -> Vector:
-        out = [ZERO] * self.codomain.dim
-        for i, c in self.cols[j]:
-            out[i] = c
-        return tuple(out)
-
-    def apply(self, v: Vector) -> Vector:
-        if len(v) != self.domain.dim:
-            raise ValueError("vector length does not match domain dim")
-        out: list = [None] * self.codomain.dim
-        for x, col in zip(v, self.cols):
-            if x is not ZERO:
-                for i, c in col:
-                    p = x * c
-                    o = out[i]
-                    out[i] = p if o is None else o + p
-        return tuple(ZERO if o is None else o if type(o) is int else frac(o)
-                     for o in out)
 
     # -- algebra of maps ----------------------------------------------------
 
@@ -506,7 +465,7 @@ def solve_affine(coeff: LinearMap, rhs: Vector) -> AffineSolution | Infeasible:
     particular = []
     # free column -> its 1 and (pivot, -entry) over the pivot rows holding it
     free: dict[int, list[tuple[int, Scalar]]] = {
-        c: [(c, ONE)] for c in range(n) if c not in pivot_set}
+        c: [(c, 1)] for c in range(n) if c not in pivot_set}
     for row, p in zip(rows, pivots):
         for c, x in row.items():
             if c == n:
@@ -518,7 +477,7 @@ def solve_affine(coeff: LinearMap, rhs: Vector) -> AffineSolution | Infeasible:
 
 
 def kernel_basis(f: LinearMap) -> tuple[Column, ...]:
-    sol = solve_affine(f, (ZERO,) * f.codomain.dim)
+    sol = solve_affine(f, (0,) * f.codomain.dim)
     assert isinstance(sol, AffineSolution)
     return sol.kernel
 
@@ -597,12 +556,12 @@ def quotient_by(ambient: Space, relations: Iterable[Column]) -> QuotientSpace:
     for j in range(ambient.dim):
         row = pivot_row.get(j)
         if row is None:
-            proj_cols.append(((free_index[j], ONE),))
+            proj_cols.append(((free_index[j], 1),))
         else:
             proj_cols.append(tuple((free_index[c], -x) for c, x in row[1:]))
     projection = LinearMap(ambient, qspace, tuple(proj_cols))
     section = LinearMap(qspace, ambient,
-                        tuple(((fc, ONE),) for fc in free_cols))
+                        tuple(((fc, 1),) for fc in free_cols))
     return QuotientSpace(ambient, rel, qspace, projection, section)
 
 
@@ -610,7 +569,7 @@ def swap_map(left: Space, right: Space) -> LinearMap:
     """The flip x (x) y -> y (x) x, basis column by basis column."""
     m, n = left.dim, right.dim
     return LinearMap(tensor_space(left, right), tensor_space(right, left),
-                     tuple(((j % n * m + j // n, ONE),) for j in range(m * n)))
+                     tuple(((j % n * m + j // n, 1),) for j in range(m * n)))
 
 
 def tensor_after(f: LinearMap, g: LinearMap, x: LinearMap) -> LinearMap:

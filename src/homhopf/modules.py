@@ -80,7 +80,7 @@ def check_hom_module(M: HomModule) -> Report:
 
     gate = check_maps(rep, "mu invertible", [(M.mu @ M.mu_inv, idm)])
     gate &= check_identity(laws, "unit law: m.1 = mu(m)", [sp], sp,
-                           act @ tensor_after(idm, A.unit_map, idm), mu)
+                           act @ tensor_after(idm, A.unit, idm), mu)
     gate &= check_identity(
         laws, "action intertwines: mu(m.a) = mu(m).alpha(a)", [sp, asp], sp,
         mu @ act, act @ mu.tensor(A.alpha))

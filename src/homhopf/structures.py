@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import NotAutomorphism
-from .linalg import (LinearMap, SCALAR_SPACE, Space, Subspace, Vector,
-                     product_after, span, tensor_after, tensor_space)
+from .linalg import (LinearMap, SCALAR_SPACE, Space, Subspace, product_after,
+                     span, tensor_after, tensor_space)
 from .records import _set, record
 from .report import Report
 from .verify import check_identity, check_maps
@@ -26,14 +26,9 @@ class HomAlgebra:
 
     space: Space
     mult: LinearMap          # A (x) A -> A
-    unit: Vector
+    unit: LinearMap          # k -> A
     alpha: LinearMap
     alpha_inv: LinearMap
-
-    @property
-    def unit_map(self) -> LinearMap:
-        """The unit as a map k -> A."""
-        return LinearMap.from_columns(SCALAR_SPACE, self.space, [self.unit])
 
     @property
     def dim(self) -> int:
@@ -90,10 +85,6 @@ class HomHopfAlgebra:
     def dim(self) -> int:
         return self.space.dim
 
-    @property
-    def unit(self) -> Vector:
-        return self.algebra.unit
-
     def require_bijective_antipode(self) -> None:
         if self.antipode_inv is None:
             raise ValueError("this operation needs a bijective antipode")
@@ -133,13 +124,13 @@ def check_hom_algebra(A: HomAlgebra) -> Report:
     check_maps(rep, "alpha invertible", [(al @ A.alpha_inv, ida)])
     check_identity(rep, "alpha multiplicative: alpha(ab) = alpha(a)alpha(b)",
                    [sp, sp], sp, al @ m, m @ al.tensor(al))
-    check_maps(rep, "alpha(1) = 1", [(al @ A.unit_map, A.unit_map)])
+    check_maps(rep, "alpha(1) = 1", [(al @ A.unit, A.unit)])
     check_identity(rep, "Hom-associativity: alpha(a)(bc) = (ab)alpha(c)",
                    [sp, sp, sp], sp, m @ al.tensor(m), m @ m.tensor(al))
     check_identity(rep, "unit law: a·1 = alpha(a)", [sp], sp,
-                   m @ tensor_after(ida, A.unit_map, ida), al)
+                   m @ tensor_after(ida, A.unit, ida), al)
     check_identity(rep, "unit law: 1·a = alpha(a)", [sp], sp,
-                   m @ tensor_after(A.unit_map, ida, ida), al)
+                   m @ tensor_after(A.unit, ida, ida), al)
     _set(A, "axioms", rep)
     return rep
 
@@ -172,13 +163,12 @@ def check_hom_hopf(H: HomHopfAlgebra) -> Report:
 
     sp = H.space
     A, C = H.algebra, H.coalgebra
-    m, d, eps, S = A.mult, C.comult, C.counit, H.antipode
+    m, d, eps, S, unit = A.mult, C.comult, C.counit, H.antipode, A.unit
     idh = LinearMap.identity(sp)
 
     check_identity(rep, "Delta(ab) = a1 b1 (x) a2 b2", [sp, sp],
                    tensor_space(sp, sp), d @ m,
                    product_after(m, m, d, d, (sp, sp, sp, sp)))
-    unit = A.unit_map
     check_maps(rep, "Delta(1) = 1 (x) 1", [(d @ unit, unit.tensor(unit))])
     check_identity(rep, "eps(ab) = eps(a)eps(b)", [sp, sp], SCALAR_SPACE,
                    eps @ m, eps.tensor(eps))
@@ -238,7 +228,7 @@ def check_comodule_algebra(CA: ComoduleAlgebra) -> Report:
                    product_after(A.mult, H.algebra.mult, rho, rho,
                                  (sp, H.space, sp, H.space)))
     check_maps(rep, "unitality: rho(1) = 1 (x) 1",
-               [(rho @ A.unit_map, A.unit_map.tensor(H.algebra.unit_map))])
+               [(rho @ A.unit, A.unit.tensor(H.algebra.unit))])
     return rep
 
 
@@ -256,7 +246,7 @@ def algebra_generators(A: HomAlgebra) -> tuple[int, ...]:
         grown = span(A.space, sub.basis + (A.mult @ E.tensor(E)).cols)
         return sub if grown.dim == sub.dim else closure(grown)
 
-    sub, gens = closure(span(A.space, A.unit_map.cols)), ()
+    sub, gens = closure(span(A.space, A.unit.cols)), ()
     for i in range(A.dim):
         if (grown := span(A.space, sub.basis + (((i, 1),),))).dim > sub.dim:
             sub, gens = closure(grown), gens + (i,)
@@ -287,7 +277,7 @@ def twist(H: HomHopfAlgebra, aut: LinearMap) -> HomHopfAlgebra:
             (aut @ A.mult, A.mult @ aut2, "commute with multiplication"),
             (C.comult @ aut, aut2 @ C.comult, "commute with comultiplication"),
             (C.counit @ aut, C.counit, "preserve the counit"),
-            (aut @ A.unit_map, A.unit_map, "preserve the unit")]):
+            (aut @ A.unit, A.unit, "preserve the unit")]):
         raise NotAutomorphism(f"aut does not {rep.results[0].detail}")
 
     new_alpha = aut @ A.alpha

@@ -314,6 +314,38 @@ def test_theorem_58_refuses_modules_over_another_coaction(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_theorem_58_compares_the_units_of_h_and_a(capsys, tmp_path):
+    # kC2 coacts on itself; a comodule algebra block that differs from hopf
+    # in its unit alone is another comodule algebra
+    doc = json.loads(emit_instance(entry("kC2")))
+    assert doc["comodule_algebra"]["unit"] == doc["hopf"]["unit"] == ["1", "0"]
+    doc["comodule_algebra"]["unit"] = ["0", "1"]
+    path = tmp_path / "other_unit.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "theorem", "--id", "5.8", str(path)) == \
+        (2, "", _NOT_REGULAR)
+
+
+@pytest.mark.parametrize("raw, where", [
+    ('"0e99999999"', "error: hopf.unit[1]: bad rational '0e99999999': "),
+    ('"1e999999"', "error: hopf.unit[1]: bad rational '1e999999': "),
+    ("1" + "0" * 4999, "error: not valid JSON: ")],
+    ids=["zero-to-a-huge-power", "huge-power", "long-json-integer"])
+def test_oversized_scalar_is_exit_2_with_a_location(tmp_path, raw, where):
+    # in a fresh process, so that a scalar built in full would hit the
+    # timeout rather than hang the suite: Fraction("0e99999999") computes
+    # 10**99999999
+    doc = json.loads(emit_instance(entry("kC2")))
+    doc["hopf"]["unit"][1] = "@"
+    path = tmp_path / "oversized.json"
+    path.write_text(json.dumps(doc).replace('"@"', raw))
+    proc = subprocess.run([sys.executable, "-m", "homhopf.cli", "check",
+                           str(path)], capture_output=True, text=True,
+                          timeout=1, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(where), proc.stderr
+
+
 def test_check_pins_witnesses_of_a_corrupted_kc12_mult(capsys, tmp_path):
     # g.g = g2 gains a 1 term; eps(ab) is checked into the scalars, whose
     # parsed label is "1" while the check writes witnesses over "k"

@@ -4,8 +4,8 @@ module-level function, class and assignment in the package is named
 somewhere in the package or its tests, arithmetic is exact, no code is
 generated at run time, nothing relies on the interpreter teardown that
 ``cli.run`` skips, a CLI run loads none of dataclasses, inspect,
-argparse, gettext and locale, and no leg product flips its middle legs
-with permute_factors."""
+argparse, gettext and locale, no code names permute_factors, and no
+swap_map call is written as a leg of a tensor product."""
 
 import ast
 import os
@@ -369,25 +369,37 @@ def test_the_scan_sees_a_bare_verdict():
 # Legs are reordered by two routes only: linalg.product_after builds the
 # leg product (f (x) g) . (1 (x) flip (x) 1) . (x (x) y) without x (x) y or
 # the flip, and swap_map is the plain flip.  The factor permutation
-# permute_factors, which built both, is gone from linalg; the scan keeps a
-# middle-legs flip through it, or a kernel of that name, from coming back.
-_LEG_FLIP = [0, 2, 1, 3]
+# permute_factors, which built both, is gone from linalg; the scan keeps the
+# name from coming back, and keeps a middle-legs flip from being built by
+# hand as a swap_map leg of a tensor product.  It sees a swap_map call only
+# where it is written straight into .tensor or tensor_after, not a flip
+# assigned to a variable first.
+def _is_swap_map(node: ast.AST) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    return "swap_map" in (getattr(func, "id", None),
+                          getattr(func, "attr", None))
 
 
 def _leg_flips(tree: ast.AST) -> list[int]:
-    """Lines of each permute_factors call whose perm is (0, 2, 1, 3)."""
-    out = []
+    """Lines that name permute_factors (a call, an attribute, an import or a
+    definition), or that pass a swap_map call as a leg of .tensor or as an
+    argument of tensor_after."""
+    out = set()
     for node in ast.walk(tree):
+        if "permute_factors" in (getattr(node, "id", None),
+                                 getattr(node, "attr", None),
+                                 getattr(node, "name", None)):
+            out.add(node.lineno)
         func = node.func if isinstance(node, ast.Call) else None
-        if "permute_factors" not in (getattr(func, "id", None),
-                                     getattr(func, "attr", None)):
+        if getattr(func, "attr", None) == "tensor":
+            legs = [func.value, *node.args]
+        elif "tensor_after" in (getattr(func, "id", None),
+                                getattr(func, "attr", None)):
+            legs = list(node.args)
+        else:
             continue
-        perm = node.args[2:3] + [k.value for k in node.keywords
-                                 if k.arg == "perm"]
-        if any(isinstance(p, (ast.Tuple, ast.List)) and
-               [getattr(e, "value", None) for e in p.elts] == _LEG_FLIP
-               for p in perm):
-            out.append(node.lineno)
+        legs += [k.value for k in node.keywords]
+        out.update(leg.lineno for leg in legs if _is_swap_map(leg))
     return sorted(out)
 
 
@@ -395,15 +407,25 @@ def _leg_flips(tree: ast.AST) -> list[int]:
                          ids=lambda p: p.name)
 def test_leg_products_go_through_product_after(path):
     found = _leg_flips(ast.parse(path.read_text(), filename=str(path)))
-    assert not found, (f"{path.name} flips the middle legs with "
-                       f"permute_factors at lines {found}; use product_after")
+    assert not found, (f"{path.name} names permute_factors or tensors a "
+                       f"swap_map leg at lines {found}; use product_after")
 
 
 def test_the_scan_sees_a_middle_legs_flip():
     tree = ast.parse(
         "a = tensor_after(m, m, permute_factors(\n"
         "    d.tensor(d), (s, s, s, s), (0, 2, 1, 3)))\n"
-        "b = la.permute_factors(x, spaces, perm=[0, 2, 1, 3])\n"
-        "c = permute_factors(x, (s, t, u), (0, 2, 1))\n"
-        "e = permute_factors(x, spaces, (0, 1, 2, 3))\n")
-    assert _leg_flips(tree) == [1, 3]
+        "b = la.permute_factors\n"
+        "from .linalg import permute_factors\n"
+        "def permute_factors(x):\n"
+        "    return x\n"
+        "c = f.tensor(swap_map(s, t)).tensor(g)\n"
+        "e = la.swap_map(s, t).tensor(g)\n"
+        "h = tensor_after(f, swap_map(s, t), x)\n"
+        "i = la.tensor_after(f, g, x=swap_map(s, t))\n"
+        # a flip composed with another map, or given a name, is not a leg
+        "j = tensor_after(u, swap_map(s, t) @ x, v)\n"
+        "k = f.tensor(g) @ swap_map(s, t)\n"
+        "flip = swap_map(s, t)\n"
+        "l = f.tensor(flip)\n")
+    assert _leg_flips(tree) == [1, 3, 4, 5, 7, 8, 9, 10]

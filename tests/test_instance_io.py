@@ -1,6 +1,7 @@
 """Instance file format: bit-exact round-trips and error reporting."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -85,8 +86,24 @@ def test_bad_scalar_message_names_the_first_bad_entry(key, index, value,
 def test_scalar_is_an_int_exactly_when_integral(text, value):
     doc = json.loads(emit_instance(entry("kC2")))
     doc["hopf"]["unit"][1] = text
-    got = parse_instance(json.dumps(doc)).hopf.unit[1]
+    got = parse_instance(json.dumps(doc)).hopf.algebra.unit.matrix[1][0]
     assert got == value and type(got) is type(value)
+
+
+@pytest.mark.parametrize("form", ["1e{}", "1e-{}", "0e{}", "2.5e-{}"])
+def test_decimal_scalar_is_bounded_as_int_bounds_digits(form):
+    """A decimal string is refused when the numerator or denominator that
+    Fraction builds for it would have more digits than int() takes."""
+    limit = sys.get_int_max_str_digits()
+    doc = json.loads(emit_instance(entry("kC2")))
+    doc["hopf"]["unit"][1] = text = form.format(limit - 2)
+    got = parse_instance(json.dumps(doc)).hopf.algebra.unit.matrix[1][0]
+    assert got == Fraction(text)
+    doc["hopf"]["unit"][1] = text = form.format(limit)
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance(json.dumps(doc))
+    assert str(exc.value) == (f"hopf.unit[1]: bad rational {text!r}: "
+                              f"numerator or denominator over {limit} digits")
 
 
 def test_wrong_shape_is_rejected():

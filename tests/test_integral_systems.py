@@ -21,7 +21,7 @@ from homhopf.integrals import (_colinear_retraction_system,
                                find_quantum_integral, find_total_integral,
                                quantum_integral_identities, theorem43_check,
                                total_integral_identities)
-from homhopf.linalg import (ZERO, Infeasible, LinearMap, Space, solve_affine,
+from homhopf.linalg import (Infeasible, LinearMap, Space, solve_affine,
                             tensor_space)
 from homhopf.modules import induce_G, regular_rel_hopf
 from homhopf.structures import (ComoduleAlgebra, HomAlgebra, HomCoalgebra,
@@ -50,7 +50,7 @@ def _rebased(CA: ComoduleAlgebra) -> ComoduleAlgebra:
         return out_inv @ f @ into
 
     hop = HomAlgebra(H.space, conj(H.algebra.mult, ph_inv, ph.tensor(ph)),
-                     ph_inv.apply(H.unit), conj(H.algebra.alpha, ph_inv, ph),
+                     ph_inv @ H.algebra.unit, conj(H.algebra.alpha, ph_inv, ph),
                      conj(H.algebra.alpha_inv, ph_inv, ph))
     coalg = HomCoalgebra(
         H.space, conj(H.coalgebra.comult, ph_inv.tensor(ph_inv), ph),
@@ -58,7 +58,7 @@ def _rebased(CA: ComoduleAlgebra) -> ComoduleAlgebra:
         conj(H.coalgebra.gamma_inv, ph_inv, ph))
     hopf = HomHopfAlgebra.build(hop, coalg, conj(H.antipode, ph_inv, ph))
     alg = HomAlgebra(A.space, conj(A.mult, pa_inv, pa.tensor(pa)),
-                     pa_inv.apply(A.unit), conj(A.alpha, pa_inv, pa),
+                     pa_inv @ A.unit, conj(A.alpha, pa_inv, pa),
                      conj(A.alpha_inv, pa_inv, pa))
     return ComoduleAlgebra(alg, hopf,
                            conj(CA.coaction, pa_inv.tensor(ph_inv), pa))
@@ -91,7 +91,7 @@ def _residual(identities) -> tuple:
     out: list = []
     for lhs, rhs, _ in identities:
         nf = lhs.codomain.dim
-        flat = [ZERO] * (lhs.domain.dim * nf)
+        flat = [0] * (lhs.domain.dim * nf)
         for e, col in enumerate((lhs - rhs).cols):
             for f, c in col:
                 flat[e * nf + f] = c
@@ -111,9 +111,9 @@ def _probe(dom: Space, cod: Space, identities):
         unit_cols[j] = ((i, Fraction(1)),)
         value = _residual(identities(LinearMap(dom, cod, tuple(unit_cols))))
         cols.append(tuple(a - b for a, b in zip(value, offset)))
-    coeff = LinearMap.from_columns(
+    coeff = LinearMap.from_rows(
         Space(tuple(f"u{k}" for k in range(len(cols)))),
-        Space(tuple(f"eq{r}" for r in range(len(offset)))), cols)
+        Space(tuple(f"eq{r}" for r in range(len(offset)))), zip(*cols))
     return coeff, tuple(-x for x in offset)
 
 

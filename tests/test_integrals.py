@@ -161,7 +161,7 @@ def test_phi_from_gamma_is_colinear_and_unital():
     gamma = find_quantum_integral(CA, require_total=True)
     assert isinstance(gamma, QuantumIntegral)
     phi = phi_from_gamma(CA, gamma)
-    assert phi.apply(CA.hopf.unit) == CA.algebra.unit
+    assert (phi @ CA.hopf.algebra.unit).same_matrix(CA.algebra.unit)
 
 
 def _scaled_h4(lam):

@@ -272,16 +272,16 @@ def _leg_routes(CA, modules, monkeypatch):
                              (A.space, M.space, A.space), (1, 2, 0))
         yield "generator_epi f", f, \
             M.action @ tensor_after(idm, A.mult, terms)
-        yield "generator_epi g", g, tensor_after(A.unit_map, permute_legs(
+        yield "generator_epi g", g, tensor_after(A.unit, permute_legs(
             tensor_after(idm, al_inv, M.coaction), (M.space, H.space),
             (1, 0)), idm)
     lam, big = prop51_maps(CA, gamma)
-    inner = lam @ tensor_after(A.unit_map, mult @ al_inv.tensor(
+    inner = lam @ tensor_after(A.unit, mult @ al_inv.tensor(
         H.antipode_inv), LinearMap.identity(hh))
     yield "prop51_maps Lam", big, A.mult @ tensor_after(
         inner, A.alpha, permute_legs(rho.tensor(idh),
                                      (A.space, H.space, H.space), (2, 1, 0)))
-    from_unit = gh @ tensor_after(H.algebra.unit_map,
+    from_unit = gh @ tensor_after(H.algebra.unit,
                                   H.antipode_inv @ al @ al, idh)
     yield "quantum_trace_right", quantum_trace_right(CA, gamma), \
         A.mult @ tensor_after(from_unit, A.alpha, permute_legs(
@@ -345,7 +345,7 @@ def _full_hom_module(M: HomModule) -> Report:
                    [sp, asp, asp], sp,
                    act @ act.tensor(A.alpha), act @ mu.tensor(A.mult))
     check_identity(rep, "unit law: m.1 = mu(m)", [sp], sp,
-                   act @ tensor_after(idm, A.unit_map, idm), mu)
+                   act @ tensor_after(idm, A.unit, idm), mu)
     check_identity(rep, "action intertwines: mu(m.a) = mu(m).alpha(a)",
                    [sp, asp], sp, mu @ act, act @ mu.tensor(A.alpha))
     return rep

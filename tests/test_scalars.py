@@ -21,21 +21,21 @@ from test_integral_systems import _rebased
 def _structure_maps(CA, mods=()):
     """The structure maps of CA, its Hopf algebra and the given modules."""
     A, H = CA.algebra, CA.hopf
-    maps = [H.algebra.mult, H.algebra.alpha, H.algebra.alpha_inv,
-            H.coalgebra.comult, H.coalgebra.counit, H.coalgebra.gamma,
-            H.coalgebra.gamma_inv, H.antipode, H.antipode_inv,
-            A.mult, A.alpha, A.alpha_inv, CA.coaction]
+    maps = [H.algebra.mult, H.algebra.unit, H.algebra.alpha,
+            H.algebra.alpha_inv, H.coalgebra.comult, H.coalgebra.counit,
+            H.coalgebra.gamma, H.coalgebra.gamma_inv, H.antipode,
+            H.antipode_inv,
+            A.mult, A.unit, A.alpha, A.alpha_inv, CA.coaction]
     for M in mods:
         maps += [M.mu, M.mu_inv, M.action, M.coaction]
     return maps
 
 
 def _stored(CA, mods=()):
-    """Every scalar stored in the structure maps and units of CA, its Hopf
-    algebra and the given modules."""
-    out = [c for f in _structure_maps(CA, mods) for col in f.cols
-           for _, c in col]
-    return out + list(CA.hopf.unit) + list(CA.algebra.unit)
+    """Every scalar stored in the structure maps of CA, its Hopf algebra
+    and the given modules."""
+    return [c for f in _structure_maps(CA, mods) for col in f.cols
+            for _, c in col]
 
 
 def _assert_one_form(scalars):
