@@ -4,9 +4,9 @@ Galois map, and the adjunction machinery behind the affineness criterion.
 Everything here is built from maps.  A structure map of the coinvariants
 is a composite with the embedding B -> A, read in B's coordinates off the
 pivots of its RREF basis (Subspace.coordinates).  The one balanced tensor
-product, N (x)_B A for a right B-module N, is the quotient by the columns of
-one relation map, and a map descends to it when its composite with that
-relation map is zero.
+product, N (x)_B A for a right B-module N, is linalg.quotient_by(rel), the
+cokernel of one relation map rel, and a map descends to it when its
+composite with bt.rel is zero.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from typing import Iterator, Sequence
 
 from .errors import StructureDoesNotDescend
 from .integrals import QuantumIntegral, total_quantum_hypothesis
-from .linalg import (SCALAR_SPACE, Column, LinearMap, QuotientSpace, Space,
-                     Subspace, kernel_basis, product_after, quotient_by, rank,
-                     span, swap_map, tensor_after, tensor_space)
+from .linalg import (SCALAR_SPACE, LinearMap, QuotientSpace, Space, Subspace,
+                     kernel_basis, product_after, quotient_by, rank, span,
+                     swap_map, tensor_after, tensor_space)
 from .modules import (HomModule, RelHopfModule, check_rel_hopf,
                       morphism_identities, regular_induced, regular_rel_hopf,
                       tensor_module)
@@ -160,36 +160,14 @@ def prop51_maps(CA: ComoduleAlgebra,
 # Balanced tensor products
 # ---------------------------------------------------------------------------
 
-@record(frozen=True)
-class BalancedTensor:
-    """N (x)_B A, the quotient of N (x) A by the Hom-twisted balancing
-    relations (n.b) (x) a - nu(n) (x) b beta^{-1}(a): the columns of rel, a
-    map N (x) B (x) A -> N (x) A."""
-
-    rel: LinearMap
-    quotient: QuotientSpace
-
-    @property
-    def relations(self) -> tuple[Column, ...]:
-        return self.quotient.relations.basis
-
-    @property
-    def space(self) -> Space:
-        return self.quotient.quotient
-
-    @property
-    def dim(self) -> int:
-        return self.quotient.dim
-
-
-def balanced_tensor(N: HomModule, B: CoinvariantAlgebra) -> BalancedTensor:
-    """N (x)_B A for a right B-module N, B in its own coordinates."""
+def balanced_tensor(N: HomModule, B: CoinvariantAlgebra) -> QuotientSpace:
+    """N (x)_B A for a right B-module N, B in its own coordinates: the
+    cokernel of the Hom-twisted balancing relations
+    (n.b) (x) a - nu(n) (x) b beta^{-1}(a), a map N (x) B (x) A -> N (x) A."""
     A = B.of.algebra
     idb = LinearMap.identity(B.algebra.space)
-    rel = (N.action.tensor(LinearMap.identity(A.space))
-           - N.mu.tensor(B.left_action @ idb.tensor(A.alpha_inv)))
-    return BalancedTensor(rel, quotient_by(tensor_space(N.space, A.space),
-                                           rel.cols))
+    return quotient_by(N.action.tensor(LinearMap.identity(A.space))
+                       - N.mu.tensor(B.left_action @ idb.tensor(A.alpha_inv)))
 
 
 def _require_descends(f: LinearMap, rel: LinearMap, what: str) -> None:
@@ -198,21 +176,21 @@ def _require_descends(f: LinearMap, rel: LinearMap, what: str) -> None:
             f"{what} does not vanish on a balancing relation")
 
 
-def descend_linear(f: LinearMap, bt: BalancedTensor, what: str) -> LinearMap:
-    """Descend f: ambient -> Z through the quotient after verifying that f
-    kills every balancing relation."""
+def descend_linear(f: LinearMap, bt: QuotientSpace, what: str) -> LinearMap:
+    """Descend f: bt.rel.codomain -> Z through the quotient after verifying
+    that f kills every balancing relation."""
     _require_descends(f, bt.rel, what)
-    return f @ bt.quotient.section
+    return f @ bt.section
 
 
-def descend_module(amb: RelHopfModule, bt: BalancedTensor,
+def descend_module(amb: RelHopfModule, bt: QuotientSpace,
                    what: str) -> RelHopfModule:
     """Descend the action, coaction and automorphism of amb, a relative Hopf
-    module on bt's ambient space, to the quotient, after verifying that
+    module on bt.rel.codomain, to the quotient, after verifying that
     each one kills every balancing relation."""
     CA = amb.over
     ida = LinearMap.identity(CA.space)
-    proj, sec = bt.quotient.projection, bt.quotient.section
+    proj, sec = bt.projection, bt.section
     act = proj @ amb.action
     _require_descends(act, bt.rel.tensor(ida), f"the A-action on {what}")
     coaction = descend_linear(
@@ -228,7 +206,7 @@ def descend_module(amb: RelHopfModule, bt: BalancedTensor,
 # ---------------------------------------------------------------------------
 
 def balanced_tensor_AA(CA: ComoduleAlgebra, B: CoinvariantAlgebra
-                       ) -> tuple[BalancedTensor, RelHopfModule]:
+                       ) -> tuple[QuotientSpace, RelHopfModule]:
     """A (x)_B A, the induction of A as a right B-module."""
     A = CA.algebra
     return induction(HomModule(A.space, A.alpha, A.alpha_inv, B.right_action,
@@ -255,7 +233,7 @@ class GaloisMap:
         return self.classification in ("bijective", "surjective-only")
 
 
-def canonical_psi(CA: ComoduleAlgebra, bt: BalancedTensor) -> GaloisMap:
+def canonical_psi(CA: ComoduleAlgebra, bt: QuotientSpace) -> GaloisMap:
     """Descend psi~ to the balanced tensor square and classify it by exact
     rank computation."""
     psi = descend_linear(galois_psi_ambient(CA), bt,
@@ -291,7 +269,7 @@ def xi_source_module(CA: ComoduleAlgebra) -> RelHopfModule:
 # ---------------------------------------------------------------------------
 
 def induction(N: HomModule, B: CoinvariantAlgebra
-              ) -> tuple[BalancedTensor, RelHopfModule]:
+              ) -> tuple[QuotientSpace, RelHopfModule]:
     """N (x)_B A with automorphism nu (x) beta, action
     (n (x) a).a' = nu(n) (x) a beta^{-1}(a') and coaction
     (nu^{-1}(n) (x) a0) (x) alpha(a1); descent is verified."""
@@ -331,13 +309,12 @@ def thm56_adjunction(N: HomModule, B: CoinvariantAlgebra,
     coinv_mod, sub = coinvariant_module(ind, B)
     tl = quantum_trace_left(CA, gamma)
     idn = LinearMap.identity(N.space)
-    unit_tensor = bt.quotient.projection @ tensor_after(
-        idn, CA.algebra.unit, idn)
+    unit_tensor = bt.projection @ tensor_after(idn, CA.algebra.unit, idn)
     eta = _restrict(sub, unit_tensor, coinv_mod.space,
                     "n (x) 1_A is not coinvariant in N (x)_B A")
     tl_b = _restrict(B.subspace, tl, B.algebra.space,
                      "the left quantum trace does not land in B")
-    amb = bt.quotient.section @ sub.embedding(coinv_mod.space)
+    amb = bt.section @ sub.embedding(coinv_mod.space)
     theta = N.action @ tensor_after(idn, tl_b, amb)
     return AdjunctionPair(eta, theta, coinv_mod)
 
@@ -350,7 +327,7 @@ def free_adjunctions(B: CoinvariantAlgebra, gamma: QuantumIntegral
 
 
 def beta_evaluation(M: RelHopfModule, B: CoinvariantAlgebra
-                    ) -> tuple[BalancedTensor, LinearMap]:
+                    ) -> tuple[QuotientSpace, LinearMap]:
     """beta_M: M^{coH} (x)_B A -> M, m (x)_B a -> m.a, with descent checked."""
     coinv_mod, sub = coinvariant_module(M, B)
     bt = balanced_tensor(coinv_mod, B)

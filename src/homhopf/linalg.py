@@ -522,29 +522,30 @@ def span(ambient: Space, columns: Iterable[Column]) -> Subspace:
 
 @record(frozen=True)
 class QuotientSpace:
-    """ambient / span(relations), with an explicit projection and section."""
+    """The cokernel of rel, with an explicit projection and section."""
 
-    ambient: Space
-    relations: Subspace
-    quotient: Space
-    projection: LinearMap   # ambient -> quotient
-    section: LinearMap      # quotient -> ambient
+    rel: LinearMap
+    relations: Subspace     # the span of rel's columns
+    space: Space
+    projection: LinearMap   # rel.codomain -> space
+    section: LinearMap      # space -> rel.codomain
 
     @property
     def dim(self) -> int:
-        return self.quotient.dim
+        return self.space.dim
 
 
-def quotient_by(ambient: Space, relations: Iterable[Column]) -> QuotientSpace:
-    """Quotient of ambient by the span of the sparse relation columns.
+def quotient_by(rel: LinearMap) -> QuotientSpace:
+    """The cokernel of rel, its columns' span read off their scaled ints.
 
     The section sends quotient basis vectors to the free-coordinate unit
-    vectors of the ambient space; projection reduces modulo the RREF of
-    the relations, so projection . section = id and
+    vectors of rel.codomain; projection reduces modulo the RREF of the
+    relations, so projection . section = id and
     ker(projection) = span(relations).
     """
-    rel = span(ambient, relations)
-    pivot_row = dict(zip(rel.pivots, rel.basis))
+    ambient = rel.codomain
+    sub = span(ambient, rel.scaled[1])
+    pivot_row = dict(zip(sub.pivots, sub.basis))
     free_cols = [c for c in range(ambient.dim) if c not in pivot_row]
     qlabels = tuple(f"[{ambient.labels[c]}]" for c in free_cols)
     if not free_cols:
@@ -562,7 +563,7 @@ def quotient_by(ambient: Space, relations: Iterable[Column]) -> QuotientSpace:
     projection = LinearMap(ambient, qspace, tuple(proj_cols))
     section = LinearMap(qspace, ambient,
                         tuple(((fc, 1),) for fc in free_cols))
-    return QuotientSpace(ambient, rel, qspace, projection, section)
+    return QuotientSpace(rel, sub, qspace, projection, section)
 
 
 def swap_map(left: Space, right: Space) -> LinearMap:

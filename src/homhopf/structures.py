@@ -45,10 +45,6 @@ class HomCoalgebra:
     gamma: LinearMap
     gamma_inv: LinearMap
 
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
 
 @record(frozen=True)
 class HomHopfAlgebra:
@@ -101,10 +97,6 @@ class ComoduleAlgebra:
     @property
     def space(self) -> Space:
         return self.algebra.space
-
-    @property
-    def dim(self) -> int:
-        return self.algebra.dim
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ An axiom or a theorem's conclusion is stated as two linear maps on a
 tensor product of basis spaces.  The maps are compared column by column;
 column j is the image of the j-th basis tuple in row-major
 (``itertools.product``) order, so the first differing column is the first
-violating basis tuple.
+violating basis tuple.  A witness entry past int()'s digit limit, which
+str would refuse, is written by its size, as <28556-bit integer>.
 """
 
 from __future__ import annotations
@@ -12,13 +13,23 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .linalg import Column, LinearMap, Space, unrank
+from .linalg import Column, LinearMap, Scalar, Space, unrank
 from .report import Report, Witness
+
+
+def _scalar(c: Scalar) -> str:
+    """str(c), or c by its size where str passes int()'s digit limit."""
+    try:
+        return str(c)
+    except ValueError:
+        if type(c) is not int:
+            return f"{_scalar(c.numerator)}/{_scalar(c.denominator)}"
+        return "-" * (c < 0) + f"<{abs(c).bit_length()}-bit integer>"
 
 
 def format_vector(sp: Space, col: Column) -> str:
     labels = sp.labels
-    return " + ".join(labels[i] if c == 1 else f"{c}·{labels[i]}"
+    return " + ".join(labels[i] if c == 1 else f"{_scalar(c)}·{labels[i]}"
                       for i, c in col) or "0"
 
 

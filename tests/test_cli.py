@@ -326,6 +326,13 @@ def test_theorem_58_compares_the_units_of_h_and_a(capsys, tmp_path):
         (2, "", _NOT_REGULAR)
 
 
+def _check_in_a_fresh_process(path, timeout=60):
+    return subprocess.run([sys.executable, "-m", "homhopf.cli", "check",
+                           str(path)], capture_output=True, text=True,
+                          timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+
+
 @pytest.mark.parametrize("raw, where", [
     ('"0e99999999"', "error: hopf.unit[1]: bad rational '0e99999999': "),
     ('"1e999999"', "error: hopf.unit[1]: bad rational '1e999999': "),
@@ -339,11 +346,34 @@ def test_oversized_scalar_is_exit_2_with_a_location(tmp_path, raw, where):
     doc["hopf"]["unit"][1] = "@"
     path = tmp_path / "oversized.json"
     path.write_text(json.dumps(doc).replace('"@"', raw))
-    proc = subprocess.run([sys.executable, "-m", "homhopf.cli", "check",
-                           str(path)], capture_output=True, text=True,
-                          timeout=1, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    proc = _check_in_a_fresh_process(path, timeout=1)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith(where), proc.stderr
+
+
+def test_malformed_file_is_exit_2_with_its_location(tmp_path):
+    doc = json.loads(emit_instance(entry("kC2")))
+    doc["modules"]["A"] = "A"
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(doc))
+    proc = _check_in_a_fresh_process(path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (2, "", "error: modules.A: module block must be an object\n")
+
+
+def test_witness_entry_past_the_digit_limit_is_written_by_its_size(tmp_path):
+    # 1e4298 parses (4,299 digits), but Delta(1) = 1 (x) 1 fails with the
+    # entry (10**4298)**2, whose 8,597 digits str() refuses to write
+    doc = json.loads(emit_instance(entry("kC2")))
+    doc["hopf"]["unit"][1] = "1e4298"
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(doc))
+    proc = _check_in_a_fresh_process(path)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    lines = proc.stdout.splitlines()
+    witness = lines[lines.index("  [FAIL] hopf: Delta(1) = 1 (x) 1") + 1]
+    assert witness.startswith("         at k: ")
+    assert json.loads(proc.stdout.split("\n---\n", 1)[1])["ok"] is False
 
 
 def test_check_pins_witnesses_of_a_corrupted_kc12_mult(capsys, tmp_path):
@@ -718,6 +748,28 @@ def test_report_is_byte_identical_to_golden(capsys, catalog_files, name,
     assert (code, err) == (0, "")
     assert _sha256(_without_wall_time(out)) == \
         GOLDEN_STDOUT_SHA256[name, subcommand]
+
+
+@pytest.mark.parametrize("name", ["kC2", "sweedler-H4", "kC3-twisted"])
+@pytest.mark.parametrize("subcommand", [
+    "check", "integral --quantum --total", "galois", "theorem --id 4.3",
+    "theorem --id 4.8", "theorem --id 5.6", "theorem --id 5.7",
+    "theorem --id 5.8"])
+def test_a_file_without_a_comodule_algebra_block_is_h_over_itself(
+        capsys, tmp_path, catalog_files, name, subcommand):
+    # each of these entries is H coacting on itself, which is how a file
+    # with no comodule_algebra block is read
+    doc = json.loads(emit_instance(entry(name)))
+    del doc["comodule_algebra"]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    reports = []
+    for file in (catalog_files / f"{name}.json", path):
+        command, *flags = subcommand.split()
+        code, out, err = run(capsys, command, *flags, str(file))
+        reports.append((code, _without_wall_time(out), err))
+    assert reports[0][0] == 0, reports[0][2]
+    assert reports[0] == reports[1]
 
 
 # check on the benchmark's seed-1 change of basis, whose constants are dense

@@ -106,6 +106,58 @@ def test_decimal_scalar_is_bounded_as_int_bounds_digits(form):
                               f"numerator or denominator over {limit} digits")
 
 
+def _set(*path_and_value):
+    """An edit of the emitted kC2 document: the key path set to the value,
+    in place."""
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        target = doc
+        for k in path:
+            target = target[k]
+        target[key] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("cap, edit, location, message", [
+    ("0", _set("name", "kC2"), None, "HOMHOPF_MAX_DIM must be positive"),
+    ("-3", _set("name", "kC2"), None, "HOMHOPF_MAX_DIM must be positive"),
+    ("12", lambda doc: [doc], None, "top level must be an object"),
+    ("12", _set("format", "homhopf"), None,
+     "format must be 'homhopf-instance'"),
+    ("12", _set("field", "real"), None, "field must be 'rational'"),
+    ("12", _set("kind", "group"), "kind", "unknown kind 'group'"),
+    ("12", _set("name", 3), None, "name and description must be strings"),
+    ("12", _set("description", ["a"]), None,
+     "name and description must be strings"),
+    ("12", _set("comodule_algebra", []), "comodule_algebra",
+     "comodule_algebra must be an object"),
+    ("12", _set("modules", []), "modules", "modules must be an object"),
+    ("12", _set("modules", "A", "A"), "modules.A",
+     "module block must be an object"),
+    ("12", _set("expected", 1), "expected", "expected must be an object"),
+    ("12", _set("hopf", "unit", ["1"]), "hopf.unit",
+     "expected a list of 2 scalars"),
+    ("12", _set("hopf", "mult", 1, ["0"] * 3), "hopf.mult row 1",
+     "expected a row of 4 scalars"),
+    ("12", _set("hopf", "dim", 0), "hopf", "dimension must be positive"),
+    ("12", _set("comodule_algebra", "basis", ["1", "g", "h"]),
+     "comodule_algebra", "basis must list 2 label strings"),
+], ids=["cap-zero", "cap-negative", "top-level", "format", "field", "kind",
+        "name", "description", "comodule-algebra", "modules", "module",
+        "expected", "unit-length", "row-length", "dim", "basis-length"])
+def test_malformed_file_is_refused_with_its_location(monkeypatch, cap, edit,
+                                                     location, message):
+    monkeypatch.setenv("HOMHOPF_MAX_DIM", cap)
+    doc = edit(json.loads(emit_instance(entry("kC2"))))
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance(json.dumps(doc))
+    assert exc.value.location == location
+    assert str(exc.value) == (message if location is None
+                              else f"{location}: {message}")
+
+
 def test_wrong_shape_is_rejected():
     doc = json.loads(emit_instance(entry("kC2")))
     doc["hopf"]["comult"] = doc["hopf"]["comult"][:-1]

@@ -90,7 +90,7 @@ def test_swap_is_an_involutive_permutation():
 def test_quotient_projection_splits():
     sp = _space(4)
     rels = [((0, 1), (1, -1))]
-    q = quotient_by(sp, rels)
+    q = quotient_by(LinearMap(_space(1), sp, tuple(rels)))
     assert q.dim == 3
     assert (q.projection @ q.section).is_identity()
     assert q.projection.cols[0] == q.projection.cols[1]
@@ -98,7 +98,7 @@ def test_quotient_projection_splits():
 
 def test_quotient_by_nothing_is_the_identity():
     sp = _space(3)
-    q = quotient_by(sp, [])
+    q = quotient_by(LinearMap.zero(_space(1), sp))
     assert q.dim == 3
     assert (q.projection @ q.section).is_identity()
     assert (q.section @ q.projection).is_identity()
@@ -645,11 +645,13 @@ def test_quotient_projection_matches_dense_reference(rows):
     n = len(rows[0])
     red, pivots = _ref_rref(rows, n)
     free = [c for c in range(n) if c not in pivots]
+    rel = LinearMap(_space(len(rows)), _space(n),
+                    tuple(_col(row) for row in rows))
     if not free:
         with pytest.raises(ValueError):
-            quotient_by(_space(n), [_col(row) for row in rows])
+            quotient_by(rel)
         return
-    q = quotient_by(_space(n), [_col(row) for row in rows])
+    q = quotient_by(rel)
     for v in q.relations.basis:
         _assert_column(v)
     want = [[Fraction(int(j == fc)) for j in range(n)] for fc in free]

@@ -225,3 +225,16 @@ def test_equal_scaled_ints_over_different_denominators_differ():
     assert not check_maps(rep, "half = third", [(half, third)])
     assert rep.results[0].witness == _cols_loop_witness(half, third)
     assert rep.results[0].witness.basis == ("a0", "b0")
+
+
+def test_an_entry_past_the_digit_limit_is_written_by_its_size():
+    """An int past int()'s digit limit is written by its bit length, also
+    as a Fraction's numerator; smaller scalars as str writes them."""
+    big = 10 ** 8596
+    sp = space("x", "y")
+    assert format_vector(sp, ((0, big), (1, -big))) == \
+        "<28556-bit integer>·x + -<28556-bit integer>·y"
+    assert format_vector(sp, ((1, Fraction(-big, 3)),)) == \
+        "-<28556-bit integer>/3·y"
+    assert format_vector(sp, ((0, Fraction(-7, 3)), (1, 10 ** 20))) == \
+        "-7/3·x + 100000000000000000000·y"
