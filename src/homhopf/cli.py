@@ -162,13 +162,16 @@ def _parse(argv: list[str]) -> tuple[str, list[str], dict]:
             args.append(word)
         elif flag not in known or eq and flag != "--id":
             raise ValueError(f"unknown flag {word!r} for {argv[0]}")
+        elif flag in flags:
+            raise ValueError(f"repeated flag {flag!r}")
         else:
             flags[flag] = (value if eq else next(words, "")) \
                 if flag == "--id" else True
     if len(args) < len(names) and not names[len(args)].startswith("["):
         raise ValueError(f"{argv[0]} needs {names[len(args)]}")
-    if len(args) > len(names):
-        raise ValueError(f"unexpected argument {args[len(names)]!r}")
+    n = len(names) - (argv[0] == "catalog" and args[:1] == ["list"])
+    if len(args) > n:
+        raise ValueError(f"unexpected argument {args[n]!r}")
     if argv[0] == "theorem" and flags.get("--id") not in THEOREMS:
         raise ValueError(f"theorem needs --id in {{{','.join(THEOREMS)}}}"
                          f", got {flags.get('--id', 'none')}")

@@ -96,10 +96,8 @@ def coinvariants(CA: ComoduleAlgebra) -> CoinvariantAlgebra:
 
 def coinvariant_module(M: RelHopfModule,
                        B: CoinvariantAlgebra) -> tuple[HomModule, Subspace]:
-    """M^{coH} as a right B-Hom-module, in subspace coordinates."""
+    """M^{coH}, maybe zero, as a right B-Hom-module in subspace coordinates."""
     sub = coinvariant_subspace(M.space, M.mu_inv, M.coaction, M.over.hopf)
-    if sub.dim == 0:
-        raise ValueError("zero coinvariants are not representable as a module")
     cspace = Space(tuple(f"c{i}" for i in range(sub.dim)))
     embed = sub.embedding(cspace)
     action = _restrict(sub, M.action @ embed.tensor(B.embed), cspace,

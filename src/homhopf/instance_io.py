@@ -204,10 +204,12 @@ def _parse_matrix(block: dict, key: str, dom: Space, cod: Space,
 
 
 def _parse_space(block: dict, where: str, cap: Optional[int]) -> Space:
+    """A module's space (cap None) may be zero; an algebra's holds 1 != 0."""
     dim = _get(block, "dim", int, where)
     labels = _get(block, "basis", list, where)
-    if dim < 1:
-        raise InstanceFormatError("dimension must be positive", where)
+    if dim < 0 or dim == 0 and cap is not None:
+        raise InstanceFormatError("dimension must be " + (
+            "positive" if cap is not None else "non-negative"), where)
     if cap is not None and dim > cap:
         raise InstanceFormatError(
             f"dimension {dim} exceeds the cap {cap} "
@@ -219,7 +221,7 @@ def _parse_space(block: dict, where: str, cap: Optional[int]) -> Space:
         raise InstanceFormatError("basis labels must be pairwise distinct",
                                   where)
     # so that a tensor product's label splits into its factors one way only
-    if len({x.count("⊗") for x in labels}) != 1:
+    if len({x.count("⊗") for x in labels}) > 1:
         raise InstanceFormatError(
             "basis labels must all contain ⊗ the same number of times", where)
     return space(*labels)

@@ -49,7 +49,7 @@ def frac(x) -> Scalar:
 # ---------------------------------------------------------------------------
 
 class Space:
-    """A finite-dimensional vector space with a distinguished labelled basis.
+    """A finite-dimensional space with a labelled basis, empty if dim is 0.
 
     A tensor product space keeps its factors and spells out (and checks) its
     labels only when they are first read, so the wide intermediate space of
@@ -60,8 +60,6 @@ class Space:
 
     def __init__(self, labels: tuple[str, ...]):
         labels = tuple(labels)
-        if len(labels) < 1:
-            raise ValueError("a Space needs at least one basis label")
         _require_distinct(labels)
         self.dim = len(labels)
         self._labels: Optional[tuple[str, ...]] = labels
@@ -540,17 +538,14 @@ def quotient_by(rel: LinearMap) -> QuotientSpace:
 
     The section sends quotient basis vectors to the free-coordinate unit
     vectors of rel.codomain; projection reduces modulo the RREF of the
-    relations, so projection . section = id and
-    ker(projection) = span(relations).
+    relations, so projection . section = id, ker(projection) =
+    span(relations), and the quotient is zero when that is rel.codomain.
     """
     ambient = rel.codomain
     sub = span(ambient, rel.scaled[1])
     pivot_row = dict(zip(sub.pivots, sub.basis))
     free_cols = [c for c in range(ambient.dim) if c not in pivot_row]
-    qlabels = tuple(f"[{ambient.labels[c]}]" for c in free_cols)
-    if not free_cols:
-        raise ValueError("relations span the whole space; zero quotient unsupported")
-    qspace = Space(qlabels)
+    qspace = Space(tuple(f"[{ambient.labels[c]}]" for c in free_cols))
     free_index = {c: i for i, c in enumerate(free_cols)}
     # a basis column is its pivot's 1, then free rows, ascending
     proj_cols = []

@@ -16,7 +16,8 @@ import pytest
 import homhopf.cli as cli
 from homhopf.catalog import cyclic_group_hopf, entry, names
 from homhopf.cli import main
-from homhopf.instance_io import ParsedInstance, emit_instance
+from homhopf.instance_io import (ParsedInstance, emit_instance,
+                                 parse_instance)
 from homhopf.linalg import LinearMap
 from homhopf.modules import regular_rel_hopf
 from homhopf.structures import regular_comodule_algebra
@@ -74,10 +75,12 @@ def test_catalog_emit_without_a_name_is_exit_2(capsys):
     ["integral", "{f}", "--quantum=yes"],
     # argparse's prefix abbreviations are not accepted
     ["integral", "{f}", "--quan"], ["check", "{f}", "{f}"],
-    ["catalog", "frob"]],
+    ["catalog", "frob"], ["catalog", "list", "kC2"],
+    ["theorem", "--id", "4.8", "{f}", "--id", "5.7"]],
     ids=["none", "unknown-subcommand", "missing-file", "theorem-without-id",
          "bad-id", "id-without-value", "value-on-a-switch", "abbreviation",
-         "extra-positional", "unknown-catalog-action"])
+         "extra-positional", "unknown-catalog-action", "argument-after-list",
+         "repeated-flag"])
 def test_malformed_command_line_is_exit_2_with_the_usage(capsys, kc2_file,
                                                          argv):
     code, out, err = run(capsys, *(a.format(f=kc2_file) for a in argv))
@@ -85,6 +88,21 @@ def test_malformed_command_line_is_exit_2_with_the_usage(capsys, kc2_file,
     assert err.startswith(cli.USAGE)
     assert err[len(cli.USAGE):].startswith("homhopf: error: ")
     assert err.count("\n") == cli.USAGE.count("\n") + 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["catalog", "list", "kC2"], "unexpected argument 'kC2'"),
+    (["theorem", "--id", "4.8", "f.json", "--id", "5.7"],
+     "repeated flag '--id'"),
+    (["integral", "f.json", "--quantum", "--quantum"],
+     "repeated flag '--quantum'"),
+    (["theorem", "--id=4.8", "f.json", "--id", "4.8"],
+     "repeated flag '--id'")],
+    ids=["argument-after-list", "repeated-id", "repeated-switch",
+         "repeated-id-after-equals"])
+def test_an_extra_argument_or_a_repeated_flag_is_named(argv, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cli._parse(argv)
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["check", "-h"]])
@@ -324,6 +342,68 @@ def test_theorem_58_compares_the_units_of_h_and_a(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     assert run(capsys, "theorem", "--id", "5.8", str(path)) == \
         (2, "", _NOT_REGULAR)
+
+
+_ZERO_MODULE = {"dim": 0, "basis": [], "mu": [], "action": [],
+                "coaction": []}
+# k.m over kC2 coacting on itself, m.a = eps(a) m and rho(m) = m (x) g: not
+# a relative Hopf module (rho(m.g) = m (x) g, m.g (x) g g = m (x) 1), and
+# its coinvariants are 0
+_Z_MODULE = {"dim": 1, "basis": ["m"], "mu": [["1"]],
+             "action": [["1", "1"]], "coaction": [["0"], ["1"]]}
+_EVERY_SUBCOMMAND = [["check"], ["integral", "--quantum", "--total"],
+                     ["galois"], *(["theorem", "--id", theorem_id]
+                                   for theorem_id in cli.THEOREMS)]
+
+
+def _kc2_with_modules(tmp_path, modules: dict) -> Path:
+    doc = json.loads(emit_instance(entry("kC2")))
+    doc["modules"] = modules
+    path = tmp_path / "modules.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("beside_a", [False, True], ids=["alone", "beside-A"])
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=" ".join)
+def test_a_zero_module_block_gets_a_verdict(capsys, tmp_path, argv,
+                                            beside_a):
+    """A module of dimension 0 is a relative Hopf module like any other; on
+    its own or next to module A, every subcommand gives a passing verdict."""
+    modules = {"Z0": _ZERO_MODULE}
+    if beside_a:
+        modules = {"A": json.loads(emit_instance(entry("kC2")))["modules"]
+                   ["A"], **modules}
+    path = _kc2_with_modules(tmp_path, modules)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, err) == (0, "")
+    if argv[-1] in ("5.7", "5.8"):
+        assert (f"  [ok  ] evaluation counit is an isomorphism (module "
+                f"{len(modules) - 1})  (rank 0, source dim 0, target dim 0)\n"
+                in out)
+
+
+def test_a_zero_module_block_round_trips(tmp_path):
+    path = _kc2_with_modules(tmp_path, {"Z0": _ZERO_MODULE})
+    text = path.read_text()
+    assert emit_instance(parse_instance(text)) == text
+    assert parse_instance(text).modules["Z0"].dim == 0
+
+
+@pytest.mark.parametrize("theorem_id", ["5.7", "5.8"])
+def test_zero_coinvariants_fail_the_counit_line(capsys, tmp_path,
+                                                theorem_id):
+    """The counit M^{coH} (x)_B A -> M of a module with no coinvariant is
+    0 -> M: a failing conclusion (exit 1), not a refused input (exit 2)."""
+    path = _kc2_with_modules(tmp_path, {"Z": _Z_MODULE})
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, err) == (1, "")
+    assert "  [FAIL] module Z: compatibility: rho(m.a) = m0.a0 (x) m1 a1\n" \
+        in out
+    code, out, err = run(capsys, "theorem", "--id", theorem_id, str(path))
+    assert (code, err) == (1, "")
+    assert ("  [FAIL] evaluation counit is an isomorphism (module 0)  "
+            "(rank 0, source dim 0, target dim 1)\n") in out
 
 
 def _check_in_a_fresh_process(path, timeout=60):

@@ -138,6 +138,26 @@ def test_thm57_beta_evaluation_on_induced_module():
     assert rank(beta_m) == M.dim == bt.dim
 
 
+def test_a_module_without_coinvariants_has_the_zero_coinvariant_module():
+    """k.m over A = k coacted on trivially by kC2, with rho(m) = m (x) g and
+    m.1 = m, is a relative Hopf module whose coinvariants are 0: the zero
+    B-module, and beta_M the map 0 -> M."""
+    CA = entry("trivial-k-over-kC2").comodule_algebra
+    sp = linalg.space("m")
+    one = LinearMap.identity(sp)
+    act = LinearMap(tensor_space(sp, CA.space), sp, (((0, 1),),))
+    rho = LinearMap(sp, tensor_space(sp, CA.hopf.space), (((1, 1),),))
+    assert CA.hopf.space.labels[1] == "g"
+    M = RelHopfModule(sp, one, one, act, rho, CA)
+    assert check_rel_hopf(M).ok
+    B = coinvariants(CA)
+    N, sub = coinvariant_module(M, B)
+    assert N.dim == sub.dim == 0 and N.over is B.algebra
+    bt, beta_m = beta_evaluation(M, B)
+    assert bt.dim == 0 and beta_m.domain == bt.space
+    assert beta_m.codomain.dim == M.dim == 1 and rank(beta_m) == 0
+
+
 @pytest.mark.parametrize("name", ["kC2", "kC3-twisted", "sweedler-H4"])
 def test_cor58_regular_coaction(name):
     rep = cor58_check(entry(name).hopf)

@@ -142,11 +142,17 @@ def _set(*path_and_value):
     ("12", _set("hopf", "mult", 1, ["0"] * 3), "hopf.mult row 1",
      "expected a row of 4 scalars"),
     ("12", _set("hopf", "dim", 0), "hopf", "dimension must be positive"),
+    # an algebra holds its unit 1 != 0; a module may be zero, not negative
+    ("12", _set("comodule_algebra", "dim", 0), "comodule_algebra",
+     "dimension must be positive"),
+    ("12", _set("modules", "A", "dim", -1), "modules.A",
+     "dimension must be non-negative"),
     ("12", _set("comodule_algebra", "basis", ["1", "g", "h"]),
      "comodule_algebra", "basis must list 2 label strings"),
 ], ids=["cap-zero", "cap-negative", "top-level", "format", "field", "kind",
         "name", "description", "comodule-algebra", "modules", "module",
-        "expected", "unit-length", "row-length", "dim", "basis-length"])
+        "expected", "unit-length", "row-length", "dim", "comodule-algebra-dim",
+        "module-dim-negative", "basis-length"])
 def test_malformed_file_is_refused_with_its_location(monkeypatch, cap, edit,
                                                      location, message):
     monkeypatch.setenv("HOMHOPF_MAX_DIM", cap)

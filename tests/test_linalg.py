@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from homhopf import linalg as la
 from homhopf.linalg import (AffineSolution, Infeasible, LinearMap, Space,
-                            kernel_basis, quotient_by, rank, solve_affine,
-                            span, swap_map, tensor_after, tensor_space, space,
-                            unrank)
+                            kernel_basis, product_after, quotient_by, rank,
+                            solve_affine, span, swap_map, tensor_after,
+                            tensor_space, space, unrank)
+from homhopf.report import Report
+from homhopf.verify import check_maps
 
 from leg_reference import permute_legs
 
@@ -102,6 +104,78 @@ def test_quotient_by_nothing_is_the_identity():
     assert q.dim == 3
     assert (q.projection @ q.section).is_identity()
     assert (q.section @ q.projection).is_identity()
+
+
+def _shape(f):
+    return f.domain.dim, f.codomain.dim
+
+
+def test_the_zero_space_goes_through_every_kernel():
+    """Dimension 0 is a dimension: each kernel takes the zero space Z on
+    either side of a map and returns the zero-dimensional answer, because it
+    loops over nonzero entries and a map into or out of Z has none."""
+    Z, X = Space(()), _space(2)
+    assert (Z.dim, Z.labels) == (0, ()) and Z == space()
+    f = LinearMap.from_rows(X, X, [[1, 2], [3, 4]])
+    into, out = LinearMap.zero(Z, X), LinearMap.zero(X, Z)
+    idz, XX = LinearMap.identity(Z), tensor_space(X, X)
+    assert into.matrix == ((), ()) and out.matrix == () and idz.matrix == ()
+
+    # composition, tensor products and leg reorders
+    assert _shape(out @ into) == (0, 0) and (out @ into).is_identity()
+    assert (into @ out).same_matrix(LinearMap.zero(X, X))
+    assert (f @ into).cols == () and (out @ f).cols == ((), ())
+    assert _shape(f.tensor(into)) == (0, 4) and f.tensor(into).cols == ()
+    assert _shape(out.tensor(f)) == (4, 0)
+    assert out.tensor(f).same_matrix(LinearMap.zero(XX, tensor_space(Z, X)))
+    assert tensor_space(Z, X).labels == () and tensor_space(X, Z).dim == 0
+    assert _shape(swap_map(Z, X)) == (0, 0) and swap_map(X, Z).cols == ()
+    x = LinearMap.identity(XX)
+    assert tensor_after(f, out, x).same_matrix(f.tensor(out))
+    assert _shape(tensor_after(f, f, LinearMap.zero(Z, XX))) == (0, 4)
+    # y lands in X (x) Z, so every leg product through it is zero
+    y, g = LinearMap.zero(X, tensor_space(X, Z)), LinearMap.zero(Z, X)
+    p = product_after(f.tensor(f) @ swap_map(X, X), g, x, y, (X, X, X, Z))
+    assert _shape(p) == (8, 8)
+    assert p.same_matrix(LinearMap.zero(p.domain, p.codomain))
+    p = product_after(f.tensor(f) @ swap_map(X, X), f.tensor(f), x,
+                      LinearMap.zero(Z, XX), (X, X, X, X))
+    assert _shape(p) == (0, 16) and p.cols == ()
+
+    # inverse, rank, solving and kernels
+    assert idz.inverse().is_identity()
+    assert rank(into) == rank(out) == rank(idz) == 0
+    sol = solve_affine(into, (0, 0))
+    assert isinstance(sol, AffineSolution)
+    assert (sol.particular, sol.kernel) == ((), ())
+    bad = solve_affine(into, (1, 0))
+    assert isinstance(bad, Infeasible) and bad.reverify()
+    assert (bad.system_rank, bad.augmented_rank) == (0, 1)
+    sol = solve_affine(out, ())
+    assert isinstance(sol, AffineSolution) and sol.particular == ()
+    assert sol.kernel == kernel_basis(out) == (((0, 1),), ((1, 1),))
+    assert kernel_basis(into) == kernel_basis(idz) == ()
+
+    # subspaces and quotients
+    sub = span(X, ())
+    assert sub.dim == 0 and sub.embedding(Z).same_matrix(into)
+    assert sub.coordinates(LinearMap.zero(X, X), Z).same_matrix(out)
+    assert sub.coordinates(f, Z) is None
+    assert span(Z, [(), ()]).dim == 0
+    for rel, dim in ((LinearMap.identity(X), 0), (f, 0), (into, 2),
+                     (idz, 0)):
+        q = quotient_by(rel)
+        assert q.dim == dim and (q.projection @ q.section).is_identity()
+        assert _shape(q.projection) == (rel.codomain.dim, dim)
+    q = quotient_by(LinearMap.identity(X))
+    assert q.space == Z and q.relations.dim == 2
+    assert q.projection.same_matrix(out) and q.section.same_matrix(into)
+
+    # identities between maps into or out of Z hold
+    rep = Report("")
+    assert check_maps(rep, "into Z", [(out, out @ f)])
+    assert check_maps(rep, "out of Z", [(into, f @ into)], [X, Z], X)
+    assert rep.ok and len(rep.results) == 2
 
 
 def test_span_and_coords_roundtrip():
@@ -647,10 +721,6 @@ def test_quotient_projection_matches_dense_reference(rows):
     free = [c for c in range(n) if c not in pivots]
     rel = LinearMap(_space(len(rows)), _space(n),
                     tuple(_col(row) for row in rows))
-    if not free:
-        with pytest.raises(ValueError):
-            quotient_by(rel)
-        return
     q = quotient_by(rel)
     for v in q.relations.basis:
         _assert_column(v)
