@@ -6,6 +6,7 @@ import importlib.util
 import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -66,7 +67,7 @@ def test_catalog_emit_unknown_name(capsys):
 def test_catalog_emit_without_a_name_is_exit_2(capsys):
     code, out, err = run(capsys, "catalog", "emit")
     assert (code, out) == (2, "")
-    assert err == "error: catalog emit needs an entry name\n"
+    assert err == f"{cli.USAGE}homhopf: error: catalog emit needs NAME\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -76,11 +77,12 @@ def test_catalog_emit_without_a_name_is_exit_2(capsys):
     # argparse's prefix abbreviations are not accepted
     ["integral", "{f}", "--quan"], ["check", "{f}", "{f}"],
     ["catalog", "frob"], ["catalog", "list", "kC2"],
-    ["theorem", "--id", "4.8", "{f}", "--id", "5.7"]],
+    ["theorem", "--id", "4.8", "{f}", "--id", "5.7"], ["catalog", "emit"],
+    ["integral", "{f}", "--total"]],
     ids=["none", "unknown-subcommand", "missing-file", "theorem-without-id",
          "bad-id", "id-without-value", "value-on-a-switch", "abbreviation",
          "extra-positional", "unknown-catalog-action", "argument-after-list",
-         "repeated-flag"])
+         "repeated-flag", "emit-without-a-name", "total-without-quantum"])
 def test_malformed_command_line_is_exit_2_with_the_usage(capsys, kc2_file,
                                                          argv):
     code, out, err = run(capsys, *(a.format(f=kc2_file) for a in argv))
@@ -97,9 +99,12 @@ def test_malformed_command_line_is_exit_2_with_the_usage(capsys, kc2_file,
     (["integral", "f.json", "--quantum", "--quantum"],
      "repeated flag '--quantum'"),
     (["theorem", "--id=4.8", "f.json", "--id", "4.8"],
-     "repeated flag '--id'")],
+     "repeated flag '--id'"),
+    (["catalog", "emit"], "catalog emit needs NAME"),
+    (["integral", "f.json", "--total"], "--total needs --quantum")],
     ids=["argument-after-list", "repeated-id", "repeated-switch",
-         "repeated-id-after-equals"])
+         "repeated-id-after-equals", "emit-without-a-name",
+         "total-without-quantum"])
 def test_an_extra_argument_or_a_repeated_flag_is_named(argv, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         cli._parse(argv)
@@ -214,7 +219,7 @@ def test_integral_total_without_quantum_is_exit_2(capsys, kc2_file):
     # --total constrains the quantum integral; alone it used to be ignored
     code, out, err = run(capsys, "integral", kc2_file, "--total")
     assert (code, out) == (2, "")
-    assert err == "error: --total needs --quantum\n"
+    assert err == f"{cli.USAGE}homhopf: error: --total needs --quantum\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -576,6 +581,46 @@ def test_no_byte_is_lost_at_exit(capsys, tmp_path, kc2_file, argv, want):
     assert _without_wall_time((tmp_path / "out").read_bytes().decode()) \
         == _without_wall_time(out)
     assert (tmp_path / "err").read_bytes() == err.encode()
+
+
+def _run_in_bash(argv, redirect):
+    """Run the CLI in a fresh process under bash with redirect applied to
+    it (">&-" closes stdout); return the CompletedProcess."""
+    command = " ".join(shlex.quote(a) for a in
+                       [sys.executable, "-m", "homhopf.cli", *argv])
+    return subprocess.run(["bash", "-c", f"{command} {redirect}"],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv, redirect, want", [
+    (["check", "{kc2}"], ">&-", 0), (["check", "{kc2}"], "2>&-", 0),
+    (["check", "{missing}"], "2>&-", 2), (["frob"], "2>&-", 2),
+    (["check", "{kc2}"], "1<{kc2}", 0), (["check", "{missing}"], "2<{kc2}", 2)],
+    ids=["closed-stdout", "closed-stderr", "missing-file-closed-stderr",
+         "usage-closed-stderr", "read-only-stdout", "read-only-stderr"])
+def test_a_closed_stream_keeps_the_exit_code(tmp_path, kc2_file, argv,
+                                             redirect, want):
+    # a stream closed at start is None in the process; one open read-only
+    # fails its write with EBADF; either ends that output, not the run
+    missing = str(tmp_path / "missing.json")
+    proc = _run_in_bash([a.format(kc2=kc2_file, missing=missing)
+                         for a in argv],
+                        redirect.format(kc2=shlex.quote(kc2_file)))
+    assert proc.returncode == want
+    if redirect.startswith("2"):
+        assert (proc.stdout == "") == (want == 2)
+    else:
+        assert proc.stderr == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_device_still_fails_the_run(kc2_file):
+    # only a closed stream is forgiven: a write that fails otherwise ends
+    # the run with its error
+    proc = _run_in_bash(["check", kc2_file], "> /dev/full")
+    assert proc.returncode == 1
+    assert "OSError: [Errno 28] No space left on device" in proc.stderr
 
 
 def test_console_script_is_run():

@@ -4,8 +4,9 @@ module-level function, class and assignment in the package is named
 somewhere in the package or its tests, arithmetic is exact, no code is
 generated at run time, nothing relies on the interpreter teardown that
 ``cli.run`` skips, a CLI run loads none of dataclasses, inspect,
-argparse, gettext and locale, no code names permute_factors, and no
-swap_map call is written as a leg of a tensor product."""
+argparse, gettext and locale, no code names permute_factors, no
+swap_map call is written as a leg of a tensor product, and the CLI writes
+and flushes its output only through cli._write."""
 
 import ast
 import os
@@ -429,3 +430,53 @@ def test_the_scan_sees_a_middle_legs_flip():
         "flip = swap_map(s, t)\n"
         "l = f.tensor(flip)\n")
     assert _leg_flips(tree) == [1, 3, 4, 5, 7, 8, 9, 10]
+
+
+# Every byte the CLI prints leaves through cli._write, which skips a stream
+# the process started without and ends the output, not the run, at a closed
+# pipe or an unwritable descriptor; a print or a write of its own would
+# bypass both.
+def _writes_outside_write(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, what) for each print call, sys.stdout.write or
+    sys.stderr.write call and .flush() call outside a function _write."""
+    inside = {id(sub) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_write"
+              for sub in ast.walk(fn)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in inside:
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "print":
+            out.append((node.lineno, "print("))
+        elif isinstance(func, ast.Attribute) and func.attr == "flush":
+            out.append((node.lineno, ".flush()"))
+        elif isinstance(func, ast.Attribute) and func.attr == "write" and \
+                ast.unparse(func.value) in ("sys.stdout", "sys.stderr"):
+            out.append((node.lineno, f"{ast.unparse(func)}("))
+    return sorted(out)
+
+
+def test_the_cli_writes_only_through_write():
+    path = SRC / "cli.py"
+    found = _writes_outside_write(ast.parse(path.read_text(),
+                                            filename=str(path)))
+    assert not found, f"cli.py writes outside _write at {found}"
+
+
+def test_the_scan_sees_a_write_outside_write():
+    tree = ast.parse("def _write(text, stream):\n"
+                     "    stream.write(text)\n"
+                     "    stream.flush()\n"
+                     "def main():\n"
+                     "    print('error', file=sys.stderr)\n"
+                     "    sys.stderr.write('usage')\n"
+                     "    sys.stdout.write('report')\n"
+                     "    sys.stdout.flush()\n"
+                     "    for stream in (sys.stdout, sys.stderr):\n"
+                     "        stream.flush()\n"
+                     "    _write('ok', sys.stdout)\n"
+                     "    log.write('not a standard stream')\n")
+    assert _writes_outside_write(tree) == [
+        (5, "print("), (6, "sys.stderr.write("), (7, "sys.stdout.write("),
+        (8, ".flush()"), (10, ".flush()")]
