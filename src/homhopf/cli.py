@@ -6,7 +6,7 @@ after a "---" line, whose content is byte-deterministic for identical inputs.
 
 Exit codes: 0 all checks pass, 1 a property check failed or an expected
 result disagreed with the recomputed one, 2 input error (a command line
-outside USAGE, which _parse alone refuses; a bad file, an unknown name).
+outside USAGE, which _parse alone refuses; a bad file; a failed write).
 Every byte leaves through _write, and run() exits after it without teardown.
 """
 
@@ -112,17 +112,21 @@ def _regular_hopf(inst: ParsedInstance) -> HomHopfAlgebra:
 
 def _write(text: str, stream) -> None:
     """Write and flush text to stream.  A stream closed at start (None), a
-    closed pipe or an unwritable descriptor ends that output, not the run."""
+    closed pipe or an unwritable descriptor ends that output, not the run;
+    any other write error, such as a full disk, exits 2 with one line."""
     if stream is None:
         return
     try:
-        stream.write(text)
+        if text:  # an unbuffered stream writes even "", and /dev/full fails it
+            stream.write(text)
         stream.flush()
     except OSError as exc:
-        if exc.errno not in (errno.EPIPE, errno.EBADF):
-            raise
         # point the stream at devnull so the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        if exc.errno not in (errno.EPIPE, errno.EBADF):
+            name = "stdout" if stream is sys.stdout else "stderr"
+            _write(f"homhopf: error: cannot write {name}: {exc}\n", sys.stderr)
+            raise SystemExit(2)
 
 
 def _emit_output(rep: Report, started_ns: int) -> int:

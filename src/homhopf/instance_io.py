@@ -191,16 +191,18 @@ def _parse_matrix(block: dict, key: str, dom: Space, cod: Space,
     if len(raw) != cod.dim:
         raise InstanceFormatError(
             f"expected {cod.dim} rows of {dom.dim} scalars", where)
-    rows = []
+    cols: list[list] = [[] for _ in range(dom.dim)]
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != dom.dim:
             raise InstanceFormatError(
                 f"expected a row of {dom.dim} scalars", f"{where} row {i}")
         try:
-            rows.append(tuple(map(_parse_scalar, row)))
+            for col, x in zip(cols, row):
+                if x != "0" and (c := _parse_scalar(x)):
+                    col.append((i, c))
         except _SCALAR_ERRORS:
             raise _bad_scalar(row, f"{where}[{i}]")
-    return LinearMap.from_rows(dom, cod, rows)
+    return LinearMap(dom, cod, tuple(map(tuple, cols)))
 
 
 def _parse_space(block: dict, where: str, cap: Optional[int]) -> Space:
@@ -262,11 +264,14 @@ def _parse_comodule_algebra(block: dict, H: HomHopfAlgebra,
     mult = _parse_matrix(block, "mult", sp2, sp, where)
     unit = _parse_unit(block, sp, where)
     beta = _parse_matrix(block, "beta", sp, sp, where)
-    beta_inv = _invert(beta, "beta", f"{where}.beta")
-    coaction = _parse_matrix(block, "coaction", sp, tensor_space(sp, H.space),
-                             where)
-    algebra = HomAlgebra(sp, mult, unit, beta, beta_inv)
-    return ComoduleAlgebra(algebra, H, coaction)
+    A = H.algebra  # shared when the block spells it: one suite runs
+    if (sp.labels, mult.scaled, unit.scaled, beta.scaled) != (
+            A.space.labels, A.mult.scaled, A.unit.scaled, A.alpha.scaled):
+        A = HomAlgebra(sp, mult, unit, beta,
+                       _invert(beta, "beta", f"{where}.beta"))
+    coaction = _parse_matrix(block, "coaction", A.space,
+                             tensor_space(A.space, H.space), where)
+    return ComoduleAlgebra(A, H, coaction)
 
 
 def _parse_module(name: str, block: dict,

@@ -561,6 +561,12 @@ def quotient_by(rel: LinearMap) -> QuotientSpace:
     return QuotientSpace(rel, sub, qspace, projection, section)
 
 
+def basis_inclusion(sp: Space, indices: Sequence[int]) -> LinearMap:
+    """The inclusion of the span of sp's basis vectors indices, so labelled."""
+    return LinearMap(Space(tuple(sp.labels[i] for i in indices)), sp,
+                     tuple(((i, 1),) for i in indices))
+
+
 def swap_map(left: Space, right: Space) -> LinearMap:
     """The flip x (x) y -> y (x) x, basis column by basis column."""
     m, n = left.dim, right.dim

@@ -6,9 +6,9 @@ the comparison isomorphism between the two module structures on A (x) H.
 
 from __future__ import annotations
 
-from .linalg import (SCALAR_SPACE, LinearMap, Space, product_after,
-                     swap_map, tensor_after, tensor_space)
-from .records import record, replace
+from .linalg import (SCALAR_SPACE, LinearMap, Space, basis_inclusion,
+                     product_after, swap_map, tensor_after, tensor_space)
+from .records import _set, record, replace
 from .report import Report
 from .structures import (ComoduleAlgebra, HomAlgebra, algebra_generators,
                          check_comodule_axioms, check_hom_algebra)
@@ -59,8 +59,8 @@ def check_hom_module(M: HomModule) -> Report:
     """mu invertible, Hom-associativity, the unit law and the intertwining
     law.  Hom-associativity is decided on M (x) A (x) span(S), S =
     algebra_generators(A) (span(S) is the zero space when S is empty, as
-    for A = k), once dim M > dim A and the other three and A's
-    check_hom_algebra hold; else, or if that fails, on M (x) A (x) A.  T =
+    for A = k), once the other three and A's check_hom_algebra hold; else,
+    or if that fails, on M (x) A (x) A.  T =
     {b : (m.a).alpha(b) = mu(m).(ab) for all m, a} is then A: a subspace
     holding 1 (unit laws, intertwining), alpha^{+-1}-stable (apply mu^{+-1}
     at (m, a, b)) and closed under products: for b, c in T, n = mu^{-1}(m.a)
@@ -73,8 +73,7 @@ def check_hom_module(M: HomModule) -> Report:
     name = "Hom-associativity: (m.a).alpha(b) = mu(m).(ab)"
 
     def assoc(report: Report, S) -> bool:  # on M (x) A (x) span(S)
-        b = LinearMap(Space(tuple(asp.labels[i] for i in S)), asp,
-                      tuple(((i, 1),) for i in S))
+        b = basis_inclusion(asp, S)
         return check_identity(report, name, [sp, asp, b.domain], sp,
                               act @ act.tensor(A.alpha @ b),
                               act @ mu.tensor(A.mult @ ida.tensor(b)))
@@ -85,7 +84,7 @@ def check_hom_module(M: HomModule) -> Report:
     gate &= check_identity(
         laws, "action intertwines: mu(m.a) = mu(m).alpha(a)", [sp, asp], sp,
         mu @ act, act @ mu.tensor(A.alpha))
-    if gate and M.dim > A.dim and check_hom_algebra(A).ok and assoc(
+    if gate and check_hom_algebra(A).ok and assoc(
             Report(""), algebra_generators(A)):
         rep.record(name, True)
     else:
@@ -140,8 +139,10 @@ def induce_G(M: HomModule, CA: ComoduleAlgebra) -> RelHopfModule:
 
 
 def regular_induced(CA: ComoduleAlgebra) -> RelHopfModule:
-    """G(A) = A (x) H with the standard induced structures."""
-    return induce_G(regular_rel_hopf(CA).as_module(), CA)
+    """G(A) = A (x) H with the standard induced structures, kept on CA."""
+    if "induced" not in vars(CA):
+        _set(CA, "induced", induce_G(regular_rel_hopf(CA).as_module(), CA))
+    return CA.induced
 
 
 def tensor_module(X: RelHopfModule, nu: LinearMap,
@@ -182,10 +183,17 @@ def tensor_module(X: RelHopfModule, nu: LinearMap,
     integrals.thm48_check decides Theorem 4.8's A (x) H (x) M for every M
     at once.
     """
+    return tensor_module_on(X, nu, nu_inv, LinearMap.identity(X.over.space))
+
+
+def tensor_module_on(X: RelHopfModule, nu: LinearMap, nu_inv: LinearMap,
+                     b: LinearMap) -> RelHopfModule:
+    """tensor_module(X, nu, nu_inv) with its action given on (X (x) N) (x) B
+    only, for b: B -> A, as morphism_identities(..., on=b) reads it."""
     CA = X.over
     sp, N = X.space, nu.domain
     idxn = LinearMap.identity(tensor_space(sp, N))
-    action = product_after(X.action, nu, idxn, CA.algebra.alpha_inv,
+    action = product_after(X.action, nu, idxn, CA.algebra.alpha_inv @ b,
                            (sp, N, CA.space, SCALAR_SPACE))
     coaction = product_after(idxn, CA.hopf.algebra.alpha, X.coaction, nu_inv,
                              (sp, CA.hopf.space, N, SCALAR_SPACE))
@@ -223,22 +231,28 @@ def adjunction_unit(M: RelHopfModule) -> LinearMap:
     return M.coaction
 
 
-def morphism_identities(f: LinearMap, M, N, laws: str = "mu A H"):
+def morphism_identities(f: LinearMap, M, N, laws: str = "mu A H",
+                        on: LinearMap | None = None):
     """A generator of the identities (lhs, rhs, label) of a morphism
     f: M -> N, one per law in laws: "mu" nu . f = f . mu (objects of the
     Hom-category are pairs (M, mu)), "A" f . action_M = action_N . (f x id_A)
-    and "H" rho_N . f = (f x id_H) . rho_M."""
+    and "H" rho_N . f = (f x id_H) . rho_M.
+
+    With on the inclusion of span(S), S = algebra_generators(A), "A" is
+    read on M (x) span(S), where M's action is given; that decides it once
+    M, N are Hom-modules and "mu" holds (decided first), as L = {a : f(m.a)
+    = f(m).a} holds 1 (f(m.1) = nu(f(m))), is beta^{+-1}-stable and closed
+    under products: f(mu(m).(ab)) = f((m.a).beta(b)) = f(mu(m)).(ab)."""
     for law in laws.split():
         if law == "mu":
             yield N.mu @ f, f @ M.mu, "intertwines mu"
         elif law == "A":
             A = M.over.algebra if isinstance(M, RelHopfModule) else M.over
-            yield (f @ M.action,
-                   N.action @ f.tensor(LinearMap.identity(A.space)),
-                   "A-linear")
+            yield (f @ M.action, N.action @ f.tensor(
+                on or LinearMap.identity(A.space)), "A-linear")
         else:
             idh = LinearMap.identity(N.over.hopf.space)
-            yield N.coaction @ f, f.tensor(idh) @ M.coaction, "colinear"
+            yield N.coaction @ f, tensor_after(f, idh, M.coaction), "colinear"
 
 
 def is_morphism(f: LinearMap, M: RelHopfModule, N: RelHopfModule) -> bool:

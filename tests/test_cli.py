@@ -617,10 +617,11 @@ def test_a_closed_stream_keeps_the_exit_code(tmp_path, kc2_file, argv,
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_a_full_device_still_fails_the_run(kc2_file):
     # only a closed stream is forgiven: a write that fails otherwise ends
-    # the run with its error
+    # the run with exit 2, as an unreadable file does, and one line
     proc = _run_in_bash(["check", kc2_file], "> /dev/full")
-    assert proc.returncode == 1
-    assert "OSError: [Errno 28] No space left on device" in proc.stderr
+    assert proc.returncode == 2
+    assert proc.stderr == ("homhopf: error: cannot write stdout: "
+                           "[Errno 28] No space left on device\n")
 
 
 def test_console_script_is_run():

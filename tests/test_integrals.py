@@ -14,7 +14,7 @@ from homhopf.catalog import (cyclic_group_hopf, entry, names, sweedler_hopf,
                              trivial_comodule_algebra)
 from homhopf.errors import CentralityViolated
 from homhopf.instance_io import emit_instance, parse_instance
-from homhopf.integrals import (QuantumIntegral, TotalIntegral,
+from homhopf.integrals import (QuantumIntegral, TotalIntegral, _MapSystem,
                                _colinear_retraction_system,
                                find_quantum_integral, find_total_integral,
                                gamma_from_central_phi, generator_epi,
@@ -22,13 +22,14 @@ from homhopf.integrals import (QuantumIntegral, TotalIntegral,
                                thm48_check, total_quantum_hypothesis,
                                verify_total_integral)
 from homhopf.linalg import (SCALAR_SPACE, AffineSolution, Infeasible,
-                            LinearMap, frac)
+                            LinearMap, basis_inclusion, frac, solve_affine)
 from homhopf.modules import (check_rel_hopf, induce_G, morphism_identities,
                              regular_induced, regular_rel_hopf,
-                             tensor_module)
+                             tensor_module, tensor_module_on)
 from homhopf.records import replace
 from homhopf.report import Report
-from homhopf.structures import regular_comodule_algebra, twist
+from homhopf.structures import (algebra_generators,
+                                regular_comodule_algebra, twist)
 from homhopf.verify import check_maps, record_suite
 from test_integral_systems import _rebased
 
@@ -379,6 +380,75 @@ def test_thm48_mutants_of_tensor_module_take_the_full_check(monkeypatch,
     assert len(lines) == 2
     assert all(r.status == "fail" and r.witness is not None for r in lines)
     assert rep.to_dict() == _full_thm48_check(CA, ms).to_dict()
+
+
+def test_thm48_builds_the_action_of_a_h_m_on_generators_only(monkeypatch):
+    """On sweedler-H4 with A and G(A), thm48_module runs for the two probes
+    alone, and A (x) H (x) M's action is built on A (x) H (x) M (x)
+    span(g, x): 128 and 512 columns, not 256 and 1,024."""
+    built, parts = [], []
+    real, real_on = integrals.thm48_module, integrals.tensor_module_on
+
+    def whole(CA, mu, mu_inv):
+        built.append(mu.domain.dim)
+        return real(CA, mu, mu_inv)
+
+    def on_generators(*args):
+        part = real_on(*args)
+        parts.append(part.action.domain.dim)
+        return part
+    monkeypatch.setattr(integrals, "thm48_module", whole)
+    monkeypatch.setattr(integrals, "tensor_module_on", on_generators)
+    inst = entry("sweedler-H4")
+    assert _assert_thm48_same_as_full(inst.comodule_algebra,
+                                      _modules_of(inst)).ok
+    # thm48_check's two probes, then the reference's two full modules
+    assert built == [1, 1, 4, 16] and parts == [128, 512]
+
+
+def test_thm48_module_whose_unit_law_fails_takes_the_full_f_check():
+    """G(A) of H4 with 1 added to one entry of its m (x) 1 column: the
+    probes pass, but M's unit law fails, so f's identities are decided on
+    the whole of A (x) H (x) M, and the failing line has its witness."""
+    inst = entry("sweedler-H4")
+    CA, GA = inst.comodule_algebra, inst.modules["G(A)"]
+    rows = [list(r) for r in GA.action.matrix]
+    rows[3][5 * 4] += 1
+    bad = replace(GA, action=LinearMap.from_rows(GA.action.domain, GA.space,
+                                                 rows))
+    assert not check_rel_hopf(bad).ok and _reduced_thm48_ok(CA)
+    rep = _assert_thm48_same_as_full(CA, [bad])
+    line = next(r for r in rep.results if r.name.startswith("f is"))
+    assert line.status == "fail" and line.witness is not None
+
+
+def test_thm48_f_wrong_only_off_the_generators_is_caught(monkeypatch):
+    """f + delta, delta from the maps with delta(m.g) = delta(m).g on
+    kC3-twisted's A (x) H (x) A, is A-linear on S = (g) but not on A.  It
+    does not intertwine mu, as the argument in morphism_identities says it
+    must not, and the reduced check falls back to the full one."""
+    CA = entry("kC3-twisted").comodule_algebra
+    A, M = CA.algebra, regular_rel_hopf(CA)
+    f, g = generator_epi(CA, M, find_quantum_integral(CA, True))
+    AHM = integrals.thm48_module(CA, M.mu, M.mu_inv)
+    on = basis_inclusion(A.space, algebra_generators(A))
+    ida = LinearMap.identity(AHM.space)
+    system = _MapSystem(AHM.space, M.space)
+    system.condition((LinearMap.identity(M.space), AHM.action @ ida.tensor(on),
+                      1), (M.action, ida.tensor(on), A.dim))
+    sol = solve_affine(*system.equations())
+    mutant = next(m for m in (f + system.as_map(d) for d in sol.kernel)
+                  if not check_maps(Report(""), "",
+                                    morphism_identities(m, AHM, M, "A")))
+    assert check_maps(Report(""), "", morphism_identities(
+        mutant, tensor_module_on(regular_induced(CA), M.mu, M.mu_inv, on),
+        M, "A", on=on))
+    monkeypatch.setattr(integrals, "generator_epi", lambda *a: (mutant, g))
+    line = next(r for r in thm48_check(CA).results if r.name.startswith("f"))
+    want = Report("")
+    check_maps(want, line.name, morphism_identities(mutant, AHM, M))
+    assert line == want.results[0]
+    assert line.status == "fail" and line.detail == "intertwines mu"
 
 
 def test_thm48_module_whose_mu_inv_is_no_inverse_takes_the_full_check():

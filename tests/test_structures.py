@@ -1,20 +1,27 @@
 """Axiom checks for Hom-algebras, Hom-coalgebras, Hom-Hopf algebras,
 and Hom-comodule algebras on the built-in instances."""
 
+from fractions import Fraction
+
 import pytest
 
-from homhopf import structures
+from homhopf import modules, structures
 from homhopf.catalog import (cyclic_group_hopf, entry, matrix_coalgebra,
                              names, sweedler_hopf, twisted_cyclic3)
 from homhopf.cli import main
 from homhopf.errors import NotAutomorphism
-from homhopf.instance_io import emit_instance
-from homhopf.linalg import LinearMap, span
+from homhopf.instance_io import ParsedInstance, emit_instance
+from homhopf.linalg import LinearMap, span, tensor_after
+from homhopf.modules import regular_rel_hopf
+from homhopf.records import replace
+from homhopf.report import Report
 from homhopf.structures import (algebra_generators, check_comodule_algebra,
                                 check_hom_algebra, check_hom_coalgebra,
                                 check_hom_hopf, regular_comodule_algebra,
                                 twist)
-from homhopf.verify import check_identity
+from homhopf.verify import check_identity, check_maps
+
+from test_modules import _seed1
 
 
 @pytest.mark.parametrize("name", names())
@@ -123,13 +130,15 @@ HOM_ASSOCIATIVITY = "Hom-associativity: alpha(a)(bc) = (ab)alpha(c)"
 
 
 @pytest.mark.parametrize("argv, decided", [
-    (["check", "{}"], 2), (["theorem", "--id", "4.8", "{}"], 1)])
+    (["check", "{}"], 1), (["theorem", "--id", "4.8", "{}"], 1)])
 def test_an_algebra_object_decides_its_axioms_once(monkeypatch, tmp_path,
                                                    capsys, argv, decided):
-    """On the emitted sweedler-H4, check decides Hom-associativity for H's
-    algebra and for A; check_hom_module's gate for G(A) reads A's kept
-    report.  theorem 4.8 decides it for A once, for both of its probes
-    (3 and 2 before the report was kept on the algebra object)."""
+    """On the emitted sweedler-H4, whose comodule algebra block spells H's
+    algebra, the parser shares that one algebra object, so check decides
+    Hom-associativity once (twice when H and A were two objects);
+    check_hom_module's gate for G(A) reads the kept report.  theorem 4.8
+    decides it for A once, for both of its probes (3 and 2 before the
+    report was kept on the algebra object)."""
     path = tmp_path / "sweedler-H4.json"
     path.write_text(emit_instance(entry("sweedler-H4")))
     names_ = []
@@ -153,3 +162,117 @@ def test_algebra_generators_are_found_once_per_algebra_object(monkeypatch):
     once = len(spans)
     assert once and algebra_generators(B) == (1, 2)
     assert len(spans) == 2 * once
+
+
+# ---------------------------------------------------------------------------
+# Hom-associativity decided on algebra generators
+# ---------------------------------------------------------------------------
+
+def _full_hom_algebra(A) -> Report:
+    """check_hom_algebra as it reads with no reduction: Hom-associativity
+    as one identity on the whole of A (x) A (x) A."""
+    rep = Report(f"Hom-algebra axioms on {A.space.labels}")
+    sp, m, al = A.space, A.mult, A.alpha
+    ida = LinearMap.identity(sp)
+    check_maps(rep, "alpha invertible", [(al @ A.alpha_inv, ida)])
+    check_identity(rep, "alpha multiplicative: alpha(ab) = alpha(a)alpha(b)",
+                   [sp, sp], sp, al @ m, m @ al.tensor(al))
+    check_maps(rep, "alpha(1) = 1", [(al @ A.unit, A.unit)])
+    check_identity(rep, HOM_ASSOCIATIVITY, [sp, sp, sp], sp,
+                   m @ al.tensor(m), m @ m.tensor(al))
+    check_identity(rep, "unit law: a·1 = alpha(a)", [sp], sp,
+                   m @ tensor_after(ida, A.unit, ida), al)
+    check_identity(rep, "unit law: 1·a = alpha(a)", [sp], sp,
+                   m @ tensor_after(A.unit, ida, ida), al)
+    return rep
+
+
+def _assert_algebra_same_as_full(A) -> Report:
+    rep = check_hom_algebra(A)
+    assert rep.to_dict() == _full_hom_algebra(A).to_dict()
+    return rep
+
+
+def _lam_twist(lam):
+    """T(lam): H4 twisted by x -> lam x, whose alpha has infinite order
+    for lam = 2, 3 and 1/2."""
+    H = sweedler_hopf()
+    return twist(H, LinearMap.from_rows(H.space, H.space, [
+        [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, lam, 0], [0, 0, 0, lam]]))
+
+
+@pytest.mark.parametrize("name", names())
+def test_reduced_hom_associativity_matches_full_on_catalog(name):
+    inst = entry(name)
+    for A in {id(a): a for a in (inst.hopf.algebra,
+                                 inst.comodule_algebra.algebra)}.values():
+        _assert_algebra_same_as_full(replace(A))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_reduced_hom_associativity_matches_full_on_kcn(n):
+    assert _assert_algebra_same_as_full(cyclic_group_hopf(n).algebra).ok
+
+
+@pytest.mark.parametrize("lam", [2, 3, -1, Fraction(1, 2)])
+def test_reduced_hom_associativity_matches_full_on_twisted_h4(lam):
+    assert _assert_algebra_same_as_full(_lam_twist(lam).algebra).ok
+
+
+@pytest.mark.parametrize("hopf", [cyclic_group_hopf(4), cyclic_group_hopf(12),
+                                  sweedler_hopf()], ids=["kC4", "kC12", "H4"])
+def test_corrupted_mult_gives_the_full_report(hopf):
+    """1 added to every seventh constant of the mult, in row-major order;
+    for kC12 some keep the other five axioms, so the reduced identity
+    fails and the blocks give the witness."""
+    A = hopf.algebra
+    cols, failed = A.mult.cols, 0
+    for k in range(0, A.dim * len(cols), 7):
+        i, j = divmod(k, len(cols))
+        col = dict(cols[j])
+        col[i] = col.get(i, 0) + 1
+        bad = cols[:j] + (tuple(sorted((r, c) for r, c in col.items() if c)),) \
+            + cols[j + 1:]
+        rep = _assert_algebra_same_as_full(replace(A, mult=LinearMap(
+            A.mult.domain, A.space, bad)))
+        failed += rep.results[3].status == "fail"
+    assert failed
+
+
+def _identity_dims(monkeypatch) -> list:
+    """(name, factor dims) of each check_identity call in structures and
+    modules."""
+    calls = []
+    for module in (structures, modules):
+        def recording(report, name, factors, *rest, real=module.check_identity):
+            calls.append((name, tuple(sp.dim for sp in factors)))
+            return real(report, name, factors, *rest)
+        monkeypatch.setattr(module, "check_identity", recording)
+    return calls
+
+
+def test_kc12_check_and_thm48_build_no_cube(monkeypatch, tmp_path, capsys):
+    """kC12 with its regular module, as the benchmark's kC12.json: neither
+    check nor theorem 4.8 checks an identity on 12 x 12 x 12 columns."""
+    CA = regular_comodule_algebra(cyclic_group_hopf(12))
+    path = tmp_path / "kC12.json"
+    path.write_text(emit_instance(ParsedInstance(
+        "kC12", "hopf", "", CA, {"A": regular_rel_hopf(CA)}, {})))
+    calls = _identity_dims(monkeypatch)
+    for argv in (["check"], ["theorem", "--id", "4.8"]):
+        assert main(argv + [str(path)]) == 0
+    capsys.readouterr()
+    assert (HOM_ASSOCIATIVITY, (12, 12, 1)) in calls
+    assert not [c for c in calls if c[1] == (12, 12, 12)]
+
+
+def test_a_corrupted_kc12_stops_at_its_second_block(monkeypatch):
+    """The benchmark's kC12-bad-mult.json (seed 1): the unit laws hold, the
+    identity on A (x) A (x) span(g) fails, and the whole identity stops at
+    block g, the second, with the whole map's witness."""
+    A = _seed1("kC12-bad-mult.json").hopf.algebra
+    calls = _identity_dims(monkeypatch)
+    rep = _assert_algebra_same_as_full(A)
+    assert [dims for name, dims in calls if name == HOM_ASSOCIATIVITY] == [
+        (12, 12, 1), (1, 12, 12), (1, 12, 12)]
+    assert rep.results[3].witness.basis[0] == "g"
