@@ -85,37 +85,59 @@ def _matrix(f: LinearMap) -> list[list[str]]:
     return [[str(x) for x in row] for row in f.matrix]
 
 
-def _block(sp: Space, **maps) -> dict:
-    """A block of the file: dimension, basis, then each named map in the
-    order given, a unit k -> A as the flat list of its one column."""
-    return {"dim": sp.dim, "basis": list(sp.labels),
-            **{key: [str(x) for x, in f.matrix] if key == "unit"
-               else _matrix(f) for key, f in maps.items()}}
+def _lines(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """items, JSON texts laid out at depth + 1, as json.dumps(indent=2) lays
+    out a list (brackets "{}": an object's members) at depth."""
+    if not items:
+        return brackets
+    ind = "\n" + "  " * (depth + 1)
+    return brackets[0] + ind + ("," + ind).join(items) + ind[:-2] + brackets[1]
+
+
+def _block(sp: Space, depth: int, **maps) -> str:
+    """A block of the file at depth: dimension, basis, then each named map
+    in the order given, a unit k -> A as the flat list of its one column,
+    written from its columns: "0" for a zero, str(c) for an entry c."""
+    members = [f'"dim": {sp.dim}', '"basis": ' + _lines(
+        [json.dumps(x) for x in sp.labels], depth + 1)]
+    for key, f in maps.items():
+        rows = [['"0"'] * f.domain.dim for _ in range(f.codomain.dim)]
+        for j, col in enumerate(f.cols):
+            for i, c in col:
+                rows[i][j] = f'"{c}"'
+        members.append(f'"{key}": ' + _lines(
+            [row for row, in rows] if key == "unit"
+            else [_lines(row, depth + 2) for row in rows], depth + 1))
+    return _lines(members, depth, "{}")
 
 
 def emit_instance(inst: ParsedInstance) -> str:
     """Serialize an instance, parsed or from the catalog, to the canonical
-    file text.  Emission is deterministic: equal instances give
-    byte-identical output."""
+    file text, written from the columns: byte for byte json.dumps(doc,
+    indent=2) of the document of dense string matrices, every other value
+    through json.dumps.  Equal instances give byte-identical output."""
     H, CA = inst.hopf, inst.comodule_algebra
     A = CA.algebra
-    doc = {
-        "format": FORMAT_NAME,
-        "field": "rational",
-        "name": inst.name,
-        "kind": inst.kind,
-        "description": inst.description,
-        "hopf": _block(H.space, mult=H.algebra.mult, unit=H.algebra.unit,
-                       comult=H.coalgebra.comult, counit=H.coalgebra.counit,
-                       antipode=H.antipode, alpha=H.algebra.alpha),
-        "comodule_algebra": _block(A.space, mult=A.mult, unit=A.unit,
-                                   beta=A.alpha, coaction=CA.coaction),
-        "modules": {name: _block(M.space, mu=M.mu, action=M.action,
-                                 coaction=M.coaction)
-                    for name, M in sorted(inst.modules.items())},
-        "expected": {k: inst.expected[k] for k in sorted(inst.expected)},
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    head = json.dumps({"format": FORMAT_NAME, "field": "rational",
+                       "name": inst.name, "kind": inst.kind,
+                       "description": inst.description}, indent=2)
+    tail = json.dumps({"expected": {k: inst.expected[k]
+                                    for k in sorted(inst.expected)}}, indent=2)
+    blocks = [
+        '"hopf": ' + _block(H.space, 1, mult=H.algebra.mult,
+                            unit=H.algebra.unit, comult=H.coalgebra.comult,
+                            counit=H.coalgebra.counit, antipode=H.antipode,
+                            alpha=H.algebra.alpha),
+        '"comodule_algebra": ' + _block(A.space, 1, mult=A.mult, unit=A.unit,
+                                        beta=A.alpha, coaction=CA.coaction),
+        '"modules": ' + _lines([
+            json.dumps(name) + ": " + _block(M.space, 2, mu=M.mu,
+                                             action=M.action,
+                                             coaction=M.coaction)
+            for name, M in sorted(inst.modules.items())], 1, "{}")]
+    # head ends "\n}" and tail starts "{\n": the doc's own braces
+    return "".join([head[:-2], ",\n  ", ",\n  ".join(blocks), ",\n",
+                    tail[2:], "\n"])
 
 
 # ---------------------------------------------------------------------------

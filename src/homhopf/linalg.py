@@ -10,7 +10,10 @@ and print the same, so the form never shows in a comparison or a report.
 There is no floating point anywhere, and the arithmetic runs on ints: each
 map caches its least common denominator d with its columns times d, the
 products multiply those ints, and Fractions are built only when entries
-are read.  Legs are reordered two ways only: swap_map flips x (x) y,
+are read.  A column x of g @ x costs the nonzeros of the columns of g it
+reads, then a sort of the accumulated rows when there are two or more; a
+one-entry x = (k, c) is g's column k, times c unless c = 1, with no
+accumulator.  Legs are reordered two ways only: swap_map flips x (x) y,
 product_after builds (f (x) g)(1 (x) flip (x) 1)(x (x) y) without
 x (x) y, a scalar leg given as SCALAR_SPACE; a column costs
 nnz(x)·nnz(y)·nnz(g) at most, plus nnz(f) per distinct index.  The one
@@ -18,8 +21,8 @@ elimination, _rref, is fraction-free on sparse rows read off those
 int columns, so its cost follows the nonzeros, not m x n.  It returns the
 reduced row echelon form, which is unique: pivots, solutions, kernel bases
 and ranks do not depend on the order in which rows are met.  Dense tuples
-remain only at the file boundary: the rhs of solve_affine, and .matrix for
-emission.
+remain only at the boundary: the rhs of solve_affine, and .matrix for the
+CLI's certificates.
 """
 
 from __future__ import annotations
@@ -137,6 +140,8 @@ Column = tuple[tuple[int, Scalar], ...]
 def _sparse(acc: dict[int, Scalar]) -> Column:
     """The canonical column of a row -> coefficient accumulator whose
     scalars are ints or in frac's form: nonzero entries, rows ascending."""
+    if len(acc) < 2:
+        return tuple(acc.items()) if all(acc.values()) else ()
     return tuple(sorted(acc.items() if 0 not in acc.values()
                         else [(i, c) for i, c in acc.items() if c]))
 
@@ -230,6 +235,11 @@ class LinearMap:
         do, theirs = other.scaled
         cols = []
         for col in theirs:
+            if len(col) == 1:  # column k of self, times c
+                (k, c), = col
+                cols.append(mine[k] if c == 1
+                            else tuple([(i, c * v) for i, v in mine[k]]))
+                continue
             acc: dict[int, int] = {}
             for k, c in col:
                 for i, v in mine[k]:
@@ -375,8 +385,12 @@ def _rref(rows: Iterable) -> tuple[list[Row], list[int]]:
     pivot rows the same way; int rows meeting only pivots 1 take no gcd.
     Pivot rows are divided by their pivots only when returned.  The RREF is
     unique, so the result does not depend on the order of the rows.
+    holders[c] holds every pivot whose row holds the non-pivot column c
+    (and perhaps some where c cancelled), so a new pivot p is eliminated
+    from those rows alone.
     """
     pivot_rows: dict[int, Row] = {}
+    holders: dict[int, set[int]] = {}
     ints = {int}
     for row in rows:
         row = dict(row)
@@ -391,10 +405,13 @@ def _rref(rows: Iterable) -> tuple[list[Row], list[int]]:
         p = min(row)
         if row[p] != 1:
             _primitive(row, row[p] < 0)
-        pv = row[p]
-        for prow in pivot_rows.values():
+        pv, holding = row[p], holders.pop(p, set())
+        for q in holding:
+            prow = pivot_rows[q]
             if (x := prow.get(p)) and _combine(prow, pv, x, row) != 1:
                 _primitive(prow)
+        for c in row.keys() - {p}:  # now perhaps in p's row and holding's
+            holders.setdefault(c, set()).update(holding, (p,))
         pivot_rows[p] = row
     pivots = sorted(pivot_rows)
     return [_over(pivot_rows[p], pivot_rows[p][p]) for p in pivots], pivots

@@ -94,7 +94,10 @@ def check_hom_module(M: HomModule) -> Report:
 
 
 def check_rel_hopf(M: RelHopfModule) -> Report:
-    """Module axioms + comodule axioms + the compatibility condition."""
+    """Module axioms + comodule axioms + the compatibility condition.  M
+    keeps the report, which later calls return and callers only read."""
+    if "axioms" in vars(M):
+        return M.axioms
     rep = Report(f"relative Hom-Hopf module axioms on dim {M.dim}")
     rep.extend(check_hom_module(M.as_module()), prefix="module: ")
     CA = M.over
@@ -109,6 +112,7 @@ def check_rel_hopf(M: RelHopfModule) -> Report:
                    M.coaction @ M.action,
                    product_after(M.action, H.algebra.mult, M.coaction,
                                  CA.coaction, (sp, H.space, asp, H.space)))
+    _set(M, "axioms", rep)
     return rep
 
 

@@ -263,6 +263,8 @@ def algebra_generators(A: HomAlgebra) -> tuple[int, ...]:
 
     sub, gens = closure(span(A.space, A.unit.cols)), ()
     for i in range(A.dim):
+        if sub.dim == A.dim:
+            break
         if (grown := span(A.space, sub.basis + (((i, 1),),))).dim > sub.dim:
             sub, gens = closure(grown), gens + (i,)
     _set(A, "generators", gens)

@@ -6,13 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from homhopf.catalog import entry, names
+from homhopf.catalog import cyclic_group_hopf, entry, names
 from homhopf.errors import InstanceFormatError
-from homhopf.instance_io import (emit_instance, load_instance, max_dim,
-                                 parse_instance)
+from homhopf.instance_io import (ParsedInstance, emit_instance, load_instance,
+                                 max_dim, parse_instance)
 from homhopf.linalg import SCALAR_SPACE, LinearMap
+from homhopf.modules import regular_induced, regular_rel_hopf
 from homhopf.records import replace
-from homhopf.structures import check_hom_hopf
+from homhopf.structures import check_hom_hopf, regular_comodule_algebra
+
+from conftest import REBASED
+from emit_reference import reference_emit
 
 
 @pytest.mark.parametrize("name", names())
@@ -24,6 +28,52 @@ def test_emit_parse_emit_is_a_fixed_point(name):
 @pytest.mark.parametrize("name", names())
 def test_emission_is_deterministic(name):
     assert emit_instance(entry(name)) == emit_instance(entry(name))
+
+
+def _kcn_with_A_and_GA(n):
+    CA = regular_comodule_algebra(cyclic_group_hopf(n))
+    return ParsedInstance(f"kC{n}", "hopf", f"kC{n} with A and G(A)", CA,
+                          {"A": regular_rel_hopf(CA),
+                           "G(A)": regular_induced(CA)}, {})
+
+
+# text a writer might use to mark a matrix for a later search and replace
+SENTINEL = "\x00@@matrix:hopf.mult@@\x00"
+
+
+def _odd_strings():
+    """kC2 with labels, module names, name and expected values that JSON
+    must escape, one a would-be sentinel, and a dim-0 module."""
+    doc = json.loads(emit_instance(entry("kC2")))
+    doc["name"], doc["description"] = SENTINEL, 'q"u\\o\tte\u2297'
+    doc["hopf"]["basis"] = ['"\\⊗', SENTINEL + "⊗"]
+    doc["comodule_algebra"]["basis"] = ["\x00⊗e", '⊗"@@']
+    mods = doc["modules"]
+    doc["modules"] = {'"': mods["A"], "\\": mods["G(A)"], "\x00": mods["A"],
+                      "⊗": mods["A"], SENTINEL: mods["A"],
+                      "Z0": {"dim": 0, "basis": [], "mu": [], "action": [],
+                             "coaction": []}}
+    doc["expected"] = {"z": [1, None, True, {"⊗": SENTINEL}], "a": {},
+                       "b": []}
+    return parse_instance(json.dumps(doc))
+
+
+WRITER_CASES = {
+    **{name: (lambda _, name=name: entry(name)) for name in names()},
+    **{f"kC{n} with A and G(A)": (lambda _, n=n: _kcn_with_A_and_GA(n))
+       for n in range(1, 9)},
+    **{f"{f}, seed 1": (lambda folder, f=f: load_instance(str(folder / f)))
+       for f in REBASED},
+    "escapes, a sentinel and a dim-0 module": lambda _: _odd_strings(),
+}
+
+
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_column_writer_matches_json_dumps(case, seed1_rebased):
+    """emit_instance writes what json.dumps(doc, indent=2) writes for the
+    document of dense string matrices."""
+    inst = WRITER_CASES[case](seed1_rebased)
+    assert emit_instance(inst) == reference_emit(inst)
 
 
 def test_parse_preserves_exact_rationals():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -314,11 +315,30 @@ sparse_entries = st.one_of(st.just(0), st.just(Fraction(0)), rationals,
                            st.integers(-6, 6))
 
 
+# an entry of a one-entry column: a product takes it without accumulating
+# and scales by it unless it is 1
+lone_entries = st.one_of(st.integers(-6, 6), rationals).filter(
+    lambda v: v not in (0, 1))
+
+
+def _one_entry_column(draw, rows, keep=None):
+    """rows with a column left holding one entry, not 1, in row keep (drawn
+    when None)."""
+    j = draw(st.integers(0, len(rows[0]) - 1))
+    keep = draw(st.integers(0, len(rows) - 1)) if keep is None else keep
+    for i, row in enumerate(rows):
+        row[j] = draw(lone_entries) if i == keep else Fraction(0)
+    return rows
+
+
 @st.composite
 def sparse_rows(draw, n, m):
-    """n x m rationals, mostly zero, often with a zero row and column."""
+    """n x m rationals, mostly zero, often with a zero row and column and
+    a one-entry column."""
     rows = draw(st.lists(st.lists(sparse_entries, min_size=m, max_size=m),
                          min_size=n, max_size=n))
+    if draw(st.booleans()):
+        _one_entry_column(draw, rows)
     if draw(st.booleans()):
         rows[draw(st.integers(0, n - 1))] = [Fraction(0)] * m
     if draw(st.booleans()):
@@ -415,9 +435,12 @@ wide_entries = st.one_of(
 
 
 def _wide_rows(draw, n, m):
-    """n x m entries over the coprime denominators, entry (0, 0) nonzero."""
+    """n x m entries over the coprime denominators, entry (0, 0) nonzero,
+    often with a one-entry column (in row 0)."""
     rows = draw(st.lists(st.lists(wide_entries, min_size=m, max_size=m),
                          min_size=n, max_size=n))
+    if draw(st.booleans()):
+        _one_entry_column(draw, rows, keep=0)
     if not rows[0][0]:
         rows[0][0] = Fraction(draw(st.integers(1, 40)), draw(coprime))
     return rows
@@ -457,6 +480,8 @@ def test_products_over_a_common_denominator_match_dense_reference(data):
     g_rows = _wide_rows(draw, r, q)
     f_rows = _force_entry(g_rows, _wide_rows(draw, q, p), target)
     check(_map(g_rows) @ _map(f_rows), _ref_compose(g_rows, f_rows))
+    # one row: every accumulator has one key, which cancels when target is 0
+    check(_map(g_rows[:1]) @ _map(f_rows), _ref_compose(g_rows[:1], f_rows))
 
     f_rows = _wide_rows(draw, q, p)
     k_rows = _force_entry([f_rows[0][:1]], _wide_rows(draw, s, r), target)
@@ -469,6 +494,8 @@ def test_products_over_a_common_denominator_match_dense_reference(data):
                             x_rows)
     check(tensor_after(_map(f_rows), _map(k_rows), x),
           _ref_compose(fk, x_rows))
+    check(tensor_after(_map(f_rows[:1]), _map(k_rows[:1]), x),
+          _ref_compose(fk[:1], x_rows))
 
 
 # Entries over large coprime denominators, next to ints that are multiples
@@ -678,6 +705,43 @@ def test_sparse_elimination_matches_dense_gauss_jordan(rows, data):
                       for v in sol.kernel)) == want
         for v in (sol.particular, *sol.kernel):
             _assert_column(v)
+
+
+def _rref_line_events(rows):
+    """The lines _rref's own frame runs while it eliminates rows."""
+    count, code, outer = 0, la._rref.__code__, sys.gettrace()
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_code is code else None)
+    try:
+        la._rref(rows)
+    finally:
+        sys.settrace(outer)
+    return count
+
+
+def test_back_elimination_on_a_diagonal_system_touches_no_pivot_row(
+        monkeypatch):
+    """Each unknown its own component, as in kC_n's integral systems: no
+    pivot row is combined with another, and the lines run grow with the
+    row count, not its square (rank^2 pivot row reads before the index)."""
+    combines = []
+    monkeypatch.setattr(la, "_combine",
+                        lambda *args: combines.append(args) or 1)
+
+    def diagonal(n):
+        return [{i: (i % 5) + 1} for i in reversed(range(n))]
+
+    rows, pivots = la._rref(diagonal(300))
+    assert pivots == list(range(300)) and not combines
+    assert all(row == {p: 1} for row, p in zip(rows, pivots))
+    assert _rref_line_events(diagonal(400)) < 2.5 * _rref_line_events(
+        diagonal(200))
 
 
 @st.composite

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from homhopf import integrals, modules
+from homhopf import catalog, integrals, modules
 from homhopf.catalog import cyclic_group_hopf, entry, names, sweedler_hopf
 from homhopf.errors import HomHopfError
 from homhopf.galois import prop51_maps, quantum_trace_right, xi_source_module
@@ -76,6 +76,24 @@ def test_wrong_action_breaks_compatibility():
     rep = check_rel_hopf(bad)
     assert not rep.ok
     assert any("compatibility" in f.name for f in rep.failures)
+
+
+def test_each_module_suite_runs_once_per_module_object(monkeypatch):
+    """catalog.entry("sweedler-H4") decides A, G(A) and Gtilde(H), G(A)
+    once for validate and prop31_check together; a module made by
+    replace() is checked afresh."""
+    bodies = []
+    real = modules.check_hom_module
+    monkeypatch.setattr(modules, "check_hom_module",
+                        lambda M: bodies.append(M) or real(M))
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    inst = catalog.entry("sweedler-H4")
+    assert len(bodies) == 3
+    GA = inst.modules["G(A)"]
+    rep = check_rel_hopf(GA)
+    assert rep.ok and check_rel_hopf(GA) is rep and len(bodies) == 3
+    bad = replace(GA, action=GA.action + GA.action)
+    assert not check_rel_hopf(bad).ok and len(bodies) == 4
 
 
 @pytest.mark.parametrize("name", HOPF_ENTRIES)

@@ -10,7 +10,7 @@ from homhopf.catalog import (cyclic_group_hopf, entry, matrix_coalgebra,
                              names, sweedler_hopf, twisted_cyclic3)
 from homhopf.cli import main
 from homhopf.errors import NotAutomorphism
-from homhopf.instance_io import ParsedInstance, emit_instance
+from homhopf.instance_io import ParsedInstance, emit_instance, load_instance
 from homhopf.linalg import LinearMap, span, tensor_after
 from homhopf.modules import regular_rel_hopf
 from homhopf.records import replace
@@ -162,6 +162,44 @@ def test_algebra_generators_are_found_once_per_algebra_object(monkeypatch):
     once = len(spans)
     assert once and algebra_generators(B) == (1, 2)
     assert len(spans) == 2 * once
+
+
+def test_algebra_generators_stop_once_their_span_is_A(monkeypatch):
+    """On kC12 the closure of g is all of A: no span call follows it."""
+    dims = []
+
+    def recording(*args):
+        sub = span(*args)
+        dims.append(sub.dim)
+        return sub
+
+    monkeypatch.setattr(structures, "span", recording)
+    assert algebra_generators(cyclic_group_hopf(12).algebra) == (1,)
+    assert dims[-1] == 12 and 12 not in dims[:-1]
+
+
+# (Hopf algebra's, comodule algebra's) generators, as found before the loop
+# stopped early: catalog entries, then the seed-1 rebased files
+GENERATORS = {
+    "kC2": ((1,), (1,)), "kC3": ((1,), (1,)), "kC3-twisted": ((1,), (1,)),
+    "kG-C2-datum": ((1,), ()), "matrix-datum-2": ((0, 1, 2), ()),
+    "sweedler-H4": ((1, 2), (1, 2)), "trivial-k-over-H4": ((1, 2), ()),
+    "trivial-k-over-kC2": ((1,), ()),
+    "kC3-rebased.json": ((0,), (0,)), "kC4-rebased.json": ((0,), (0,)),
+    "sweedler-H4-rebased.json": ((0, 1, 2), (0, 1, 2)),
+    "kC3-twisted-rebased.json": ((0,), (0,)),
+    "trivial-k-over-H4-rebased.json": ((0, 1, 2), ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_algebra_generators_are_unchanged(name, seed1_rebased):
+    inst = (load_instance(str(seed1_rebased / name)) if name.endswith(".json")
+            else entry(name))
+    # fresh copies, which keep no generators from an earlier call
+    H, A = (replace(inst.hopf.algebra),
+            replace(inst.comodule_algebra.algebra))
+    assert (algebra_generators(H), algebra_generators(A)) == GENERATORS[name]
 
 
 # ---------------------------------------------------------------------------
