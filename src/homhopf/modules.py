@@ -57,10 +57,11 @@ class RelHopfModule:
 
 def check_hom_module(M: HomModule) -> Report:
     """mu invertible, Hom-associativity, the unit law and the intertwining
-    law.  Hom-associativity is decided on M (x) A (x) span(S), S =
-    algebra_generators(A) (span(S) is the zero space when S is empty, as
-    for A = k), once the other three and A's check_hom_algebra hold; else,
-    or if that fails, on M (x) A (x) A.  T =
+    law.  Hom-associativity is reduced (check_maps) to M (x) A (x) span(S),
+    S = algebra_generators(A) (the zero space when S is empty, as for
+    A = k), once the other three and A's check_hom_algebra hold; else, or
+    if that fails, it is decided on M (x) A (x) A in blocks of the first
+    factor, to the first that differs (the witness is the whole map's).  T =
     {b : (m.a).alpha(b) = mu(m).(ab) for all m, a} is then A: a subspace
     holding 1 (unit laws, intertwining), alpha^{+-1}-stable (apply mu^{+-1}
     at (m, a, b)) and closed under products: for b, c in T, n = mu^{-1}(m.a)
@@ -70,13 +71,10 @@ def check_hom_module(M: HomModule) -> Report:
     rep, laws = Report(f"Hom-module axioms on dim {M.dim}"), Report("")
     A, sp, act, mu = M.over, M.space, M.action, M.mu
     asp, idm, ida = A.space, *map(LinearMap.identity, (sp, A.space))
-    name = "Hom-associativity: (m.a).alpha(b) = mu(m).(ab)"
 
-    def assoc(report: Report, S) -> bool:  # on M (x) A (x) span(S)
-        b = basis_inclusion(asp, S)
-        return check_identity(report, name, [sp, asp, b.domain], sp,
-                              act @ act.tensor(A.alpha @ b),
-                              act @ mu.tensor(A.mult @ ida.tensor(b)))
+    def assoc(ax, mx, b) -> tuple:  # on X (x) A (x) B; ax, mx: act, mu on X
+        return (act @ ax.tensor(A.alpha @ b),
+                act @ mx.tensor(A.mult @ ida.tensor(b)))
 
     gate = check_maps(rep, "mu invertible", [(M.mu @ M.mu_inv, idm)])
     gate &= check_identity(laws, "unit law: m.1 = mu(m)", [sp], sp,
@@ -84,11 +82,11 @@ def check_hom_module(M: HomModule) -> Report:
     gate &= check_identity(
         laws, "action intertwines: mu(m.a) = mu(m).alpha(a)", [sp, asp], sp,
         mu @ act, act @ mu.tensor(A.alpha))
-    if gate and check_hom_algebra(A).ok and assoc(
-            Report(""), algebra_generators(A)):
-        rep.record(name, True)
-    else:
-        assoc(rep, range(A.dim))
+    blocks = (basis_inclusion(sp, [i]) for i in range(M.dim))
+    check_maps(rep, "Hom-associativity: (m.a).alpha(b) = mu(m).(ab)",
+               (assoc(act @ x.tensor(ida), mu @ x, ida) for x in blocks),
+               reduced=gate and check_hom_algebra(A).ok and [assoc(
+                   act, mu, basis_inclusion(asp, algebra_generators(A)))])
     rep.extend(laws)
     return rep
 

@@ -11,7 +11,7 @@ str would refuse, is written by its size, as <28556-bit integer>.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .linalg import Column, LinearMap, Scalar, Space, unrank
 from .report import Report, Witness
@@ -42,14 +42,19 @@ def check_identity(report: Report, name: str,
     return check_maps(report, name, [(lhs, rhs)], factors, out_space)
 
 
-def check_maps(report: Report, name: str, identities: Iterable,
+def check_maps(report: Report, name: str, identities,
                factors: Sequence[Space] | None = None,
-               out_space: Space | None = None) -> bool:
+               out_space: Space | None = None, reduced=()) -> bool:
     """Record one result under name for the identities (lhs, rhs) or
-    (lhs, rhs, label), in turn; the first difference fails with its basis
-    tuple over factors (default: lhs's domain factors), both sides over
-    out_space (default: lhs's codomain) and the label as detail."""
-    for lhs, rhs, *label in identities:
+    (lhs, rhs, label), or a function returning them, in turn; the first
+    difference fails with its basis tuple over factors (default: lhs's
+    domain factors), both sides over out_space (default: lhs's codomain)
+    and the label as detail.  identities passes unread if the reduced ones
+    are given and all hold, which the caller's docstring proves enough."""
+    if reduced and check_maps(Report(""), name, reduced):
+        identities = ()
+    for lhs, rhs, *label in (identities() if callable(identities)
+                             else identities):
         fs, out = factors or lhs.domain.factors, out_space or lhs.codomain
         dims = [sp.dim for sp in fs]
         for f in (lhs, rhs):

@@ -5,8 +5,9 @@ somewhere in the package or its tests, arithmetic is exact, no code is
 generated at run time, nothing relies on the interpreter teardown that
 ``cli.run`` skips, a CLI run loads none of dataclasses, inspect,
 argparse, gettext and locale, no code names permute_factors, no
-swap_map call is written as a leg of a tensor product, and the CLI writes
-and flushes its output only through cli._write."""
+swap_map call is written as a leg of a tensor product, the CLI writes
+and flushes its output only through cli._write, and no site decides a
+reduced identity into a throwaway Report("") and records the pass itself."""
 
 import ast
 import os
@@ -480,3 +481,66 @@ def test_the_scan_sees_a_write_outside_write():
     assert _writes_outside_write(tree) == [
         (5, "print("), (6, "sys.stderr.write("), (7, "sys.stdout.write("),
         (8, ".flush()"), (10, ".flush()")]
+
+
+# An identity decided on a reduction (identities that imply it, such as
+# Hom-associativity on A's generators) goes to check_maps(..., reduced=...),
+# which owns the decision and its fallback.  A site that decides the
+# reduction into a fresh Report("") and then records the pass by hand keeps
+# its own copy of that policy.
+def _is_fresh_report(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Report" and len(node.args) == 1
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value == "")
+
+
+def _records_a_pass(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "record" and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value is True)
+
+
+def _reduce_then_record(tree: ast.AST) -> list[int]:
+    """The line of each if whose test passes a fresh Report("") to a call
+    and whose body records a pass, x.record(name, True, ...)."""
+    return sorted(
+        node.lineno for node in ast.walk(tree) if isinstance(node, ast.If)
+        and any(isinstance(sub, ast.Call) and any(map(_is_fresh_report,
+                                                      sub.args))
+                for sub in ast.walk(node.test))
+        and any(_records_a_pass(sub) for stmt in node.body
+                for sub in ast.walk(stmt)))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_site_records_a_reduction_by_hand(path):
+    found = _reduce_then_record(ast.parse(path.read_text(),
+                                          filename=str(path)))
+    assert not found, (f"{path.name} decides a reduction and records its "
+                       f"pass by hand at lines {found}; pass it to "
+                       f"check_maps as reduced")
+
+
+def test_the_scan_sees_a_reduction_recorded_by_hand():
+    tree = ast.parse(
+        "def check(rep, name, A, part, on, f, M):\n"
+        "    if rep.ok and assoc(Report(''), gens(A)):\n"
+        "        rep.record(name, True)\n"
+        "    else:\n"
+        "        assoc(rep, range(A.dim))\n"
+        "    if part and check_maps(Report(''), name,\n"
+        "                           identities(f, part, M, on=on)):\n"
+        "        rep.record(name, True)\n"
+        "    if check_maps(Report(''), name, reduced):\n"
+        "        rep.skip(name)\n"
+        "    if check_maps(Report('A'), name, reduced):\n"
+        "        rep.record(name, True)\n"
+        "    if check_maps(scratch, name, reduced):\n"
+        "        rep.record(name, True)\n"
+        "    if ok(Report('')):\n"
+        "        rep.record(name, False)\n"
+        "    check_maps(rep, name, identities, reduced=reduced)\n")
+    assert _reduce_then_record(tree) == [2, 6]

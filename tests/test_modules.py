@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from homhopf import catalog, integrals, modules
+from homhopf import catalog, integrals, modules, structures
 from homhopf.catalog import cyclic_group_hopf, entry, names, sweedler_hopf
 from homhopf.errors import HomHopfError
 from homhopf.galois import prop51_maps, quantum_trace_right, xi_source_module
@@ -29,7 +29,8 @@ from homhopf.modules import (HomModule, RelHopfModule, adjunction_unit,
 from homhopf.records import replace
 from homhopf.report import Report
 from homhopf.structures import (algebra_generators, check_comodule_algebra,
-                                check_hom_hopf, regular_comodule_algebra)
+                                check_hom_algebra, check_hom_hopf,
+                                regular_comodule_algebra)
 from homhopf.verify import check_identity, check_maps
 
 from leg_reference import permute_legs
@@ -373,16 +374,35 @@ def _assert_same_as_full(M: HomModule) -> None:
     assert check_hom_module(M).to_dict() == _full_hom_module(M).to_dict()
 
 
-def _identity_calls(monkeypatch) -> list:
-    """(factor dims, verdict) of each check_identity call in modules."""
+def _seam(monkeypatch, *patched) -> list:
+    """(name, factor dims, verdict, lhs, rhs) of each identity that the
+    patched modules compare through check_identity or check_maps, in the
+    order compared.  The dims are those of the witness (factors, by default
+    lhs's domain factors); check_maps's reduced identities come first, and
+    its others only if it reads them, up to the first that fails."""
     calls = []
 
-    def recording(report, name, factors, out_space, lhs, rhs):
-        ok = check_identity(report, name, factors, out_space, lhs, rhs)
-        calls.append((tuple(sp.dim for sp in factors), ok))
-        return ok
+    def seen(name, identities, factors):
+        for ident in identities() if callable(identities) else identities:
+            lhs, rhs = ident[:2]
+            calls.append((name, tuple(sp.dim for sp in factors
+                                      or lhs.domain.factors),
+                          lhs.same_matrix(rhs), lhs, rhs))
+            yield ident
 
-    monkeypatch.setattr(modules, "check_identity", recording)
+    def maps(report, name, identities, factors=None, out_space=None,
+             reduced=()):
+        return check_maps(report, name,
+                          lambda: seen(name, identities, factors), factors,
+                          out_space, reduced=reduced and seen(name, reduced,
+                                                              None))
+
+    for module in patched:
+        monkeypatch.setattr(module, "check_maps", maps)
+        monkeypatch.setattr(module, "check_identity", lambda report, name,
+                            factors, out_space, lhs, rhs: maps(
+                                report, name, [(lhs, rhs)], factors,
+                                out_space))
     return calls
 
 
@@ -425,27 +445,29 @@ def test_reduced_check_matches_full_on_kcn_thm48_module(n):
 
 def test_reduced_path_sees_generators_only(monkeypatch):
     """On G(A) of H4 (dim 16 > dim A = 4), Hom-associativity is one
-    identity on M (x) A (x) span(g, x)."""
-    calls = _identity_calls(monkeypatch)
+    identity on M (x) A (x) span(g, x), which check_maps reads as reduced;
+    M = A (x) H is 4 x 4 where lhs's domain factors give the dims."""
+    calls = _seam(monkeypatch, modules)
     rep = check_hom_module(regular_induced(
         regular_comodule_algebra(sweedler_hopf())).as_module())
     assert rep.ok
-    assert calls == [((16,), True), ((16, 4), True), ((16, 4, 2), True)]
+    assert [c[1:3] for c in calls] == [
+        ((4, 4), True), ((16,), True), ((16, 4), True), ((4, 4, 4, 2), True)]
 
 
 def test_module_over_itself_is_decided_on_generators(monkeypatch):
     """dim M = dim A: Hom-associativity is one identity on M (x) A (x)
     span(g), as for every module whose other laws and A's suite hold."""
-    calls = _identity_calls(monkeypatch)
+    calls = _seam(monkeypatch, modules)
     assert check_hom_module(regular_rel_hopf(_kcn_ca(5)).as_module()).ok
-    assert calls == [((5,), True), ((5, 5), True), ((5, 5, 1), True)]
+    assert [c[1:3] for c in calls] == [
+        ((5,), True), ((5,), True), ((5, 5), True), ((5, 5, 1), True)]
 
 
-def test_non_associative_action_fails_through_the_reduced_path(monkeypatch):
+def _non_associative_kc3_module() -> HomModule:
     """kC3 acting on two copies of itself through phi, phi(1) = 1,
     phi(g) = g, phi(g2) = g: mu invertible, the unit law and the
-    intertwining law hold, (m.g).g = m g2 but m.(g g) = m g.  The reduced
-    identity fails, and the report is the full check's, witness included."""
+    intertwining law hold, (m.g).g = m g2 but m.(g g) = m g."""
     A = cyclic_group_hopf(3).algebra
     V = Space(("u", "v"))
     phi = LinearMap.from_rows(A.space, A.space,
@@ -456,14 +478,71 @@ def test_non_associative_action_fails_through_the_reduced_path(monkeypatch):
         @ permute_legs(LinearMap.identity(tensor_space(sp, A.space)),
                        (A.space, V, A.space), (0, 2, 1))
     idm = LinearMap.identity(sp)
-    M = HomModule(sp, idm, idm, act, A)
-    calls = _identity_calls(monkeypatch)
+    return HomModule(sp, idm, idm, act, A)
+
+
+def test_non_associative_action_fails_through_the_reduced_path(monkeypatch):
+    """_non_associative_kc3_module: the reduced identity fails; the
+    fallback stops at its first block, 1 (x) u, of M (x) A (x) A, and the
+    report is the full check's, witness included."""
+    M = _non_associative_kc3_module()
+    calls = _seam(monkeypatch, modules)
     rep = check_hom_module(M)
-    assert calls == [((6,), True), ((6, 3), True), ((6, 3, 1), False),
-                     ((6, 3, 3), False)]
+    assert [c[1:3] for c in calls] == [
+        ((3, 2), True), ((6,), True), ((6, 3), True), ((3, 2, 3, 1), False),
+        ((1, 3, 3), False)]
     assert [r.name for r in rep.failures] == [
         "Hom-associativity: (m.a).alpha(b) = mu(m).(ab)"]
     assert rep.to_dict() == _full_hom_module(M).to_dict()
+
+
+MODULE_ASSOCIATIVITY = "Hom-associativity: (m.a).alpha(b) = mu(m).(ab)"
+
+
+@pytest.mark.parametrize("make, reduced", [
+    (lambda: _seed1("sweedler-H4-bad-GA.json").modules["G(A)"].as_module(), 0),
+    (_non_associative_kc3_module, 1)], ids=["H4-bad-GA", "kC3-non-assoc"])
+def test_module_fallback_compares_blocks_of_dim_a_squared(monkeypatch, make,
+                                                          reduced):
+    """Hom-associativity's fallback compares one block of dim A x dim A
+    columns at a time, to the first that fails, never M (x) A (x) A whole;
+    the report is still the full check's.  The benchmark's G(A) with a
+    corrupted action (seed 1) fails its unit law, so it has no reduced
+    identity; the kC3 module's reduced identity comes first and fails."""
+    M = make()
+    calls = _seam(monkeypatch, modules)
+    rep = check_hom_module(M)
+    assert rep.to_dict() == _full_hom_module(M).to_dict()
+    blocks = [c for c in calls if c[0] == MODULE_ASSOCIATIVITY][reduced:]
+    assert M.dim > 1 and blocks
+    assert {c[3].domain.dim for c in blocks} == {M.over.dim ** 2}
+    assert [c[2] for c in blocks] == [True] * (len(blocks) - 1) + [False]
+
+
+def test_zero_module_and_k_pass_hom_associativity_through_reduced(
+        monkeypatch):
+    """The zero module over kC2, G(A) = k (x) kC2 over A = k (S = ()) and
+    k's own algebra check each pass Hom-associativity on their reduced
+    identity, of 0 columns, the one identity compared for it."""
+    A2, Z = cyclic_group_hopf(2).algebra, Space(())
+    idz = LinearMap.identity(Z)
+    zero = HomModule(Z, idz, idz, LinearMap.zero(tensor_space(Z, A2.space), Z),
+                     A2)
+    inst = entry("trivial-k-over-kC2")
+    k = replace(inst.comodule_algebra.algebra)  # no kept report
+    calls = _seam(monkeypatch, structures, modules)
+    for check, X, name in (
+            (check_hom_module, zero, MODULE_ASSOCIATIVITY),
+            (check_hom_module, inst.modules["G(A)"].as_module(),
+             MODULE_ASSOCIATIVITY),
+            (check_hom_algebra, k,
+             "Hom-associativity: alpha(a)(bc) = (ab)alpha(c)")):
+        del calls[:]
+        rep = check(X)
+        assert rep.ok and [r.status for r in rep.results
+                           if r.name == name] == ["pass"]
+        assert [(c[2], c[3].domain.dim) for c in calls
+                if c[0] == name] == [(True, 0)]
 
 
 @pytest.mark.parametrize("hopf", [cyclic_group_hopf(2), sweedler_hopf()],

@@ -16,6 +16,7 @@ from homhopf.structures import (check_comodule_algebra, check_hom_hopf,
                                 regular_comodule_algebra)
 from homhopf.verify import check_identity
 from test_integral_systems import _rebased
+from test_modules import _seam
 
 
 def _structure_maps(CA, mods=()):
@@ -74,10 +75,11 @@ def test_integer_instances_store_only_ints(hopf):
 
 
 def test_thm48_composites_of_an_integer_instance_are_ints(monkeypatch):
-    compared = _recorded(monkeypatch, modules)
+    calls = _seam(monkeypatch, modules)
     CA = regular_comodule_algebra(sweedler_hopf())
     assert check_rel_hopf(thm48_module(
         CA, CA.algebra.alpha, CA.algebra.alpha_inv)).ok
+    compared = [c[3:] for c in calls]
     assert len(compared) >= 4
     assert all(type(c) is int for pair in compared for f in pair
                for col in f.cols for _, c in col)

@@ -21,7 +21,7 @@ from homhopf.structures import (algebra_generators, check_comodule_algebra,
                                 twist)
 from homhopf.verify import check_identity, check_maps
 
-from test_modules import _seed1
+from test_modules import _seam, _seed1
 
 
 @pytest.mark.parametrize("name", names())
@@ -143,11 +143,11 @@ def test_an_algebra_object_decides_its_axioms_once(monkeypatch, tmp_path,
     path.write_text(emit_instance(entry("sweedler-H4")))
     names_ = []
 
-    def recording(report, name, *rest):
+    def recording(report, name, *rest, **reduced):
         names_.append(name)
-        return check_identity(report, name, *rest)
+        return check_maps(report, name, *rest, **reduced)
 
-    monkeypatch.setattr(structures, "check_identity", recording)
+    monkeypatch.setattr(structures, "check_maps", recording)
     assert main([word.format(path) for word in argv]) == 0
     capsys.readouterr()
     assert names_.count(HOM_ASSOCIATIVITY) == decided
@@ -277,18 +277,6 @@ def test_corrupted_mult_gives_the_full_report(hopf):
     assert failed
 
 
-def _identity_dims(monkeypatch) -> list:
-    """(name, factor dims) of each check_identity call in structures and
-    modules."""
-    calls = []
-    for module in (structures, modules):
-        def recording(report, name, factors, *rest, real=module.check_identity):
-            calls.append((name, tuple(sp.dim for sp in factors)))
-            return real(report, name, factors, *rest)
-        monkeypatch.setattr(module, "check_identity", recording)
-    return calls
-
-
 def test_kc12_check_and_thm48_build_no_cube(monkeypatch, tmp_path, capsys):
     """kC12 with its regular module, as the benchmark's kC12.json: neither
     check nor theorem 4.8 checks an identity on 12 x 12 x 12 columns."""
@@ -296,12 +284,13 @@ def test_kc12_check_and_thm48_build_no_cube(monkeypatch, tmp_path, capsys):
     path = tmp_path / "kC12.json"
     path.write_text(emit_instance(ParsedInstance(
         "kC12", "hopf", "", CA, {"A": regular_rel_hopf(CA)}, {})))
-    calls = _identity_dims(monkeypatch)
+    calls = _seam(monkeypatch, structures, modules)
     for argv in (["check"], ["theorem", "--id", "4.8"]):
         assert main(argv + [str(path)]) == 0
     capsys.readouterr()
-    assert (HOM_ASSOCIATIVITY, (12, 12, 1)) in calls
-    assert not [c for c in calls if c[1] == (12, 12, 12)]
+    dims = [c[:2] for c in calls]
+    assert (HOM_ASSOCIATIVITY, (12, 12, 1)) in dims
+    assert not [c for c in dims if c[1] == (12, 12, 12)]
 
 
 def test_a_corrupted_kc12_stops_at_its_second_block(monkeypatch):
@@ -309,8 +298,8 @@ def test_a_corrupted_kc12_stops_at_its_second_block(monkeypatch):
     identity on A (x) A (x) span(g) fails, and the whole identity stops at
     block g, the second, with the whole map's witness."""
     A = _seed1("kC12-bad-mult.json").hopf.algebra
-    calls = _identity_dims(monkeypatch)
+    calls = _seam(monkeypatch, structures, modules)
     rep = _assert_algebra_same_as_full(A)
-    assert [dims for name, dims in calls if name == HOM_ASSOCIATIVITY] == [
-        (12, 12, 1), (1, 12, 12), (1, 12, 12)]
+    assert [c[1:3] for c in calls if c[0] == HOM_ASSOCIATIVITY] == [
+        ((12, 12, 1), False), ((1, 12, 12), True), ((1, 12, 12), False)]
     assert rep.results[3].witness.basis[0] == "g"
