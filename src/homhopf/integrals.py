@@ -22,7 +22,7 @@ from .linalg import (SCALAR_SPACE, Column, Infeasible, LinearMap, Scalar,
                      tensor_space)
 from .modules import (RelHopfModule, check_hom_module, check_rel_hopf,
                       induce_G, morphism_identities, regular_induced,
-                      regular_rel_hopf, tensor_module, tensor_module_on)
+                      regular_rel_hopf, tensor_module)
 from .records import record
 from .report import Report
 from .structures import (ComoduleAlgebra, algebra_generators,
@@ -442,15 +442,15 @@ def theorem43_check(CA: ComoduleAlgebra,
 # Generator epimorphism (A (x) H (x) M)
 # ---------------------------------------------------------------------------
 
-def thm48_module(CA: ComoduleAlgebra, mu: LinearMap,
-                 mu_inv: LinearMap) -> RelHopfModule:
-    """A (x) H (x) M = tensor_module(G(A), mu, mu_inv) for an object (M, mu),
-    with
+def thm48_module(CA: ComoduleAlgebra, mu: LinearMap, mu_inv: LinearMap,
+                 b: LinearMap | None = None) -> RelHopfModule:
+    """A (x) H (x) M = tensor_module(G(A), mu, mu_inv, b) for an object
+    (M, mu), with
     (a (x) h (x) m).b = a beta^{-1}(b0) (x) h alpha^{-1}(b1) (x) mu(m) and
     rho = beta^{-1}(a) (x) h1 (x) mu^{-1}(m) (x) alpha^2(h2).  G(A) is acted
     on by beta^{-1}(b), which rho . beta^{-1} = (beta^{-1} (x) alpha^{-1})
     . rho turns into beta^{-1}(b0) (x) alpha^{-1}(b1)."""
-    return tensor_module(regular_induced(CA), mu, mu_inv)
+    return tensor_module(regular_induced(CA), mu, mu_inv, b)
 
 
 def generator_epi(CA: ComoduleAlgebra, M: RelHopfModule,
@@ -490,7 +490,7 @@ def thm48_check(CA: ComoduleAlgebra,
     once, on A (x) H (x) (k, 2) and A (x) H (x) (k, 3) (tensor_module's
     docstring).  If either fails, or mu_M^{-1} is not mu_M's inverse, each
     test module gets the full check_rel_hopf, with its witness.  Each test
-    module gets one A (x) H (x) M, acting on span(S) only (tensor_module_on)
+    module gets one A (x) H (x) M from thm48_module, acting on span(S) only
     once that holds and M's and A's suites hold: f's identities are then
     reduced to it (morphism_identities), and only their fallback is whole."""
     rep = Report("generator epimorphism")
@@ -508,8 +508,7 @@ def thm48_check(CA: ComoduleAlgebra,
         holds = every_M and (M.mu @ M.mu_inv).is_identity()
         on = holds and check_hom_algebra(A).ok and check_hom_module(
             M.as_module()).ok and basis_inclusion(A.space, algebra_generators(A))
-        AHM = (tensor_module_on(regular_induced(CA), M.mu, M.mu_inv, on) if on
-               else thm48_module(CA, M.mu, M.mu_inv))
+        AHM = thm48_module(CA, M.mu, M.mu_inv, on or None)
         if holds:
             rep.record(name, True)
         else:

@@ -31,7 +31,9 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .records import record
+# _set stores past the frozen LinearMap's __setattr__: the scaled form of a
+# map given by cols, the cols of a product, and a product's other fields.
+from .records import _set, record
 
 # An exact scalar: an int when integral, a Fraction otherwise.
 Scalar = int | Fraction
@@ -150,11 +152,6 @@ def _times(pairs, d: int) -> tuple[tuple[int, int], ...]:
     """The pairs (i, c) as (i, c * d), d a multiple of each denominator."""
     return tuple((i, c * d if type(c) is int
                   else c.numerator * (d // c.denominator)) for i, c in pairs)
-
-
-# Stores past the frozen LinearMap's __setattr__: the scaled form of a map
-# given by cols, the cols of a product, and a product's other fields.
-_set = object.__setattr__
 
 
 class _ProductCols:

@@ -102,8 +102,7 @@ def check_rel_hopf(M: RelHopfModule) -> Report:
     H = CA.hopf
     check_maps(rep, "comodule: mu invertible",
                [(M.mu @ M.mu_inv, LinearMap.identity(M.space))])
-    check_comodule_axioms(rep, "comodule: ", M.space, M.mu, M.mu_inv,
-                          M.coaction, H)
+    check_comodule_axioms(rep, M.space, M.mu, M.mu_inv, M.coaction, H)
     sp, asp = M.space, CA.space
     check_identity(rep, "compatibility: rho(m.a) = m0.a0 (x) m1 a1",
                    [sp, asp], tensor_space(sp, H.space),
@@ -147,12 +146,13 @@ def regular_induced(CA: ComoduleAlgebra) -> RelHopfModule:
     return CA.induced
 
 
-def tensor_module(X: RelHopfModule, nu: LinearMap,
-                  nu_inv: LinearMap) -> RelHopfModule:
+def tensor_module(X: RelHopfModule, nu: LinearMap, nu_inv: LinearMap,
+                  b: LinearMap | None = None) -> RelHopfModule:
     """X (x) N for a relative Hom-Hopf module X and an object (N, nu) of the
     Hom-category, with (x (x) n).b = x.beta^{-1}(b) (x) nu(n),
     rho(x (x) n) = (x0 (x) nu^{-1}(n)) (x) alpha(x1) and automorphism
-    mu_X (x) nu.
+    mu_X (x) nu.  Given b: B -> A, the action is given on (X (x) N) (x) B
+    only, as morphism_identities(..., on=b) reads it.
 
     The twists come from reassociating (x (x) n) (x) b and
     (x0 (x) x1) (x) n through the Hom-associator.  Theorem 4.8's
@@ -185,17 +185,11 @@ def tensor_module(X: RelHopfModule, nu: LinearMap,
     integrals.thm48_check decides Theorem 4.8's A (x) H (x) M for every M
     at once.
     """
-    return tensor_module_on(X, nu, nu_inv, LinearMap.identity(X.over.space))
-
-
-def tensor_module_on(X: RelHopfModule, nu: LinearMap, nu_inv: LinearMap,
-                     b: LinearMap) -> RelHopfModule:
-    """tensor_module(X, nu, nu_inv) with its action given on (X (x) N) (x) B
-    only, for b: B -> A, as morphism_identities(..., on=b) reads it."""
     CA = X.over
     sp, N = X.space, nu.domain
     idxn = LinearMap.identity(tensor_space(sp, N))
-    action = product_after(X.action, nu, idxn, CA.algebra.alpha_inv @ b,
+    beta_inv = CA.algebra.alpha_inv if b is None else CA.algebra.alpha_inv @ b
+    action = product_after(X.action, nu, idxn, beta_inv,
                            (sp, N, CA.space, SCALAR_SPACE))
     coaction = product_after(idxn, CA.hopf.algebra.alpha, X.coaction, nu_inv,
                              (sp, CA.hopf.space, N, SCALAR_SPACE))

@@ -187,28 +187,22 @@ def check_hom_hopf(H: HomHopfAlgebra) -> Report:
     # yields a single failure with a single witness
     both = Space(tuple(f"(S*id) {lab}" for lab in sp.labels)
                  + tuple(f"(id*S) {lab}" for lab in sp.labels))
-
-    def stacked(top: LinearMap, bottom: LinearMap) -> LinearMap:
-        n = sp.dim
-        return LinearMap(sp, both, tuple(
-            a + tuple((i + n, c) for i, c in b)
-            for a, b in zip(top.cols, bottom.cols)))
-
-    eta_eps = unit @ eps
+    top, bottom = (basis_inclusion(both, range(k, k + sp.dim))
+                   for k in (0, sp.dim))
     check_identity(rep, "antipode: S * id = id * S = unit eps", [sp], both,
-                   stacked(m @ tensor_after(S, idh, d),
-                           m @ tensor_after(idh, S, d)),
-                   stacked(eta_eps, eta_eps))
+                   top @ (m @ tensor_after(S, idh, d))
+                   + bottom @ (m @ tensor_after(idh, S, d)),
+                   (top + bottom) @ (unit @ eps))
     check_identity(rep, "S alpha = alpha S", [sp], sp,
                    S @ A.alpha, A.alpha @ S)
     return rep
 
 
-def check_comodule_axioms(rep: Report, prefix: str, space: Space,
-                          mu: LinearMap, mu_inv: LinearMap,
-                          coaction: LinearMap, H: HomHopfAlgebra) -> None:
+def check_comodule_axioms(rep: Report, space: Space, mu: LinearMap,
+                          mu_inv: LinearMap, coaction: LinearMap,
+                          H: HomHopfAlgebra) -> None:
     """Definition 2.6 axioms for a right Hom-comodule (shared by A and modules)."""
-    sp = space
+    sp, prefix = space, "comodule: "
     rho = coaction
     check_identity(rep, prefix + "Hom-coassociativity of coaction", [sp],
                    tensor_space(sp, H.space, H.space),
@@ -229,8 +223,7 @@ def check_comodule_algebra(CA: ComoduleAlgebra) -> Report:
     rho = CA.coaction
 
     rep.extend(check_hom_algebra(A), prefix="algebra: ")
-    check_comodule_axioms(rep, "comodule: ", sp, A.alpha, A.alpha_inv,
-                          CA.coaction, H)
+    check_comodule_axioms(rep, sp, A.alpha, A.alpha_inv, CA.coaction, H)
     check_identity(rep, "multiplicativity: rho(ab) = a0 b0 (x) a1 b1", [sp, sp],
                    tensor_space(sp, H.space), rho @ A.mult,
                    product_after(A.mult, H.algebra.mult, rho, rho,

@@ -25,12 +25,13 @@ from homhopf.linalg import (SCALAR_SPACE, AffineSolution, Infeasible,
                             LinearMap, basis_inclusion, frac, solve_affine)
 from homhopf.modules import (check_rel_hopf, induce_G, morphism_identities,
                              regular_induced, regular_rel_hopf,
-                             tensor_module, tensor_module_on)
+                             tensor_module)
 from homhopf.records import replace
 from homhopf.report import Report
 from homhopf.structures import (algebra_generators,
                                 regular_comodule_algebra, twist)
 from homhopf.verify import check_maps, record_suite
+from conftest import _seam
 from test_integral_systems import _rebased
 
 HOPF_ENTRIES = [n for n in names()
@@ -353,9 +354,9 @@ def test_thm48_matches_full_check_on_corrupted_h4():
 def _mutant(*fields):
     """tensor_module with fields taken from the X (x) N built with nu =
     id_N: the nu, the nu^{-1} or both dropped from those maps."""
-    def mutant(X, nu, nu_inv):
-        plain = tensor_module(X, *[LinearMap.identity(nu.domain)] * 2)
-        return replace(tensor_module(X, nu, nu_inv),
+    def mutant(X, nu, nu_inv, b=None):
+        plain = tensor_module(X, *[LinearMap.identity(nu.domain)] * 2, b)
+        return replace(tensor_module(X, nu, nu_inv, b),
                        **{f: getattr(plain, f) for f in fields})
     return mutant
 
@@ -383,22 +384,20 @@ def test_thm48_mutants_of_tensor_module_take_the_full_check(monkeypatch,
 
 
 def test_thm48_builds_the_action_of_a_h_m_on_generators_only(monkeypatch):
-    """On sweedler-H4 with A and G(A), thm48_module runs for the two probes
-    alone, and A (x) H (x) M's action is built on A (x) H (x) M (x)
-    span(g, x): 128 and 512 columns, not 256 and 1,024."""
+    """On sweedler-H4 with A and G(A), thm48_module builds the whole
+    module for the two probes alone, and A (x) H (x) M's action on
+    A (x) H (x) M (x) span(g, x): 128 and 512 columns, not 256 and 1,024."""
     built, parts = [], []
-    real, real_on = integrals.thm48_module, integrals.tensor_module_on
+    real = integrals.thm48_module
 
-    def whole(CA, mu, mu_inv):
-        built.append(mu.domain.dim)
-        return real(CA, mu, mu_inv)
-
-    def on_generators(*args):
-        part = real_on(*args)
-        parts.append(part.action.domain.dim)
-        return part
-    monkeypatch.setattr(integrals, "thm48_module", whole)
-    monkeypatch.setattr(integrals, "tensor_module_on", on_generators)
+    def recording(CA, mu, mu_inv, b=None):
+        AHM = real(CA, mu, mu_inv, b)
+        if b is None:
+            built.append(mu.domain.dim)
+        else:
+            parts.append(AHM.action.domain.dim)
+        return AHM
+    monkeypatch.setattr(integrals, "thm48_module", recording)
     inst = entry("sweedler-H4")
     assert _assert_thm48_same_as_full(inst.comodule_algebra,
                                       _modules_of(inst)).ok
@@ -441,7 +440,7 @@ def test_thm48_f_wrong_only_off_the_generators_is_caught(monkeypatch):
                   if not check_maps(Report(""), "",
                                     morphism_identities(m, AHM, M, "A")))
     assert check_maps(Report(""), "", morphism_identities(
-        mutant, tensor_module_on(regular_induced(CA), M.mu, M.mu_inv, on),
+        mutant, tensor_module(regular_induced(CA), M.mu, M.mu_inv, on),
         M, "A", on=on))
     monkeypatch.setattr(integrals, "generator_epi", lambda *a: (mutant, g))
     line = next(r for r in thm48_check(CA).results if r.name.startswith("f"))
@@ -465,18 +464,11 @@ def test_thm48_checks_no_identity_on_the_whole_of_a_h_g_a(monkeypatch):
     """On sweedler-H4 with G(A), A (x) H (x) G(A) has dim 256; no identity
     of the module suites is checked over a factor wider than
     A (x) H (x) (k, c), of dim 16."""
-    dims = []
-    for module in (modules, structures):
-        real = module.check_identity
-
-        def recording(report, name, factors, out_space, lhs, rhs,
-                      real=real):
-            dims.extend(sp.dim for sp in factors)
-            return real(report, name, factors, out_space, lhs, rhs)
-        monkeypatch.setattr(module, "check_identity", recording)
+    calls = _seam(monkeypatch, modules, structures)
     inst = entry("sweedler-H4")
     rep = thm48_check(inst.comodule_algebra, [inst.modules["G(A)"]])
     assert rep.ok, rep.pretty()
+    dims = [d for c in calls for d in c[1]]
     assert dims and max(dims) == 16
 
 

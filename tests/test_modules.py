@@ -33,6 +33,7 @@ from homhopf.structures import (algebra_generators, check_comodule_algebra,
                                 regular_comodule_algebra)
 from homhopf.verify import check_identity, check_maps
 
+from conftest import _seam
 from leg_reference import permute_legs
 from test_integrals import _scaled_h4
 
@@ -372,38 +373,6 @@ def _full_hom_module(M: HomModule) -> Report:
 
 def _assert_same_as_full(M: HomModule) -> None:
     assert check_hom_module(M).to_dict() == _full_hom_module(M).to_dict()
-
-
-def _seam(monkeypatch, *patched) -> list:
-    """(name, factor dims, verdict, lhs, rhs) of each identity that the
-    patched modules compare through check_identity or check_maps, in the
-    order compared.  The dims are those of the witness (factors, by default
-    lhs's domain factors); check_maps's reduced identities come first, and
-    its others only if it reads them, up to the first that fails."""
-    calls = []
-
-    def seen(name, identities, factors):
-        for ident in identities() if callable(identities) else identities:
-            lhs, rhs = ident[:2]
-            calls.append((name, tuple(sp.dim for sp in factors
-                                      or lhs.domain.factors),
-                          lhs.same_matrix(rhs), lhs, rhs))
-            yield ident
-
-    def maps(report, name, identities, factors=None, out_space=None,
-             reduced=()):
-        return check_maps(report, name,
-                          lambda: seen(name, identities, factors), factors,
-                          out_space, reduced=reduced and seen(name, reduced,
-                                                              None))
-
-    for module in patched:
-        monkeypatch.setattr(module, "check_maps", maps)
-        monkeypatch.setattr(module, "check_identity", lambda report, name,
-                            factors, out_space, lhs, rhs: maps(
-                                report, name, [(lhs, rhs)], factors,
-                                out_space))
-    return calls
 
 
 def _kcn_ca(n: int):

@@ -2,12 +2,16 @@
 dimension, and no other test reaches it.  A zero-dimensional space is an
 answer (it passes every kernel); these are the inputs that still are not."""
 
+import sys
+
 import pytest
 
 from homhopf.catalog import cyclic_group_hopf, entry
+from homhopf.cli import main
 from homhopf.errors import EquivalenceViolated, NotAutomorphism
 from homhopf.galois import (coinvariant_module, coinvariants, free_module,
                             thm56_adjunction)
+from homhopf.instance_io import emit_instance
 from homhopf.integrals import (_total_integral_system, find_quantum_integral,
                                generator_epi, total_integral_identities)
 from homhopf.linalg import (LinearMap, solve_affine, space, tensor_after,
@@ -185,3 +189,20 @@ def test_a_refusal_that_stays_raises_its_error(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() has no digit limit")
+def test_a_json_integer_past_the_digit_limit_is_refused(capsys, tmp_path):
+    """hopf.dim of kC2 written one digit past what int() takes: json.loads
+    raises a plain ValueError, which parse_instance refuses by the limit."""
+    limit = sys.get_int_max_str_digits()
+    text = emit_instance(entry("kC2"))
+    path = tmp_path / "digits.json"
+    # the first "dim" is hopf's; 10**limit has limit + 1 digits, written as
+    # text because json.dumps, through str(), refuses an int that large
+    path.write_text(text.replace('"dim": 2,', f'"dim": 1{"0" * limit},', 1))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: not valid JSON: an integer has more than {limit} "
+        "digits\n")

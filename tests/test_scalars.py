@@ -14,9 +14,8 @@ from homhopf.integrals import thm48_module
 from homhopf.modules import check_rel_hopf, regular_rel_hopf
 from homhopf.structures import (check_comodule_algebra, check_hom_hopf,
                                 regular_comodule_algebra)
-from homhopf.verify import check_identity
+from conftest import _seam
 from test_integral_systems import _rebased
-from test_modules import _seam
 
 
 def _structure_maps(CA, mods=()):
@@ -43,19 +42,6 @@ def _assert_one_form(scalars):
     """No float; every integral scalar an int, the others Fractions."""
     assert all(type(c) in (int, Fraction) for c in scalars)
     assert all(type(c) is int for c in scalars if c.denominator == 1)
-
-
-def _recorded(monkeypatch, module):
-    """The (lhs, rhs) maps that module compares with check_identity from
-    now on; each call still returns its verdict."""
-    compared = []
-
-    def recording(report, name, factors, out_space, lhs, rhs):
-        compared.append((lhs, rhs))
-        return check_identity(report, name, factors, out_space, lhs, rhs)
-
-    monkeypatch.setattr(module, "check_identity", recording)
-    return compared
 
 
 def _round_trip(CA, mods):
@@ -109,10 +95,11 @@ def test_rebased_axiom_composites_keep_one_scalar_form(monkeypatch):
     """The composites of the Hom-Hopf and comodule-algebra axioms on a
     rebased instance come out of the common-denominator products with
     every integral scalar an int and the rest Fractions."""
-    compared = _recorded(monkeypatch, structures)
+    calls = _seam(monkeypatch, structures)
     CA = _rebased(entry("kC3-twisted").comodule_algebra)
     assert check_hom_hopf(CA.hopf).ok
     assert check_comodule_algebra(CA).ok
+    compared = [c[3:] for c in calls]
     assert len(compared) >= 10
     scalars = [c for pair in compared for f in pair for col in f.cols
                for _, c in col]

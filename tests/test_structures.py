@@ -21,7 +21,8 @@ from homhopf.structures import (algebra_generators, check_comodule_algebra,
                                 twist)
 from homhopf.verify import check_identity, check_maps
 
-from test_modules import _seam, _seed1
+from conftest import _seam
+from test_modules import _seed1
 
 
 @pytest.mark.parametrize("name", names())
