@@ -11,10 +11,10 @@ from .errors import (CentralityViolated, EquivalenceViolated, HomHopfError,
                      InstanceFormatError, NotAutomorphism, NotIntertwining,
                      StructureDoesNotDescend, UnknownEntry)
 from .linalg import Infeasible, LinearMap, Space, frac, space, tensor_space
-from .structures import (ComoduleAlgebra, HomAlgebra, HomCoalgebra,
-                         HomHopfAlgebra, check_comodule_algebra,
-                         check_hom_algebra, check_hom_coalgebra,
-                         check_hom_hopf, regular_comodule_algebra, twist)
+from .structures import (ComoduleAlgebra, HomAlgebra, HomHopfAlgebra,
+                         check_comodule_algebra, check_hom_algebra,
+                         check_hom_coalgebra, check_hom_hopf,
+                         regular_comodule_algebra, twist)
 from .modules import (HomModule, RelHopfModule, check_rel_hopf, induce_G,
                       induce_Gtilde, is_morphism, prop31_check, prop31_u,
                       prop31_v, regular_rel_hopf)

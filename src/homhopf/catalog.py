@@ -17,8 +17,8 @@ from .integrals import is_total, quantum_integral_identities
 from .linalg import SCALAR_SPACE, LinearMap, Space, frac, space, tensor_space
 from .modules import prop31_check, regular_induced, regular_rel_hopf
 from .report import Report
-from .structures import (ComoduleAlgebra, HomAlgebra, HomCoalgebra,
-                         HomHopfAlgebra, regular_comodule_algebra, twist)
+from .structures import (ComoduleAlgebra, HomAlgebra, HomHopfAlgebra,
+                         regular_comodule_algebra, twist)
 from .verify import check_maps
 
 
@@ -40,9 +40,8 @@ def cyclic_group_hopf(n: int) -> HomHopfAlgebra:
     unit = LinearMap(SCALAR_SPACE, sp, (((0, 1),),))
     antipode = LinearMap(sp, sp, tuple((((-i) % n, 1),) for i in range(n)))
     ident = LinearMap.identity(sp)
-    algebra = HomAlgebra(sp, mult, unit, ident, ident)
-    coalgebra = HomCoalgebra(sp, comult, counit, ident, ident)
-    return HomHopfAlgebra.build(algebra, coalgebra, antipode)
+    return HomHopfAlgebra.build(sp, mult, unit, comult, counit, antipode,
+                                ident, ident)
 
 
 def sweedler_hopf() -> HomHopfAlgebra:
@@ -66,9 +65,8 @@ def sweedler_hopf() -> HomHopfAlgebra:
     antipode = LinearMap(sp, sp, (((one, 1),), ((g, 1),), ((gx, -1),),
                                   ((x, 1),)))
     ident = LinearMap.identity(sp)
-    algebra = HomAlgebra(sp, mult, unit, ident, ident)
-    coalgebra = HomCoalgebra(sp, comult, counit, ident, ident)
-    return HomHopfAlgebra.build(algebra, coalgebra, antipode)
+    return HomHopfAlgebra.build(sp, mult, unit, comult, counit, antipode,
+                                ident, ident)
 
 
 def twisted_cyclic3() -> HomHopfAlgebra:
@@ -92,22 +90,9 @@ def trivial_comodule_algebra(H: HomHopfAlgebra) -> ComoduleAlgebra:
     return ComoduleAlgebra(algebra, H, coaction)
 
 
-def matrix_coalgebra(n: int) -> HomCoalgebra:
-    """The comatrix coalgebra with basis c_ij, Delta(c_ij) = sum_u
-    c_iu (x) c_uj, eps(c_ij) = delta_ij, identity twisting."""
-    labels = tuple(f"c{i}{j}" for i in range(n) for j in range(n))
-    sp = Space(labels)
-    comult = LinearMap(sp, tensor_space(sp, sp), tuple(
-        tuple(((i * n + u) * n * n + u * n + j, 1) for u in range(n))
-        for i in range(n) for j in range(n)))
-    counit = LinearMap(sp, SCALAR_SPACE, tuple(
-        ((0, 1),) if i == j else () for i in range(n) for j in range(n)))
-    ident = LinearMap.identity(sp)
-    return HomCoalgebra(sp, comult, counit, ident, ident)
-
-
 def matrix_datum(n: int) -> ComoduleAlgebra:
-    """The comatrix coalgebra coacting trivially on A = k.
+    """The comatrix coalgebra (basis c_ij, Delta(c_ij) = sum_u c_iu (x) c_uj,
+    eps(c_ij) = delta_ij, identity twisting) coacting trivially on A = k.
 
     The multiplication attached to the coalgebra is the matrix-unit product
     c_ij c_kl = delta_jk c_il; only products against 1_H = sum_u c_uu are
@@ -115,8 +100,12 @@ def matrix_datum(n: int) -> ComoduleAlgebra:
     No bialgebra or antipode claims are made for this datum, so only the
     coalgebra and the integral equations are checked for it.
     """
-    C = matrix_coalgebra(n)
-    sp = C.space
+    sp = Space(tuple(f"c{i}{j}" for i in range(n) for j in range(n)))
+    comult = LinearMap(sp, tensor_space(sp, sp), tuple(
+        tuple(((i * n + u) * n * n + u * n + j, 1) for u in range(n))
+        for i in range(n) for j in range(n)))
+    counit = LinearMap(sp, SCALAR_SPACE, tuple(
+        ((0, 1),) if i == j else () for i in range(n) for j in range(n)))
     mult = LinearMap(tensor_space(sp, sp), sp, tuple(
         ((i * n + s, 1),) if j == r else ()
         for i in range(n) for j in range(n)
@@ -126,7 +115,7 @@ def matrix_datum(n: int) -> ComoduleAlgebra:
     ident = LinearMap.identity(sp)
     algebra = HomAlgebra(sp, mult, unit, ident, ident)
     antipode = LinearMap.zero(sp, sp)
-    H = HomHopfAlgebra(algebra, C, antipode, None)
+    H = HomHopfAlgebra(algebra, comult, counit, antipode, None)
     return trivial_comodule_algebra(H)
 
 

@@ -101,7 +101,7 @@ def _regular_hopf(inst: ParsedInstance) -> HomHopfAlgebra:
     regular = (CA.algebra.mult.same_matrix(H.algebra.mult)
                and CA.algebra.alpha.same_matrix(H.algebra.alpha)
                and CA.algebra.unit.same_matrix(H.algebra.unit)
-               and CA.coaction.same_matrix(H.coalgebra.comult))
+               and CA.coaction.same_matrix(H.comult))
     if inst.modules and not regular:
         raise InstanceFormatError(
             "corollary 5.8 needs modules over H coacting on itself, but this "

@@ -430,7 +430,7 @@ def prop51_check(CA: ComoduleAlgebra, gamma: QuantumIntegral) -> Report:
     # colinearity of lam in its twisted form:
     # lam(beta^{-1}(a) (x) h1) (x) alpha(h2) = rho_A(lam(a (x) h))
     colin_lhs = tensor_after(lam, H.algebra.alpha,
-                             A.alpha_inv.tensor(H.coalgebra.comult))
+                             A.alpha_inv.tensor(H.comult))
     check_maps(rep, "lam(beta^{-1}(a) (x) h1) (x) alpha(h2) = "
                "rho_A(lam(a (x) h))", [(colin_lhs, CA.coaction @ lam)])
     check_maps(rep, "Lam is a relative-category morphism G(A) -> A",

@@ -23,10 +23,9 @@ from .linalg import (SCALAR_SPACE, LinearMap, Scalar, Space, frac, space,
 from .modules import RelHopfModule, check_rel_hopf
 from .records import field, record
 from .report import Report
-from .structures import (ComoduleAlgebra, HomAlgebra, HomCoalgebra,
-                         HomHopfAlgebra, check_comodule_algebra,
-                         check_hom_coalgebra, check_hom_hopf,
-                         regular_comodule_algebra)
+from .structures import (ComoduleAlgebra, HomAlgebra, HomHopfAlgebra,
+                         check_comodule_algebra, check_hom_coalgebra,
+                         check_hom_hopf, regular_comodule_algebra)
 
 FORMAT_NAME = "homhopf-instance"
 DEFAULT_MAX_DIM = 12
@@ -71,7 +70,7 @@ class ParsedInstance:
             rep.extend(check_comodule_algebra(self.comodule_algebra),
                        "comodule algebra: ")
         else:
-            rep.extend(check_hom_coalgebra(self.hopf.coalgebra), "coalgebra: ")
+            rep.extend(check_hom_coalgebra(self.hopf), "coalgebra: ")
         for name, M in sorted(self.modules.items()):
             rep.extend(check_rel_hopf(M), f"module {name}: ")
         return rep
@@ -125,8 +124,8 @@ def emit_instance(inst: ParsedInstance) -> str:
                                     for k in sorted(inst.expected)}}, indent=2)
     blocks = [
         '"hopf": ' + _block(H.space, 1, mult=H.algebra.mult,
-                            unit=H.algebra.unit, comult=H.coalgebra.comult,
-                            counit=H.coalgebra.counit, antipode=H.antipode,
+                            unit=H.algebra.unit, comult=H.comult,
+                            counit=H.counit, antipode=H.antipode,
                             alpha=H.algebra.alpha),
         '"comodule_algebra": ' + _block(A.space, 1, mult=A.mult, unit=A.unit,
                                         beta=A.alpha, coaction=CA.coaction),
@@ -268,10 +267,8 @@ def _parse_hopf(block: dict, kind: str, cap: int) -> HomHopfAlgebra:
     counit = _parse_matrix(block, "counit", sp, SCALAR_SPACE, where)
     antipode = _parse_matrix(block, "antipode", sp, sp, where)
     alpha = _parse_matrix(block, "alpha", sp, sp, where)
-    alpha_inv = _invert(alpha, "alpha", f"{where}.alpha")
-    algebra = HomAlgebra(sp, mult, unit, alpha, alpha_inv)
-    coalgebra = HomCoalgebra(sp, comult, counit, alpha, alpha_inv)
-    H = HomHopfAlgebra.build(algebra, coalgebra, antipode)
+    H = HomHopfAlgebra.build(sp, mult, unit, comult, counit, antipode, alpha,
+                             _invert(alpha, "alpha", f"{where}.alpha"))
     if kind == "hopf" and H.antipode_inv is None:
         raise InstanceFormatError("antipode is not invertible",
                                   f"{where}.antipode")

@@ -155,7 +155,7 @@ def total_integral_identities(CA: ComoduleAlgebra, phi: LinearMap) -> list:
     phi(1_H) = 1_A, as (lhs, rhs, label)."""
     A, H = CA.algebra, CA.hopf
     idh = LinearMap.identity(H.space)
-    return [(CA.coaction @ phi, phi.tensor(idh) @ H.coalgebra.comult,
+    return [(CA.coaction @ phi, phi.tensor(idh) @ H.comult,
              "H-colinear"),
             (phi @ H.algebra.alpha, A.alpha @ phi,
              "intertwining alpha and beta"),
@@ -173,7 +173,7 @@ def _total_integral_system(CA: ComoduleAlgebra) -> _MapSystem:
     system = _MapSystem(H.space, A.space)
     system.condition((CA.coaction, idh, 1),
                      (LinearMap.identity(tensor_space(A.space, H.space)),
-                      H.coalgebra.comult, H.dim))
+                      H.comult, H.dim))
     system.condition((ida, H.algebra.alpha, 1), (A.alpha, idh, 1))
     system.condition((ida, H.algebra.unit, 1), A.unit)
     return system
@@ -206,7 +206,7 @@ def quantum_integral_identities(CA: ComoduleAlgebra, gh: LinearMap,
     """
     A, H = CA.algebra, CA.hopf
     al, al_inv = H.algebra.alpha, H.algebra.alpha_inv
-    delta, idh = H.coalgebra.comult, LinearMap.identity(H.space)
+    delta, idh = H.comult, LinearMap.identity(H.space)
     # g (x) h -> g1 (x) w -> beta(w0) (x) g1 w1
     w = tensor_after(idh, gh, delta.tensor(al_inv))
     legs = product_after(A.alpha, H.algebra.mult, idh, CA.coaction,
@@ -220,7 +220,7 @@ def quantum_integral_identities(CA: ComoduleAlgebra, gh: LinearMap,
 def _eq42_identity(CA: ComoduleAlgebra, gh: LinearMap) -> tuple:
     """Eq. 4.2, per basis h: gamma(h1)(h2) = eps(h) 1_A."""
     A, H = CA.algebra, CA.hopf
-    return (gh @ H.coalgebra.comult, A.unit @ H.coalgebra.counit,
+    return (gh @ H.comult, A.unit @ H.counit,
             "Eq. 4.2")
 
 
@@ -242,7 +242,7 @@ def _quantum_integral_system(CA: ComoduleAlgebra,
     hh = tensor_space(H.space, H.space)
     ida, idh = LinearMap.identity(A.space), LinearMap.identity(H.space)
     al, al_inv = H.algebra.alpha, H.algebra.alpha_inv
-    delta = H.coalgebra.comult
+    delta = H.comult
     system = _MapSystem(hh, A.space)
     # gamma_hat (alpha (x) alpha) = beta gamma_hat
     system.condition((ida, al.tensor(al), 1),
@@ -257,7 +257,7 @@ def _quantum_integral_system(CA: ComoduleAlgebra,
                       delta.tensor(al_inv), 1))
     if require_total:
         # Eq. 4.2, one block of A per h: gamma(h1)(h2) = eps(h) 1_A
-        system.condition((ida, delta, 1), A.unit @ H.coalgebra.counit)
+        system.condition((ida, delta, 1), A.unit @ H.counit)
     return system
 
 

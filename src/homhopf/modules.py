@@ -133,7 +133,7 @@ def induce_G(M: HomModule, CA: ComoduleAlgebra) -> RelHopfModule:
     action = product_after(M.action, H.algebra.mult, LinearMap.identity(sp),
                            CA.coaction, (M.space, H.space, CA.space, H.space))
     coaction = M.mu_inv.tensor(tensor_after(
-        LinearMap.identity(H.space), H.algebra.alpha, H.coalgebra.comult))
+        LinearMap.identity(H.space), H.algebra.alpha, H.comult))
     mu = M.mu.tensor(H.algebra.alpha)
     return RelHopfModule(sp, mu, M.mu_inv.tensor(H.algebra.alpha_inv),
                          action, coaction, CA)
@@ -213,7 +213,7 @@ def induce_Gtilde(CA: ComoduleAlgebra) -> RelHopfModule:
                         H.algebra.alpha_inv)
     coaction = product_after(LinearMap.identity(amb.space),
                              H.algebra.mult @ swap_map(H.space, H.space),
-                             CA.coaction, H.coalgebra.comult,
+                             CA.coaction, H.comult,
                              (CA.space, H.space, H.space, H.space))
     return replace(amb, coaction=coaction)
 

@@ -1,4 +1,4 @@
-"""Structure-constant Hom-algebras, Hom-coalgebras, Hom-Hopf algebras and
+"""Structure-constant Hom-algebras, Hom-Hopf algebras and
 Hom-comodule algebras (whose suite includes their algebra's), with axiom
 checkers, a twisting constructor and algebra generators (algebra_generators).
 
@@ -36,19 +36,11 @@ class HomAlgebra:
 
 
 @record(frozen=True)
-class HomCoalgebra:
-    """A monoidal Hom-coalgebra (C, gamma): comultiplication, counit, automorphism."""
-
-    space: Space
-    comult: LinearMap        # C -> C (x) C
-    counit: LinearMap        # C -> k
-    gamma: LinearMap
-    gamma_inv: LinearMap
-
-
-@record(frozen=True)
 class HomHopfAlgebra:
     """A monoidal Hom-Hopf algebra: compatible Hom-bialgebra plus antipode.
+
+    One object (H, alpha) carries both structures, as in [CG11]: the
+    coalgebra's automorphism gamma is the algebra's alpha (algebra.alpha).
 
     The antipode inverse is optional at construction, but every operation
     that needs a bijective antipode (quantum integrals and everything in
@@ -56,22 +48,21 @@ class HomHopfAlgebra:
     """
 
     algebra: HomAlgebra
-    coalgebra: HomCoalgebra
+    comult: LinearMap        # H -> H (x) H
+    counit: LinearMap        # H -> k
     antipode: LinearMap
     antipode_inv: Optional[LinearMap]
 
     @staticmethod
-    def build(algebra: HomAlgebra, coalgebra: HomCoalgebra,
-              antipode: LinearMap) -> "HomHopfAlgebra":
-        if algebra.space is not coalgebra.space and algebra.space != coalgebra.space:
-            raise ValueError("algebra and coalgebra must share the underlying space")
-        if not algebra.alpha.same_matrix(coalgebra.gamma):
-            raise ValueError("Hopf structure needs gamma = alpha")
+    def build(space: Space, mult: LinearMap, unit: LinearMap,
+              comult: LinearMap, counit: LinearMap, antipode: LinearMap,
+              alpha: LinearMap, alpha_inv: LinearMap) -> "HomHopfAlgebra":
         try:
             s_inv = antipode.inverse()
         except ValueError:
             s_inv = None
-        return HomHopfAlgebra(algebra, coalgebra, antipode, s_inv)
+        return HomHopfAlgebra(HomAlgebra(space, mult, unit, alpha, alpha_inv),
+                              comult, counit, antipode, s_inv)
 
     @property
     def space(self) -> Space:
@@ -143,10 +134,13 @@ def check_hom_algebra(A: HomAlgebra) -> Report:
     return rep
 
 
-def check_hom_coalgebra(C: HomCoalgebra) -> Report:
-    rep = Report(f"Hom-coalgebra axioms on {C.space.labels}")
-    sp = C.space
-    d, eps, g, g_inv = C.comult, C.counit, C.gamma, C.gamma_inv
+def check_hom_coalgebra(H: HomHopfAlgebra) -> Report:
+    """The Hom-coalgebra axioms of (H, gamma), gamma the algebra's alpha
+    (H.algebra.alpha): one object carries both, as in [CG11]."""
+    rep = Report(f"Hom-coalgebra axioms on {H.space.labels}")
+    sp = H.space
+    d, eps = H.comult, H.counit
+    g, g_inv = H.algebra.alpha, H.algebra.alpha_inv
     idc = LinearMap.identity(sp)
 
     check_maps(rep, "gamma invertible", [(g @ g_inv, idc)])
@@ -167,11 +161,11 @@ def check_hom_hopf(H: HomHopfAlgebra) -> Report:
     """Algebra + coalgebra axioms, bialgebra compatibility, antipode identities."""
     rep = Report(f"Hom-Hopf axioms on {H.space.labels}")
     rep.extend(check_hom_algebra(H.algebra), prefix="algebra: ")
-    rep.extend(check_hom_coalgebra(H.coalgebra), prefix="coalgebra: ")
+    rep.extend(check_hom_coalgebra(H), prefix="coalgebra: ")
 
     sp = H.space
-    A, C = H.algebra, H.coalgebra
-    m, d, eps, S, unit = A.mult, C.comult, C.counit, H.antipode, A.unit
+    A = H.algebra
+    m, d, eps, S, unit = A.mult, H.comult, H.counit, H.antipode, A.unit
     idh = LinearMap.identity(sp)
 
     check_identity(rep, "Delta(ab) = a1 b1 (x) a2 b2", [sp, sp],
@@ -207,9 +201,9 @@ def check_comodule_axioms(rep: Report, space: Space, mu: LinearMap,
     check_identity(rep, prefix + "Hom-coassociativity of coaction", [sp],
                    tensor_space(sp, H.space, H.space),
                    tensor_after(rho, H.algebra.alpha_inv, rho),
-                   tensor_after(mu_inv, H.coalgebra.comult, rho))
+                   tensor_after(mu_inv, H.comult, rho))
     check_identity(rep, prefix + "counit law: m0 eps(m1) = mu^{-1}(m)", [sp], sp,
-                   tensor_after(LinearMap.identity(sp), H.coalgebra.counit,
+                   tensor_after(LinearMap.identity(sp), H.counit,
                                 rho), mu_inv)
     check_identity(rep, prefix + "coaction intertwines: rho mu = (mu x alpha) rho",
                    [sp], tensor_space(sp, H.space),
@@ -270,7 +264,7 @@ def twist(H: HomHopfAlgebra, aut: LinearMap) -> HomHopfAlgebra:
     (alpha = id) as input this realizes the standard twisting that turns a
     classical bialgebra into a monoidal Hom-bialgebra.
     """
-    A, C = H.algebra, H.coalgebra
+    A = H.algebra
     try:
         aut_inv_candidate = aut.inverse()
     except ValueError:
@@ -279,19 +273,17 @@ def twist(H: HomHopfAlgebra, aut: LinearMap) -> HomHopfAlgebra:
     rep = Report("")
     if not check_maps(rep, "", [
             (aut @ A.mult, A.mult @ aut2, "commute with multiplication"),
-            (C.comult @ aut, aut2 @ C.comult, "commute with comultiplication"),
-            (C.counit @ aut, C.counit, "preserve the counit"),
+            (H.comult @ aut, aut2 @ H.comult, "commute with comultiplication"),
+            (H.counit @ aut, H.counit, "preserve the counit"),
             (aut @ A.unit, A.unit, "preserve the unit")]):
         raise NotAutomorphism(f"aut does not {rep.results[0].detail}")
 
     new_alpha = aut @ A.alpha
-    alphas = (new_alpha, new_alpha.inverse())
-    algebra = HomAlgebra(A.space, aut @ A.mult, A.unit, *alphas)
-    coalgebra = HomCoalgebra(C.space, C.comult @ aut_inv_candidate, C.counit,
-                             *alphas)
-    return HomHopfAlgebra.build(algebra, coalgebra, H.antipode)
+    return HomHopfAlgebra.build(A.space, aut @ A.mult, A.unit,
+                                H.comult @ aut_inv_candidate, H.counit,
+                                H.antipode, new_alpha, new_alpha.inverse())
 
 
 def regular_comodule_algebra(H: HomHopfAlgebra) -> ComoduleAlgebra:
     """A = H coacting on itself by its comultiplication."""
-    return ComoduleAlgebra(H.algebra, H, H.coalgebra.comult)
+    return ComoduleAlgebra(H.algebra, H, H.comult)

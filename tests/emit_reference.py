@@ -27,7 +27,7 @@ def reference_emit(inst):
         "kind": inst.kind,
         "description": inst.description,
         "hopf": _block(H.space, mult=H.algebra.mult, unit=H.algebra.unit,
-                       comult=H.coalgebra.comult, counit=H.coalgebra.counit,
+                       comult=H.comult, counit=H.counit,
                        antipode=H.antipode, alpha=H.algebra.alpha),
         "comodule_algebra": _block(A.space, mult=A.mult, unit=A.unit,
                                    beta=A.alpha, coaction=CA.coaction),

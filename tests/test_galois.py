@@ -360,7 +360,7 @@ def _flipped_from(CA, amb, field):
     it, precomposed with x (x) y -> y x (the action as in the original
     refusal test, flip (x) eps)."""
     flip = swap_map(CA.space, CA.space)
-    bad = {"action": flip.tensor(CA.hopf.coalgebra.counit),
+    bad = {"action": flip.tensor(CA.hopf.counit),
            "coaction": amb.coaction @ flip, "mu": amb.mu @ flip}
     order = ("action", "coaction", "mu")
     return replace(amb, **{f: bad[f] for f in order[order.index(field):]})

@@ -221,11 +221,19 @@ def test_wrong_shape_is_rejected():
         parse_instance(json.dumps(doc))
 
 
-def test_singular_automorphism_is_rejected():
+@pytest.mark.parametrize("path", ["hopf.alpha", "comodule_algebra.beta",
+                                  "modules.A.mu"])
+def test_singular_automorphism_is_rejected(path):
+    """Each block of emitted kC2 refuses a singular automorphism by name."""
+    *keys, name = path.split(".")
     doc = json.loads(emit_instance(entry("kC2")))
-    doc["hopf"]["alpha"] = [["1", "1"], ["1", "1"]]
-    with pytest.raises(InstanceFormatError, match="not invertible"):
+    block = doc
+    for key in keys:
+        block = block[key]
+    block[name] = [["1", "1"], ["1", "1"]]
+    with pytest.raises(InstanceFormatError) as exc:
         parse_instance(json.dumps(doc))
+    assert str(exc.value) == f"{path}: {name} is not invertible"
 
 
 def test_singular_antipode_is_rejected_in_a_hopf_file_only():
@@ -242,10 +250,10 @@ def test_a_file_and_the_catalog_write_the_counit_over_one_scalar_space():
     """With eps(1) = 2 on kC2, the catalog's maps and the parsed file give
     one witness text for eps(1) = 1."""
     H = entry("kC2").hopf
-    rows = [list(r) for r in H.coalgebra.counit.matrix]
+    rows = [list(r) for r in H.counit.matrix]
     rows[0][0] = 2
-    catalog = replace(H, coalgebra=replace(
-        H.coalgebra, counit=LinearMap.from_rows(H.space, SCALAR_SPACE, rows)))
+    catalog = replace(H, counit=LinearMap.from_rows(H.space, SCALAR_SPACE,
+                                                    rows))
     doc = json.loads(emit_instance(entry("kC2")))
     doc["hopf"]["counit"][0][0] = "2"
     parsed = parse_instance(json.dumps(doc)).hopf

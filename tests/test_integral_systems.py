@@ -24,9 +24,9 @@ from homhopf.integrals import (_colinear_retraction_system,
 from homhopf.linalg import (Infeasible, LinearMap, Space, solve_affine,
                             tensor_space)
 from homhopf.modules import induce_G, regular_rel_hopf
-from homhopf.structures import (ComoduleAlgebra, HomAlgebra, HomCoalgebra,
-                                HomHopfAlgebra, check_comodule_algebra,
-                                check_hom_hopf, regular_comodule_algebra)
+from homhopf.structures import (ComoduleAlgebra, HomAlgebra, HomHopfAlgebra,
+                                check_comodule_algebra, check_hom_hopf,
+                                regular_comodule_algebra)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,14 +49,12 @@ def _rebased(CA: ComoduleAlgebra) -> ComoduleAlgebra:
     def conj(f, out_inv, into):
         return out_inv @ f @ into
 
-    hop = HomAlgebra(H.space, conj(H.algebra.mult, ph_inv, ph.tensor(ph)),
-                     ph_inv @ H.algebra.unit, conj(H.algebra.alpha, ph_inv, ph),
-                     conj(H.algebra.alpha_inv, ph_inv, ph))
-    coalg = HomCoalgebra(
-        H.space, conj(H.coalgebra.comult, ph_inv.tensor(ph_inv), ph),
-        H.coalgebra.counit @ ph, conj(H.coalgebra.gamma, ph_inv, ph),
-        conj(H.coalgebra.gamma_inv, ph_inv, ph))
-    hopf = HomHopfAlgebra.build(hop, coalg, conj(H.antipode, ph_inv, ph))
+    hopf = HomHopfAlgebra.build(
+        H.space, conj(H.algebra.mult, ph_inv, ph.tensor(ph)),
+        ph_inv @ H.algebra.unit, conj(H.comult, ph_inv.tensor(ph_inv), ph),
+        H.counit @ ph, conj(H.antipode, ph_inv, ph),
+        conj(H.algebra.alpha, ph_inv, ph),
+        conj(H.algebra.alpha_inv, ph_inv, ph))
     alg = HomAlgebra(A.space, conj(A.mult, pa_inv, pa.tensor(pa)),
                      pa_inv @ A.unit, conj(A.alpha, pa_inv, pa),
                      conj(A.alpha_inv, pa_inv, pa))

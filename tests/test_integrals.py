@@ -229,7 +229,7 @@ def test_gamma_from_central_phi_rejects_non_colinear_phi():
     from homhopf.errors import NotIntertwining
     CA = trivial_comodule_algebra(sweedler_hopf())
     H = CA.hopf
-    phi = LinearMap(H.space, CA.algebra.space, H.coalgebra.counit.cols)
+    phi = LinearMap(H.space, CA.algebra.space, H.counit.cols)
     with pytest.raises(NotIntertwining):
         gamma_from_central_phi(CA, phi)
 

@@ -6,21 +6,24 @@ import sys
 
 import pytest
 
+import homhopf.integrals as integrals
 from homhopf.catalog import cyclic_group_hopf, entry
 from homhopf.cli import main
 from homhopf.errors import EquivalenceViolated, NotAutomorphism
 from homhopf.galois import (coinvariant_module, coinvariants, free_module,
                             thm56_adjunction)
 from homhopf.instance_io import emit_instance
-from homhopf.integrals import (_total_integral_system, find_quantum_integral,
-                               generator_epi, total_integral_identities)
-from homhopf.linalg import (LinearMap, solve_affine, space, tensor_after,
-                            tensor_space)
+from homhopf.integrals import (QuantumIntegral, _total_integral_system,
+                               find_quantum_integral, generator_epi,
+                               phi_from_gamma, theorem43_check,
+                               total_integral_identities)
+from homhopf.linalg import (Infeasible, LinearMap, solve_affine, space,
+                            tensor_after, tensor_space)
 from homhopf.modules import (RelHopfModule, induce_G, prop31_v,
                              regular_rel_hopf)
 from homhopf.records import replace
 from homhopf.report import Report
-from homhopf.structures import HomAlgebra, HomHopfAlgebra, twist
+from homhopf.structures import HomAlgebra, twist
 from homhopf.verify import check_maps
 
 X, Y = space("x0", "x1"), space("y0", "y1", "y2")
@@ -105,12 +108,21 @@ def _solution_fails_its_identities():
         lambda phi: total_integral_identities(KC2, zero), "total integral")
 
 
-def _gamma_not_alpha():
-    H = entry("kC3-twisted").hopf
-    ident = LinearMap.identity(H.space)
-    return HomHopfAlgebra.build(
-        H.algebra, replace(H.coalgebra, gamma=ident, gamma_inv=ident),
-        H.antipode)
+def _phi_not_colinear():
+    """gamma(g)(h) = eps(g)eps(h)1_A: phi(h) = eps(h)1_A, and rho(phi(g)) =
+    1 (x) 1 differs from phi(g) (x) g = 1 (x) g."""
+    eps = KC2.hopf.counit
+    gamma = QuantumIntegral(KC2.algebra.unit @ eps.tensor(eps), True, ())
+    return phi_from_gamma(KC2, gamma)
+
+
+def _existence_disagrees():
+    """kC2's rho_A splits; a solver that found no total integral would
+    contradict it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrals, "find_total_integral",
+                   lambda CA: Infeasible(0, 1, None, ()))
+        return theorem43_check(KC2)
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -136,11 +148,6 @@ def _gamma_not_alpha():
      "square: maps do not match the check's shape"),
     (lambda: induce_G(regular_rel_hopf(_kc(2)).as_module(), _kc(3)),
      ValueError, "module must live over the comodule algebra's algebra"),
-    (lambda: HomHopfAlgebra.build(cyclic_group_hopf(2).algebra,
-                                  cyclic_group_hopf(3).coalgebra,
-                                  cyclic_group_hopf(2).antipode), ValueError,
-     "algebra and coalgebra must share the underlying space"),
-    (_gamma_not_alpha, ValueError, "Hopf structure needs gamma = alpha"),
     (lambda: twist(cyclic_group_hopf(2),
                    LinearMap.zero(*(cyclic_group_hopf(2).space,) * 2)),
      NotAutomorphism, "twisting map is not invertible"),
@@ -176,15 +183,19 @@ def _gamma_not_alpha():
     (_trace_leaves_b, ValueError, "the left quantum trace does not land in B"),
     (_solution_fails_its_identities, EquivalenceViolated,
      "solved total integral fails re-verification"),
+    (_phi_not_colinear, EquivalenceViolated,
+     "phi built from a quantum integral is not colinear"),
+    (_existence_disagrees, EquivalenceViolated,
+     "integral existence (False) disagrees with splitting (True)"),
 ], ids=["from-rows-row-count", "from-rows-column-count", "matmul-shapes",
         "tensor-after-shapes", "sub-shapes", "inverse-not-square",
         "solve-affine-rhs-length", "tensor-of-nothing", "check-maps-shape",
-        "induce-g-other-algebra", "build-other-space", "build-gamma-not-alpha",
-        "twist-singular", "antipode-not-bijective", "epi-not-total",
+        "induce-g-other-algebra", "twist-singular", "antipode-not-bijective", "epi-not-total",
         "coinvariants-zero", "unit-not-coinvariant", "coinvariants-not-closed",
         "coinvariants-not-beta-stable", "module-coinvariants-not-closed",
         "module-coinvariants-not-mu-stable", "eta-not-coinvariant",
-        "trace-not-in-b", "solution-fails-re-verification"])
+        "trace-not-in-b", "solution-fails-re-verification",
+        "phi-not-colinear", "existence-disagrees-with-splitting"])
 def test_a_refusal_that_stays_raises_its_error(call, error, message):
     with pytest.raises(error) as exc:
         call()

@@ -22,8 +22,7 @@ def _structure_maps(CA, mods=()):
     """The structure maps of CA, its Hopf algebra and the given modules."""
     A, H = CA.algebra, CA.hopf
     maps = [H.algebra.mult, H.algebra.unit, H.algebra.alpha,
-            H.algebra.alpha_inv, H.coalgebra.comult, H.coalgebra.counit,
-            H.coalgebra.gamma, H.coalgebra.gamma_inv, H.antipode,
+            H.algebra.alpha_inv, H.comult, H.counit, H.antipode,
             H.antipode_inv,
             A.mult, A.unit, A.alpha, A.alpha_inv, CA.coaction]
     for M in mods:

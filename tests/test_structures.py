@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from homhopf import modules, structures
-from homhopf.catalog import (cyclic_group_hopf, entry, matrix_coalgebra,
-                             names, sweedler_hopf, twisted_cyclic3)
+from homhopf.catalog import (cyclic_group_hopf, entry, matrix_datum, names,
+                             sweedler_hopf, twisted_cyclic3)
 from homhopf.cli import main
 from homhopf.errors import NotAutomorphism
 from homhopf.instance_io import ParsedInstance, emit_instance, load_instance
@@ -77,8 +77,7 @@ def test_corrupted_antipode_fails_exactly_one_check():
 
 
 def test_matrix_coalgebra_axioms():
-    C = matrix_coalgebra(2)
-    assert check_hom_coalgebra(C).ok
+    assert check_hom_coalgebra(matrix_datum(2).hopf).ok
 
 
 def test_regular_comodule_algebra_checks():

@@ -124,8 +124,7 @@ def _twice(f):
 
 
 def _double_coalgebra_map(H, key):
-    C = H.coalgebra
-    return replace(H, coalgebra=replace(C, **{key: _twice(getattr(C, key))}))
+    return replace(H, **{key: _twice(getattr(H, key))})
 
 
 # (check, name, mutant of CA, domain of the failing identity)
@@ -137,8 +136,8 @@ _STRUCTURE_MUTANTS = [
      lambda CA: replace(CA.algebra, alpha_inv=_twice(CA.algebra.alpha_inv)),
      lambda CA: CA.space),
     (check_hom_coalgebra, "gamma invertible",
-     lambda CA: replace(CA.hopf.coalgebra,
-                        gamma_inv=_twice(CA.hopf.coalgebra.gamma_inv)),
+     lambda CA: replace(CA.hopf, algebra=replace(
+         CA.hopf.algebra, alpha_inv=_twice(CA.hopf.algebra.alpha_inv))),
      lambda CA: CA.hopf.space),
     (check_hom_hopf, "Delta(1) = 1 (x) 1",
      lambda CA: _double_coalgebra_map(CA.hopf, "comult"),
